@@ -4,8 +4,6 @@ trajectory metrics, and stride-ablation sweeps, with CSV/SVG artifacts.
 Subcommands: plan, bounds, simulate, eval, ablate.
 Global flags: --config PATH, --seed N, --out DIR, --svg, --set key=value.
 Exit codes: 0 success, 1 internal error, 2 invalid input.
-The ROLLBOUND_SIM_THREADS environment variable caps trial parallelism
-(0 = auto, default serial).
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .worldsim import (
     controls_from_trajectory,
     generate_keyframes,
     rollout_anchored,
-    rollout_pure_ar,
     write_trace_csv,
 )
 
@@ -145,19 +142,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _trial_trace_pair(cfg: ExperimentConfig, world: WorldConfig, plan: RolloutPlan):
-    """Trial-0 traces with the same derived streams compare_pipelines uses."""
-    ar = rollout_pure_ar(world, plan.total_frames, rng=derive_rng(cfg.seed, "trial-ar", 0))
-    kf = generate_keyframes(world, plan.keyframes, cfg.kf_scenario,
-                            error_cap=cfg.kf_error_cap, step_error=cfg.kf_step_error,
-                            rng=derive_rng(cfg.seed, f"trial-kf-{cfg.kf_scenario}", 0))
-    child = int(derive_seed_sequence(cfg.seed, f"trial-anchored-{cfg.kf_scenario}", 0)
-                .generate_state(1)[0])
-    anchored = rollout_anchored(world, plan, kf, sigma_int=cfg.sigma_int,
-                                velocity_error=cfg.velocity_error, seed=child)
-    return ar, anchored
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_experiment(args)
     out = _out_dir(cfg)
@@ -168,11 +152,11 @@ def cmd_simulate(args) -> int:
                                velocity_error=cfg.velocity_error,
                                kf_error_cap=cfg.kf_error_cap,
                                kf_step_error=cfg.kf_step_error)
-    ar_trace, anchored_trace = _trial_trace_pair(cfg, world, plan)
+    sc = cfg.kf_scenario
+    ar_trace, anchored_trace = report.trial0_ar, report.trial0_anchored[sc]
     write_trace_csv(ar_trace, os.path.join(out, "ar_trace.csv"))
     write_trace_csv(anchored_trace, os.path.join(out, "anchored_trace.csv"))
 
-    sc = cfg.kf_scenario
     mean_path = os.path.join(out, "mean_curves.csv")
     dc_mean = report.anchored_mean_error[sc]
     with open(mean_path, "w", encoding="utf-8") as fh:

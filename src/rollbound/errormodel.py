@@ -15,6 +15,7 @@ test suite to confirm the formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -122,15 +123,13 @@ def ar_upper_curve(lipschitz: float, step_error: float, n_frames: int,
     values = np.zeros(n_frames)
     flags = np.zeros(n_frames, dtype=bool)
     total = 0.0
-    saturated = False
     for t in range(1, n_frames):
-        if not saturated:
-            total = lipschitz * total + step_error
-            if total > cap or not np.isfinite(total):
-                total = cap
-                saturated = True
+        total = lipschitz * total + step_error
+        if total > cap or not math.isfinite(total):
+            values[t:] = cap
+            flags[t:] = True
+            break
         values[t] = total
-        flags[t] = saturated
     return values, flags
 
 

@@ -8,6 +8,7 @@ alpha_c, sigma_c, keyframes, segments) so CLI runs can be replayed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import LatentSeq, RolloutPlan, Segment, validate_plan
@@ -69,20 +70,28 @@ def select_keyframes(keyframes, seg_start: int, seg_end: int) -> list[int]:
     when no keyframe lies beyond seg_end (tail segment) the look-ahead anchor
     is omitted.
     """
+    return _select_sorted(_sorted_keyframes(keyframes), seg_start, seg_end)
+
+
+def _sorted_keyframes(keyframes) -> list[int]:
     kf = sorted(set(int(k) for k in keyframes))
     if not kf:
         raise InvalidInput("keyframe list is empty")
-    before = [k for k in kf if k < seg_start]
-    after = [k for k in kf if k > seg_end]
-    lo = before[-1] if before else seg_start
-    hi = after[0] if after else seg_end
-    return [k for k in kf if lo <= k <= hi]
+    return kf
+
+
+def _select_sorted(kf: list[int], seg_start: int, seg_end: int) -> list[int]:
+    """select_keyframes on sorted, duplicate-free keyframes, in O(log K) plus
+    the size of the answer."""
+    lo = bisect_left(kf, seg_start)   # kf[lo - 1] is the last keyframe before the span
+    hi = bisect_right(kf, seg_end)    # kf[hi] is the first keyframe after it
+    return kf[max(lo - 1, 0):hi + 1]
 
 
 def partition_segments(n_frames: int, seg_len: int, overlap: int, keyframes) -> list[Segment]:
     """Cut [0, n_frames-1] into windows of seg_len frames advancing by
     (seg_len - overlap); the last window is truncated at the final frame.
-    Each window's keyframe set comes from select_keyframes."""
+    Each window's keyframe set is the one select_keyframes picks."""
     if n_frames < 1:
         raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
     if overlap < 0:
@@ -90,6 +99,7 @@ def partition_segments(n_frames: int, seg_len: int, overlap: int, keyframes) -> 
     if seg_len <= overlap:
         raise InvalidInput("segment length must exceed overlap")
     stride = seg_len - overlap
+    kf = _sorted_keyframes(keyframes)
     segments: list[Segment] = []
     start = 0
     while True:
@@ -98,8 +108,7 @@ def partition_segments(n_frames: int, seg_len: int, overlap: int, keyframes) -> 
             history = tuple(range(start, min(start + overlap, end + 1)))
         else:
             history = ()
-        segments.append(Segment(start, end, history,
-                                tuple(select_keyframes(keyframes, start, end))))
+        segments.append(Segment(start, end, history, tuple(_select_sorted(kf, start, end))))
         if end >= n_frames - 1:
             return segments
         start += stride
@@ -197,11 +206,11 @@ def load_plan(path) -> RolloutPlan:
         raise InvalidInput(f"{path}: missing plan key {exc}") from None
     except ValueError as exc:
         raise InvalidInput(f"{path}: {exc}") from None
+    kf = _sorted_keyframes(keyframes) if spans else []
     segments = []
     for i, (start, end) in enumerate(spans):
         history = tuple(range(start, min(start + overlap, end + 1))) if i else ()
-        segments.append(Segment(start, end, history,
-                                tuple(select_keyframes(keyframes, start, end))))
+        segments.append(Segment(start, end, history, tuple(_select_sorted(kf, start, end))))
     plan = RolloutPlan(total, keyframes, tuple(segments), overlap, alpha_c, sigma_c)
     violations = validate_plan(plan)
     if violations:

@@ -12,14 +12,14 @@ Two generation pipelines run against the same ground truth:
   * rollout_anchored: keyframe anchors plus per-interval anchored interpolation
     (anchor convex combination + damped velocity-leakage spline + pinned
     bridge noise), with overlap substitution between generation windows.
+
+Both run on one trial engine that simulates a batch of Monte-Carlo trials as
+one array; a standalone rollout is its one-trial case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
-
-import os
 
 import numpy as np
 
@@ -200,21 +200,128 @@ def write_trace_csv(trace: RolloutTrace, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the trial engine
+# ---------------------------------------------------------------------------
+#
+# Every pipeline runs as a batch of trials: trials are the middle axis of a
+# time-major (n, B, d) array, only the loop over frames is Python, and the
+# state all trials share (dynamics, ground truth, the anchored layout) is
+# built once per run. A standalone rollout is the one-trial case.
+
+#: trials simulated together: an engine pass holds O(TRIAL_BLOCK * n * d)
+#: floats whatever the trial count
+TRIAL_BLOCK = 32
+
+
+def _require_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput("latent frames must be finite")
+
+
+def _error_norms(x: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """(B, n) error norms of a time-major (n, B, d) batch against (n, d)."""
+    return np.linalg.norm(x - gt[:, None], axis=-1).T
+
+
+class _World:
+    """What every trial of a run shares: the dynamics matrix (its
+    spectral-norm check runs here, once), the controls and the ground truth.
+
+    The ground truth is row 0 of each step-by-step batch: the same recursion
+    x[t+1] = A x[t] + u[t], without the generator's drift and noise. The
+    rollouts of the generators given here run in the ground truth's own pass
+    (`rollouts`), so a standalone rollout takes one pass, not two."""
+
+    def __init__(self, cfg: WorldConfig, n_frames: int, rngs=()):
+        if n_frames < 1:
+            raise InvalidInput("n_frames must be >= 1")
+        self.cfg = cfg
+        self.A = dynamics_matrix(cfg)
+        self.u = control_schedule(cfg, n_frames)
+        x = self._propagate(rngs)
+        self.gt = LatentSeq(x[:, 0])
+        self.rollouts = x[:, 1:]
+
+    def _propagate(self, rngs) -> np.ndarray:
+        """Time-major (n, 1+B, d) batch: row 0 the ground truth, row 1+b the
+        step-by-step rollout of generator b, which adds the drift and its
+        noise, drawn as one (n-1, d) block (bit-identical to n-1 draws of d).
+        Each step is one matmul over the batch, bit-identical to the per-row
+        A @ x[t], and the additions keep their left-to-right order."""
+        cfg = self.cfg
+        n = len(self.u) + 1
+        x = np.empty((n, 1 + len(rngs), cfg.dim))
+        x[0] = cfg.initial_state()
+        b = cfg.bias_vector()
+        noise = None
+        if rngs and cfg.noise_std > 0.0:
+            noise = np.empty((len(rngs), n - 1, cfg.dim))
+            for g, block in zip(rngs, noise):
+                g.standard_normal(out=block)
+            noise *= cfg.noise_std
+        stacked = x[..., None]
+        steps = zip(stacked[:-1], stacked[1:], x[1:], x[1:, 1:], self.u)
+        for t, (prev, nxt, row, generated, u) in enumerate(steps):
+            np.matmul(self.A, prev, out=nxt)
+            row += u
+            if rngs:
+                generated += b
+                if noise is not None:
+                    generated += noise[:, t]
+        _require_finite(x)
+        return x
+
+    def ar_rollouts(self, rngs) -> np.ndarray:
+        """Step-by-step rollouts from the true frame 0, one per generator, as
+        a time-major (n, B, d) batch."""
+        return self._propagate(rngs)[:, 1:]
+
+    def ar_trace(self, x: np.ndarray, err: np.ndarray) -> RolloutTrace:
+        bounds, _ = ar_upper_curve(self.cfg.lipschitz, self.cfg.drift_norm(), len(self.gt))
+        return RolloutTrace(LatentSeq(x), self.gt, err, bounds=bounds)
+
+    def keyframes(self, idx: list[int], scenario: str, error_cap: float,
+                  step_error: float | None, step_noise: float, g) -> KeyframeLatents:
+        """Anchor latents at the sorted frames idx (see generate_keyframes)."""
+        cfg = self.cfg
+        gt = self.gt.frames
+        vals = np.empty((len(idx), cfg.dim))
+        vals[0] = gt[0]
+        if scenario == "global":
+            if error_cap < 0.0:
+                raise InvalidInput("error_cap must be >= 0")
+            for j, k in enumerate(idx[1:], start=1):
+                direction = g.standard_normal(cfg.dim)
+                norm = float(np.linalg.norm(direction))
+                direction = direction / norm if norm > 0.0 else np.zeros(cfg.dim)
+                vals[j] = gt[k] + g.uniform(0.0, error_cap) * direction
+        elif scenario == "downsampled_ar":
+            mu = cfg.drift_norm() if step_error is None else float(step_error)
+            b = cfg.bias_vector()
+            bn = float(np.linalg.norm(b))
+            direction = b / bn if bn > 0.0 else np.eye(cfg.dim)[0]
+            step_vec = mu * direction
+            err = np.zeros(cfg.dim)
+            for j in range(1, len(idx)):
+                for _ in range(idx[j] - idx[j - 1]):
+                    err = self.A @ err
+                err = err + step_vec
+                if step_noise > 0.0:
+                    err = err + step_noise * g.standard_normal(cfg.dim)
+                vals[j] = gt[idx[j]] + err
+        else:
+            raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
+        return KeyframeLatents(tuple(idx), vals)
+
+
+# ---------------------------------------------------------------------------
 # ground truth and pure autoregressive rollout
 # ---------------------------------------------------------------------------
 
 def simulate_ground_truth(cfg: WorldConfig, n_frames: int) -> LatentSeq:
     """Noiseless controlled trajectory x_{t+1} = A x_t + u_t; deterministic,
     independent of the seed streams."""
-    if n_frames < 1:
-        raise InvalidInput("n_frames must be >= 1")
-    A = dynamics_matrix(cfg)
-    u = control_schedule(cfg, n_frames)
-    x = np.zeros((n_frames, cfg.dim))
-    x[0] = cfg.initial_state()
-    for t in range(n_frames - 1):
-        x[t + 1] = A @ x[t] + u[t]
-    return LatentSeq(x)
+    return _World(cfg, n_frames).gt
 
 
 def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
@@ -222,20 +329,10 @@ def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
     and noise; the per-frame error satisfies e_{t+1} = A e_t + b + sigma*eps
     exactly. Frame t of the bound column holds the bias-only Lipschitz bound
     after t steps (attained with equality when noise is off)."""
-    gt = simulate_ground_truth(cfg, n_frames)
-    A = dynamics_matrix(cfg)
-    u = control_schedule(cfg, n_frames)
-    b = cfg.bias_vector()
     g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "ar-noise"))
-    x = np.zeros_like(gt.frames)
-    x[0] = gt.frames[0]
-    for t in range(n_frames - 1):
-        x[t + 1] = A @ x[t] + u[t] + b
-        if cfg.noise_std > 0.0:
-            x[t + 1] += cfg.noise_std * g.standard_normal(cfg.dim)
-    err = np.linalg.norm(x - gt.frames, axis=1)
-    bounds, _ = ar_upper_curve(cfg.lipschitz, cfg.drift_norm(), n_frames)
-    return RolloutTrace(LatentSeq(x), gt, err, bounds=bounds)
+    world = _World(cfg, n_frames, [g])
+    x = world.rollouts
+    return world.ar_trace(x[:, 0], _error_norms(x, world.gt.frames)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +376,9 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
     idx = sorted(int(i) for i in indices)
     if not idx or idx[0] != 0:
         raise InvalidInput("keyframe indices must be sorted and include 0")
-    gt = simulate_ground_truth(cfg, idx[-1] + 1).frames
+    world = _World(cfg, idx[-1] + 1)
     g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "keyframes"))
-    vals = np.empty((len(idx), cfg.dim))
-    vals[0] = gt[0]
-    if scenario == "global":
-        if error_cap < 0.0:
-            raise InvalidInput("error_cap must be >= 0")
-        for j, k in enumerate(idx[1:], start=1):
-            direction = g.standard_normal(cfg.dim)
-            norm = float(np.linalg.norm(direction))
-            direction = direction / norm if norm > 0.0 else np.zeros(cfg.dim)
-            vals[j] = gt[k] + g.uniform(0.0, error_cap) * direction
-    elif scenario == "downsampled_ar":
-        A = dynamics_matrix(cfg)
-        mu = cfg.drift_norm() if step_error is None else float(step_error)
-        b = cfg.bias_vector()
-        bn = float(np.linalg.norm(b))
-        direction = b / bn if bn > 0.0 else np.eye(cfg.dim)[0]
-        step_vec = mu * direction
-        err = np.zeros(cfg.dim)
-        for j in range(1, len(idx)):
-            for _ in range(idx[j] - idx[j - 1]):
-                err = A @ err
-            err = err + step_vec
-            if step_noise > 0.0:
-                err = err + step_noise * g.standard_normal(cfg.dim)
-            vals[j] = gt[idx[j]] + err
-    else:
-        raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
-    return KeyframeLatents(tuple(idx), vals)
+    return world.keyframes(idx, scenario, error_cap, step_error, step_noise, g)
 
 
 def keyframe_error_norms(cfg: WorldConfig, keyframes: KeyframeLatents) -> np.ndarray:
@@ -319,6 +389,159 @@ def keyframe_error_norms(cfg: WorldConfig, keyframes: KeyframeLatents) -> np.nda
 # ---------------------------------------------------------------------------
 # keyframe-anchored interpolation rollout
 # ---------------------------------------------------------------------------
+
+def _velocity_vector(velocity_error, d: int) -> np.ndarray:
+    if velocity_error is None:
+        return np.zeros(d)
+    if np.isscalar(velocity_error):
+        dv0 = np.zeros(d)
+        dv0[0] = float(velocity_error)
+        return dv0
+    dv0 = np.asarray(velocity_error, dtype=float)
+    if dv0.shape != (d,):
+        raise InvalidInput(f"velocity_error must be scalar or ({d},)")
+    return dv0
+
+
+class _AnchoredLayout:
+    """What every trial of an anchored rollout shares, built once from the
+    plan: each frame's anchor interval, interpolation weight and
+    velocity-leakage offset, and each generation window's noise schedule.
+    Only the anchor values and the noise streams differ between trials."""
+
+    def __init__(self, plan: RolloutPlan, d: int, sigma_int: float, velocity_error,
+                 momentum: bool = True, substitution: bool = True):
+        violations = validate_plan(plan)
+        if violations:
+            raise InvalidInput(f"plan fails validation: {violations}")
+        if sigma_int < 0.0:
+            raise InvalidInput("sigma_int must be >= 0")
+        self.plan = plan
+        self.sigma_int = sigma_int
+        self.dv0 = _velocity_vector(velocity_error, d)
+        n = plan.total_frames
+        kf = np.array(plan.keyframes)
+        t = np.arange(n)
+        # frame t lies in anchor interval j: kf[j] <= t < kf[j+1]; the final
+        # frame closes the last interval
+        j = np.minimum(np.searchsorted(kf, t, side="right") - 1, max(len(kf) - 2, 0))
+        self.left = j
+        self.leak_rows, self.leak = slice(None), None
+        if len(kf) == 1:  # single-frame plan
+            self.weights = None
+            T = tau = np.zeros(n, dtype=int)
+        else:
+            T = kf[j + 1] - kf[j]
+            tau = t - kf[j]
+            lam = tau / T
+            self.weights = ((1.0 - lam)[:, None, None], lam[:, None, None])
+            if momentum:
+                shape = np.empty(n)
+                for length in np.unique(T).tolist():
+                    rows = T == length
+                    shape[rows] = solve_damping_spline(length, 1.0).value(tau[rows])
+                dvs = np.empty((len(kf) - 1, d))
+                dv = self.dv0
+                for i in range(len(dvs)):
+                    dvs[i] = dv
+                    dv = damping_step(dv) if substitution else np.zeros(d)
+                self.leak = shape[:, None] * dvs[j]
+            elif T[0] > 1:
+                # the generator rides the erroneous velocity through the first
+                # interval and snaps back at its closing anchor
+                first = j == 0
+                ramp = np.where(tau[first] < T[0], tau[first], 0).astype(float)
+                self.leak_rows, self.leak = first, ramp[:, None] * self.dv0
+
+        # bridge-noise schedule: window i's stream draws one row for each of
+        # draw_frames[cuts[i]:cuts[i+1]], in that order; the first marginal[i]
+        # of them (overlap frames when substitution is off) are redrawn from the
+        # marginal law, the rest continue the bridge recursion
+        # w[t] = frac*w[t-1] + scale*eps
+        is_kf = np.zeros(n, dtype=bool)
+        is_kf[kf] = True
+        self.seg_ids = np.zeros(n, dtype=int)
+        frames, self.marginal = [], []
+        p = plan.overlap
+        for si, seg in enumerate(plan.segments):
+            gen_from = min(seg.start + p, seg.end + 1) if si > 0 and substitution else seg.start
+            self.seg_ids[gen_from:seg.end + 1] = si
+            span = t[gen_from:seg.end + 1]
+            span = span[~is_kf[span]]
+            redraw = si > 0 and not substitution
+            self.marginal.append(int(np.count_nonzero(span < seg.start + p)) if redraw else 0)
+            frames.append(span)
+        self.draw_frames = np.concatenate(frames)
+        self.cuts = np.cumsum([0] + [len(f) for f in frames])
+        remaining = kf[j[self.draw_frames] + 1] - (self.draw_frames - 1)
+        self.draw_frac = (remaining - 1) / remaining
+        self.draw_scale = sigma_int * np.sqrt(self.draw_frac)
+        for start, m in zip(self.cuts.tolist(), self.marginal):
+            for r in range(start, start + m):
+                f = self.draw_frames[r]
+                self.draw_scale[r] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
+
+    def field(self, kv: np.ndarray) -> np.ndarray:
+        """Deterministic part of each trial from its (K, B, d) anchor values:
+        anchor interpolation plus velocity leakage, as an (n, B, d) batch."""
+        if self.weights is None:
+            return kv.copy()
+        w_left, w_right = self.weights
+        det = kv[self.left]
+        det *= w_left
+        right = kv[self.left + 1]
+        right *= w_right
+        det += right
+        if self.leak is not None:
+            det[self.leak_rows] += self.leak[:, None]
+        return det
+
+    def run(self, kv: np.ndarray, seeds, collect_segments: bool = False):
+        """Anchored rollouts of a batch, trial b drawing its noise from the
+        streams of seeds[b] (one (k, d) block per window). Returns the
+        (n, B, d) frames and, on request, trial 0's frames of each window as
+        they stood once that window was generated."""
+        det = self.field(kv)
+        d = det.shape[2]
+        w = np.zeros_like(det)
+        chunks = []
+        bounds = self.cuts.tolist()
+        for si, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], self.marginal)):
+            eps = np.stack([derive_rng(s, "interp-noise", si).standard_normal((hi - lo, d))
+                            for s in seeds], axis=1)
+            kicks = self.draw_scale[lo:hi, None, None] * eps
+            w[self.draw_frames[lo:lo + m]] = kicks[:m]
+            for t, frac, kick in zip(self.draw_frames[lo + m:hi].tolist(),
+                                     self.draw_frac[lo + m:hi].tolist(), kicks[m:]):
+                np.multiply(w[t - 1], frac, out=w[t])
+                w[t] += kick
+            if collect_segments:
+                seg = self.plan.segments[si]
+                span = slice(seg.start, seg.end + 1)
+                chunks.append((seg.start, det[span, 0] + w[span, 0]))
+        det += w
+        _require_finite(det)
+        return det, chunks
+
+    def trace(self, world: _World, kv: np.ndarray, x: np.ndarray, err: np.ndarray,
+              chunks=None) -> RolloutTrace:
+        """One trial's trace from its (K, d) anchors and (n, d) frames; the
+        bound column holds the unified bound built from its anchor errors."""
+        cfg, gt, kf_idx = world.cfg, world.gt, self.plan.keyframes
+        max_T = max((hi - lo for lo, hi in zip(kf_idx, kf_idx[1:])), default=1)
+        params = ErrorModelParams(lipschitz=cfg.lipschitz, step_error=cfg.drift_norm(),
+                                  drift_bias=cfg.drift_norm(),
+                                  step_variance=cfg.noise_std ** 2,
+                                  keyframe_interval=max_T, interp_noise=self.sigma_int,
+                                  velocity_error=float(np.linalg.norm(self.dv0)))
+        kf_errs = [float(np.linalg.norm(v - gt.frames[k])) for k, v in zip(kf_idx, kv)]
+        breakdown = unified_bound(params, keyframe_errors=kf_errs)
+        return RolloutTrace(LatentSeq(x), gt, err, bounds=np.full(len(gt), breakdown.total),
+                            breakdown=breakdown,
+                            segment_boundaries=tuple(s.start for s in self.plan.segments[1:]),
+                            segment_ids=self.seg_ids.copy(), keyframe_indices=tuple(kf_idx),
+                            segment_chunks=None if chunks is None else tuple(chunks))
+
 
 def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, keyframes: KeyframeLatents,
                      sigma_int: float = 0.0, momentum: bool = True,
@@ -345,106 +568,18 @@ def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, keyframes: KeyframeLat
     for the damped pipeline (momentum and substitution on), built from the
     measured anchor errors.
     """
-    violations = validate_plan(plan)
-    if violations:
-        raise InvalidInput(f"plan fails validation: {violations}")
-    missing = [k for k in plan.keyframes if k not in set(keyframes.indices)]
+    layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error, momentum, substitution)
+    have = set(keyframes.indices)
+    missing = [k for k in plan.keyframes if k not in have]
     if missing:
         raise InvalidInput(f"keyframe latents missing plan anchors {missing}")
-    if sigma_int < 0.0:
-        raise InvalidInput("sigma_int must be >= 0")
-    n = plan.total_frames
-    d = cfg.dim
-    gt = simulate_ground_truth(cfg, n)
-    kf_idx = list(plan.keyframes)
-    kf_val = keyframes.lookup()
-    if velocity_error is None:
-        dv0 = np.zeros(d)
-    elif np.isscalar(velocity_error):
-        dv0 = np.zeros(d)
-        dv0[0] = float(velocity_error)
-    else:
-        dv0 = np.asarray(velocity_error, dtype=float)
-        if dv0.shape != (d,):
-            raise InvalidInput(f"velocity_error must be scalar or ({d},)")
-    base_seed = cfg.seed if seed is None else int(seed)
-
-    # deterministic field: anchor interpolation + leakage, per anchor interval
-    det = np.zeros((n, d))
-    intervals = list(zip(kf_idx, kf_idx[1:]))
-    dv = dv0.copy()
-    for j, (lo, hi) in enumerate(intervals):
-        T = hi - lo
-        lam = np.arange(T + 1) / T
-        det[lo:hi + 1] = (1.0 - lam)[:, None] * kf_val[lo] + lam[:, None] * kf_val[hi]
-        if momentum:
-            shape = solve_damping_spline(T, 1.0).value(np.arange(T + 1, dtype=float))
-            det[lo:hi + 1] += shape[:, None] * dv
-            dv = damping_step(dv) if substitution else np.zeros(d)
-        else:
-            if j == 0 and T > 1:
-                ramp = np.arange(T + 1, dtype=float)
-                ramp[-1] = 0.0  # snap back at the next anchor
-                det[lo:hi + 1] += ramp[:, None] * dv
-            dv = np.zeros(d)
-    if len(intervals) == 0:  # single-frame plan
-        det[0] = kf_val[kf_idx[0]]
-
-    # noise field + window assembly
-    kf_set = set(kf_idx)
-    kf_arr = np.array(kf_idx)
-    next_kf = kf_arr[np.searchsorted(kf_arr, np.arange(n))]  # last frame is a keyframe
-    x = det.copy()
-    w = np.zeros((n, d))
-    seg_ids = np.zeros(n, dtype=int)
-    chunks: list[tuple[int, np.ndarray]] = []
-    p = plan.overlap
-    for si, seg in enumerate(plan.segments):
-        g = derive_rng(base_seed, "interp-noise", si)
-        start = seg.start
-        if si > 0 and substitution:
-            gen_from = min(start + p, seg.end + 1)
-        else:
-            gen_from = start
-        for t in range(gen_from, seg.end + 1):
-            if t in kf_set:
-                w[t] = 0.0
-            elif si > 0 and not substitution and t < start + p:
-                # fresh draw from the marginal law, ignoring the predecessor
-                var = bridge_variance(t - _prev_kf(kf_idx, t), _interval_of(kf_idx, t), sigma_int)
-                w[t] = np.sqrt(var) * g.standard_normal(d)
-            else:
-                remaining = next_kf[t] - (t - 1)
-                frac = (remaining - 1) / remaining
-                w[t] = w[t - 1] * frac + sigma_int * np.sqrt(frac) * g.standard_normal(d)
-            x[t] = det[t] + w[t]
-            seg_ids[t] = si
-        if collect_segments:
-            chunks.append((start, x[start:seg.end + 1].copy()))
-
-    err = np.linalg.norm(x - gt.frames, axis=1)
-    max_T = max((hi - lo for lo, hi in intervals), default=1)
-    params = ErrorModelParams(lipschitz=cfg.lipschitz, step_error=cfg.drift_norm(),
-                              drift_bias=cfg.drift_norm(), step_variance=cfg.noise_std ** 2,
-                              keyframe_interval=max_T, interp_noise=sigma_int,
-                              velocity_error=float(np.linalg.norm(dv0)))
-    kf_errs = [float(np.linalg.norm(kf_val[k] - gt.frames[k])) for k in kf_idx]
-    breakdown = unified_bound(params, keyframe_errors=kf_errs)
-    bounds = np.full(n, breakdown.total)
-    return RolloutTrace(LatentSeq(x), gt, err, bounds=bounds, breakdown=breakdown,
-                        segment_boundaries=tuple(s.start for s in plan.segments[1:]),
-                        segment_ids=seg_ids, keyframe_indices=tuple(kf_idx),
-                        segment_chunks=tuple(chunks) if collect_segments else None)
-
-
-def _prev_kf(kf_idx: list[int], t: int) -> int:
-    return max(k for k in kf_idx if k <= t)
-
-
-def _interval_of(kf_idx: list[int], t: int) -> int:
-    lo = _prev_kf(kf_idx, t)
-    hi = min(k for k in kf_idx if k > t)
-    return hi - lo
+    world = _World(cfg, plan.total_frames)
+    values = keyframes.lookup()
+    kv = np.stack([values[k] for k in plan.keyframes])[:, None]
+    x, chunks = layout.run(kv, [cfg.seed if seed is None else int(seed)], collect_segments)
+    err = _error_norms(x, world.gt.frames)[0]
+    return layout.trace(world, kv[:, 0], x[:, 0], err,
+                        chunks if collect_segments else None)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +588,8 @@ def _interval_of(kf_idx: list[int], t: int) -> int:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-frame Monte-Carlo means for the two pipelines."""
+    """Per-frame Monte-Carlo means for the two pipelines, and trial 0's
+    rollouts: one step-by-step trace and one anchored trace per scenario."""
 
     frames: np.ndarray
     ar_mean_error: np.ndarray
@@ -461,6 +597,8 @@ class ComparisonReport:
     anchored_mean_error: dict[str, np.ndarray]
     anchored_mse: dict[str, np.ndarray]
     trials: int
+    trial0_ar: RolloutTrace
+    trial0_anchored: dict[str, RolloutTrace]
 
     def final_ratio(self, scenario: str) -> float:
         """Final-frame mean error of the step-by-step pipeline over the
@@ -469,70 +607,60 @@ class ComparisonReport:
         return float(self.ar_mean_error[-1] / anchored) if anchored > 0 else float("inf")
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Trial parallelism: explicit argument, else the ROLLBOUND_SIM_THREADS
-    environment variable (0 = auto), else serial."""
-    if threads is None:
-        raw = os.environ.get("ROLLBOUND_SIM_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise InvalidInput(f"ROLLBOUND_SIM_THREADS must be an integer, got {raw!r}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
+def _accumulate(sums: np.ndarray, errs: np.ndarray) -> None:
+    """Add each trial's error row and its square to (2, n) running sums, in
+    trial order."""
+    for row in errs:
+        sums[0] += row
+        sums[1] += row ** 2
 
 
 def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan,
                       scenarios=("global", "downsampled_ar"), trials: int = 1,
                       seed: int | None = None, sigma_int: float = 0.0,
                       velocity_error=None, kf_error_cap: float = 0.0,
-                      kf_step_error: float | None = None,
-                      threads: int | None = None) -> ComparisonReport:
-    """Monte-Carlo comparison of the two pipelines over independent trials
-    with deterministically derived per-trial seeds. Aggregation is
-    order-independent (running sums), so trials may execute concurrently."""
+                      kf_step_error: float | None = None) -> ComparisonReport:
+    """Monte-Carlo comparison of the two pipelines over independent trials.
+
+    Trials run batched, TRIAL_BLOCK at a time, each on its own streams
+    derived from the seed and the trial number, so the result depends on the
+    seed alone. Per-frame sums accumulate in trial order."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     base = cfg.seed if seed is None else int(seed)
     n = plan.total_frames
     scenarios = tuple(scenarios)
-
-    def one_trial(i: int):
-        ar = rollout_pure_ar(cfg, n, rng=derive_rng(base, "trial-ar", i))
-        out = {}
+    world = _World(cfg, n)
+    layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error)
+    kf_idx = list(plan.keyframes)
+    ar_sums = np.zeros((2, n))
+    dc_sums = {sc: np.zeros((2, n)) for sc in scenarios}
+    first_anchored = {}
+    for first in range(0, trials, TRIAL_BLOCK):
+        block = range(first, min(first + TRIAL_BLOCK, trials))
+        x = world.ar_rollouts([derive_rng(base, "trial-ar", i) for i in block])
+        err = _error_norms(x, world.gt.frames)
+        _accumulate(ar_sums, err)
+        if first == 0:
+            first_ar = world.ar_trace(x[:, 0], err[0])
         for sc in scenarios:
-            kf = generate_keyframes(cfg, plan.keyframes, sc, error_cap=kf_error_cap,
-                                    step_error=kf_step_error,
-                                    rng=derive_rng(base, f"trial-kf-{sc}", i))
-            child = int(derive_seed_sequence(base, f"trial-anchored-{sc}", i)
-                        .generate_state(1)[0])
-            out[sc] = rollout_anchored(cfg, plan, kf, sigma_int=sigma_int,
-                                       velocity_error=velocity_error, seed=child)
-        return ar.error_norms, {sc: tr.error_norms for sc, tr in out.items()}
-
-    workers = resolve_threads(threads)
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(i) for i in range(trials)]
-
-    ar_sum = np.zeros(n)
-    ar_sq = np.zeros(n)
-    dc_sum = {sc: np.zeros(n) for sc in scenarios}
-    dc_sq = {sc: np.zeros(n) for sc in scenarios}
-    for ar_err, dc_errs in results:
-        ar_sum += ar_err
-        ar_sq += ar_err ** 2
-        for sc in scenarios:
-            dc_sum[sc] += dc_errs[sc]
-            dc_sq[sc] += dc_errs[sc] ** 2
+            kv = np.stack([world.keyframes(kf_idx, sc, kf_error_cap, kf_step_error, 0.0,
+                                           derive_rng(base, f"trial-kf-{sc}", i)).values
+                           for i in block], axis=1)
+            seeds = [int(derive_seed_sequence(base, f"trial-anchored-{sc}", i)
+                         .generate_state(1)[0]) for i in block]
+            x, _ = layout.run(kv, seeds)
+            err = _error_norms(x, world.gt.frames)
+            _accumulate(dc_sums[sc], err)
+            if first == 0:
+                first_anchored[sc] = layout.trace(world, kv[:, 0], x[:, 0], err[0])
     return ComparisonReport(
         frames=np.arange(n),
-        ar_mean_error=ar_sum / trials,
-        ar_mse=ar_sq / trials,
-        anchored_mean_error={sc: dc_sum[sc] / trials for sc in scenarios},
-        anchored_mse={sc: dc_sq[sc] / trials for sc in scenarios},
+        ar_mean_error=ar_sums[0] / trials,
+        ar_mse=ar_sums[1] / trials,
+        anchored_mean_error={sc: dc_sums[sc][0] / trials for sc in scenarios},
+        anchored_mse={sc: dc_sums[sc][1] / trials for sc in scenarios},
         trials=trials,
+        trial0_ar=first_ar,
+        trial0_anchored=first_anchored,
     )

@@ -8,7 +8,9 @@ from rollbound.errormodel import (
     leakage_peak,
     solve_damping_spline,
 )
+from rollbound import worldsim
 from rollbound.schedule import StridePolicy, build_plan
+from rollbound.seeding import derive_rng, derive_seed_sequence
 from rollbound.worldsim import (
     KeyframeLatents,
     WorldConfig,
@@ -362,14 +364,54 @@ def test_compare_zero_defect_world():
         assert np.all(rep.anchored_mean_error[sc] == 0.0)
 
 
-def test_compare_deterministic_and_thread_invariant():
+def test_compare_deterministic_and_block_invariant(monkeypatch):
+    # trials run batched on per-trial streams: the result depends on the seed
+    # alone, not on how trials are grouped into blocks
     cfg = linear_world(bias=0.005, noise=0.1, seed=16)
     plan = _plan(n=49)
     kw = dict(scenarios=("global",), trials=4, sigma_int=0.2, kf_error_cap=0.03)
     a = compare_pipelines(cfg, plan, **kw)
     b = compare_pipelines(cfg, plan, **kw)
-    c = compare_pipelines(cfg, plan, threads=3, **kw)
-    assert np.array_equal(a.ar_mean_error, b.ar_mean_error)
-    assert np.array_equal(a.anchored_mean_error["global"], b.anchored_mean_error["global"])
-    assert np.array_equal(a.ar_mean_error, c.ar_mean_error)
-    assert np.array_equal(a.anchored_mean_error["global"], c.anchored_mean_error["global"])
+    monkeypatch.setattr(worldsim, "TRIAL_BLOCK", 3)
+    c = compare_pipelines(cfg, plan, **kw)
+    for other in (b, c):
+        assert np.array_equal(a.ar_mean_error, other.ar_mean_error)
+        assert np.array_equal(a.ar_mse, other.ar_mse)
+        assert np.array_equal(a.anchored_mean_error["global"], other.anchored_mean_error["global"])
+        assert np.array_equal(a.anchored_mse["global"], other.anchored_mse["global"])
+
+
+@pytest.mark.parametrize("dim, trials", [(2, 3), (3, worldsim.TRIAL_BLOCK + 1), (4, 5)])
+def test_batched_engine_matches_standalone_rollouts(dim, trials):
+    # every trial of the batched engine equals the standalone rollouts on that
+    # trial's derived streams, so the trial-order sums agree bit for bit
+    cfg = WorldConfig(dim=dim, lipschitz=1.0, dynamics="rotation",
+                      bias=bias_from_norm(dim, 0.01), noise_std=0.05, seed=40 + dim)
+    plan = build_plan(41, StridePolicy.test(8), 9, 1)
+    n, base, scenarios = plan.total_frames, 17, ("global", "downsampled_ar")
+    kw = dict(sigma_int=0.1, velocity_error=0.3)
+    rep = compare_pipelines(cfg, plan, scenarios=scenarios, trials=trials, seed=base,
+                            kf_error_cap=0.05, **kw)
+    sums = {key: np.zeros((2, n)) for key in ("ar",) + scenarios}
+    for i in range(trials):
+        traces = {"ar": rollout_pure_ar(cfg, n, rng=derive_rng(base, "trial-ar", i))}
+        for sc in scenarios:
+            kf = generate_keyframes(cfg, plan.keyframes, sc, error_cap=0.05,
+                                    rng=derive_rng(base, f"trial-kf-{sc}", i))
+            child = int(derive_seed_sequence(base, f"trial-anchored-{sc}", i)
+                        .generate_state(1)[0])
+            traces[sc] = rollout_anchored(cfg, plan, kf, seed=child, **kw)
+        for key, tr in traces.items():
+            sums[key][0] += tr.error_norms
+            sums[key][1] += tr.error_norms ** 2
+        if i == 0:
+            first = {"ar": rep.trial0_ar, **rep.trial0_anchored}
+            for key, tr in traces.items():
+                assert np.array_equal(first[key].generated.frames, tr.generated.frames)
+                assert np.array_equal(first[key].error_norms, tr.error_norms)
+                assert np.array_equal(first[key].bounds, tr.bounds)
+    assert np.array_equal(rep.ar_mean_error, sums["ar"][0] / trials)
+    assert np.array_equal(rep.ar_mse, sums["ar"][1] / trials)
+    for sc in scenarios:
+        assert np.array_equal(rep.anchored_mean_error[sc], sums[sc][0] / trials)
+        assert np.array_equal(rep.anchored_mse[sc], sums[sc][1] / trials)
