@@ -99,6 +99,59 @@ def test_cli_output_digest(case, tmp_path, capsys):
     assert digest == expected
 
 
+def _write_pose_pair(directory, n=500, seed=17):
+    """A fixed-seed est/ref pose pair: ref is a random walk, est is ref under
+    an inverse similarity transform plus translation noise, with its
+    orientations offset by a constant rotation, jittered and sign-flipped on
+    every third row. Written with its own formatter, so the input bytes do
+    not depend on rollbound's writer."""
+    g = np.random.default_rng(seed)
+    ref_t = np.cumsum(g.normal(0.0, 0.2, (n, 3)), axis=0)
+    ref_q = np.cumsum(g.normal(0.0, 0.05, (n, 4)), axis=0) + [1.0, 0.0, 0.0, 0.0]
+    ref_q /= np.linalg.norm(ref_q, axis=1, keepdims=True)
+    theta = 0.7
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    est_t = (ref_t - [3.0, -1.0, 2.0]) @ R / 1.7 + g.normal(0.0, 0.01, (n, 3))
+    off = np.array([np.cos(0.1), 0.0, np.sin(0.1), 0.0])
+    w0, x0, y0, z0 = off
+    w, x, y, z = ref_q.T
+    est_q = np.stack([w0 * w - x0 * x - y0 * y - z0 * z, w0 * x + x0 * w + y0 * z - z0 * y,
+                      w0 * y - x0 * z + y0 * w + z0 * x, w0 * z + x0 * y - y0 * x + z0 * w],
+                     axis=1)
+    est_q += g.normal(0.0, 0.01, (n, 4))
+    est_q[::3] *= -1.0
+    paths = []
+    for name, t, q in (("est.txt", est_t, est_q), ("ref.txt", ref_t, ref_q)):
+        path = directory / name
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("# index tx ty tz qx qy qz qw\n")
+            for i, ((tx, ty, tz), (qw, qx, qy, qz)) in enumerate(zip(t.tolist(), q.tolist())):
+                fh.write(f"{i} {tx!r} {ty!r} {tz!r} {qx!r} {qy!r} {qz!r} {qw!r}\n")
+        paths.append(str(path))
+    return paths
+
+
+EVAL_CASES = {
+    "sim3_umeyama": (["--align", "sim3", "--rot-align", "umeyama"],
+                     "6eda7a15aed7ff6a6bd907b8d5c0173d9369edcb9f75a3c52a4e6ee3618d9394"),
+    "se3_rotfit": (["--align", "se3", "--rot-align", "rotfit"],
+                   "694238189ff1ff90a9a673f58ea6d18a50fef120570677cc51e045202a63bc76"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_cli_eval_digest(case, tmp_path, capsys):
+    flags, expected = EVAL_CASES[case]
+    est, ref = _write_pose_pair(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "eval", est, ref] + flags) == 0, capsys.readouterr().err
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    digest = _digest([("metrics.csv", (out / "metrics.csv").read_bytes()),
+                      ("stdout", stdout.encode())])
+    assert digest == expected
+
+
 def _arrays_digest(arrays) -> str:
     return _digest((str(i), np.ascontiguousarray(a, dtype="<f8").tobytes())
                    for i, a in enumerate(arrays))
