@@ -17,6 +17,7 @@ the file order is x,y,z,w while the in-memory order is w,x,y,z).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,45 +27,58 @@ from .errors import InvalidInput
 QUAT_NORM_TOL = 1e-9
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
 
 # ---------------------------------------------------------------------------
-# quaternion helpers
+# quaternion helpers: each takes (..., 4) arrays, a single quaternion being
+# the one-row case
 # ---------------------------------------------------------------------------
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes as one batched matmul of contiguous
+    rows; each row's bits match np.dot on that row (a plain sum, einsum or
+    strided rows may not)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norm(q: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-identical to np.linalg.norm of that
+    row."""
+    q = np.asarray(q, dtype=float)
+    return np.sqrt(_row_dot(q, q))
+
 
 def canonicalize_quaternion(q: np.ndarray) -> np.ndarray:
     """Resolve the double cover: flip sign so w >= 0 (ties broken by the
     first nonzero of x, y, z). Idempotent."""
     q = np.asarray(q, dtype=float)
-    for c in q:
-        if c > 0.0:
-            return q.copy()
-        if c < 0.0:
-            return -q
-    return q.copy()
+    first = np.argmax((q > 0.0) | (q < 0.0), axis=-1)
+    lead = np.take_along_axis(q, np.expand_dims(first, -1), axis=-1)
+    return np.where(lead < 0.0, -q, q)
 
 
 def normalize_quaternion(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = float(np.linalg.norm(q))
-    if n == 0.0 or not np.isfinite(n):
+    n = _row_norm(q)
+    if not np.all((n != 0.0) & np.isfinite(n)):
         raise InvalidInput("quaternion has zero or non-finite norm")
-    return canonicalize_quaternion(q / n)
+    return canonicalize_quaternion(q / np.expand_dims(n, -1))
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ], axis=-1)
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -78,12 +92,13 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    """(..., 3, 3) rotation matrices of unit quaternions."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1),
+    ], axis=-2)
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
@@ -108,16 +123,15 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
     return normalize_quaternion(q)
 
 
-def quat_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic angle in radians between two unit quaternions.
+def quat_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geodesic angle in radians between unit quaternions.
 
     Uses the atan2 form (angle = 4*atan2(||a-b||/2, ||a+b||/2) after sign
     alignment), which stays accurate near zero where acos degrades."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if float(np.dot(a, b)) < 0.0:
-        b = -b
-    return 4.0 * float(np.arctan2(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+    b = np.where(np.expand_dims(_row_dot(a, b) < 0.0, -1), -b, b)
+    return 4.0 * np.arctan2(_row_norm(a - b), _row_norm(a + b))
 
 
 def rotation_about_z(angle_rad: float) -> np.ndarray:
@@ -180,71 +194,156 @@ def pose_inverse(a: Pose) -> Pose:
     return Pose(qi, -quat_rotate(qi, a.translation))
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Ordered pose sequence with strictly increasing frame indices."""
+    """Ordered pose sequence with strictly increasing frame indices, stored
+    as three frozen arrays: frame indices (n,), unit canonical quaternions
+    (n, 4) and translations (n, 3). `poses` views the rows as Pose objects,
+    built on demand."""
 
-    poses: tuple[Pose, ...]
+    __slots__ = ("_frame_indices", "_quaternions", "_translations")
 
-    def __post_init__(self):
-        poses = tuple(self.poses)
-        if not poses:
-            raise InvalidInput("trajectory must contain at least one pose")
-        idx = [p.frame_index for p in poses]
-        if any(i is None for i in idx):
+    def __init__(self, poses):
+        poses = tuple(poses)
+        if any(p.frame_index is None for p in poses):
             raise InvalidInput("trajectory poses require frame indices")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        self._store([p.frame_index for p in poses],
+                    np.reshape([p.rotation for p in poses], (-1, 4)),
+                    np.reshape([p.translation for p in poses], (-1, 3)))
+
+    @classmethod
+    def _from_arrays(cls, frame_indices, quaternions, translations) -> Trajectory:
+        """A trajectory over rows already validated as Pose does: quaternions
+        unit and canonical, components finite, indices non-negative."""
+        traj = object.__new__(cls)
+        traj._store(frame_indices, quaternions, translations)
+        return traj
+
+    def _store(self, frame_indices, quaternions, translations) -> None:
+        idx = np.asarray(frame_indices, dtype=np.int64)
+        if idx.size == 0:
+            raise InvalidInput("trajectory must contain at least one pose")
+        if np.any(idx[1:] <= idx[:-1]):
             raise InvalidInput("trajectory frame indices must be strictly increasing")
-        object.__setattr__(self, "poses", poses)
+        object.__setattr__(self, "_frame_indices", _frozen(idx, np.int64))
+        object.__setattr__(self, "_quaternions", _frozen(quaternions))
+        object.__setattr__(self, "_translations", _frozen(translations))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self._frame_indices)
 
     def frame_indices(self) -> np.ndarray:
-        return np.array([p.frame_index for p in self.poses], dtype=int)
+        return self._frame_indices
+
+    def quaternions(self) -> np.ndarray:
+        """(n, 4) unit canonical quaternions (w, x, y, z)."""
+        return self._quaternions
 
     def translations(self) -> np.ndarray:
-        return np.array([p.translation for p in self.poses])
+        return self._translations
 
-    def rotations(self) -> np.ndarray:
-        """(n,3,3) stack of rotation matrices."""
-        return np.array([quat_to_matrix(p.rotation) for p in self.poses])
+    @property
+    def poses(self) -> _PoseView:
+        return _PoseView(self)
+
+
+class _PoseView(Sequence):
+    """Read-only sequence of a trajectory's rows as Pose objects, each built
+    on access from the stored rows (no re-normalization)."""
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        traj = self._traj
+        pose = object.__new__(Pose)
+        object.__setattr__(pose, "rotation", traj.quaternions()[i])
+        object.__setattr__(pose, "translation", traj.translations()[i])
+        object.__setattr__(pose, "frame_index", int(traj.frame_indices()[i]))
+        return pose
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# index tx ty tz qx qy qz qw\n")
-        for p in traj.poses:
-            w, x, y, z = (float(v) for v in p.rotation)
-            tx, ty, tz = (float(v) for v in p.translation)
-            fh.write(f"{p.frame_index} {tx!r} {ty!r} {tz!r} {x!r} {y!r} {z!r} {w!r}\n")
+        rows = zip(traj.frame_indices().tolist(), traj.translations().tolist(),
+                   traj.quaternions().tolist())
+        for i, (tx, ty, tz), (w, x, y, z) in rows:
+            fh.write(f"{i} {tx!r} {ty!r} {tz!r} {x!r} {y!r} {z!r} {w!r}\n")
+
+
+def _parse_fields(fields: list[str]) -> tuple[list[int], np.ndarray]:
+    """Frame indices and (n, 7) numbers of flat 8-field rows, parsed with
+    int() and float(); a bad field raises their ValueError."""
+    indices = list(map(int, fields[::8]))
+    numbers = fields.copy()
+    del numbers[::8]
+    return indices, np.fromiter(map(float, numbers), dtype=float,
+                                count=len(numbers)).reshape(-1, 7)
+
+
+# checks Pose applies to each row, in its order: a row's error is the first
+# that fails
+_ROW_CHECKS = ("pose components must be finite", "quaternion has zero or non-finite norm",
+               "frame_index must be non-negative")
 
 
 def load_trajectory(path) -> Trajectory:
     """Parse a trajectory file; malformed lines raise InvalidInput naming the
-    1-based line number."""
-    poses = []
+    1-based line number of the first bad line."""
+    linenos, fields = [], []
+    parse_error = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
             if len(parts) != 8:
-                raise InvalidInput(f"{path}: line {lineno}: expected 8 fields, got {len(parts)}")
+                parse_error = f"line {lineno}: expected 8 fields, got {len(parts)}"
+                break
+            linenos.append(lineno)
+            fields += parts
+    try:
+        indices, vals = _parse_fields(fields)
+    except ValueError:
+        # the bulk parse failed: find the first line that fails on its own,
+        # and keep the rows before it
+        for r, lineno in enumerate(linenos):
             try:
-                idx = int(parts[0])
-                tx, ty, tz, qx, qy, qz, qw = (float(v) for v in parts[1:])
+                _parse_fields(fields[8 * r:8 * r + 8])
             except ValueError as exc:
-                raise InvalidInput(f"{path}: line {lineno}: {exc}") from None
-            try:
-                poses.append(Pose(np.array([qw, qx, qy, qz]), np.array([tx, ty, tz]), idx))
-            except InvalidInput as exc:
-                raise InvalidInput(f"{path}: line {lineno}: {exc}") from None
-    if not poses:
+                parse_error = f"line {lineno}: {exc}"
+                break
+        del linenos[r:], fields[8 * r:]
+        indices, vals = _parse_fields(fields)
+    try:
+        idx = np.array(indices, dtype=np.int64)
+    except OverflowError:
+        raise InvalidInput(f"{path}: frame index beyond the 64-bit integer range") from None
+    t, q = vals[:, :3], vals[:, [6, 3, 4, 5]]
+    norms = _row_norm(q)
+    # the rows before a parse error come first in the file: check them first
+    failed = (~np.isfinite(vals).all(axis=1), (norms == 0.0) | ~np.isfinite(norms), idx < 0)
+    bad = np.logical_or.reduce(failed)
+    if bad.any():
+        r = int(np.argmax(bad))
+        message = next(text for text, rows in zip(_ROW_CHECKS, failed) if rows[r])
+        raise InvalidInput(f"{path}: line {linenos[r]}: {message}")
+    if parse_error is not None:
+        raise InvalidInput(f"{path}: {parse_error}")
+    if not linenos:
         raise InvalidInput(f"{path}: no poses found")
     try:
-        return Trajectory(tuple(poses))
+        return Trajectory._from_arrays(idx, canonicalize_quaternion(q / norms[:, None]), t)
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from None
 

@@ -23,11 +23,11 @@ from .core import (
     Pose,
     Trajectory,
     canonicalize_quaternion,
+    matrix_to_quat,
     normalize_quaternion,
     quat_angle,
     quat_multiply,
     quat_to_matrix,
-    matrix_to_quat,
 )
 from .errors import InvalidInput
 
@@ -104,12 +104,23 @@ class AlignmentResult:
         return self.scale * points @ self.rotation.T + self.translation
 
 
+def _check_paired(est: Trajectory, ref: Trajectory) -> None:
+    """est and ref must pair pose for pose: same length, same frame indices."""
+    if len(est) != len(ref):
+        raise InvalidInput(f"trajectory length mismatch: {len(est)} vs {len(ref)}")
+    differ = np.flatnonzero(est.frame_indices() != ref.frame_indices())
+    if differ.size:
+        i = int(differ[0])
+        raise InvalidInput(f"frame index mismatch at position {i}: estimated frame "
+                           f"{est.frame_indices()[i]} vs reference frame "
+                           f"{ref.frame_indices()[i]}")
+
+
 def align_similarity(est: Trajectory, ref: Trajectory, with_scale: bool = True) -> AlignmentResult:
     """Umeyama fit of (s, R, t) minimizing sum ||s*R*p + t - q||^2 over the
     translation points. Degenerate point sets (rank-deficient spread, e.g.
     collinear) are flagged, not rejected."""
-    if len(est) != len(ref):
-        raise InvalidInput(f"trajectory length mismatch: {len(est)} vs {len(ref)}")
+    _check_paired(est, ref)
     if len(est) < 3:
         raise InvalidInput("alignment needs at least 3 poses")
     P = est.translations()
@@ -143,12 +154,12 @@ def ate(est: Trajectory, ref: Trajectory, with_scale: bool = True) -> float:
 
 def fit_rotation(est: Trajectory, ref: Trajectory) -> np.ndarray:
     """Best global rotation G minimizing sum ||G @ R_est - R_ref||_F^2,
-    fitted from the orientations themselves."""
-    if len(est) != len(ref):
-        raise InvalidInput(f"trajectory length mismatch: {len(est)} vs {len(ref)}")
-    M = np.zeros((3, 3))
-    for pe, pr in zip(est.poses, ref.poses):
-        M += quat_to_matrix(pr.rotation) @ quat_to_matrix(pe.rotation).T
+    fitted from the orientations themselves. The per-pose products are
+    summed in pose order."""
+    _check_paired(est, ref)
+    products = quat_to_matrix(ref.quaternions()) @ np.swapaxes(
+        quat_to_matrix(est.quaternions()), -1, -2)
+    M = np.add.reduce(products, axis=0)
     U, _, Vt = np.linalg.svd(M)
     S = np.eye(3)
     if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
@@ -164,10 +175,9 @@ def are(est: Trajectory, ref: Trajectory, rotation_alignment: str = "umeyama",
     rotation_alignment picks the aligning rotation: "umeyama" reuses the
     rotation of the translation fit (default); "rotfit" fits it to the
     orientations, absorbing any constant orientation offset; "none" compares
-    raw orientations.
+    raw orientations. The per-pose angles are summed in pose order.
     """
-    if len(est) != len(ref):
-        raise InvalidInput(f"trajectory length mismatch: {len(est)} vs {len(ref)}")
+    _check_paired(est, ref)
     if rotation_alignment == "umeyama":
         G = align_similarity(est, ref, with_scale).rotation
     elif rotation_alignment == "rotfit":
@@ -176,14 +186,11 @@ def are(est: Trajectory, ref: Trajectory, rotation_alignment: str = "umeyama",
         G = np.eye(3)
     else:
         raise InvalidInput(f"unknown rotation alignment {rotation_alignment!r}")
-    qg = matrix_to_quat(G) if rotation_alignment != "none" else None
-    total = 0.0
-    for pe, pr in zip(est.poses, ref.poses):
-        q = pe.rotation
-        if qg is not None:
-            q = canonicalize_quaternion(quat_multiply(qg, q))
-        total += np.degrees(quat_angle(q, pr.rotation))
-    return float(total / len(est))
+    q = est.quaternions()
+    if rotation_alignment != "none":
+        q = canonicalize_quaternion(quat_multiply(matrix_to_quat(G), q))
+    angles = np.degrees(quat_angle(q, ref.quaternions()))
+    return float(np.cumsum(angles)[-1] / len(est))
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +212,22 @@ def psnr(img_a: np.ndarray, img_b: np.ndarray, max_value: float = 255.0) -> floa
 
 
 def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian taps; the 2-D window is their outer product."""
     r = np.arange(size) - (size - 1) / 2.0
     k = np.exp(-0.5 * (r / sigma) ** 2)
-    k2 = np.outer(k, k)
-    return k2 / k2.sum()
+    return k / k.sum()
+
+
+def _window_means(maps: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted means over every full window of stacked (..., H, W)
+    maps: the separable kernel applied down the columns, then, after a
+    transpose, down the former rows. Windows taken down a column form
+    matrices matmul hands to BLAS; windows along a row overlap in memory and
+    would take its slow generic loop."""
+    for _ in range(2):
+        windows = np.lib.stride_tricks.sliding_window_view(maps, kern.size, axis=-2)
+        maps = np.swapaxes(windows @ kern, -1, -2)
+    return maps
 
 
 def ssim(img_a: np.ndarray, img_b: np.ndarray, max_value: float = 255.0,
@@ -224,14 +243,11 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray, max_value: float = 255.0,
         raise InvalidInput("expected 2-D grayscale images")
     if min(a.shape) < window:
         raise InvalidInput(f"images smaller than the {window}x{window} window")
-    kern = _gaussian_kernel(window, sigma)
-    win_a = np.lib.stride_tricks.sliding_window_view(a, (window, window))
-    win_b = np.lib.stride_tricks.sliding_window_view(b, (window, window))
-    mu_a = np.einsum("ijkl,kl->ij", win_a, kern)
-    mu_b = np.einsum("ijkl,kl->ij", win_b, kern)
-    aa = np.einsum("ijkl,kl->ij", win_a * win_a, kern) - mu_a ** 2
-    bb = np.einsum("ijkl,kl->ij", win_b * win_b, kern) - mu_b ** 2
-    ab = np.einsum("ijkl,kl->ij", win_a * win_b, kern) - mu_a * mu_b
+    mu_a, mu_b, e_aa, e_bb, e_ab = _window_means(np.stack([a, b, a * a, b * b, a * b]),
+                                                  _gaussian_kernel(window, sigma))
+    aa = e_aa - mu_a ** 2
+    bb = e_bb - mu_b ** 2
+    ab = e_ab - mu_a * mu_b
     c1 = (k1 * max_value) ** 2
     c2 = (k2 * max_value) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * ab + c2)
@@ -289,8 +305,10 @@ def read_pgm(path) -> np.ndarray:
         values = np.array(data[pos:].split(), dtype=float)
     else:
         pos += 1  # single whitespace after maxval
-        dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-        values = np.frombuffer(data[pos:], dtype=dtype, count=width * height).astype(float)
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        # a truncated file yields fewer pixels, rejected below
+        count = min(width * height, (len(data) - pos) // dtype.itemsize)
+        values = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(float)
     if values.size != width * height:
         raise InvalidInput(f"{path}: expected {width * height} pixels, got {values.size}")
     return values.reshape(height, width)

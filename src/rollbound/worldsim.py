@@ -636,6 +636,10 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan,
     ar_sums = np.zeros((2, n))
     dc_sums = {sc: np.zeros((2, n)) for sc in scenarios}
     first_anchored = {}
+    # without step noise the downsampled-AR anchors draw nothing: every trial
+    # gets the same ones
+    shared_kv = {sc: world.keyframes(kf_idx, sc, kf_error_cap, kf_step_error, 0.0, None).values
+                 for sc in scenarios if sc == "downsampled_ar"}
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
         x = world.ar_rollouts([derive_rng(base, "trial-ar", i) for i in block])
@@ -644,9 +648,12 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan,
         if first == 0:
             first_ar = world.ar_trace(x[:, 0], err[0])
         for sc in scenarios:
-            kv = np.stack([world.keyframes(kf_idx, sc, kf_error_cap, kf_step_error, 0.0,
-                                           derive_rng(base, f"trial-kf-{sc}", i)).values
-                           for i in block], axis=1)
+            if sc in shared_kv:
+                kv = np.broadcast_to(shared_kv[sc][:, None], (len(kf_idx), len(block), cfg.dim))
+            else:
+                kv = np.stack([world.keyframes(kf_idx, sc, kf_error_cap, kf_step_error, 0.0,
+                                               derive_rng(base, f"trial-kf-{sc}", i)).values
+                               for i in block], axis=1)
             seeds = [int(derive_seed_sequence(base, f"trial-anchored-{sc}", i)
                          .generate_state(1)[0]) for i in block]
             x, _ = layout.run(kv, seeds)

@@ -213,6 +213,18 @@ def test_cmd_eval_malformed_line_cited(tmp_path, capsys):
     assert "line 7" in capsys.readouterr().err
 
 
+def test_cmd_eval_rejects_differing_frame_indices(tmp_path, capsys):
+    est = tmp_path / "est.txt"
+    ref = tmp_path / "ref.txt"
+    est.write_text("".join(f"{i} {i} 0 0 0 0 0 1\n" for i in range(10)))
+    ref.write_text("".join(f"{500 + i} {i} 0 0 0 0 1 0\n" for i in range(10)))
+    rc = run("--out", str(tmp_path / "o"), "eval", str(est), str(ref))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "position 0: estimated frame 0 vs reference frame 500" in err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +15,11 @@ from rollbound.core import (
     canonicalize_quaternion,
     identity_pose,
     load_trajectory,
+    normalize_quaternion,
     pose_compose,
     pose_inverse,
+    quat_angle,
+    quat_multiply,
     quat_to_matrix,
     rotation_about_z,
     save_trajectory,
@@ -93,6 +98,67 @@ def test_trajectory_load_names_bad_line(tmp_path):
     path.write_text("0 0 0 0 0 0 0 1\n1 0 0 nope 0 0 0 1\n")
     with pytest.raises(InvalidInput, match="line 2"):
         load_trajectory(path)
+
+
+@pytest.mark.parametrize("lines, message", [
+    # a bad row before an unparsable line is reported first, as line by line
+    (["0 0 0 0 0 0 0 1", "1 nan 0 0 0 0 0 1", "2 0 0 x 0 0 0 1"],
+     "line 2: pose components must be finite"),
+    (["0 0 0 0 0 0 0 1", "1 0 0 x 0 0 0 1", "2 0 0 0 0 0 0 0"],
+     "line 2: could not convert string to float: 'x'"),
+    (["0 0 0 0 0 0 0 1", "1 0 0 0 0 0", "2 0 0 0 0 0 0 0"],
+     "line 2: expected 8 fields, got 6"),
+    (["0 0 0 0 0 0 0 0", "-1 0 0 0 0 0 0 1"], "line 1: quaternion has zero or non-finite norm"),
+    (["-1 0 0 0 0 inf 0 1"], "line 1: pose components must be finite"),
+    (["0 0 0 0 0 0 0 1", "x1 0 0 0 0 0 0 1"], "line 2: invalid literal for int()"),
+    (["0 0 0 0 0 0 0 1", "# c", "-3 0 0 0 0 0 0 1"], "line 3: frame_index must be non-negative"),
+    (["1 0 0 0 0 0 0 1", "1 0 0 0 0 0 0 1"], "strictly increasing"),
+    (["# only a comment", ""], "no poses found"),
+])
+def test_trajectory_load_reports_first_bad_line(tmp_path, lines, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        load_trajectory(path)
+
+
+def test_trajectory_arrays_and_pose_view(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("# c\n3 1 2 3 0 0 0 -2  # flipped, unnormalized\n7 4 5 6 0 1 0 0\n")
+    traj = load_trajectory(path)
+    assert traj.frame_indices().tolist() == [3, 7]
+    assert traj.quaternions().tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    assert traj.translations().tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert not traj.quaternions().flags.writeable
+    with pytest.raises(AttributeError):
+        traj.extra = 1
+    poses = traj.poses
+    assert len(poses) == 2 and poses[-1].frame_index == 7
+    assert [p.frame_index for p in poses] == [3, 7]
+    assert np.array_equal(poses[1].translation, [4.0, 5.0, 6.0])
+    assert [p.frame_index for p in poses[::-1]] == [7, 3]
+    with pytest.raises(IndexError):
+        poses[2]
+    rebuilt = Trajectory(poses)
+    assert np.array_equal(rebuilt.quaternions(), traj.quaternions())
+
+
+def test_quaternion_helpers_batch_row_by_row():
+    g = np.random.default_rng(3)
+    a = g.normal(size=(40, 4))
+    b = g.normal(size=(40, 4))
+    a[::5, 0] = 0.0
+    a[::7, :2] = 0.0
+    ua, ub = normalize_quaternion(a), normalize_quaternion(b)
+    for i in range(40):
+        assert np.array_equal(ua[i], normalize_quaternion(a[i]))
+        assert np.array_equal(ua[i], a[i] / np.linalg.norm(a[i]) * np.sign(
+            a[i][np.flatnonzero(a[i])[0]]))
+        assert np.array_equal(quat_multiply(a, b)[i], quat_multiply(a[i], b[i]))
+        assert np.array_equal(quat_to_matrix(ua)[i], quat_to_matrix(ua[i]))
+        assert quat_angle(ua, ub)[i] == quat_angle(ua[i], ub[i])
+    with pytest.raises(InvalidInput):
+        normalize_quaternion(np.vstack([a, np.zeros(4)]))
 
 
 def test_latent_seq_validation():

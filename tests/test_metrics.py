@@ -5,6 +5,7 @@ from rollbound.core import (
     InvalidInput,
     Pose,
     Trajectory,
+    quat_angle,
     quat_to_matrix,
     rotation_about_z,
 )
@@ -13,6 +14,7 @@ from rollbound.metrics import (
     are,
     ate,
     densify_trajectory,
+    fit_rotation,
     interpolate_pose,
     psnr,
     read_pgm,
@@ -175,6 +177,35 @@ def test_align_validates_input():
         align_similarity(_random_traj(g, 2), _random_traj(g, 2))
 
 
+@pytest.mark.parametrize("fn", [align_similarity, fit_rotation, are])
+def test_paired_metrics_reject_differing_frame_indices(fn):
+    ref = _random_traj(np.random.default_rng(16), n=10)
+    shifted = _traj(ref.translations(), ref.quaternions(), start=500)
+    with pytest.raises(InvalidInput, match="position 0: estimated frame 500 vs reference frame 0"):
+        fn(shifted, ref)
+    # a frame skipped in the middle
+    gap = _traj(ref.translations(), ref.quaternions()).poses
+    poses = gap[:6] + tuple(Pose(p.rotation, p.translation, p.frame_index + 1) for p in gap[6:])
+    with pytest.raises(InvalidInput, match="position 6: estimated frame 7 vs reference frame 6"):
+        fn(Trajectory(poses), ref)
+
+
+def test_batched_rotation_metrics_match_per_pose_loops():
+    g = np.random.default_rng(17)
+    ref = _random_traj(g, n=200)
+    est = _random_traj(g, n=200)
+    M = np.zeros((3, 3))
+    for pe, pr in zip(est.poses, ref.poses):
+        M += quat_to_matrix(pr.rotation) @ quat_to_matrix(pe.rotation).T
+    U, _, Vt = np.linalg.svd(M)
+    S = np.diag([1.0, 1.0, np.sign(np.linalg.det(U) * np.linalg.det(Vt))])
+    assert np.array_equal(fit_rotation(est, ref), U @ S @ Vt)
+    total = 0.0
+    for pe, pr in zip(est.poses, ref.poses):
+        total += np.degrees(quat_angle(pe.rotation, pr.rotation))
+    assert are(est, ref, rotation_alignment="none") == float(total / len(est))
+
+
 def test_ate_absorbs_constant_offset():
     g = np.random.default_rng(6)
     ref = _random_traj(g)
@@ -262,7 +293,43 @@ def test_psnr_symmetric_and_validates():
 def test_ssim_identical_is_one():
     g = np.random.default_rng(12)
     img = g.uniform(0, 255, (32, 32))
-    assert ssim(img, img) == pytest.approx(1.0, abs=1e-12)
+    assert ssim(img, img) == 1.0
+
+
+def _ssim_121_taps(a, b, max_value=255.0, window=11, sigma=1.5, k1=0.01, k2=0.03):
+    """Reference SSIM: the normalized 2-D Gaussian window applied as
+    window*window taps at every pixel."""
+    r = np.arange(window) - (window - 1) / 2.0
+    k = np.exp(-0.5 * (r / sigma) ** 2)
+    kern = np.outer(k, k)
+    kern /= kern.sum()
+    win_a = np.lib.stride_tricks.sliding_window_view(a, (window, window))
+    win_b = np.lib.stride_tricks.sliding_window_view(b, (window, window))
+    mu_a = np.einsum("ijkl,kl->ij", win_a, kern)
+    mu_b = np.einsum("ijkl,kl->ij", win_b, kern)
+    aa = np.einsum("ijkl,kl->ij", win_a * win_a, kern) - mu_a ** 2
+    bb = np.einsum("ijkl,kl->ij", win_b * win_b, kern) - mu_b ** 2
+    ab = np.einsum("ijkl,kl->ij", win_a * win_b, kern) - mu_a * mu_b
+    c1 = (k1 * max_value) ** 2
+    c2 = (k2 * max_value) ** 2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * ab + c2)
+    den = (mu_a ** 2 + mu_b ** 2 + c1) * (aa + bb + c2)
+    return float((num / den).mean())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ssim_matches_full_window_oracle(seed):
+    g = np.random.default_rng(100 + seed)
+    window = int(g.choice([3, 4, 7, 11, 15]))
+    sigma = float(g.uniform(0.5, 4.0))
+    shape = tuple(int(v) for v in g.integers(window, 70, size=2))
+    a = g.uniform(0, 255, shape)
+    if seed % 3 == 0:
+        b = 255.0 - a
+    else:
+        b = np.clip(a + g.normal(0.0, g.uniform(1.0, 60.0), shape), 0.0, 255.0)
+    assert abs(ssim(a, b, window=window, sigma=sigma)
+               - _ssim_121_taps(a, b, window=window, sigma=sigma)) <= 1e-12
 
 
 def test_ssim_negative_image_scores_below_one():
@@ -342,6 +409,17 @@ def test_pgm_binary_read(tmp_path):
         fh.write(b"P5\n# comment\n4 3\n255\n")
         fh.write(img.tobytes())
     assert np.array_equal(read_pgm(path), img.astype(float))
+
+
+@pytest.mark.parametrize("header, pixels, got", [
+    (b"P5\n4 3\n255\n", bytes(7), 7),
+    (b"P5\n4 3\n65535\n", bytes(15), 7),  # two bytes a pixel: 7 whole pixels
+], ids=["8-bit", "16-bit"])
+def test_pgm_truncated_binary_names_pixel_count(tmp_path, header, pixels, got):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(header + pixels)
+    with pytest.raises(InvalidInput, match=f"expected 12 pixels, got {got}"):
+        read_pgm(path)
 
 
 def test_pgm_rejects_garbage(tmp_path):
