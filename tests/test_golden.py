@@ -15,6 +15,7 @@ import pytest
 from rollbound.cli import main
 from rollbound.schedule import StridePolicy, build_plan
 from rollbound.worldsim import (
+    TRIAL_BLOCK,
     WorldConfig,
     bias_from_norm,
     compare_pipelines,
@@ -97,6 +98,24 @@ def test_cli_output_digest(case, tmp_path, capsys):
     assert main(["--out", str(tmp_path)] + argv) == 0, capsys.readouterr().err
     digest = _digest((name, (tmp_path / name).read_bytes()) for name in files)
     assert digest == expected
+
+
+# the benchmark's long_horizon op: bounds then simulate into one directory;
+# its 10,000 rows span several of the CSV writer's row blocks
+LONG_HORIZON_ARGV = ["--seed", "1", "--set", "total_frames=10000", "--set", "dim=2",
+                     "--set", "dynamics=scaled_identity", "--set", "lipschitz=1",
+                     "--set", "bias=0.01", "--set", "velocity_error=0.5",
+                     "--set", "kf_error_cap=0.1", "--set", "kf_scenario=global",
+                     "--set", "trials=1"]
+
+
+def test_cli_long_horizon_op_digest(tmp_path, capsys):
+    for command in ("bounds", "simulate"):
+        argv = ["--out", str(tmp_path)] + LONG_HORIZON_ARGV + [command]
+        assert main(argv) == 0, capsys.readouterr().err
+    files = ("bounds.csv",) + SIM_FILES
+    digest = _digest((name, (tmp_path / name).read_bytes()) for name in files)
+    assert digest == "95dcb5d02436ff2799408aca25711d472ae9aed0bdc5029d4ca6a8c036aec7bf"
 
 
 def _write_pose_pair(directory, n=500, seed=17):
@@ -187,3 +206,40 @@ def test_api_compare_both_scenarios_digest():
         arrays += [rep.anchored_mean_error[sc], rep.anchored_mse[sc]]
     assert _arrays_digest(arrays) == (
         "0cff366a5fc9d8b8ad3ec0a7e40b53daf70afa4fb6da88c6e8904ab6a6ce59a4")
+
+
+def test_api_anchored_noiseless_without_substitution_digest():
+    """sigma_int = 0 with substitution off: the marginal redraw rows hold
+    0 * eps, so the frames are hashed as raw bytes, sign of zero included."""
+    cfg = WorldConfig(dim=3, lipschitz=1.0, dynamics="rotation",
+                      bias=bias_from_norm(3, 0.02), seed=22)
+    plan = build_plan(70, StridePolicy.test(6), 10, 2)
+    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+                            rng=np.random.default_rng(22))
+    parts = []
+    for momentum in (True, False):
+        tr = rollout_anchored(cfg, plan, kf, sigma_int=0.0, velocity_error=[0.4, -0.2, 0.1],
+                              momentum=momentum, substitution=False, seed=6,
+                              collect_segments=True)
+        parts.append((f"frames-{momentum}", tr.generated.frames.tobytes()))
+        parts += [(f"chunk-{momentum}-{start}", chunk.tobytes())
+                  for start, chunk in tr.segment_chunks]
+    assert _digest(parts) == (
+        "c0e162e750829d178009a88c07e79b50e61f0eb7026043ce1dd7cfc6cbc64d4e")
+
+
+def test_api_compare_noiseless_interpolation_digest():
+    """sigma_int = 0 over more trials than one block, both scenarios."""
+    cfg = WorldConfig(dim=2, lipschitz=1.0, dynamics="rotation",
+                      bias=bias_from_norm(2, 0.01), noise_std=0.02, seed=33)
+    plan = build_plan(81, StridePolicy.test(8), 9, 1)
+    rep = compare_pipelines(cfg, plan, trials=TRIAL_BLOCK + 3, seed=9, sigma_int=0.0,
+                            velocity_error=0.3, kf_error_cap=0.05)
+    arrays = [rep.ar_mean_error, rep.ar_mse, rep.trial0_ar.generated.frames,
+              rep.trial0_ar.error_norms]
+    for sc in ("global", "downsampled_ar"):
+        tr = rep.trial0_anchored[sc]
+        arrays += [rep.anchored_mean_error[sc], rep.anchored_mse[sc], tr.generated.frames,
+                   tr.error_norms, tr.bounds]
+    assert _arrays_digest(arrays) == (
+        "5bcfe9bacc81f3733808a7ed9f77339f713cb5426d8ddc1d644a6622be27fc94")
