@@ -14,7 +14,13 @@ import sys
 
 import numpy as np
 
-from .core import ErrorModelParams, RolloutPlan, load_trajectory, validate_plan
+from .core import (
+    ErrorModelParams,
+    RolloutPlan,
+    load_trajectory,
+    validate_plan,
+    write_columns_csv,
+)
 from .errormodel import ar_upper_curve, unified_bound
 from .errors import InvalidInput
 from .expconfig import ExperimentConfig, apply_overrides, load_config, save_config
@@ -120,13 +126,10 @@ def cmd_bounds(args) -> int:
     bd = unified_bound(params, scenario=cfg.kf_scenario,
                        n_steps=n - 1 if cfg.kf_scenario == "downsampled_ar" else None)
     path = os.path.join(out, "bounds.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame, ar_upper, ar_lower, ar_variance, dcar_bound, anchor, "
-                 "leakage, noise, diverged\n")
-        for t in range(n):
-            fh.write(f"{t}, {float(upper[t])!r}, {float(lower[t])!r}, "
-                     f"{float(variance[t])!r}, {bd.total!r}, {bd.anchor_term!r}, "
-                     f"{bd.leakage_term!r}, {bd.noise_term!r}, {int(flags[t])}\n")
+    write_columns_csv(path, ("frame", "ar_upper", "ar_lower", "ar_variance", "dcar_bound",
+                             "anchor", "leakage", "noise", "diverged"),
+                      (np.arange(n), upper, lower, variance, bd.total, bd.anchor_term,
+                       bd.leakage_term, bd.noise_term, flags))
     print(f"bounds: ar_upper[{n - 1}]={upper[-1]:g} (diverged={bool(flags[-1])}), "
           f"anchored bound={bd.total:g} "
           f"(anchor {bd.anchor_term:g} + leakage {bd.leakage_term:g} + noise {bd.noise_term:g})")
@@ -159,13 +162,12 @@ def cmd_simulate(args) -> int:
 
     mean_path = os.path.join(out, "mean_curves.csv")
     dc_mean = report.anchored_mean_error[sc]
-    with open(mean_path, "w", encoding="utf-8") as fh:
-        fh.write("frame, ar_mean_err, anchored_mean_err, ar_mse, anchored_mse, ratio\n")
-        for t in range(plan.total_frames):
-            ratio = float(report.ar_mean_error[t] / dc_mean[t]) if dc_mean[t] > 0 else float("inf")
-            fh.write(f"{t}, {float(report.ar_mean_error[t])!r}, {float(dc_mean[t])!r}, "
-                     f"{float(report.ar_mse[t])!r}, {float(report.anchored_mse[sc][t])!r}, "
-                     f"{ratio!r}\n")
+    ratio = np.full(plan.total_frames, np.inf)
+    np.divide(report.ar_mean_error, dc_mean, out=ratio, where=dc_mean > 0)
+    write_columns_csv(mean_path, ("frame", "ar_mean_err", "anchored_mean_err", "ar_mse",
+                                  "anchored_mse", "ratio"),
+                      (report.frames, report.ar_mean_error, dc_mean, report.ar_mse,
+                       report.anchored_mse[sc], ratio))
 
     deterministic = cfg.noise_std == 0.0 and cfg.sigma_int == 0.0
     lines = [

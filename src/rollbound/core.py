@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InvalidInput
-
-QUAT_NORM_TOL = 1e-9
 
 
 def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
@@ -474,6 +473,43 @@ def validate_plan(plan: RolloutPlan) -> list[str]:
                 out.append(f"segment {i} history indices {seg.history_indices} do not match "
                            f"the overlap frames {expected_hist}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-frame CSV files
+# ---------------------------------------------------------------------------
+
+#: rows formatted per write: a per-frame CSV holds O(CSV_ROW_BLOCK) strings in
+#: memory whatever its length
+CSV_ROW_BLOCK = 1024
+
+
+def _format_scalar(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(int(value))
+
+
+def _format_block(values: np.ndarray):
+    if values.dtype.kind == "f":
+        return map(repr, values.tolist())
+    return map(str, values.astype(np.int64).tolist())
+
+
+def write_columns_csv(path, header, columns) -> None:
+    """Write equal-length columns as ", "-separated rows under the header
+    names. A float array's values are written with repr (the shortest
+    round-tripping form), an int or bool array's as integers; a scalar is
+    the same cell on every row, formatted once by the same rule. Rows are
+    formatted and written CSV_ROW_BLOCK at a time."""
+    n = next(len(c) for c in columns if isinstance(c, np.ndarray))
+    columns = [c if isinstance(c, np.ndarray) else _format_scalar(c) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(", ".join(header) + "\n")
+        for lo in range(0, n, CSV_ROW_BLOCK):
+            cells = [_format_block(c[lo:lo + CSV_ROW_BLOCK]) if isinstance(c, np.ndarray)
+                     else repeat(c) for c in columns]
+            fh.write("\n".join(map(", ".join, zip(*cells))) + "\n")
 
 
 # ---------------------------------------------------------------------------

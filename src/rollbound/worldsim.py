@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ErrorModelParams, LatentSeq, RolloutPlan, Trajectory, validate_plan
+from .core import (
+    ErrorModelParams,
+    LatentSeq,
+    RolloutPlan,
+    Trajectory,
+    _row_norm,
+    validate_plan,
+    write_columns_csv,
+)
 from .errormodel import (
     BoundBreakdown,
     ar_upper_curve,
@@ -184,19 +192,17 @@ def write_trace_csv(trace: RolloutTrace, path) -> None:
     """Trace export: frame, err_norm, bound_total, anchor, leakage, noise,
     is_keyframe, segment_id."""
     bd = trace.breakdown
-    anchor = bd.anchor_term if bd else 0.0
-    leak = bd.leakage_term if bd else 0.0
-    noise = bd.noise_term if bd else 0.0
-    kf = set(trace.keyframe_indices)
     n = len(trace.error_norms)
-    bounds = trace.bounds if trace.bounds is not None else np.zeros(n)
-    seg_ids = trace.segment_ids if trace.segment_ids is not None else np.zeros(n, dtype=int)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame, err_norm, bound_total, anchor, leakage, noise, is_keyframe, segment_id\n")
-        for t in range(n):
-            fh.write(f"{t}, {float(trace.error_norms[t])!r}, {float(bounds[t])!r}, "
-                     f"{float(anchor)!r}, {float(leak)!r}, {float(noise)!r}, "
-                     f"{int(t in kf)}, {int(seg_ids[t])}\n")
+    is_kf = np.zeros(n, dtype=bool)
+    is_kf[list(trace.keyframe_indices)] = True
+    write_columns_csv(
+        path, ("frame", "err_norm", "bound_total", "anchor", "leakage", "noise",
+               "is_keyframe", "segment_id"),
+        (np.arange(n), trace.error_norms,
+         trace.bounds if trace.bounds is not None else np.zeros(n),
+         bd.anchor_term if bd else 0.0, bd.leakage_term if bd else 0.0,
+         bd.noise_term if bd else 0.0, is_kf,
+         trace.segment_ids if trace.segment_ids is not None else np.zeros(n, dtype=int)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +236,8 @@ class _World:
     The ground truth is row 0 of each step-by-step batch: the same recursion
     x[t+1] = A x[t] + u[t], without the generator's drift and noise. The
     rollouts of the generators given here run in the ground truth's own pass
-    (`rollouts`), so a standalone rollout takes one pass, not two."""
+    (`take_rollouts`), so a standalone rollout, or a comparison's first trial
+    block, takes one pass, not two."""
 
     def __init__(self, cfg: WorldConfig, n_frames: int, rngs=()):
         if n_frames < 1:
@@ -239,8 +246,9 @@ class _World:
         self.A = dynamics_matrix(cfg)
         self.u = control_schedule(cfg, n_frames)
         x = self._propagate(rngs)
+        # LatentSeq copies a strided column: the truth keeps no rollout alive
         self.gt = LatentSeq(x[:, 0])
-        self.rollouts = x[:, 1:]
+        self._rollouts = x[:, 1:]
 
     def _propagate(self, rngs) -> np.ndarray:
         """Time-major (n, 1+B, d) batch: row 0 the ground truth, row 1+b the
@@ -268,13 +276,21 @@ class _World:
                 generated += b
                 if noise is not None:
                     generated += noise[:, t]
+        return x
+
+    def take_rollouts(self) -> np.ndarray:
+        """The (n, B, d) rollouts of the generators given at construction,
+        handed over once."""
+        x, self._rollouts = self._rollouts, None
         _require_finite(x)
         return x
 
     def ar_rollouts(self, rngs) -> np.ndarray:
         """Step-by-step rollouts from the true frame 0, one per generator, as
         a time-major (n, B, d) batch."""
-        return self._propagate(rngs)[:, 1:]
+        x = self._propagate(rngs)[:, 1:]
+        _require_finite(x)
+        return x
 
     def ar_trace(self, x: np.ndarray, err: np.ndarray) -> RolloutTrace:
         bounds, _ = ar_upper_curve(self.cfg.lipschitz, self.cfg.drift_norm(), len(self.gt))
@@ -331,7 +347,7 @@ def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
     after t steps (attained with equality when noise is off)."""
     g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "ar-noise"))
     world = _World(cfg, n_frames, [g])
-    x = world.rollouts
+    x = world.take_rollouts()
     return world.ar_trace(x[:, 0], _error_norms(x, world.gt.frames)[0])
 
 
@@ -381,9 +397,16 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
     return world.keyframes(idx, scenario, error_cap, step_error, step_noise, g)
 
 
+def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarray:
+    """Error norm of each (K, d) anchor row against the ground truth at its
+    frame: one batched expression, bit-identical to np.linalg.norm of each
+    row."""
+    return _row_norm(values - gt[list(indices)])
+
+
 def keyframe_error_norms(cfg: WorldConfig, keyframes: KeyframeLatents) -> np.ndarray:
     gt = simulate_ground_truth(cfg, keyframes.indices[-1] + 1).frames
-    return np.linalg.norm(keyframes.values - gt[list(keyframes.indices)], axis=1)
+    return _anchor_error_norms(keyframes.values, gt, keyframes.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +496,11 @@ class _AnchoredLayout:
             frames.append(span)
         self.draw_frames = np.concatenate(frames)
         self.cuts = np.cumsum([0] + [len(f) for f in frames])
+        # with sigma_int 0 every kick is 0*eps, +0.0 or -0.0, and a bridge row
+        # +0.0*frac + kick is +0.0: only a marginal redraw row can hold -0.0,
+        # so without such rows the noise is +0.0 throughout and drawing it
+        # changes no bit
+        self.draws = sigma_int > 0.0 or any(self.marginal)
         remaining = kf[j[self.draw_frames] + 1] - (self.draw_frames - 1)
         self.draw_frac = (remaining - 1) / remaining
         self.draw_scale = sigma_int * np.sqrt(self.draw_frac)
@@ -507,14 +535,15 @@ class _AnchoredLayout:
         chunks = []
         bounds = self.cuts.tolist()
         for si, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], self.marginal)):
-            eps = np.stack([derive_rng(s, "interp-noise", si).standard_normal((hi - lo, d))
-                            for s in seeds], axis=1)
-            kicks = self.draw_scale[lo:hi, None, None] * eps
-            w[self.draw_frames[lo:lo + m]] = kicks[:m]
-            for t, frac, kick in zip(self.draw_frames[lo + m:hi].tolist(),
-                                     self.draw_frac[lo + m:hi].tolist(), kicks[m:]):
-                np.multiply(w[t - 1], frac, out=w[t])
-                w[t] += kick
+            if self.draws:
+                eps = np.stack([derive_rng(s, "interp-noise", si).standard_normal((hi - lo, d))
+                                for s in seeds], axis=1)
+                kicks = self.draw_scale[lo:hi, None, None] * eps
+                w[self.draw_frames[lo:lo + m]] = kicks[:m]
+                for t, frac, kick in zip(self.draw_frames[lo + m:hi].tolist(),
+                                         self.draw_frac[lo + m:hi].tolist(), kicks[m:]):
+                    np.multiply(w[t - 1], frac, out=w[t])
+                    w[t] += kick
             if collect_segments:
                 seg = self.plan.segments[si]
                 span = slice(seg.start, seg.end + 1)
@@ -534,7 +563,7 @@ class _AnchoredLayout:
                                   step_variance=cfg.noise_std ** 2,
                                   keyframe_interval=max_T, interp_noise=self.sigma_int,
                                   velocity_error=float(np.linalg.norm(self.dv0)))
-        kf_errs = [float(np.linalg.norm(v - gt.frames[k])) for k, v in zip(kf_idx, kv)]
+        kf_errs = _anchor_error_norms(kv, gt.frames, kf_idx).tolist()
         breakdown = unified_bound(params, keyframe_errors=kf_errs)
         return RolloutTrace(LatentSeq(x), gt, err, bounds=np.full(len(gt), breakdown.total),
                             breakdown=breakdown,
@@ -630,7 +659,12 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan,
     base = cfg.seed if seed is None else int(seed)
     n = plan.total_frames
     scenarios = tuple(scenarios)
-    world = _World(cfg, n)
+
+    def ar_rngs(block):
+        return [derive_rng(base, "trial-ar", i) for i in block]
+
+    # trial block 0 runs in the ground truth's own pass
+    world = _World(cfg, n, ar_rngs(range(min(TRIAL_BLOCK, trials))))
     layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error)
     kf_idx = list(plan.keyframes)
     ar_sums = np.zeros((2, n))
@@ -642,7 +676,7 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan,
                  for sc in scenarios if sc == "downsampled_ar"}
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
-        x = world.ar_rollouts([derive_rng(base, "trial-ar", i) for i in block])
+        x = world.take_rollouts() if first == 0 else world.ar_rollouts(ar_rngs(block))
         err = _error_norms(x, world.gt.frames)
         _accumulate(ar_sums, err)
         if first == 0:

@@ -4,6 +4,7 @@ import pytest
 from rollbound.cli import main
 from rollbound.core import Pose, Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
+from rollbound.errormodel import cumulative_leakage_bound
 from rollbound.expconfig import ExperimentConfig, load_config, parse_config, save_config
 
 
@@ -155,6 +156,31 @@ def test_cmd_simulate_byte_identical_reruns(tmp_path):
     assert main(_sim_args(out2, extra)) == 0
     for name in ("ar_trace.csv", "anchored_trace.csv", "mean_curves.csv", "report.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("frames, bound_share", [
+    (100_000, 1e-2), pytest.param(1_000_000, 1e-3, marks=pytest.mark.slow)])
+def test_cmd_simulate_long_horizon_claim(frames, bound_share, tmp_path):
+    # the paper's claim at a long horizon, on a deterministic run: the
+    # step-by-step error grows as t * bias, the anchored error stays under a
+    # constant bound that does not grow with the horizon. The bound (1.64) is
+    # 1.6e-3 of the final step-by-step error at 10^5 frames, 1.6e-4 at 10^6.
+    bias = 0.01
+    assert run("--out", str(tmp_path), "--set", f"total_frames={frames}", "--set", "dim=2",
+               "--set", "lipschitz=1", "--set", f"bias={bias}", "--set", "velocity_error=0.5",
+               "--set", "kf_error_cap=0.1", "simulate") == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert "bound violations (step-by-step): 0\n" in report
+    assert "bound violations (anchored): 0\n" in report
+    ar = np.loadtxt(tmp_path / "ar_trace.csv", delimiter=",", skiprows=1, usecols=1)
+    np.testing.assert_allclose(ar, np.arange(frames) * bias, rtol=1e-9, atol=0.0)
+    anchored = np.loadtxt(tmp_path / "anchored_trace.csv", delimiter=",", skiprows=1,
+                          usecols=(1, 2))
+    err, bound = anchored[:, 0], anchored[0, 1]
+    assert np.all(anchored[:, 1] == bound)
+    assert np.all(err <= bound)
+    assert bound <= 0.1 + cumulative_leakage_bound(8, 0.5)
+    assert bound < bound_share * ar[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rollbound import core
 from rollbound.core import (
     ErrorModelParams,
     InvalidInput,
@@ -24,6 +25,7 @@ from rollbound.core import (
     rotation_about_z,
     save_trajectory,
     validate_plan,
+    write_columns_csv,
 )
 
 
@@ -206,3 +208,22 @@ def test_validate_plan_flags_foreign_keyframe():
     violations = validate_plan(plan)
     assert len(violations) == 1
     assert "keyframe subset" in violations[0]
+
+
+def test_write_columns_csv_matches_per_row_format(tmp_path, monkeypatch):
+    # rows written in blocks read exactly as one f-string per row did: floats
+    # by repr (sign of zero, inf, nan and exponent forms included), ints and
+    # bools as integers, scalars repeated
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 3)
+    floats = np.array([0.0, -0.0, 0.1, 1e16, 9999999999999998.0, 1e-05, -2.5e-300,
+                       np.inf, -np.inf, np.nan, 1.0 / 3.0])
+    n = len(floats)
+    ints = np.arange(n) * 7 - 20
+    flags = np.arange(n) % 3 == 0
+    path = tmp_path / "cols.csv"
+    write_columns_csv(path, ("i", "x", "c", "k", "flag", "tiny"),
+                      (ints, floats, np.float64(0.1), 2, flags, 5e-324))
+    expected = "i, x, c, k, flag, tiny\n" + "".join(
+        f"{int(ints[t])}, {float(floats[t])!r}, {0.1!r}, 2, {int(flags[t])}, {5e-324!r}\n"
+        for t in range(n))
+    assert path.read_text() == expected

@@ -161,6 +161,26 @@ def test_keyframes_global_cap_respected_over_seeds():
     assert worst <= 0.1 + 1e-12
 
 
+def test_anchor_error_norms_match_per_anchor_loop():
+    # one batched expression, bit-identical to np.linalg.norm of each anchor's
+    # row (a row sum or norm(axis=1) differs from it in some rows)
+    g = np.random.default_rng(50)
+    for d in (1, 2, 3, 4, 7):
+        gt = g.normal(size=(400, d))
+        idx = np.sort(g.choice(400, 300, replace=False))
+        values = gt[idx] + g.normal(scale=g.uniform(1e-3, 10.0), size=(300, d))
+        loop = [np.linalg.norm(v - gt[k]) for k, v in zip(idx, values)]
+        assert np.array_equal(worldsim._anchor_error_norms(values, gt, idx), loop)
+    cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=51)
+    plan = build_plan(97, StridePolicy.test(4), 9, 1)
+    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+                            rng=np.random.default_rng(51))
+    gt = simulate_ground_truth(cfg, plan.total_frames).frames
+    loop = [np.linalg.norm(v - gt[k]) for k, v in zip(kf.indices, kf.values)]
+    assert np.array_equal(keyframe_error_norms(cfg, kf), loop)
+    assert rollout_anchored(cfg, plan, kf).breakdown.anchor_term == max(loop)
+
+
 def test_keyframes_require_zero_start():
     with pytest.raises(InvalidInput):
         generate_keyframes(linear_world(), [8, 16], "global")
@@ -379,6 +399,30 @@ def test_compare_deterministic_and_block_invariant(monkeypatch):
         assert np.array_equal(a.ar_mse, other.ar_mse)
         assert np.array_equal(a.anchored_mean_error["global"], other.anchored_mean_error["global"])
         assert np.array_equal(a.anchored_mse["global"], other.anchored_mse["global"])
+
+
+def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch):
+    # with sigma_int = 0 each bridge kick is 0 * eps: no stream is derived,
+    # except for substitution off, whose marginal redraw rows keep the sign
+    # of eps in 0 * eps
+    labels = []
+
+    def spy(seed, label, index=0):
+        labels.append(label)
+        return derive_rng(seed, label, index)
+
+    monkeypatch.setattr(worldsim, "derive_rng", spy)
+    cfg = linear_world(bias=0.01, noise=0.02, seed=19)
+    plan = _plan(n=65, stride=8, seg_len=9, overlap=2)
+    kw = dict(scenarios=("global",), trials=3, velocity_error=0.4, kf_error_cap=0.05)
+    compare_pipelines(cfg, plan, sigma_int=0.0, **kw)
+    assert "interp-noise" not in labels
+    compare_pipelines(cfg, plan, sigma_int=0.1, **kw)
+    assert labels.count("interp-noise") == 3 * len(plan.segments)
+    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.05)
+    labels.clear()
+    rollout_anchored(cfg, plan, kf, substitution=False)
+    assert labels.count("interp-noise") == len(plan.segments)
 
 
 @pytest.mark.parametrize("dim, trials", [(2, 3), (3, worldsim.TRIAL_BLOCK + 1), (4, 5)])
