@@ -36,6 +36,13 @@ CLI_CASES = {
          "--set", "stride_mode=train", "--set", "segment_len=12", "--set", "overlap=2",
          "plan"], ("plan.txt",),
         "c68cbb9019c4bd38f9dbe6e75bb0b353c27b6bdda801db98b8e0cc48065d8445"),
+    "plan_single_frame": (
+        ["--seed", "6", "--set", "total_frames=1", "plan"], ("plan.txt",),
+        "2b1225b8b505a86f9602dd212f97109160ab26f7c6f9b2ccdde5440782089442"),
+    "plan_overlap3": (
+        ["--seed", "8", "--set", "total_frames=150", "--set", "strides=4",
+         "--set", "segment_len=12", "--set", "overlap=3", "plan"], ("plan.txt",),
+        "969de6090959abb79d84b0468be98adfe7437dff15079d1c3ed856b523aaf732"),
     "bounds_linear": (
         ["--set", "total_frames=51", "--set", "bias=0.1", "--set", "sigma_int=0.2",
          "--set", "velocity_error=0.3", "bounds"], ("bounds.csv",),
@@ -98,6 +105,22 @@ def test_cli_output_digest(case, tmp_path, capsys):
     assert main(["--out", str(tmp_path)] + argv) == 0, capsys.readouterr().err
     digest = _digest((name, (tmp_path / name).read_bytes()) for name in files)
     assert digest == expected
+
+
+# sha256 of `plan`'s stdout, its --out path masked, per plan case of CLI_CASES
+PLAN_STDOUT = {
+    "plan_default": "1e0a8fec5f7f9ce9f90b0b0c5e5f605c4c934f067383bcf19baa478de3670afb",
+    "plan_overlap3": "e51534fa2c827a49041d81ef5d84bfab00651d3458a5038c9db373327f88e8d1",
+    "plan_single_frame": "beef082e616e954a2f0be12ea8716c1ce37e556a083cfc98d3993d1e109c1fb0",
+    "plan_train_strides": "e098f18edd47e92d4e83c14061ca3829cead9e9bcb38e8d74008ecaa07646290",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_STDOUT))
+def test_cli_plan_stdout_digest(case, tmp_path, capsys):
+    assert main(["--out", str(tmp_path)] + CLI_CASES[case][0]) == 0, capsys.readouterr().err
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<out>")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PLAN_STDOUT[case]
 
 
 # the benchmark's long_horizon op: bounds then simulate into one directory;

@@ -279,6 +279,31 @@ def test_plan_file_round_trip(tmp_path):
         [s.keyframe_indices for s in plan.segments]
 
 
+_PLAN_FILE = {"total_frames": "9", "strides": "4", "overlap": "1", "alpha_c": "0.7",
+              "sigma_c": "0.3", "keyframes": "0,4,8", "segments": "0:4,4:8"}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("keyframes", "0,8,4", "keyframes are not sorted"),
+    ("keyframes", "1,4,8", "first keyframe must be frame 0"),
+    ("keyframes", "0,4,7", "last keyframe must be the final frame 8"),
+    ("segments", "0:3,5:8", "coverage gap between segments 0 and 1"),
+    ("segments", "0:4,3:8", "overlap in 2 frames, expected 1"),
+    ("segments", "0:4,4:9", "segment 1 extends past the final frame"),
+    ("segments", "", "plan has no segments"),
+    ("overlap", None, "missing plan key 'overlap'"),
+], ids=["unsorted", "first", "last", "gap", "overlap", "past_end", "no_segments",
+        "missing_key"])
+def test_load_plan_rejects_malformed(tmp_path, key, value, message):
+    fields = {**_PLAN_FILE, key: value}
+    path = tmp_path / "bad_plan.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items() if v is not None))
+    with pytest.raises(InvalidInput) as exc:
+        load_plan(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert message in str(exc.value)
+
+
 def test_train_conditioning_sampler_ranges():
     g = np.random.default_rng(0)
     for _ in range(100):
