@@ -16,13 +16,11 @@ from .core import (
     validate_plan,
 )
 from .errormodel import (
-    ArBound,
     BoundBreakdown,
     DAMPING_FACTOR,
     SplineSolution,
     anchored_error_decomposition,
     ar_bias_lower_bound,
-    ar_error_upper_bound,
     ar_variance,
     bridge_mean,
     bridge_variance,
@@ -56,6 +54,7 @@ from .schedule import (
     partition_segments,
     sample_keyframe_indices,
     save_plan,
+    segment_context,
     select_keyframes,
     substitute_boundary,
 )

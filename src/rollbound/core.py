@@ -168,13 +168,6 @@ class Pose:
                 raise InvalidInput("frame_index must be non-negative")
             object.__setattr__(self, "frame_index", fi)
 
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous transform."""
-        M = np.eye(4)
-        M[:3, :3] = quat_to_matrix(self.rotation)
-        M[:3, 3] = self.translation
-        return M
-
 
 def identity_pose(frame_index: int | None = None) -> Pose:
     return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), frame_index)
@@ -385,22 +378,17 @@ class LatentSeq:
 class Segment:
     """One generation window [start, end] (inclusive).
 
-    For every segment after the first, the first `p` frames of the window are
-    the overlap shared with the predecessor; history_indices lists exactly
-    those indices (equal to the predecessor's last `p` indices). The first
-    segment has no history.
+    A segment is its span: the frames it conditions on follow from the plan
+    (see schedule.segment_context). Every segment after the first shares its
+    first `overlap` frames with its predecessor.
     """
 
     start: int
     end: int
-    history_indices: tuple[int, ...] = ()
-    keyframe_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.start > self.end:
             raise InvalidInput("segment start must not exceed end")
-        object.__setattr__(self, "history_indices", tuple(int(i) for i in self.history_indices))
-        object.__setattr__(self, "keyframe_indices", tuple(int(i) for i in self.keyframe_indices))
 
     def span(self) -> range:
         return range(self.start, self.end + 1)
@@ -450,15 +438,9 @@ def validate_plan(plan: RolloutPlan) -> list[str]:
         out.append(f"coverage gap: first segment starts at {segs[0].start}, not 0")
     if segs[-1].end != n - 1:
         out.append(f"coverage gap: last segment ends at {segs[-1].end}, not {n - 1}")
-    if segs[0].history_indices:
-        out.append("first segment must have empty history")
-    kfset = set(kf)
     for i, seg in enumerate(segs):
         if seg.end >= n:
             out.append(f"segment {i} extends past the final frame")
-        if not set(seg.keyframe_indices) <= kfset:
-            out.append(f"keyframe subset violation: segment {i} references keyframes "
-                       f"outside the plan's keyframe set")
         if i > 0:
             prev = segs[i - 1]
             if seg.start > prev.end + 1:
@@ -468,10 +450,6 @@ def validate_plan(plan: RolloutPlan) -> list[str]:
                 if overlap_count != plan.overlap:
                     out.append(f"segments {i - 1} and {i} overlap in {overlap_count} frames, "
                                f"expected {plan.overlap}")
-            expected_hist = tuple(range(seg.start, min(seg.start + plan.overlap, seg.end + 1)))
-            if seg.history_indices != expected_hist:
-                out.append(f"segment {i} history indices {seg.history_indices} do not match "
-                           f"the overlap frames {expected_hist}")
     return out
 
 

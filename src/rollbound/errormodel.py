@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -41,65 +40,6 @@ DIVERGENCE_CAP = 1e300
 # divergence of pure autoregressive generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArBound:
-    """Cumulative error bound value, with saturation bookkeeping for the
-    exponential regime."""
-
-    value: float
-    diverged: bool = False
-    saturated_step: int | None = None
-
-
-def ar_error_upper_bound(lipschitz: float, step_errors, n_steps: int | None = None,
-                         cap: float = DIVERGENCE_CAP) -> ArBound:
-    """Geometric-weighted sum of per-step errors: sum_j L**(n-j) * eta_j.
-
-    step_errors may be a constant (evaluated in closed form) or a sequence of
-    per-step error norms. Values beyond `cap` saturate to `cap` and are
-    flagged diverged, with the first saturating step recorded, so divergence
-    curves stay plottable.
-    """
-    L = float(lipschitz)
-    if L < 0.0:
-        raise InvalidInput("lipschitz constant must be >= 0")
-    if np.isscalar(step_errors):
-        if n_steps is None or n_steps < 1:
-            raise InvalidInput("n_steps must be >= 1 for a constant step error")
-        eta = float(step_errors)
-        if eta < 0.0:
-            raise InvalidInput("step error must be >= 0")
-        if L == 1.0:
-            total = n_steps * eta
-        else:
-            try:
-                growth = L ** n_steps
-            except OverflowError:
-                growth = np.inf
-            total = eta * (growth - 1.0) / (L - 1.0) if np.isfinite(growth) else np.inf
-        if total > cap or not np.isfinite(total):
-            # locate the first saturating step by replaying the recursion
-            return _ar_bound_recursive(L, [eta] * n_steps, cap)
-        return ArBound(float(total))
-    etas = [float(e) for e in step_errors]
-    if n_steps is not None and n_steps != len(etas):
-        raise InvalidInput("n_steps disagrees with the per-step error list")
-    if not etas:
-        raise InvalidInput("per-step error list is empty")
-    if any(e < 0.0 for e in etas):
-        raise InvalidInput("step errors must be >= 0")
-    return _ar_bound_recursive(L, etas, cap)
-
-
-def _ar_bound_recursive(L: float, etas: Sequence[float], cap: float) -> ArBound:
-    total = 0.0
-    for j, eta in enumerate(etas, start=1):
-        total = L * total + eta
-        if total > cap or not np.isfinite(total):
-            return ArBound(cap, diverged=True, saturated_step=j)
-    return ArBound(float(total))
-
-
 def ar_bias_lower_bound(drift_bias: float, n_steps: int) -> float:
     """Expected-error floor N*mu under non-contractive dynamics and a
     persistent per-step drift of norm mu."""
@@ -118,8 +58,14 @@ def ar_variance(step_variance: float, n_steps: int) -> float:
 
 def ar_upper_curve(lipschitz: float, step_error: float, n_frames: int,
                    cap: float = DIVERGENCE_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame bound values and diverged flags for frames 0..n_frames-1
-    (frame t holds the bound after t steps)."""
+    """Per-frame bound values and diverged flags for frames 0..n_frames-1:
+    frame t holds the bound after t steps of e <- L*e + eta, i.e. the
+    geometric sum eta*(L**t - 1)/(L - 1). Values beyond `cap` saturate to
+    `cap` and are flagged diverged, so divergence curves stay plottable."""
+    if not lipschitz >= 0.0:
+        raise InvalidInput("lipschitz constant must be >= 0")
+    if not step_error >= 0.0:
+        raise InvalidInput("step error must be >= 0")
     values = np.zeros(n_frames)
     flags = np.zeros(n_frames, dtype=bool)
     total = 0.0

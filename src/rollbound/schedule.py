@@ -1,9 +1,15 @@
-"""Rollout planning: keyframe sampling, per-segment keyframe selection,
-overlapping segment partitioning, noisy anchor conditioning, and boundary
-latent substitution.
+"""Rollout planning: keyframe sampling, overlapping segment partitioning,
+the frames each segment conditions on, noisy anchor conditioning, and
+boundary latent substitution.
+
+A plan stores only the keyframes and each segment's span. What a segment
+conditions on is derived from them (segment_context): its anchors are the
+keyframes select_keyframes picks for its span (global context), its history
+is the overlap frames it shares with its predecessor (local coherence).
 
 Plan files are flat key/value text (keys: total_frames, strides, overlap,
-alpha_c, sigma_c, keyframes, segments) so CLI runs can be replayed.
+alpha_c, sigma_c, keyframes, segments as start:end spans) so CLI runs can be
+replayed.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ def _select_sorted(kf: list[int], seg_start: int, seg_end: int) -> list[int]:
 def partition_segments(n_frames: int, seg_len: int, overlap: int, keyframes) -> list[Segment]:
     """Cut [0, n_frames-1] into windows of seg_len frames advancing by
     (seg_len - overlap); the last window is truncated at the final frame.
-    Each window's keyframe set is the one select_keyframes picks."""
+    The keyframes must be nonempty (each window is anchored on them)."""
     if n_frames < 1:
         raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
     if overlap < 0:
@@ -99,19 +105,27 @@ def partition_segments(n_frames: int, seg_len: int, overlap: int, keyframes) -> 
     if seg_len <= overlap:
         raise InvalidInput("segment length must exceed overlap")
     stride = seg_len - overlap
-    kf = _sorted_keyframes(keyframes)
+    _sorted_keyframes(keyframes)
     segments: list[Segment] = []
     start = 0
     while True:
         end = min(start + seg_len - 1, n_frames - 1)
-        if segments:
-            history = tuple(range(start, min(start + overlap, end + 1)))
-        else:
-            history = ()
-        segments.append(Segment(start, end, history, tuple(_select_sorted(kf, start, end))))
+        segments.append(Segment(start, end))
         if end >= n_frames - 1:
             return segments
         start += stride
+
+
+def segment_context(plan: RolloutPlan):
+    """Each segment with the frames it conditions on: yields (segment,
+    history, anchors). history lists the overlap frames shared with the
+    predecessor (empty for the first segment); anchors are the keyframes
+    select_keyframes picks for the span. The keyframes are sorted once, so
+    a pass over the plan is linear in its size."""
+    kf = _sorted_keyframes(plan.keyframes)
+    for i, seg in enumerate(plan.segments):
+        history = list(range(seg.start, min(seg.start + plan.overlap, seg.end + 1))) if i else []
+        yield seg, history, _select_sorted(kf, seg.start, seg.end)
 
 
 def noisy_condition(z: LatentSeq, alpha_c: float, sigma_c: float, rng=None) -> LatentSeq:
@@ -153,18 +167,6 @@ def build_plan(n_frames: int, policy: StridePolicy, seg_len: int, overlap: int,
     return plan
 
 
-def sample_train_conditioning(rng=None, keyframe_count_range=(1, 10),
-                              alpha_range=(0.1, 0.5)) -> tuple[int, float]:
-    """Training-time conditioning draw: number of conditioning keyframes and
-    an anchor guidance coefficient. Exposed for plan sampling only; there is
-    no training loop behind it."""
-    g = as_rng(rng)
-    lo, hi = keyframe_count_range
-    k = int(g.integers(lo, hi + 1))
-    alpha = float(g.uniform(*alpha_range))
-    return k, alpha
-
-
 # ---------------------------------------------------------------------------
 # plan files
 # ---------------------------------------------------------------------------
@@ -201,17 +203,13 @@ def load_plan(path) -> RolloutPlan:
         alpha_c = float(kv["alpha_c"])
         sigma_c = float(kv["sigma_c"])
         keyframes = tuple(int(v) for v in kv["keyframes"].split(",") if v)
-        spans = [tuple(int(v) for v in item.split(":")) for item in kv["segments"].split(",") if item]
+        spans = [item.split(":") for item in kv["segments"].split(",") if item]
+        segments = tuple(Segment(int(start), int(end)) for start, end in spans)
     except KeyError as exc:
         raise InvalidInput(f"{path}: missing plan key {exc}") from None
     except ValueError as exc:
         raise InvalidInput(f"{path}: {exc}") from None
-    kf = _sorted_keyframes(keyframes) if spans else []
-    segments = []
-    for i, (start, end) in enumerate(spans):
-        history = tuple(range(start, min(start + overlap, end + 1))) if i else ()
-        segments.append(Segment(start, end, history, tuple(_select_sorted(kf, start, end))))
-    plan = RolloutPlan(total, keyframes, tuple(segments), overlap, alpha_c, sigma_c)
+    plan = RolloutPlan(total, keyframes, segments, overlap, alpha_c, sigma_c)
     violations = validate_plan(plan)
     if violations:
         raise InvalidInput(f"{path}: plan fails validation: {violations}")

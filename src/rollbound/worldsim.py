@@ -179,7 +179,6 @@ class RolloutTrace:
     error_norms: np.ndarray
     bounds: np.ndarray | None = None
     breakdown: BoundBreakdown | None = None
-    segment_boundaries: tuple[int, ...] = ()
     segment_ids: np.ndarray | None = None
     keyframe_indices: tuple[int, ...] = ()
     segment_chunks: tuple[tuple[int, np.ndarray], ...] | None = None
@@ -304,8 +303,8 @@ class _World:
         vals = np.empty((len(idx), cfg.dim))
         vals[0] = gt[0]
         if scenario == "global":
-            if error_cap < 0.0:
-                raise InvalidInput("error_cap must be >= 0")
+            if not 0.0 <= error_cap < np.inf:
+                raise InvalidInput("error_cap must be finite and non-negative")
             for j, k in enumerate(idx[1:], start=1):
                 direction = g.standard_normal(cfg.dim)
                 norm = float(np.linalg.norm(direction))
@@ -567,7 +566,6 @@ class _AnchoredLayout:
         breakdown = unified_bound(params, keyframe_errors=kf_errs)
         return RolloutTrace(LatentSeq(x), gt, err, bounds=np.full(len(gt), breakdown.total),
                             breakdown=breakdown,
-                            segment_boundaries=tuple(s.start for s in self.plan.segments[1:]),
                             segment_ids=self.seg_ids.copy(), keyframe_indices=tuple(kf_idx),
                             segment_chunks=None if chunks is None else tuple(chunks))
 

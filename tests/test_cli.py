@@ -289,6 +289,14 @@ def test_cmd_ablate_rejects_nonmultiple(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["ablate", "--grid", "4:4"]])
+@pytest.mark.parametrize("cap", ["nan", "inf"])
+def test_non_finite_kf_error_cap_is_invalid_input(command, cap, tmp_path, capsys):
+    rc = run("--out", str(tmp_path / "o"), "--set", f"kf_error_cap={cap}", *command)
+    assert rc == 2
+    assert "error_cap must be finite and non-negative" in capsys.readouterr().err
+
+
 def test_unknown_config_key_via_set(tmp_path, capsys):
     rc = run("--out", str(tmp_path / "o"), "--set", "nope=1", "plan")
     assert rc == 2

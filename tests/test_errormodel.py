@@ -7,7 +7,6 @@ from rollbound.errormodel import (
     DAMPING_FACTOR,
     anchored_error_decomposition,
     ar_bias_lower_bound,
-    ar_error_upper_bound,
     ar_upper_curve,
     ar_variance,
     bridge_mean,
@@ -26,43 +25,43 @@ from rollbound.errormodel import (
 # step-by-step divergence
 # ---------------------------------------------------------------------------
 
+def _ar_upper(L, eta, n_steps, **kw):
+    """The step-by-step bound after n_steps: the curve's last value."""
+    return ar_upper_curve(L, eta, n_steps + 1, **kw)[0][-1]
+
+
 def test_ar_upper_linear_regime():
-    assert ar_error_upper_bound(1.0, 0.1, 50).value == pytest.approx(5.0, abs=1e-12)
+    assert _ar_upper(1.0, 0.1, 50) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_ar_upper_geometric_sum():
     # 8 + 4 + 2 + 1
-    assert ar_error_upper_bound(2.0, 1.0, 4).value == 15.0
+    assert _ar_upper(2.0, 1.0, 4) == 15.0
 
 
 def test_ar_upper_single_step():
-    assert ar_error_upper_bound(3.0, [0.7]).value == 0.7
+    assert _ar_upper(3.0, 0.7, 1) == 0.7
 
 
-def test_ar_upper_per_step_list_matches_closed_form():
+def test_ar_upper_curve_matches_geometric_sum():
+    # oracle: eta * (L**t - 1) / (L - 1) at every frame t
     g = np.random.default_rng(0)
     for _ in range(20):
         L = float(g.uniform(0.1, 1.6))
         eta = float(g.uniform(0.0, 2.0))
         n = int(g.integers(1, 60))
-        a = ar_error_upper_bound(L, eta, n).value
-        b = ar_error_upper_bound(L, [eta] * n).value
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_ar_upper_additive_for_unit_lipschitz():
-    g = np.random.default_rng(1)
-    etas = g.uniform(0, 1, size=30)
-    total = ar_error_upper_bound(1.0, etas).value
-    assert total == pytest.approx(etas.sum(), rel=1e-12)
+        values, flags = ar_upper_curve(L, eta, n + 1)
+        t = np.arange(n + 1)
+        assert not flags.any()
+        np.testing.assert_allclose(values, eta * (L ** t - 1.0) / (L - 1.0), rtol=1e-12)
 
 
 def test_ar_upper_saturates_with_step():
-    res = ar_error_upper_bound(2.0, 1.0, 100, cap=1000.0)
-    assert res.diverged
-    assert res.value == 1000.0
+    values, flags = ar_upper_curve(2.0, 1.0, 101, cap=1000.0)
+    assert flags[-1]
+    assert values[-1] == 1000.0
     # 2^j - 1 first exceeds 1000 at j = 10
-    assert res.saturated_step == 10
+    assert int(np.argmax(flags)) == 10
 
 
 def test_ar_upper_curve_flags():
@@ -83,10 +82,9 @@ def test_ar_variance_values():
 
 
 def test_ar_upper_rejects_bad_inputs():
-    with pytest.raises(InvalidInput):
-        ar_error_upper_bound(-1.0, 0.1, 5)
-    with pytest.raises(InvalidInput):
-        ar_error_upper_bound(1.0, 0.1)  # constant error needs n_steps
+    for L, eta in ((-1.0, 0.1), (np.nan, 0.1), (1.0, -0.1), (1.0, np.nan)):
+        with pytest.raises(InvalidInput):
+            ar_upper_curve(L, eta, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +298,7 @@ def test_unified_bound_downsampled_scenario():
     params = ErrorModelParams(step_error=0.01, keyframe_interval=8)
     bd = unified_bound(params, scenario="downsampled_ar", n_steps=320)
     assert bd.anchor_term == pytest.approx(0.4)
-    pure = ar_error_upper_bound(1.0, 0.01, 320).value
+    pure = _ar_upper(1.0, 0.01, 320)
     assert pure == pytest.approx(3.2)
     assert pure / bd.anchor_term == pytest.approx(8.0)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollbound.core import InvalidInput, LatentSeq, validate_plan
+from rollbound.core import InvalidInput, LatentSeq, RolloutPlan, validate_plan
 from rollbound.schedule import (
     StridePolicy,
     build_plan,
@@ -10,8 +10,8 @@ from rollbound.schedule import (
     noisy_condition,
     partition_segments,
     sample_keyframe_indices,
-    sample_train_conditioning,
     save_plan,
+    segment_context,
     select_keyframes,
     substitute_boundary,
 )
@@ -109,8 +109,9 @@ def test_select_keyframes_matches_enumeration(kfset, start, length):
 def test_partition_stride_enumeration():
     segs = partition_segments(13, 5, 1, [0, 4, 8, 12])
     assert [(s.start, s.end) for s in segs] == [(0, 4), (4, 8), (8, 12)]
-    assert segs[0].history_indices == ()
-    assert segs[1].history_indices == (4,)
+    context = list(segment_context(RolloutPlan(13, (0, 4, 8, 12), segs, overlap=1)))
+    assert [history for _, history, _ in context] == [[], [4], [8]]
+    assert [anchors for _, _, anchors in context] == [[0, 4, 8], [0, 4, 8, 12], [4, 8, 12]]
 
 
 def test_partition_single_segment():
@@ -259,10 +260,12 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
         overlap = seg_len - 1
     plan = build_plan(n, StridePolicy.test(stride), seg_len, overlap)
     assert validate_plan(plan) == []
-    for a, b in zip(plan.segments, plan.segments[1:]):
+    context = list(segment_context(plan))
+    for (a, _, _), (b, history, anchors) in zip(context, context[1:]):
         shared = set(a.span()) & set(b.span())
         assert len(shared) == overlap
-        assert b.keyframe_indices == tuple(select_keyframes(plan.keyframes, b.start, b.end))
+        assert history == sorted(shared)
+        assert anchors == select_keyframes(plan.keyframes, b.start, b.end)
 
 
 def test_plan_file_round_trip(tmp_path):
@@ -275,8 +278,7 @@ def test_plan_file_round_trip(tmp_path):
     assert back.overlap == plan.overlap
     assert [(s.start, s.end) for s in back.segments] == \
         [(s.start, s.end) for s in plan.segments]
-    assert [s.keyframe_indices for s in back.segments] == \
-        [s.keyframe_indices for s in plan.segments]
+    assert list(segment_context(back)) == list(segment_context(plan))
 
 
 _PLAN_FILE = {"total_frames": "9", "strides": "4", "overlap": "1", "alpha_c": "0.7",
@@ -292,8 +294,11 @@ _PLAN_FILE = {"total_frames": "9", "strides": "4", "overlap": "1", "alpha_c": "0
     ("segments", "0:4,4:9", "segment 1 extends past the final frame"),
     ("segments", "", "plan has no segments"),
     ("overlap", None, "missing plan key 'overlap'"),
+    ("keyframes", "", "plan fails validation: ['keyframe list is empty']"),
+    ("segments", "0:4,8:4", "segment start must not exceed end"),
+    ("segments", "0:4:8,4:8", "values to unpack"),
 ], ids=["unsorted", "first", "last", "gap", "overlap", "past_end", "no_segments",
-        "missing_key"])
+        "missing_key", "no_keyframes", "reversed_span", "three_field_span"])
 def test_load_plan_rejects_malformed(tmp_path, key, value, message):
     fields = {**_PLAN_FILE, key: value}
     path = tmp_path / "bad_plan.txt"
@@ -302,11 +307,3 @@ def test_load_plan_rejects_malformed(tmp_path, key, value, message):
         load_plan(path)
     assert str(exc.value).startswith(f"{path}: ")
     assert message in str(exc.value)
-
-
-def test_train_conditioning_sampler_ranges():
-    g = np.random.default_rng(0)
-    for _ in range(100):
-        k, alpha = sample_train_conditioning(g)
-        assert 1 <= k <= 10
-        assert 0.1 <= alpha <= 0.5

@@ -4,7 +4,7 @@ import pytest
 from rollbound.core import InvalidInput
 from rollbound.errormodel import (
     anchored_error_decomposition,
-    ar_error_upper_bound,
+    ar_upper_curve,
     leakage_peak,
     solve_damping_spline,
 )
@@ -97,7 +97,7 @@ def test_pure_ar_matches_geometric_closed_form():
     expect = 0.01 * (1.05 ** 200 - 1.0) / 0.05
     assert trace.error_norms[-1] == pytest.approx(expect, rel=1e-9)
     # in this linear world the Lipschitz bound is attained exactly
-    bound = ar_error_upper_bound(1.05, 0.01, 200).value
+    bound = ar_upper_curve(1.05, 0.01, 201)[0][-1]
     assert trace.error_norms[-1] == pytest.approx(bound, rel=1e-9)
     assert trace.error_norms[-1] == pytest.approx(trace.bounds[-1], rel=1e-9)
 
@@ -184,6 +184,12 @@ def test_anchor_error_norms_match_per_anchor_loop():
 def test_keyframes_require_zero_start():
     with pytest.raises(InvalidInput):
         generate_keyframes(linear_world(), [8, 16], "global")
+
+
+@pytest.mark.parametrize("cap", [-0.1, np.nan, np.inf])
+def test_keyframes_reject_bad_error_cap(cap):
+    with pytest.raises(InvalidInput, match="error_cap must be finite and non-negative"):
+        generate_keyframes(linear_world(), [0, 8, 16], "global", error_cap=cap)
 
 
 # ---------------------------------------------------------------------------
