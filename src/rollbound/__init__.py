@@ -8,10 +8,7 @@ from .core import (
     RolloutPlan,
     Segment,
     Trajectory,
-    identity_pose,
     load_trajectory,
-    pose_compose,
-    pose_inverse,
     save_trajectory,
     validate_plan,
 )
@@ -19,9 +16,6 @@ from .errormodel import (
     BoundBreakdown,
     DAMPING_FACTOR,
     SplineSolution,
-    anchored_error_decomposition,
-    ar_bias_lower_bound,
-    ar_variance,
     bridge_mean,
     bridge_variance,
     cumulative_leakage_bound,
@@ -39,8 +33,6 @@ from .metrics import (
     align_similarity,
     are,
     ate,
-    densify_trajectory,
-    interpolate_pose,
     psnr,
     slerp,
     smoothness,
@@ -49,14 +41,11 @@ from .metrics import (
 from .schedule import (
     StridePolicy,
     build_plan,
-    load_plan,
-    noisy_condition,
     partition_segments,
     sample_keyframe_indices,
     save_plan,
     segment_context,
     select_keyframes,
-    substitute_boundary,
 )
 from .worldsim import (
     ComparisonReport,

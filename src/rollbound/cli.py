@@ -76,15 +76,12 @@ def _world(cfg: ExperimentConfig) -> WorldConfig:
 
 def _plan(cfg: ExperimentConfig) -> RolloutPlan:
     return build_plan(cfg.total_frames, cfg.stride_policy(), cfg.segment_len,
-                      cfg.overlap, cfg.alpha_c, cfg.sigma_c,
-                      rng=derive_rng(cfg.seed, "plan"))
+                      cfg.overlap, rng=derive_rng(cfg.seed, "plan"))
 
 
 def _error_params(cfg: ExperimentConfig, interval: int) -> ErrorModelParams:
-    return ErrorModelParams(lipschitz=cfg.lipschitz, step_error=cfg.bias,
-                            drift_bias=cfg.bias, step_variance=cfg.noise_std ** 2,
-                            keyframe_interval=interval, interp_noise=cfg.sigma_int,
-                            velocity_error=cfg.velocity_error,
+    return ErrorModelParams(step_error=cfg.bias, keyframe_interval=interval,
+                            interp_noise=cfg.sigma_int, velocity_error=cfg.velocity_error,
                             keyframe_error_cap=cfg.kf_error_cap)
 
 
@@ -261,8 +258,7 @@ def cmd_ablate(args) -> int:
         sub = KeyframeLatents(tuple(gen_idx[j] for j in keep), kfs.values[keep])
         segments = partition_segments(cfg.total_frames, cfg.segment_len, cfg.overlap,
                                       sub.indices)
-        plan = RolloutPlan(cfg.total_frames, sub.indices, tuple(segments), cfg.overlap,
-                           cfg.alpha_c, cfg.sigma_c)
+        plan = RolloutPlan(cfg.total_frames, sub.indices, tuple(segments), cfg.overlap)
         child = int(derive_seed_sequence(cfg.seed, f"ablate-{g_stride}-{i_stride}", 0)
                     .generate_state(1)[0])
         trace = rollout_anchored(world, plan, sub, sigma_int=cfg.sigma_int,
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="build and validate a rollout plan")
+    p = sub.add_parser("plan", help="build a rollout plan")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("bounds", help="emit per-frame bound curves")

@@ -80,16 +80,6 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate a 3-vector by a unit quaternion."""
-    qv = np.concatenate([[0.0], v])
-    return quat_multiply(quat_multiply(q, qv), quat_conjugate(q))[1:]
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """(..., 3, 3) rotation matrices of unit quaternions."""
     w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
@@ -167,23 +157,6 @@ class Pose:
             if fi < 0:
                 raise InvalidInput("frame_index must be non-negative")
             object.__setattr__(self, "frame_index", fi)
-
-
-def identity_pose(frame_index: int | None = None) -> Pose:
-    return Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), frame_index)
-
-
-def pose_compose(a: Pose, b: Pose) -> Pose:
-    """SE(3) composition a∘b; the result quaternion is renormalized and
-    sign-canonicalized."""
-    q = quat_multiply(a.rotation, b.rotation)
-    t = a.translation + quat_rotate(a.rotation, b.translation)
-    return Pose(q, t)
-
-
-def pose_inverse(a: Pose) -> Pose:
-    qi = quat_conjugate(a.rotation)
-    return Pose(qi, -quat_rotate(qi, a.translation))
 
 
 class Trajectory:
@@ -346,10 +319,9 @@ def load_trajectory(path) -> Trajectory:
 
 @dataclass(frozen=True)
 class LatentSeq:
-    """Dense run of fixed-dimension latent vectors starting at start_index."""
+    """Dense run of fixed-dimension latent vectors."""
 
     frames: np.ndarray
-    start_index: int = 0
 
     def __post_init__(self):
         fr = np.asarray(self.frames, dtype=float)
@@ -360,7 +332,6 @@ class LatentSeq:
         if not np.all(np.isfinite(fr)):
             raise InvalidInput("latent frames must be finite")
         object.__setattr__(self, "frames", _frozen(fr))
-        object.__setattr__(self, "start_index", int(self.start_index))
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -402,8 +373,6 @@ class RolloutPlan:
     keyframes: tuple[int, ...]
     segments: tuple[Segment, ...]
     overlap: int
-    alpha_c: float = 1.0
-    sigma_c: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "keyframes", tuple(int(k) for k in self.keyframes))
@@ -496,30 +465,23 @@ def write_columns_csv(path, header, columns) -> None:
 
 @dataclass(frozen=True)
 class ErrorModelParams:
-    """Scalar inputs of the divergence/interpolation error theory.
+    """Scalar inputs of the anchored-interpolation error bound (unified_bound).
 
-    lipschitz         -- state sensitivity L of the one-step generator
     step_error        -- per-step local error norm bound (eta)
-    drift_bias        -- per-step systematic drift norm (mu)
-    step_variance     -- per-step, per-dimension noise variance (sigma^2)
     keyframe_interval -- anchor spacing T in frames
     interp_noise      -- interpolation noise scale (sigma_int)
     velocity_error    -- incoming boundary velocity error norm (delta-v_0)
     keyframe_error_cap-- worst-case keyframe drift for globally generated anchors
     """
 
-    lipschitz: float = 1.0
     step_error: float = 0.0
-    drift_bias: float = 0.0
-    step_variance: float = 0.0
     keyframe_interval: int = 1
     interp_noise: float = 0.0
     velocity_error: float = 0.0
     keyframe_error_cap: float = 0.0
 
     def __post_init__(self):
-        for name in ("lipschitz", "step_error", "drift_bias", "step_variance",
-                     "interp_noise", "velocity_error", "keyframe_error_cap"):
+        for name in ("step_error", "interp_noise", "velocity_error", "keyframe_error_cap"):
             v = float(getattr(self, name))
             if not np.isfinite(v) or v < 0.0:
                 raise InvalidInput(f"{name} must be finite and non-negative")

@@ -3,7 +3,7 @@
 Covers the two generation regimes:
 
   * pure step-by-step generation, whose error obeys a Lipschitz recursion and
-    diverges with horizon length (upper bound, bias lower bound, variance),
+    diverges with horizon length (upper bound),
   * keyframe-anchored interpolation, whose error decomposes into an anchor
     interpolation term, a velocity-leakage term damped by a factor of -1/2
     per segment, and pinned bridge noise, giving a horizon-independent bound.
@@ -39,22 +39,6 @@ DIVERGENCE_CAP = 1e300
 # ---------------------------------------------------------------------------
 # divergence of pure autoregressive generation
 # ---------------------------------------------------------------------------
-
-def ar_bias_lower_bound(drift_bias: float, n_steps: int) -> float:
-    """Expected-error floor N*mu under non-contractive dynamics and a
-    persistent per-step drift of norm mu."""
-    if drift_bias < 0.0 or n_steps < 1:
-        raise InvalidInput("drift_bias must be >= 0 and n_steps >= 1")
-    return n_steps * float(drift_bias)
-
-
-def ar_variance(step_variance: float, n_steps: int) -> float:
-    """Accumulated variance N*sigma^2 of i.i.d. per-step noise, per latent
-    dimension (multiply by d for the covariance trace)."""
-    if step_variance < 0.0 or n_steps < 0:
-        raise InvalidInput("step_variance must be >= 0 and n_steps >= 0")
-    return n_steps * float(step_variance)
-
 
 def ar_upper_curve(lipschitz: float, step_error: float, n_frames: int,
                    cap: float = DIVERGENCE_CAP) -> tuple[np.ndarray, np.ndarray]:
@@ -294,16 +278,3 @@ def unified_bound(params: ErrorModelParams, keyframe_errors=None,
     leakage = cumulative_leakage_bound(T, params.velocity_error)
     noise = 0.5 * np.sqrt(T) * params.interp_noise
     return BoundBreakdown(float(anchor), float(leakage), float(noise))
-
-
-def anchored_error_decomposition(err_left, err_right, tau: float, interval: float,
-                                 leakage, noise):
-    """Reassemble a frame error from its components: the anchor interpolation
-    (1 - tau/T)*e_left + (tau/T)*e_right, plus leakage, plus local noise."""
-    err_left = np.asarray(err_left, dtype=float)
-    err_right = np.asarray(err_right, dtype=float)
-    leakage = np.asarray(leakage, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    if not (err_left.shape == err_right.shape == leakage.shape == noise.shape):
-        raise InvalidInput("decomposition components must share one shape")
-    return bridge_mean(tau, interval, err_left, err_right) + leakage + noise

@@ -2,7 +2,8 @@
 
 Lines are "key = value"; '#' starts a comment. Unknown keys are rejected with
 the offending line number. Values round-trip losslessly (floats are written
-with repr). CLI flags override file values.
+with repr). CLI flags override file values. Every float key must be finite
+and non-negative; a config that breaks this is rejected naming the key.
 
 Keys (defaults in parentheses):
   total_frames (321)    frames including frame 0
@@ -10,8 +11,6 @@ Keys (defaults in parentheses):
   stride_mode (test)    'test' or 'train' (train draws from the stride list)
   segment_len (9)       generation window length B
   overlap (1)           shared frames p between consecutive windows
-  alpha_c (0.7)         anchor guidance coefficient
-  sigma_c (0.3)         anchor conditioning noise scale
   dim (1)               latent dimension
   lipschitz (1.0)       spectral norm of the world dynamics
   dynamics (scaled_identity)  or 'rotation'
@@ -30,10 +29,15 @@ Keys (defaults in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import InvalidInput
 from .schedule import StridePolicy
+
+#: keys holding a float (kf_step_error also None): each must be finite and >= 0
+_FLOAT_KEYS = ("lipschitz", "bias", "noise_std", "sigma_int", "velocity_error",
+               "kf_error_cap", "kf_step_error")
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,6 @@ class ExperimentConfig:
     stride_mode: str = "test"
     segment_len: int = 9
     overlap: int = 1
-    alpha_c: float = 0.7
-    sigma_c: float = 0.3
     dim: int = 1
     lipschitz: float = 1.0
     dynamics: str = "scaled_identity"
@@ -59,6 +61,12 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     trajectory: str = ""
+
+    def __post_init__(self):
+        for name in _FLOAT_KEYS:
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v >= 0.0):
+                raise InvalidInput(f"{name} must be finite and non-negative")
 
     def stride_policy(self) -> StridePolicy:
         if self.stride_mode == "train":
@@ -95,7 +103,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             raise InvalidInput(f"{source}: line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise InvalidInput(f"{source}: line {lineno}: unknown key {key!r}")
+            raise InvalidInput(f"{source}: line {lineno}: unknown config key {key!r}")
         try:
             values[key] = _parse_value(key, _key_kind(key), val)
         except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Geometric and signal-quality evaluation: pose densification, aligned
+"""Geometric and signal-quality evaluation: quaternion slerp, aligned
 trajectory errors, PSNR/SSIM, and a second-difference smoothness score.
 
 Alignment is a least-squares similarity fit (Umeyama) on the translation
@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     LatentSeq,
-    Pose,
     Trajectory,
     canonicalize_quaternion,
     matrix_to_quat,
@@ -35,7 +34,7 @@ SLERP_PARALLEL_GUARD = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# pose interpolation
+# quaternion interpolation
 # ---------------------------------------------------------------------------
 
 def slerp(q0: np.ndarray, q1: np.ndarray, u: float) -> np.ndarray:
@@ -53,37 +52,6 @@ def slerp(q0: np.ndarray, q1: np.ndarray, u: float) -> np.ndarray:
     s = np.sin(theta)
     return normalize_quaternion((np.sin((1.0 - u) * theta) / s) * q0 +
                                 (np.sin(u * theta) / s) * q1)
-
-
-def interpolate_pose(a: Pose, b: Pose, u: float, frame_index: int | None = None) -> Pose:
-    """Pose at fraction u between two poses: slerp rotation, lerp translation."""
-    q = slerp(a.rotation, b.rotation, u)
-    t = (1.0 - u) * a.translation + u * b.translation
-    return Pose(q, t, frame_index)
-
-
-def densify_trajectory(sparse: Trajectory, target_indices) -> Trajectory:
-    """Fill in poses at the target frame indices by interpolating between the
-    bracketing sparse poses; exact pass-through where an index is already in
-    the sparse set. Targets outside the sparse span are invalid."""
-    if len(sparse) < 2:
-        raise InvalidInput("need at least two sparse poses to densify")
-    idx = sparse.frame_indices()
-    by_index = {p.frame_index: p for p in sparse.poses}
-    lo, hi = int(idx[0]), int(idx[-1])
-    out = []
-    for t in sorted(int(v) for v in target_indices):
-        if t < lo or t > hi:
-            raise InvalidInput(f"target index {t} outside sparse span [{lo}, {hi}]")
-        if t in by_index:
-            src = by_index[t]
-            out.append(Pose(src.rotation, src.translation, t))
-            continue
-        j = int(np.searchsorted(idx, t)) - 1
-        a, b = sparse.poses[j], sparse.poses[j + 1]
-        u = (t - a.frame_index) / (b.frame_index - a.frame_index)
-        out.append(interpolate_pose(a, b, u, frame_index=t))
-    return Trajectory(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,11 @@ class WorldConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidInput("dim must be >= 1")
-        if self.lipschitz < 0.0:
-            raise InvalidInput("lipschitz must be >= 0")
+        for name in ("lipschitz", "noise_std"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise InvalidInput(f"{name} must be finite and non-negative")
         if self.dynamics not in ("scaled_identity", "rotation"):
             raise InvalidInput(f"unknown dynamics kind {self.dynamics!r}")
-        if self.noise_std < 0.0:
-            raise InvalidInput("noise_std must be >= 0")
         for name in ("bias", "x0"):
             v = getattr(self, name)
             if v is not None:
@@ -97,6 +96,10 @@ class WorldConfig:
             elif c.ndim != 2 or c.shape[1] != self.dim:
                 raise InvalidInput("control schedule must be (n, dim)")
             object.__setattr__(self, "control", c)
+        for name in ("bias", "x0", "control"):
+            v = getattr(self, name)
+            if v is not None and not np.all(np.isfinite(v)):
+                raise InvalidInput(f"{name} must be finite")
 
     def bias_vector(self) -> np.ndarray:
         return np.zeros(self.dim) if self.bias is None else self.bias
@@ -311,6 +314,8 @@ class _World:
                 direction = direction / norm if norm > 0.0 else np.zeros(cfg.dim)
                 vals[j] = gt[k] + g.uniform(0.0, error_cap) * direction
         elif scenario == "downsampled_ar":
+            if step_error is not None and not 0.0 <= step_error < np.inf:
+                raise InvalidInput("step_error must be finite and non-negative")
             mu = cfg.drift_norm() if step_error is None else float(step_error)
             b = cfg.bias_vector()
             bn = float(np.linalg.norm(b))
@@ -403,11 +408,6 @@ def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarr
     return _row_norm(values - gt[list(indices)])
 
 
-def keyframe_error_norms(cfg: WorldConfig, keyframes: KeyframeLatents) -> np.ndarray:
-    gt = simulate_ground_truth(cfg, keyframes.indices[-1] + 1).frames
-    return _anchor_error_norms(keyframes.values, gt, keyframes.indices)
-
-
 # ---------------------------------------------------------------------------
 # keyframe-anchored interpolation rollout
 # ---------------------------------------------------------------------------
@@ -418,10 +418,12 @@ def _velocity_vector(velocity_error, d: int) -> np.ndarray:
     if np.isscalar(velocity_error):
         dv0 = np.zeros(d)
         dv0[0] = float(velocity_error)
-        return dv0
-    dv0 = np.asarray(velocity_error, dtype=float)
-    if dv0.shape != (d,):
-        raise InvalidInput(f"velocity_error must be scalar or ({d},)")
+    else:
+        dv0 = np.asarray(velocity_error, dtype=float)
+        if dv0.shape != (d,):
+            raise InvalidInput(f"velocity_error must be scalar or ({d},)")
+    if not np.all(np.isfinite(dv0)):
+        raise InvalidInput("velocity_error must be finite")
     return dv0
 
 
@@ -436,8 +438,8 @@ class _AnchoredLayout:
         violations = validate_plan(plan)
         if violations:
             raise InvalidInput(f"plan fails validation: {violations}")
-        if sigma_int < 0.0:
-            raise InvalidInput("sigma_int must be >= 0")
+        if not 0.0 <= sigma_int < np.inf:
+            raise InvalidInput("sigma_int must be finite and non-negative")
         self.plan = plan
         self.sigma_int = sigma_int
         self.dv0 = _velocity_vector(velocity_error, d)
@@ -555,12 +557,9 @@ class _AnchoredLayout:
               chunks=None) -> RolloutTrace:
         """One trial's trace from its (K, d) anchors and (n, d) frames; the
         bound column holds the unified bound built from its anchor errors."""
-        cfg, gt, kf_idx = world.cfg, world.gt, self.plan.keyframes
+        gt, kf_idx = world.gt, self.plan.keyframes
         max_T = max((hi - lo for lo, hi in zip(kf_idx, kf_idx[1:])), default=1)
-        params = ErrorModelParams(lipschitz=cfg.lipschitz, step_error=cfg.drift_norm(),
-                                  drift_bias=cfg.drift_norm(),
-                                  step_variance=cfg.noise_std ** 2,
-                                  keyframe_interval=max_T, interp_noise=self.sigma_int,
+        params = ErrorModelParams(keyframe_interval=max_T, interp_noise=self.sigma_int,
                                   velocity_error=float(np.linalg.norm(self.dv0)))
         kf_errs = _anchor_error_norms(kv, gt.frames, kf_idx).tolist()
         breakdown = unified_bound(params, keyframe_errors=kf_errs)

@@ -74,7 +74,8 @@ def test_cmd_bounds_linear_and_anchored(tmp_path):
     out = tmp_path / "o"
     rc = run("--out", str(out), "--set", "total_frames=51", "--set", "bias=0.1",
              "--set", "strides=4", "--set", "velocity_error=0.5",
-             "--set", "sigma_int=0.2", "--set", "kf_error_cap=0.1", "bounds")
+             "--set", "sigma_int=0.2", "--set", "kf_error_cap=0.1",
+             "--set", "noise_std=0.5", "bounds")
     assert rc == 0
     header, rows = _read_rows(out / "bounds.csv")
     assert header == ["frame", "ar_upper", "ar_lower", "ar_variance", "dcar_bound",
@@ -84,6 +85,9 @@ def test_cmd_bounds_linear_and_anchored(tmp_path):
     last = rows[-1]
     assert last[0] == "50"
     assert float(last[1]) == pytest.approx(5.0, abs=1e-12)
+    # bias floor N*mu and variance N*sigma^2 after N = 50 steps
+    assert float(last[2]) == pytest.approx(5.0, abs=1e-12)
+    assert float(last[3]) == pytest.approx(12.5, abs=1e-12)
     expected = 0.1 + 2 * np.sqrt(3) / 9 * 4 * 0.5 + 0.2
     bounds = {float(r[4]) for r in rows}
     assert len(bounds) == 1  # constant across frames
@@ -297,9 +301,36 @@ def test_non_finite_kf_error_cap_is_invalid_input(command, cap, tmp_path, capsys
     assert "error_cap must be finite and non-negative" in capsys.readouterr().err
 
 
+_FLOAT_KEYS = ("lipschitz", "bias", "noise_std", "sigma_int", "velocity_error",
+               "kf_error_cap", "kf_step_error")
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+@pytest.mark.parametrize("key, value",
+                         [(key, "nan") for key in _FLOAT_KEYS]
+                         + [(key, "inf") for key in _FLOAT_KEYS if key != "kf_step_error"]
+                         + [("kf_step_error", "-1")])
+def test_invalid_float_key_is_invalid_input_naming_the_key(key, value, command, tmp_path,
+                                                          capsys):
+    rc = run("--out", str(tmp_path / "o"), "--set", f"{key}={value}", command)
+    assert rc == 2
+    assert f"error: {key} must be finite and non-negative" in capsys.readouterr().err
+
+
 def test_unknown_config_key_via_set(tmp_path, capsys):
     rc = run("--out", str(tmp_path / "o"), "--set", "nope=1", "plan")
     assert rc == 2
+
+
+def test_removed_conditioning_keys_are_unknown(tmp_path, capsys):
+    rc = run("--out", str(tmp_path / "o"), "--set", "alpha_c=0.7", "plan")
+    assert rc == 2
+    assert "unknown config key 'alpha_c'" in capsys.readouterr().err
+    cfg_path = tmp_path / "old.txt"
+    cfg_path.write_text("total_frames = 33\nsigma_c = 0.3\n")
+    rc = run("--config", str(cfg_path), "--out", str(tmp_path / "o"), "plan")
+    assert rc == 2
+    assert "line 2: unknown config key 'sigma_c'" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

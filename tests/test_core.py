@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,8 @@ from rollbound.core import (
     Segment,
     Trajectory,
     canonicalize_quaternion,
-    identity_pose,
     load_trajectory,
     normalize_quaternion,
-    pose_compose,
-    pose_inverse,
     quat_angle,
     quat_multiply,
     quat_to_matrix,
@@ -35,27 +33,16 @@ def test_pose_normalizes_and_canonicalizes():
     assert abs(np.linalg.norm(p.rotation) - 1.0) < 1e-9
 
 
-def test_compose_identity():
-    p = Pose(rotation_about_z(0.7), np.array([1.0, 2.0, 3.0]))
-    q = pose_compose(identity_pose(), p)
-    assert np.allclose(q.rotation, p.rotation)
-    assert np.allclose(q.translation, p.translation)
-
-
-def test_compose_inverse_is_identity():
-    p = Pose(rotation_about_z(1.1), np.array([0.5, -1.0, 2.0]))
-    r = pose_compose(p, pose_inverse(p))
-    assert np.allclose(r.rotation, [1, 0, 0, 0], atol=1e-9)
-    assert np.allclose(r.translation, 0.0, atol=1e-9)
-
-
 def test_compose_matches_rotation_matrix_oracle():
-    # two 90-degree z rotations -> one 180-degree z rotation
-    a = Pose(rotation_about_z(np.pi / 2), np.zeros(3))
-    out = pose_compose(a, a)
-    oracle = quat_to_matrix(a.rotation) @ quat_to_matrix(a.rotation)
-    assert np.allclose(quat_to_matrix(out.rotation), oracle, atol=1e-9)
-    assert np.allclose(oracle, quat_to_matrix(rotation_about_z(np.pi)), atol=1e-9)
+    # quaternion products compose rotations: two 90-degree z rotations make
+    # one 180-degree z rotation, and a random pair matches the matrix product
+    a = rotation_about_z(np.pi / 2)
+    assert np.allclose(quat_to_matrix(quat_multiply(a, a)),
+                       quat_to_matrix(rotation_about_z(np.pi)), atol=1e-9)
+    g = np.random.default_rng(8)
+    p, q = normalize_quaternion(g.normal(size=4)), normalize_quaternion(g.normal(size=4))
+    assert np.allclose(quat_to_matrix(quat_multiply(p, q)),
+                       quat_to_matrix(p) @ quat_to_matrix(q), atol=1e-12)
 
 
 @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
@@ -73,9 +60,9 @@ def test_canonicalization_idempotent(vals):
 
 
 def test_trajectory_requires_increasing_indices():
-    p0 = identity_pose(0)
+    p0 = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 0)
     with pytest.raises(InvalidInput):
-        Trajectory((p0, identity_pose(0)))
+        Trajectory((p0, p0))
     with pytest.raises(InvalidInput):
         Trajectory(())
 
@@ -171,8 +158,10 @@ def test_latent_seq_validation():
 
 
 def test_error_model_params_validation():
-    with pytest.raises(InvalidInput):
-        ErrorModelParams(lipschitz=-0.1)
+    with pytest.raises(InvalidInput, match="step_error"):
+        ErrorModelParams(step_error=-0.1)
+    with pytest.raises(InvalidInput, match="interp_noise"):
+        ErrorModelParams(interp_noise=np.nan)
     with pytest.raises(InvalidInput):
         ErrorModelParams(keyframe_interval=0)
     p = ErrorModelParams(keyframe_interval=8, interp_noise=0.2)
@@ -187,6 +176,27 @@ def _well_formed_plan():
 
 def test_validate_plan_accepts_well_formed():
     assert validate_plan(_well_formed_plan()) == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("keyframes", (0, 8, 4), "keyframes are not sorted"),
+    ("keyframes", (1, 4, 8), "first keyframe must be frame 0"),
+    ("keyframes", (0, 4, 7), "last keyframe must be the final frame 8"),
+    ("segments", (Segment(0, 3), Segment(5, 8)), "coverage gap between segments 0 and 1"),
+    ("segments", (Segment(0, 4), Segment(3, 8)), "overlap in 2 frames, expected 1"),
+    ("segments", (Segment(0, 4), Segment(4, 9)), "segment 1 extends past the final frame"),
+    ("segments", (), "plan has no segments"),
+    ("keyframes", (), "keyframe list is empty"),
+], ids=["unsorted", "first", "last", "gap", "overlap", "past_end", "no_segments",
+        "no_keyframes"])
+def test_validate_plan_rejects_malformed(key, value, message):
+    violations = validate_plan(replace(_well_formed_plan(), **{key: value}))
+    assert any(message in v for v in violations), violations
+
+
+def test_segment_rejects_reversed_span():
+    with pytest.raises(InvalidInput, match="segment start must not exceed end"):
+        Segment(8, 4)
 
 
 def test_validate_plan_flags_coverage_gap():

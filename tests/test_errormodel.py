@@ -5,10 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rollbound.core import ErrorModelParams, InvalidInput
 from rollbound.errormodel import (
     DAMPING_FACTOR,
-    anchored_error_decomposition,
-    ar_bias_lower_bound,
     ar_upper_curve,
-    ar_variance,
     bridge_mean,
     bridge_variance,
     cumulative_leakage_bound,
@@ -69,16 +66,6 @@ def test_ar_upper_curve_flags():
     assert not flags[9] and flags[10]
     assert vals[10] == 1000.0
     assert vals[3] == 7.0
-
-
-def test_ar_bias_lower_bound_values():
-    assert ar_bias_lower_bound(0.01, 320) == pytest.approx(3.2, abs=1e-12)
-    assert ar_bias_lower_bound(0.0, 100) == 0.0
-
-
-def test_ar_variance_values():
-    assert ar_variance(1.0, 100) == 100.0
-    assert ar_variance(0.0, 50) == 0.0
 
 
 def test_ar_upper_rejects_bad_inputs():
@@ -316,18 +303,3 @@ def test_unified_bound_monotone_in_each_parameter():
 def test_unified_bound_rejects_unknown_scenario():
     with pytest.raises(InvalidInput):
         unified_bound(ErrorModelParams(keyframe_interval=4), scenario="nope")
-
-
-def test_decomposition_zero_and_endpoint_cases():
-    z = np.zeros(3)
-    assert np.array_equal(anchored_error_decomposition(z, z, 1.0, 4.0, z, z), z)
-    e_left = np.array([0.5, -0.25, 0.0])
-    w0 = np.array([0.01, 0.0, 0.0])
-    out = anchored_error_decomposition(e_left, np.ones(3), 0.0, 4.0, z, w0)
-    assert np.allclose(out, e_left + w0)
-
-
-def test_decomposition_rejects_mismatched_shapes():
-    with pytest.raises(InvalidInput):
-        anchored_error_decomposition(np.zeros(2), np.zeros(3), 1.0, 4.0,
-                                     np.zeros(2), np.zeros(2))

@@ -30,19 +30,19 @@ SIM_FILES = ("ar_trace.csv", "anchored_trace.csv", "mean_curves.csv", "report.tx
 CLI_CASES = {
     "plan_default": (
         ["--seed", "3", "plan"], ("plan.txt",),
-        "496d9cee9a1ae73dae0c9f66a9438e5246f75f1ed742a3fba35011cbf7a2022e"),
+        "26141ade839c973fa15c503c6db77f6007ee4a81f5f322d5d9b521a7cfa51a67"),
     "plan_train_strides": (
         ["--seed", "5", "--set", "total_frames=203", "--set", "strides=4,8,16",
          "--set", "stride_mode=train", "--set", "segment_len=12", "--set", "overlap=2",
          "plan"], ("plan.txt",),
-        "c68cbb9019c4bd38f9dbe6e75bb0b353c27b6bdda801db98b8e0cc48065d8445"),
+        "eeabd851c379bcb5e4be6bb9b6753b066516ff86a698a15010f3d0cee5980626"),
     "plan_single_frame": (
         ["--seed", "6", "--set", "total_frames=1", "plan"], ("plan.txt",),
-        "2b1225b8b505a86f9602dd212f97109160ab26f7c6f9b2ccdde5440782089442"),
+        "eeba7b8f119eadf56b78cb9a3bbc6bfce428e640e70a665b19dbbed0a9fc9d14"),
     "plan_overlap3": (
         ["--seed", "8", "--set", "total_frames=150", "--set", "strides=4",
          "--set", "segment_len=12", "--set", "overlap=3", "plan"], ("plan.txt",),
-        "969de6090959abb79d84b0468be98adfe7437dff15079d1c3ed856b523aaf732"),
+        "bc551c67d8543b38b3ec0f09a71e0899bc8bc2dfb5c402cd0c904d17b1b3f197"),
     "bounds_linear": (
         ["--set", "total_frames=51", "--set", "bias=0.1", "--set", "sigma_int=0.2",
          "--set", "velocity_error=0.3", "bounds"], ("bounds.csv",),

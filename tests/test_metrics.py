@@ -13,9 +13,7 @@ from rollbound.metrics import (
     align_similarity,
     are,
     ate,
-    densify_trajectory,
     fit_rotation,
-    interpolate_pose,
     psnr,
     read_pgm,
     slerp,
@@ -89,34 +87,12 @@ def test_slerp_constant_angular_speed():
 
 
 def test_slerp_fraction_matches_matrix_power_oracle():
-    # quarter of the way through the [0,10] span of a 90-degree turn
-    a = Pose(rotation_about_z(0.0), np.zeros(3), 0)
-    b = Pose(rotation_about_z(np.pi / 2), np.array([4.0, 0.0, 0.0]), 10)
-    p = interpolate_pose(a, b, 0.25)
-    oracle = _angle_axis_power(quat_to_matrix(b.rotation), 0.25)
-    assert np.allclose(quat_to_matrix(p.rotation), oracle, atol=1e-9)
-    assert np.allclose(quat_to_matrix(p.rotation),
-                       quat_to_matrix(rotation_about_z(np.pi / 8)), atol=1e-9)
-    assert np.allclose(p.translation, [1.0, 0.0, 0.0])
-
-
-def test_densify_pass_through_and_midpoint():
-    sparse = _traj([[0, 0, 0], [2, 0, 0]],
-                   [rotation_about_z(0.0), rotation_about_z(np.pi / 2)], start=0)
-    sparse = Trajectory((sparse.poses[0],
-                         Pose(sparse.poses[1].rotation, sparse.poses[1].translation, 10)))
-    dense = densify_trajectory(sparse, [0, 5, 10])
-    assert np.allclose(dense.poses[0].translation, [0, 0, 0])
-    assert np.array_equal(dense.poses[0].rotation, sparse.poses[0].rotation)
-    assert np.allclose(dense.poses[1].rotation, rotation_about_z(np.pi / 4), atol=1e-9)
-    assert np.allclose(dense.poses[1].translation, [1, 0, 0])
-    assert np.array_equal(dense.poses[2].rotation, sparse.poses[1].rotation)
-
-
-def test_densify_rejects_out_of_span():
-    sparse = _traj([[0, 0, 0], [1, 0, 0]])
-    with pytest.raises(InvalidInput):
-        densify_trajectory(sparse, [0, 3])
+    # a quarter of the way through a 90-degree turn
+    q1 = rotation_about_z(np.pi / 2)
+    q = slerp(rotation_about_z(0.0), q1, 0.25)
+    oracle = _angle_axis_power(quat_to_matrix(q1), 0.25)
+    assert np.allclose(quat_to_matrix(q), oracle, atol=1e-9)
+    assert np.allclose(quat_to_matrix(q), quat_to_matrix(rotation_about_z(np.pi / 8)), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

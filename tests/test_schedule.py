@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollbound.core import InvalidInput, LatentSeq, RolloutPlan, validate_plan
+from rollbound.core import InvalidInput, RolloutPlan, validate_plan
 from rollbound.schedule import (
     StridePolicy,
     build_plan,
-    load_plan,
-    noisy_condition,
     partition_segments,
     sample_keyframe_indices,
-    save_plan,
     segment_context,
     select_keyframes,
-    substitute_boundary,
 )
 
 
@@ -130,105 +126,6 @@ def test_partition_rejects_bad_overlap():
 
 
 # ---------------------------------------------------------------------------
-# noisy conditioning
-# ---------------------------------------------------------------------------
-
-def test_noisy_condition_zero_noise_scales():
-    z = LatentSeq(np.array([[1.0, 2.0]]))
-    out = noisy_condition(z, 0.7, 0.0)
-    assert np.allclose(out.frames, [[0.7, 1.4]])
-
-
-def test_noisy_condition_identity():
-    z = LatentSeq(np.arange(6.0).reshape(3, 2))
-    out = noisy_condition(z, 1.0, 0.0)
-    assert np.array_equal(out.frames, z.frames)
-
-
-def test_noisy_condition_moments():
-    # Monte-Carlo moment estimation over 1e5 draws
-    n = 10 ** 5
-    z = LatentSeq(np.tile([1.0, 2.0], (n, 1)))
-    out = noisy_condition(z, 0.7, 0.3, rng=np.random.default_rng(0))
-    mean = out.frames.mean(axis=0)
-    se = 0.3 / np.sqrt(n)
-    assert np.all(np.abs(mean - [0.7, 1.4]) < 3 * se)
-    var = out.frames.var(axis=0)
-    assert np.all(np.abs(var - 0.09) < 0.05 * 0.09)
-
-
-def test_noisy_condition_deterministic_given_seed():
-    z = LatentSeq(np.arange(8.0).reshape(4, 2))
-    a = noisy_condition(z, 0.5, 0.2, rng=np.random.default_rng(42))
-    b = noisy_condition(z, 0.5, 0.2, rng=np.random.default_rng(42))
-    assert np.array_equal(a.frames, b.frames)
-
-
-@given(st.integers(0, 2 ** 31))
-@settings(max_examples=25)
-def test_noisy_condition_linear_when_noise_free(seed):
-    g = np.random.default_rng(seed)
-    z1 = LatentSeq(g.normal(size=(4, 3)))
-    z2 = LatentSeq(g.normal(size=(4, 3)))
-    alpha = float(g.uniform(0, 1))
-    lhs = noisy_condition(LatentSeq(z1.frames + z2.frames), alpha, 0.0).frames
-    rhs = noisy_condition(z1, alpha, 0.0).frames + noisy_condition(z2, alpha, 0.0).frames
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_noisy_condition_validates_inputs():
-    z = LatentSeq(np.ones((2, 2)))
-    with pytest.raises(InvalidInput):
-        noisy_condition(z, 1.5, 0.0)
-    with pytest.raises(InvalidInput):
-        noisy_condition(z, 0.5, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# boundary substitution
-# ---------------------------------------------------------------------------
-
-def test_substitute_single_frame():
-    cur = LatentSeq(np.array([[9.0, 9.0], [2.0, 2.0]]))
-    hist = LatentSeq(np.array([[1.0, 1.0]]))
-    out = substitute_boundary(cur, hist)
-    assert np.array_equal(out.frames, [[1, 1], [2, 2]])
-
-
-def test_substitute_empty_history():
-    cur = LatentSeq(np.ones((3, 2)))
-    out = substitute_boundary(cur, LatentSeq(np.empty((0, 2))))
-    assert np.array_equal(out.frames, cur.frames)
-
-
-def test_substitute_two_of_five():
-    g = np.random.default_rng(3)
-    cur = LatentSeq(g.normal(size=(5, 3)))
-    hist = LatentSeq(g.normal(size=(2, 3)))
-    out = substitute_boundary(cur, hist)
-    # element-wise comparison oracle
-    for t in range(5):
-        expected = hist.frames[t] if t < 2 else cur.frames[t]
-        assert np.array_equal(out.frames[t], expected)
-
-
-def test_substitute_idempotent():
-    g = np.random.default_rng(4)
-    cur = LatentSeq(g.normal(size=(6, 2)))
-    hist = LatentSeq(g.normal(size=(2, 2)))
-    once = substitute_boundary(cur, hist)
-    twice = substitute_boundary(once, hist)
-    assert np.array_equal(once.frames, twice.frames)
-
-
-def test_substitute_rejects_mismatch():
-    with pytest.raises(InvalidInput):
-        substitute_boundary(LatentSeq(np.ones((3, 2))), LatentSeq(np.ones((1, 3))))
-    with pytest.raises(InvalidInput):
-        substitute_boundary(LatentSeq(np.ones((2, 2))), LatentSeq(np.ones((3, 2))))
-
-
-# ---------------------------------------------------------------------------
 # full plans
 # ---------------------------------------------------------------------------
 
@@ -247,7 +144,7 @@ def test_build_plan_single_frame():
 
 
 def test_build_plan_inference_defaults():
-    plan = build_plan(321, StridePolicy.test(8), 9, 1, alpha_c=0.7, sigma_c=0.3)
+    plan = build_plan(321, StridePolicy.test(8), 9, 1)
     assert validate_plan(plan) == []
     assert len(plan.keyframes) == 41
     assert plan.keyframes[-1] == 320
@@ -266,44 +163,3 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
         assert len(shared) == overlap
         assert history == sorted(shared)
         assert anchors == select_keyframes(plan.keyframes, b.start, b.end)
-
-
-def test_plan_file_round_trip(tmp_path):
-    plan = build_plan(33, StridePolicy.test(8), 9, 1, alpha_c=0.7, sigma_c=0.3)
-    path = tmp_path / "plan.txt"
-    save_plan(plan, path)
-    back = load_plan(path)
-    assert back.total_frames == plan.total_frames
-    assert back.keyframes == plan.keyframes
-    assert back.overlap == plan.overlap
-    assert [(s.start, s.end) for s in back.segments] == \
-        [(s.start, s.end) for s in plan.segments]
-    assert list(segment_context(back)) == list(segment_context(plan))
-
-
-_PLAN_FILE = {"total_frames": "9", "strides": "4", "overlap": "1", "alpha_c": "0.7",
-              "sigma_c": "0.3", "keyframes": "0,4,8", "segments": "0:4,4:8"}
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("keyframes", "0,8,4", "keyframes are not sorted"),
-    ("keyframes", "1,4,8", "first keyframe must be frame 0"),
-    ("keyframes", "0,4,7", "last keyframe must be the final frame 8"),
-    ("segments", "0:3,5:8", "coverage gap between segments 0 and 1"),
-    ("segments", "0:4,3:8", "overlap in 2 frames, expected 1"),
-    ("segments", "0:4,4:9", "segment 1 extends past the final frame"),
-    ("segments", "", "plan has no segments"),
-    ("overlap", None, "missing plan key 'overlap'"),
-    ("keyframes", "", "plan fails validation: ['keyframe list is empty']"),
-    ("segments", "0:4,8:4", "segment start must not exceed end"),
-    ("segments", "0:4:8,4:8", "values to unpack"),
-], ids=["unsorted", "first", "last", "gap", "overlap", "past_end", "no_segments",
-        "missing_key", "no_keyframes", "reversed_span", "three_field_span"])
-def test_load_plan_rejects_malformed(tmp_path, key, value, message):
-    fields = {**_PLAN_FILE, key: value}
-    path = tmp_path / "bad_plan.txt"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items() if v is not None))
-    with pytest.raises(InvalidInput) as exc:
-        load_plan(path)
-    assert str(exc.value).startswith(f"{path}: ")
-    assert message in str(exc.value)

@@ -3,8 +3,8 @@ import pytest
 
 from rollbound.core import InvalidInput
 from rollbound.errormodel import (
-    anchored_error_decomposition,
     ar_upper_curve,
+    bridge_mean,
     leakage_peak,
     solve_damping_spline,
 )
@@ -18,7 +18,6 @@ from rollbound.worldsim import (
     compare_pipelines,
     dynamics_matrix,
     generate_keyframes,
-    keyframe_error_norms,
     rollout_anchored,
     rollout_pure_ar,
     simulate_ground_truth,
@@ -29,6 +28,12 @@ from rollbound.worldsim import (
 def linear_world(dim=2, bias=0.0, noise=0.0, seed=0, control=None):
     return WorldConfig(dim=dim, lipschitz=1.0, bias=bias_from_norm(dim, bias),
                        noise_std=noise, control=control, seed=seed)
+
+
+def anchor_errors(cfg, kf):
+    """Each anchor's error norm against the world's ground truth."""
+    gt = simulate_ground_truth(cfg, kf.indices[-1] + 1).frames
+    return worldsim._anchor_error_norms(kf.values, gt, kf.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +142,14 @@ def test_pure_ar_deterministic_error_norms_match_recursion_exactly():
 def test_keyframes_exact_when_cap_zero():
     cfg = linear_world(bias=0.05)
     kf = generate_keyframes(cfg, [0, 8, 16], "global", error_cap=0.0)
-    assert np.all(keyframe_error_norms(cfg, kf) == 0.0)
+    assert np.all(anchor_errors(cfg, kf) == 0.0)
 
 
 def test_keyframes_downsampled_accumulation():
     cfg = linear_world(bias=0.01)
     idx = list(range(0, 321, 8))
     kf = generate_keyframes(cfg, idx, "downsampled_ar")
-    errs = keyframe_error_norms(cfg, kf)
+    errs = anchor_errors(cfg, kf)
     assert errs[0] == 0.0
     assert errs[-1] == pytest.approx(0.4, abs=1e-9)
     assert np.allclose(errs, 0.01 * np.arange(len(idx)), atol=1e-9)
@@ -157,7 +162,7 @@ def test_keyframes_global_cap_respected_over_seeds():
     for seed in range(1000):
         kf = generate_keyframes(cfg, idx, "global", error_cap=0.1,
                                 rng=np.random.default_rng(seed))
-        worst = max(worst, float(keyframe_error_norms(cfg, kf).max()))
+        worst = max(worst, float(anchor_errors(cfg, kf).max()))
     assert worst <= 0.1 + 1e-12
 
 
@@ -177,7 +182,7 @@ def test_anchor_error_norms_match_per_anchor_loop():
                             rng=np.random.default_rng(51))
     gt = simulate_ground_truth(cfg, plan.total_frames).frames
     loop = [np.linalg.norm(v - gt[k]) for k, v in zip(kf.indices, kf.values)]
-    assert np.array_equal(keyframe_error_norms(cfg, kf), loop)
+    assert np.array_equal(anchor_errors(cfg, kf), loop)
     assert rollout_anchored(cfg, plan, kf).breakdown.anchor_term == max(loop)
 
 
@@ -190,6 +195,24 @@ def test_keyframes_require_zero_start():
 def test_keyframes_reject_bad_error_cap(cap):
     with pytest.raises(InvalidInput, match="error_cap must be finite and non-negative"):
         generate_keyframes(linear_world(), [0, 8, 16], "global", error_cap=cap)
+
+
+@pytest.mark.parametrize("step_error", [-1.0, np.nan, np.inf])
+def test_keyframes_reject_bad_step_error(step_error):
+    with pytest.raises(InvalidInput, match="step_error must be finite and non-negative"):
+        generate_keyframes(linear_world(), [0, 8, 16], "downsampled_ar", step_error=step_error)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lipschitz", np.nan), ("lipschitz", np.inf), ("lipschitz", -0.5),
+    ("noise_std", np.nan), ("noise_std", np.inf),
+    ("bias", [np.nan, 0.0]), ("x0", [0.0, np.inf]), ("control", [np.nan, 0.0]),
+    ("control", [[0.0, 0.0], [0.0, -np.inf]]),
+], ids=["lipschitz-nan", "lipschitz-inf", "lipschitz-negative", "noise_std-nan",
+        "noise_std-inf", "bias-nan", "x0-inf", "control-nan", "control_schedule-inf"])
+def test_world_config_rejects_bad_inputs_naming_the_field(field, value):
+    with pytest.raises(InvalidInput, match=f"^{field} must be finite"):
+        WorldConfig(dim=2, **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +236,7 @@ def test_anchored_anchoring_invariant():
     cfg = linear_world(bias=0.01, control=np.array([0.1, 0.0]), seed=6)
     plan = _plan()
     kf = generate_keyframes(cfg, plan.keyframes, "downsampled_ar")
-    kf_err = keyframe_error_norms(cfg, kf)
+    kf_err = anchor_errors(cfg, kf)
     trace = rollout_anchored(cfg, plan, kf, sigma_int=0.4, velocity_error=0.7, seed=123)
     for j, k in enumerate(plan.keyframes):
         assert trace.error_norms[k] == pytest.approx(kf_err[j], abs=1e-12)
@@ -260,8 +283,7 @@ def test_anchored_error_decomposition_round_trip():
         for t in range(lo, hi + 1):
             tau = float(t - lo)
             leak = unit.value(tau) * dv_j
-            rebuilt = anchored_error_decomposition(e_left, e_right, tau, float(T),
-                                                   leak, np.zeros(2))
+            rebuilt = bridge_mean(tau, float(T), e_left, e_right) + leak
             assert np.allclose(gen[t] - gt[t], rebuilt, atol=1e-9)
 
 
@@ -342,6 +364,18 @@ def test_anchored_rejects_missing_anchors():
     kf = KeyframeLatents((0, 8), np.zeros((2, 2)))
     with pytest.raises(InvalidInput, match="missing plan anchors"):
         rollout_anchored(cfg, plan, kf)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("sigma_int", np.nan), ("sigma_int", np.inf), ("velocity_error", np.nan),
+    ("velocity_error", [0.1, np.inf]),
+], ids=["sigma_int-nan", "sigma_int-inf", "velocity_error-nan", "velocity_error-vector-inf"])
+def test_anchored_rejects_non_finite_inputs(name, value):
+    cfg = linear_world()
+    plan = _plan()
+    kf = generate_keyframes(cfg, plan.keyframes, "global")
+    with pytest.raises(InvalidInput, match=f"^{name} must be finite"):
+        rollout_anchored(cfg, plan, kf, **{name: value})
 
 
 def test_trace_csv_schema(tmp_path):
