@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollbound.core import InvalidInput, RolloutPlan, validate_plan
+from rollbound.core import InvalidInput, RolloutPlan, Segment, validate_plan
 from rollbound.schedule import (
     StridePolicy,
     build_plan,
@@ -163,3 +165,22 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
         assert len(shared) == overlap
         assert history == sorted(shared)
         assert anchors == select_keyframes(plan.keyframes, b.start, b.end)
+
+
+# a plan handed in from outside is checked rule by rule; one malformed plan
+# per rule, each reported with the message naming its fault
+@pytest.mark.parametrize("key, value, message", [
+    ("keyframes", (0, 8, 4), "keyframes are not sorted"),
+    ("keyframes", (1, 4, 8), "first keyframe must be frame 0"),
+    ("keyframes", (0, 4, 7), "last keyframe must be the final frame 8"),
+    ("segments", (Segment(0, 3), Segment(5, 8)), "coverage gap between segments 0 and 1"),
+    ("segments", (Segment(0, 4), Segment(3, 8)), "overlap in 2 frames, expected 1"),
+    ("segments", (Segment(0, 4), Segment(4, 9)), "segment 1 extends past the final frame"),
+    ("segments", (), "plan has no segments"),
+    ("keyframes", (), "keyframe list is empty"),
+], ids=["unsorted", "first", "last", "gap", "overlap", "past_end", "no_segments",
+        "no_keyframes"])
+def test_load_plan_rejects_malformed(key, value, message):
+    plan = RolloutPlan(9, (0, 4, 8), (Segment(0, 4), Segment(4, 8)), overlap=1)
+    violations = validate_plan(replace(plan, **{key: value}))
+    assert any(message in v for v in violations), violations
