@@ -4,7 +4,6 @@ a controllable toy world for observing them, and camera-trajectory metrics."""
 from .core import (
     ErrorModelParams,
     LatentSeq,
-    Pose,
     RolloutPlan,
     Segment,
     Trajectory,

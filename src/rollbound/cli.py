@@ -23,11 +23,10 @@ from .core import (
 from .errormodel import ar_upper_curve, unified_bound
 from .errors import InvalidInput
 from .expconfig import ExperimentConfig, apply_overrides, load_config, save_config
-from .metrics import are, align_similarity, smoothness, write_metric_report
+from .metrics import _rotation_error, are, align_similarity, smoothness, write_metric_report
 from .schedule import (
     StridePolicy,
     build_plan,
-    partition_segments,
     sample_keyframe_indices,
     save_plan,
     segment_context,
@@ -113,7 +112,10 @@ def cmd_bounds(args) -> int:
     params = _error_params(cfg, interval)
     upper, flags = ar_upper_curve(cfg.lipschitz, cfg.bias, n)
     lower = np.arange(n) * cfg.bias
-    variance = np.arange(n) * cfg.noise_std ** 2
+    try:
+        variance = np.arange(n) * cfg.noise_std ** 2
+    except OverflowError:  # the step variance exceeds the float range
+        variance = np.where(np.arange(n) > 0, np.inf, 0.0)
     bd = unified_bound(params, scenario=cfg.kf_scenario,
                        n_steps=n - 1 if cfg.kf_scenario == "downsampled_ar" else None)
     path = os.path.join(out, "bounds.csv")
@@ -199,7 +201,8 @@ def cmd_eval(args) -> int:
     with_scale = args.align == "sim3"
     result = align_similarity(est, ref, with_scale=with_scale)
     ate_val = result.rmse
-    are_umeyama = are(est, ref, rotation_alignment="umeyama", with_scale=with_scale)
+    # the "umeyama" convention rotates by the fit just made
+    are_umeyama = _rotation_error(est, ref, result.rotation)
     are_rotfit = are(est, ref, rotation_alignment="rotfit", with_scale=with_scale)
     are_val = {"umeyama": are_umeyama, "rotfit": are_rotfit}[args.rot_align]
     smooth = smoothness(est)
@@ -256,9 +259,7 @@ def cmd_ablate(args) -> int:
         keep = [j for j, k in enumerate(gen_idx)
                 if k % i_stride == 0 or k == cfg.total_frames - 1]
         sub = KeyframeLatents(tuple(gen_idx[j] for j in keep), kfs.values[keep])
-        segments = partition_segments(cfg.total_frames, cfg.segment_len, cfg.overlap,
-                                      sub.indices)
-        plan = RolloutPlan(cfg.total_frames, sub.indices, tuple(segments), cfg.overlap)
+        plan = RolloutPlan(cfg.total_frames, sub.indices, cfg.segment_len, cfg.overlap)
         child = int(derive_seed_sequence(cfg.seed, f"ablate-{g_stride}-{i_stride}", 0)
                     .generate_state(1)[0])
         trace = rollout_anchored(world, plan, sub, sigma_int=cfg.sigma_int,
@@ -266,15 +267,14 @@ def cmd_ablate(args) -> int:
         deterministic = cfg.noise_std == 0.0 and cfg.sigma_int == 0.0
         viol = int(np.sum(trace.error_norms > trace.bounds + BOUND_TOL)) if deterministic else -1
         bd = trace.breakdown
-        rows.append((g_stride, i_stride, len(sub.indices), len(segments),
+        rows.append((g_stride, i_stride, len(sub.indices), len(plan.segments),
                      trace.final_error(), bd.total, bd.anchor_term, bd.leakage_term,
                      bd.noise_term, viol))
     path = os.path.join(out, "ablation.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dk_gen, dk_int, n_keyframes, n_segments, final_err, bound_total, "
-                 "anchor, leakage, noise, violations\n")
-        for row in rows:
-            fh.write(", ".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    # each column is all ints or all floats, and np.array keeps it so
+    write_columns_csv(path, ("dk_gen", "dk_int", "n_keyframes", "n_segments", "final_err",
+                             "bound_total", "anchor", "leakage", "noise", "violations"),
+                      [np.array(column) for column in zip(*rows)])
     for row in rows:
         print(f"(dk_gen={row[0]}, dk_int={row[1]}): keyframes={row[2]} segments={row[3]} "
               f"final_err={row[4]:g} bound={row[5]:g} violations={row[9]}")

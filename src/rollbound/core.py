@@ -1,11 +1,14 @@
-"""Shared domain types: SE(3) poses, trajectories, latent sequences, rollout plans.
+"""Shared domain types: camera trajectories, latent sequences, rollout plans.
 
 Conventions used throughout the package:
   * quaternions are stored as (w, x, y, z) and kept unit-norm,
   * quaternion sign is canonicalized (w >= 0; if w == 0 the first nonzero
     component is >= 0) so pose equality and interpolation are deterministic,
   * frame indexing is 0-based and frame 0 is the given initial frame,
-  * all types are immutable values after construction.
+  * all types are immutable values after construction,
+  * a trajectory is three arrays (frame indices, quaternions, translations),
+  * a rollout plan is its keyframes, window length and overlap; its
+    generation windows are derived from them, not stored.
 
 Trajectory files are plain text, one pose per line:
 
@@ -17,7 +20,6 @@ the file order is x,y,z,w while the in-memory order is w,x,y,z).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -130,68 +132,55 @@ def rotation_about_z(angle_rad: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pose and Trajectory
+# Trajectory
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pose:
-    """One SE(3) camera pose: unit quaternion rotation plus translation."""
+# the checks each pose row passes, in order: a row's error is the first that
+# fails
+_ROW_CHECKS = ("pose components must be finite", "quaternion has zero or non-finite norm",
+               "frame_index must be non-negative")
 
-    rotation: np.ndarray
-    translation: np.ndarray
-    frame_index: int | None = None
 
-    def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=float)
-        if q.shape != (4,):
-            raise InvalidInput("rotation must be a length-4 quaternion (w,x,y,z)")
-        t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,):
-            raise InvalidInput("translation must be a 3-vector")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(t))):
-            raise InvalidInput("pose components must be finite")
-        object.__setattr__(self, "rotation", _frozen(normalize_quaternion(q)))
-        object.__setattr__(self, "translation", _frozen(t))
-        if self.frame_index is not None:
-            fi = int(self.frame_index)
-            if fi < 0:
-                raise InvalidInput("frame_index must be non-negative")
-            object.__setattr__(self, "frame_index", fi)
+def _first_bad_row(idx: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple[int, str] | None:
+    """The first pose row failing a check of _ROW_CHECKS, with that check's
+    message; None when every row passes."""
+    with np.errstate(over="ignore"):  # an overflowing norm fails its check
+        norms = _row_norm(q)
+    failed = (~(np.isfinite(q).all(axis=1) & np.isfinite(t).all(axis=1)),
+              (norms == 0.0) | ~np.isfinite(norms), idx < 0)
+    bad = np.logical_or.reduce(failed)
+    if not bad.any():
+        return None
+    r = int(np.argmax(bad))
+    return r, next(text for text, rows in zip(_ROW_CHECKS, failed) if rows[r])
 
 
 class Trajectory:
-    """Ordered pose sequence with strictly increasing frame indices, stored
-    as three frozen arrays: frame indices (n,), unit canonical quaternions
-    (n, 4) and translations (n, 3). `poses` views the rows as Pose objects,
-    built on demand."""
+    """Ordered camera poses with strictly increasing frame indices, stored as
+    three frozen arrays: frame indices (n,), unit canonical quaternions
+    (n, 4) and translations (n, 3). The quaternions given are normalized and
+    canonicalized; a row failing a check raises naming its position."""
 
     __slots__ = ("_frame_indices", "_quaternions", "_translations")
 
-    def __init__(self, poses):
-        poses = tuple(poses)
-        if any(p.frame_index is None for p in poses):
-            raise InvalidInput("trajectory poses require frame indices")
-        self._store([p.frame_index for p in poses],
-                    np.reshape([p.rotation for p in poses], (-1, 4)),
-                    np.reshape([p.translation for p in poses], (-1, 3)))
-
-    @classmethod
-    def _from_arrays(cls, frame_indices, quaternions, translations) -> Trajectory:
-        """A trajectory over rows already validated as Pose does: quaternions
-        unit and canonical, components finite, indices non-negative."""
-        traj = object.__new__(cls)
-        traj._store(frame_indices, quaternions, translations)
-        return traj
-
-    def _store(self, frame_indices, quaternions, translations) -> None:
+    def __init__(self, frame_indices, quaternions, translations):
         idx = np.asarray(frame_indices, dtype=np.int64)
+        q = np.asarray(quaternions, dtype=float)
+        t = np.asarray(translations, dtype=float)
         if idx.size == 0:
             raise InvalidInput("trajectory must contain at least one pose")
+        n = idx.size
+        if idx.shape != (n,) or q.shape != (n, 4) or t.shape != (n, 3):
+            raise InvalidInput(f"trajectory needs frame indices (n,), quaternions (n, 4) and "
+                               f"translations (n, 3), got {idx.shape}, {q.shape}, {t.shape}")
+        bad = _first_bad_row(idx, q, t)
+        if bad is not None:
+            raise InvalidInput(f"pose {bad[0]}: {bad[1]}")
         if np.any(idx[1:] <= idx[:-1]):
             raise InvalidInput("trajectory frame indices must be strictly increasing")
         object.__setattr__(self, "_frame_indices", _frozen(idx, np.int64))
-        object.__setattr__(self, "_quaternions", _frozen(quaternions))
-        object.__setattr__(self, "_translations", _frozen(translations))
+        object.__setattr__(self, "_quaternions", _frozen(normalize_quaternion(q)))
+        object.__setattr__(self, "_translations", _frozen(t))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
@@ -208,33 +197,6 @@ class Trajectory:
 
     def translations(self) -> np.ndarray:
         return self._translations
-
-    @property
-    def poses(self) -> _PoseView:
-        return _PoseView(self)
-
-
-class _PoseView(Sequence):
-    """Read-only sequence of a trajectory's rows as Pose objects, each built
-    on access from the stored rows (no re-normalization)."""
-
-    __slots__ = ("_traj",)
-
-    def __init__(self, traj: Trajectory):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return len(self._traj)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        traj = self._traj
-        pose = object.__new__(Pose)
-        object.__setattr__(pose, "rotation", traj.quaternions()[i])
-        object.__setattr__(pose, "translation", traj.translations()[i])
-        object.__setattr__(pose, "frame_index", int(traj.frame_indices()[i]))
-        return pose
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -254,12 +216,6 @@ def _parse_fields(fields: list[str]) -> tuple[list[int], np.ndarray]:
     del numbers[::8]
     return indices, np.fromiter(map(float, numbers), dtype=float,
                                 count=len(numbers)).reshape(-1, 7)
-
-
-# checks Pose applies to each row, in its order: a row's error is the first
-# that fails
-_ROW_CHECKS = ("pose components must be finite", "quaternion has zero or non-finite norm",
-               "frame_index must be non-negative")
 
 
 def load_trajectory(path) -> Trajectory:
@@ -295,20 +251,16 @@ def load_trajectory(path) -> Trajectory:
     except OverflowError:
         raise InvalidInput(f"{path}: frame index beyond the 64-bit integer range") from None
     t, q = vals[:, :3], vals[:, [6, 3, 4, 5]]
-    norms = _row_norm(q)
     # the rows before a parse error come first in the file: check them first
-    failed = (~np.isfinite(vals).all(axis=1), (norms == 0.0) | ~np.isfinite(norms), idx < 0)
-    bad = np.logical_or.reduce(failed)
-    if bad.any():
-        r = int(np.argmax(bad))
-        message = next(text for text, rows in zip(_ROW_CHECKS, failed) if rows[r])
-        raise InvalidInput(f"{path}: line {linenos[r]}: {message}")
+    bad = _first_bad_row(idx, q, t)
+    if bad is not None:
+        raise InvalidInput(f"{path}: line {linenos[bad[0]]}: {bad[1]}")
     if parse_error is not None:
         raise InvalidInput(f"{path}: {parse_error}")
     if not linenos:
         raise InvalidInput(f"{path}: no poses found")
     try:
-        return Trajectory._from_arrays(idx, canonicalize_quaternion(q / norms[:, None]), t)
+        return Trajectory(idx, q, t)
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from None
 
@@ -347,41 +299,39 @@ class LatentSeq:
 
 @dataclass(frozen=True)
 class Segment:
-    """One generation window [start, end] (inclusive).
-
-    A segment is its span: the frames it conditions on follow from the plan
-    (see schedule.segment_context). Every segment after the first shares its
-    first `overlap` frames with its predecessor.
-    """
+    """One generation window [start, end] (inclusive). What it conditions on
+    follows from the plan (see schedule.segment_context)."""
 
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise InvalidInput("segment start must not exceed end")
-
-    def span(self) -> range:
-        return range(self.start, self.end + 1)
-
 
 @dataclass(frozen=True)
 class RolloutPlan:
-    """Full schedule for one run: global keyframes plus overlapping segments."""
+    """Full schedule for one run: the global keyframes, and generation
+    windows of segment_len frames, each after the first sharing its first
+    `overlap` frames with its predecessor."""
 
     total_frames: int
     keyframes: tuple[int, ...]
-    segments: tuple[Segment, ...]
+    segment_len: int
     overlap: int
 
     def __post_init__(self):
         object.__setattr__(self, "keyframes", tuple(int(k) for k in self.keyframes))
-        object.__setattr__(self, "segments", tuple(self.segments))
+
+    @property
+    def segments(self) -> list[Segment]:
+        """The generation windows, derived on each access by
+        schedule.partition_segments."""
+        from .schedule import partition_segments  # schedule imports this module
+        return partition_segments(self.total_frames, self.segment_len, self.overlap)
 
 
 def validate_plan(plan: RolloutPlan) -> list[str]:
-    """Check all plan invariants; returns human-readable violation strings
-    (empty list when the plan is well-formed). Violations are data, not errors."""
+    """Check the plan invariants its fields can break; returns
+    human-readable violation strings (empty list when the plan is
+    well-formed). Violations are data, not errors."""
     out: list[str] = []
     n = plan.total_frames
     if n < 1:
@@ -399,26 +349,9 @@ def validate_plan(plan: RolloutPlan) -> list[str]:
             out.append(f"last keyframe must be the final frame {n - 1}, got {kf[-1]}")
         if any(k < 0 or k >= n for k in kf):
             out.append("keyframe index outside [0, total_frames)")
-    segs = plan.segments
-    if not segs:
-        out.append("plan has no segments")
-        return out
-    if segs[0].start != 0:
-        out.append(f"coverage gap: first segment starts at {segs[0].start}, not 0")
-    if segs[-1].end != n - 1:
-        out.append(f"coverage gap: last segment ends at {segs[-1].end}, not {n - 1}")
-    for i, seg in enumerate(segs):
-        if seg.end >= n:
-            out.append(f"segment {i} extends past the final frame")
-        if i > 0:
-            prev = segs[i - 1]
-            if seg.start > prev.end + 1:
-                out.append(f"coverage gap between segments {i - 1} and {i}")
-            else:
-                overlap_count = prev.end - seg.start + 1
-                if overlap_count != plan.overlap:
-                    out.append(f"segments {i - 1} and {i} overlap in {overlap_count} frames, "
-                               f"expected {plan.overlap}")
+    if not 0 <= plan.overlap < plan.segment_len:
+        out.append(f"segment length must exceed overlap and overlap must be >= 0, got "
+                   f"segment_len {plan.segment_len} and overlap {plan.overlap}")
     return out
 
 

@@ -93,9 +93,6 @@ class SplineSolution:
         tau = np.asarray(tau, dtype=float)
         return 6.0 * self.a * tau + 2.0 * self.b
 
-    def coefficients(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
-
 
 def solve_damping_spline(interval: float, velocity_in: float) -> SplineSolution:
     """Unique accel-minimizing cubic absorbing an incoming boundary velocity

@@ -68,9 +68,6 @@ class AlignmentResult:
     rmse: float
     degenerate: bool = False
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return self.scale * points @ self.rotation.T + self.translation
-
 
 def _check_paired(est: Trajectory, ref: Trajectory) -> None:
     """est and ref must pair pose for pose: same length, same frame indices."""
@@ -147,15 +144,19 @@ def are(est: Trajectory, ref: Trajectory, rotation_alignment: str = "umeyama",
     """
     _check_paired(est, ref)
     if rotation_alignment == "umeyama":
-        G = align_similarity(est, ref, with_scale).rotation
-    elif rotation_alignment == "rotfit":
-        G = fit_rotation(est, ref)
-    elif rotation_alignment == "none":
-        G = np.eye(3)
-    else:
-        raise InvalidInput(f"unknown rotation alignment {rotation_alignment!r}")
+        return _rotation_error(est, ref, align_similarity(est, ref, with_scale).rotation)
+    if rotation_alignment == "rotfit":
+        return _rotation_error(est, ref, fit_rotation(est, ref))
+    if rotation_alignment == "none":
+        return _rotation_error(est, ref, None)
+    raise InvalidInput(f"unknown rotation alignment {rotation_alignment!r}")
+
+
+def _rotation_error(est: Trajectory, ref: Trajectory, G: np.ndarray | None) -> float:
+    """are of paired trajectories once the aligning rotation G is known
+    (None: raw orientations)."""
     q = est.quaternions()
-    if rotation_alignment != "none":
+    if G is not None:
         q = canonicalize_quaternion(quat_multiply(matrix_to_quat(G), q))
     angles = np.degrees(quat_angle(q, ref.quaternions()))
     return float(np.cumsum(angles)[-1] / len(est))

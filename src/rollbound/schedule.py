@@ -1,10 +1,11 @@
-"""Rollout planning: keyframe sampling, overlapping segment partitioning,
-and the frames each segment conditions on.
+"""Rollout planning: keyframe sampling, overlapping generation windows,
+and the frames each window conditions on.
 
-A plan stores only the keyframes and each segment's span. What a segment
-conditions on is derived from them (segment_context): its anchors are the
-keyframes select_keyframes picks for its span (global context), its history
-is the overlap frames it shares with its predecessor (local coherence).
+A plan stores only its keyframes, window length and overlap. Its windows
+are derived from them (partition_segments), and what a window conditions on
+from those (segment_context): its anchors are the keyframes
+select_keyframes picks for its span (global context), its history is the
+overlap frames it shares with its predecessor (local coherence).
 
 `plan` writes a plan as flat key/value text (keys: total_frames, strides,
 overlap, keyframes, segments as start:end spans).
@@ -92,26 +93,24 @@ def _select_sorted(kf: list[int], seg_start: int, seg_end: int) -> list[int]:
     return kf[max(lo - 1, 0):hi + 1]
 
 
-def partition_segments(n_frames: int, seg_len: int, overlap: int, keyframes) -> list[Segment]:
-    """Cut [0, n_frames-1] into windows of seg_len frames advancing by
-    (seg_len - overlap); the last window is truncated at the final frame.
-    The keyframes must be nonempty (each window is anchored on them)."""
-    if n_frames < 1:
-        raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
+def _check_windows(seg_len: int, overlap: int) -> None:
     if overlap < 0:
         raise InvalidInput("overlap must be >= 0")
     if seg_len <= overlap:
         raise InvalidInput("segment length must exceed overlap")
-    stride = seg_len - overlap
-    _sorted_keyframes(keyframes)
-    segments: list[Segment] = []
-    start = 0
-    while True:
-        end = min(start + seg_len - 1, n_frames - 1)
-        segments.append(Segment(start, end))
-        if end >= n_frames - 1:
-            return segments
-        start += stride
+
+
+def partition_segments(n_frames: int, seg_len: int, overlap: int) -> list[Segment]:
+    """Cut [0, n_frames-1] into windows of seg_len frames advancing by
+    (seg_len - overlap); the last window is truncated at the final frame.
+    Windows start at 0 and at every further multiple of the stride below
+    n_frames - overlap: from there on, the predecessor reaches the final
+    frame."""
+    if n_frames < 1:
+        raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
+    _check_windows(seg_len, overlap)
+    return [Segment(start, min(start + seg_len, n_frames) - 1)
+            for start in range(0, max(n_frames - overlap, 1), seg_len - overlap)]
 
 
 def segment_context(plan: RolloutPlan):
@@ -128,11 +127,11 @@ def segment_context(plan: RolloutPlan):
 
 def build_plan(n_frames: int, policy: StridePolicy, seg_len: int, overlap: int,
                rng=None) -> RolloutPlan:
-    """Compose keyframe sampling and segment partitioning into a full plan,
-    valid by construction (validate_plan finds nothing in it)."""
+    """Compose keyframe sampling and the window length and overlap into a
+    full plan, valid by construction (validate_plan finds nothing in it)."""
     keyframes = sample_keyframe_indices(n_frames, policy, rng)
-    segments = partition_segments(n_frames, seg_len, overlap, keyframes)
-    return RolloutPlan(n_frames, tuple(keyframes), tuple(segments), overlap)
+    _check_windows(seg_len, overlap)
+    return RolloutPlan(n_frames, tuple(keyframes), seg_len, overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,7 @@ class _AnchoredLayout:
         d = det.shape[2]
         w = np.zeros_like(det)
         chunks = []
+        segments = self.plan.segments if collect_segments else None
         bounds = self.cuts.tolist()
         for si, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], self.marginal)):
             if self.draws:
@@ -546,7 +547,7 @@ class _AnchoredLayout:
                     np.multiply(w[t - 1], frac, out=w[t])
                     w[t] += kick
             if collect_segments:
-                seg = self.plan.segments[si]
+                seg = segments[si]
                 span = slice(seg.start, seg.end + 1)
                 chunks.append((seg.start, det[span, 0] + w[span, 0]))
         det += w

@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from rollbound.cli import main as cli_main
-from rollbound.core import ErrorModelParams, Pose, Trajectory, rotation_about_z
+from rollbound.core import ErrorModelParams, Trajectory, rotation_about_z
 from rollbound.core import quat_to_matrix, validate_plan
 from rollbound.errormodel import (
     bridge_mean,
@@ -214,17 +214,14 @@ def test_c09_metrics():
     with _Budget(9, "pose metrics: identity, similarity recovery, slerp "
                     "midpoint, SSIM, PSNR", 5.0) as b:
         g = np.random.default_rng(109)
-        poses = []
-        for i in range(40):
-            q = g.normal(size=4)
-            poses.append(Pose(q / np.linalg.norm(q), g.normal(size=3), i))
-        traj = Trajectory(tuple(poses))
+        draws = [(g.normal(size=4), g.normal(size=3)) for _ in range(40)]
+        q = np.array([q / np.linalg.norm(q) for q, _ in draws])
+        t = np.array([t for _, t in draws])
+        traj = Trajectory(np.arange(40), q, t)
         ate_zero = ate(traj, traj)
         are_zero = are(traj, traj)
         R = quat_to_matrix(rotation_about_z(0.5))
-        warped = Trajectory(tuple(
-            Pose(p.rotation, 2.0 * R @ p.translation + np.array([1.0, 2.0, 3.0]),
-                 p.frame_index) for p in poses))
+        warped = Trajectory(np.arange(40), q, t @ (2.0 * R).T + np.array([1.0, 2.0, 3.0]))
         ate_sim = ate(warped, traj)
         mid = slerp(rotation_about_z(0.0), rotation_about_z(np.pi / 2), 0.5)
         slerp_err = float(np.max(np.abs(mid - rotation_about_z(np.pi / 4))))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rollbound.cli import main
-from rollbound.core import Pose, Trajectory, rotation_about_z, save_trajectory
+from rollbound.core import Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
 from rollbound.errormodel import cumulative_leakage_bound
 from rollbound.expconfig import ExperimentConfig, load_config, parse_config, save_config
@@ -92,6 +92,25 @@ def test_cmd_bounds_linear_and_anchored(tmp_path):
     bounds = {float(r[4]) for r in rows}
     assert len(bounds) == 1  # constant across frames
     assert bounds.pop() == pytest.approx(expected, abs=1e-12)
+
+
+def test_cmd_bounds_overflowing_noise_variance(tmp_path, capsys):
+    # a step variance noise_std**2 beyond the float range makes the variance
+    # column inf after frame 0; the run neither crashes nor warns, and no
+    # other column moves
+    columns = {}
+    for std in ("1e200", "0.5"):
+        out = tmp_path / std
+        rc = run("--out", str(out), "--set", "total_frames=33", "--set", "bias=0.1",
+                 "--set", f"noise_std={std}", "bounds")
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _read_rows(out / "bounds.csv")
+        columns[std] = dict(zip(header, zip(*rows)))
+    huge, plain = columns["1e200"], columns["0.5"]
+    assert huge.pop("ar_variance") == ("0.0",) + ("inf",) * 32
+    plain.pop("ar_variance")
+    assert huge == plain
 
 
 def test_cmd_bounds_divergence_flag(tmp_path):
@@ -194,16 +213,34 @@ def test_cmd_simulate_long_horizon_claim(frames, bound_share, tmp_path):
 def _write_traj(path, n=40, seed=0, transform=None):
     g = np.random.default_rng(seed)
     positions = g.normal(size=(n, 3))
-    poses = []
+    quaternions = []
     for i in range(n):
         q = g.normal(size=4)
-        q /= np.linalg.norm(q)
-        p = positions[i]
-        if transform is not None:
-            p = transform(p)
-        poses.append(Pose(q, p, i))
-    save_trajectory(Trajectory(tuple(poses)), path)
+        quaternions.append(q / np.linalg.norm(q))
+    moved = positions if transform is None else np.array([transform(p) for p in positions])
+    save_trajectory(Trajectory(np.arange(n), quaternions, moved), path)
     return positions
+
+
+def test_cmd_eval_fits_umeyama_once(tmp_path, monkeypatch):
+    from rollbound import cli, metrics
+    calls = []
+    fit = metrics.align_similarity
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "align_similarity", counted)
+    monkeypatch.setattr(cli, "align_similarity", counted)
+    est, ref = tmp_path / "est.txt", tmp_path / "ref.txt"
+    _write_traj(est, seed=3)
+    _write_traj(ref, seed=4)
+    for rot_align in ("umeyama", "rotfit"):
+        calls.clear()
+        assert run("--out", str(tmp_path / "o"), "eval", str(est), str(ref),
+                   "--rot-align", rot_align) == 0
+        assert len(calls) == 1
 
 
 def test_cmd_eval_self_comparison(tmp_path, capsys):
@@ -293,6 +330,14 @@ def test_cmd_ablate_rejects_nonmultiple(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cmd_ablate_rejects_overlap_geq_segment(tmp_path, capsys):
+    rc = run("--out", str(tmp_path / "o"), "--set", "segment_len=2", "--set", "overlap=2",
+             "ablate", "--grid", "4:4")
+    assert rc == 2
+    assert "segment length must exceed overlap" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "ablation.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["ablate", "--grid", "4:4"]])
 @pytest.mark.parametrize("cap", ["nan", "inf"])
 def test_non_finite_kf_error_cap_is_invalid_input(command, cap, tmp_path, capsys):
@@ -357,8 +402,9 @@ def test_train_mode_plan_from_config(tmp_path, capsys):
 def test_simulate_with_trajectory_controls(tmp_path):
     traj_path = tmp_path / "traj.txt"
     g = np.random.default_rng(1)
-    poses = tuple(Pose(np.array([1.0, 0, 0, 0]), g.normal(size=3), i) for i in range(33))
-    save_trajectory(Trajectory(poses), traj_path)
+    t = np.array([g.normal(size=3) for _ in range(33)])
+    save_trajectory(Trajectory(np.arange(33), np.tile([1.0, 0.0, 0.0, 0.0], (33, 1)), t),
+                    traj_path)
     out = tmp_path / "o"
     rc = run("--out", str(out), "--set", "total_frames=33", "--set", "dim=3",
              "--set", f"trajectory={traj_path}", "--set", "bias=0.01",

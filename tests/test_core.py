@@ -9,9 +9,7 @@ from rollbound.core import (
     ErrorModelParams,
     InvalidInput,
     LatentSeq,
-    Pose,
     RolloutPlan,
-    Segment,
     Trajectory,
     canonicalize_quaternion,
     load_trajectory,
@@ -27,9 +25,14 @@ from rollbound.core import (
 
 
 def test_pose_normalizes_and_canonicalizes():
-    p = Pose(np.array([-2.0, 0.0, 0.0, 0.0]), np.zeros(3))
-    assert np.allclose(p.rotation, [1, 0, 0, 0])
-    assert abs(np.linalg.norm(p.rotation) - 1.0) < 1e-9
+    traj = Trajectory([0, 1], [[-2.0, 0.0, 0.0, 0.0], [0.0, -3.0, 4.0, 0.0]], np.zeros((2, 3)))
+    assert traj.quaternions().tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, -0.8, 0.0]]
+    # the rows read as normalize_quaternion gives them, bit for bit
+    g = np.random.default_rng(4)
+    q = g.normal(size=(20, 4))
+    q[::3, 0] = 0.0
+    built = Trajectory(np.arange(20), q, g.normal(size=(20, 3)))
+    assert np.array_equal(built.quaternions(), normalize_quaternion(q))
 
 
 def test_compose_matches_rotation_matrix_oracle():
@@ -59,26 +62,49 @@ def test_canonicalization_idempotent(vals):
 
 
 def test_trajectory_requires_increasing_indices():
-    p0 = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 0)
-    with pytest.raises(InvalidInput):
-        Trajectory((p0, p0))
-    with pytest.raises(InvalidInput):
-        Trajectory(())
+    with pytest.raises(InvalidInput, match="strictly increasing"):
+        Trajectory([0, 0], [[1.0, 0.0, 0.0, 0.0]] * 2, np.zeros((2, 3)))
+    with pytest.raises(InvalidInput, match="at least one pose"):
+        Trajectory([], np.empty((0, 4)), np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("row, message", [
+    ((0, [1.0, 0.0, np.nan, 0.0], [0.0, 0.0, 0.0]), "pose 1: pose components must be finite"),
+    ((0, [1.0, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0]), "pose 1: pose components must be finite"),
+    ((0, [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+     "pose 1: quaternion has zero or non-finite norm"),
+    ((0, [1e200, 1e200, 0.0, 0.0], [0.0, 0.0, 0.0]),
+     "pose 1: quaternion has zero or non-finite norm"),
+    ((-1, [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), "pose 1: frame_index must be non-negative"),
+    # a row failing several checks reports the first, in check order
+    ((-1, [0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]), "pose 1: pose components must be finite"),
+    ((-1, [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+     "pose 1: quaternion has zero or non-finite norm"),
+])
+def test_trajectory_names_first_bad_row(row, message):
+    idx, q, t = row
+    good = (5, [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    rows = [good, (idx, q, t), good, (idx, q, t)]
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        Trajectory(*map(list, zip(*rows)))
+
+
+def test_trajectory_rejects_mismatched_shapes():
+    with pytest.raises(InvalidInput, match="quaternions \\(n, 4\\)"):
+        Trajectory([0, 1], np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(InvalidInput, match="translations \\(n, 3\\)"):
+        Trajectory([0, 1], [[1.0, 0.0, 0.0, 0.0]] * 2, np.zeros((3, 3)))
 
 
 def test_trajectory_file_round_trip(tmp_path):
-    poses = tuple(
-        Pose(rotation_about_z(0.1 * i), np.array([i, 2.0 * i, -i]), 3 * i)
-        for i in range(5)
-    )
-    traj = Trajectory(poses)
+    traj = Trajectory(3 * np.arange(5), [rotation_about_z(0.1 * i) for i in range(5)],
+                      [[i, 2.0 * i, -i] for i in range(5)])
     path = tmp_path / "traj.txt"
     save_trajectory(traj, path)
     back = load_trajectory(path)
     assert np.array_equal(back.frame_indices(), traj.frame_indices())
     assert np.allclose(back.translations(), traj.translations())
-    for a, b in zip(back.poses, traj.poses):
-        assert np.allclose(a.rotation, b.rotation, atol=1e-12)
+    assert np.allclose(back.quaternions(), traj.quaternions(), atol=1e-12)
 
 
 def test_trajectory_load_names_bad_line(tmp_path):
@@ -102,6 +128,8 @@ def test_trajectory_load_names_bad_line(tmp_path):
     (["0 0 0 0 0 0 0 1", "# c", "-3 0 0 0 0 0 0 1"], "line 3: frame_index must be non-negative"),
     (["1 0 0 0 0 0 0 1", "1 0 0 0 0 0 0 1"], "strictly increasing"),
     (["# only a comment", ""], "no poses found"),
+    (["0 0 0 0 0 0 0 1", "1 0 0 0 1e200 1e200 0 1"],
+     "line 2: quaternion has zero or non-finite norm"),
 ])
 def test_trajectory_load_reports_first_bad_line(tmp_path, lines, message):
     path = tmp_path / "bad.txt"
@@ -110,7 +138,7 @@ def test_trajectory_load_reports_first_bad_line(tmp_path, lines, message):
         load_trajectory(path)
 
 
-def test_trajectory_arrays_and_pose_view(tmp_path):
+def test_trajectory_arrays_frozen_and_rebuildable(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# c\n3 1 2 3 0 0 0 -2  # flipped, unnormalized\n7 4 5 6 0 1 0 0\n")
     traj = load_trajectory(path)
@@ -118,17 +146,15 @@ def test_trajectory_arrays_and_pose_view(tmp_path):
     assert traj.quaternions().tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
     assert traj.translations().tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
     assert not traj.quaternions().flags.writeable
+    assert not traj.translations().flags.writeable
+    assert not traj.frame_indices().flags.writeable
     with pytest.raises(AttributeError):
         traj.extra = 1
-    poses = traj.poses
-    assert len(poses) == 2 and poses[-1].frame_index == 7
-    assert [p.frame_index for p in poses] == [3, 7]
-    assert np.array_equal(poses[1].translation, [4.0, 5.0, 6.0])
-    assert [p.frame_index for p in poses[::-1]] == [7, 3]
-    with pytest.raises(IndexError):
-        poses[2]
-    rebuilt = Trajectory(poses)
-    assert np.array_equal(rebuilt.quaternions(), traj.quaternions())
+    rebuilt = Trajectory(traj.frame_indices(), traj.quaternions(), traj.translations())
+    for a, b in ((rebuilt.frame_indices(), traj.frame_indices()),
+                 (rebuilt.quaternions(), traj.quaternions()),
+                 (rebuilt.translations(), traj.translations())):
+        assert np.array_equal(a, b)
 
 
 def test_quaternion_helpers_batch_row_by_row():
@@ -167,28 +193,10 @@ def test_error_model_params_validation():
     assert p.keyframe_interval == 8
 
 
-def _well_formed_plan():
-    keyframes = (0, 4, 8)
-    segments = (Segment(0, 4), Segment(4, 8))
-    return RolloutPlan(9, keyframes, segments, overlap=1)
-
-
 def test_validate_plan_accepts_well_formed():
-    assert validate_plan(_well_formed_plan()) == []
-
-
-def test_segment_rejects_reversed_span():
-    with pytest.raises(InvalidInput, match="segment start must not exceed end"):
-        Segment(8, 4)
-
-
-def test_validate_plan_flags_coverage_gap():
-    plan = RolloutPlan(9, (0, 4, 8),
-                       (Segment(0, 3), Segment(5, 8)),
-                       overlap=1)
-    violations = validate_plan(plan)
-    assert len(violations) == 1
-    assert "coverage gap" in violations[0]
+    plan = RolloutPlan(9, (0, 4, 8), segment_len=5, overlap=1)
+    assert validate_plan(plan) == []
+    assert [(s.start, s.end) for s in plan.segments] == [(0, 4), (4, 8)]
 
 
 def test_write_columns_csv_matches_per_row_format(tmp_path, monkeypatch):

@@ -80,7 +80,7 @@ def test_ar_upper_rejects_bad_inputs():
 
 def test_spline_closed_form_coefficients():
     sp = solve_damping_spline(1.0, 1.0)
-    assert sp.coefficients() == pytest.approx((0.5, -1.5, 1.0, 0.0), abs=1e-12)
+    assert (sp.a, sp.b, sp.c, sp.d) == pytest.approx((0.5, -1.5, 1.0, 0.0), abs=1e-12)
 
 
 def test_spline_zero_velocity_is_zero():

@@ -3,7 +3,6 @@ import pytest
 
 from rollbound.core import (
     InvalidInput,
-    Pose,
     Trajectory,
     quat_angle,
     quat_to_matrix,
@@ -39,11 +38,10 @@ def _angle_axis_power(R: np.ndarray, u: float) -> np.ndarray:
 
 
 def _traj(positions, rotations=None, start=0):
-    poses = []
-    for i, p in enumerate(positions):
-        q = rotations[i] if rotations is not None else np.array([1.0, 0, 0, 0])
-        poses.append(Pose(q, np.asarray(p, dtype=float), start + i))
-    return Trajectory(tuple(poses))
+    n = len(positions)
+    if rotations is None:
+        rotations = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    return Trajectory(start + np.arange(n), rotations, positions)
 
 
 def _random_traj(rng, n=50):
@@ -117,7 +115,7 @@ def test_align_recovers_constructed_similarity():
     # est = inverse-transformed ref, so aligning est onto ref recovers (2, 30deg, t)
     est_positions = ref.translations() @ np.linalg.inv(2.0 * Rz).T - \
         np.linalg.inv(2.0 * Rz) @ np.array([1.0, 2.0, 3.0])
-    est = _traj(est_positions, [p.rotation for p in ref.poses])
+    est = _traj(est_positions, ref.quaternions())
     res = align_similarity(est, ref)
     assert res.scale == pytest.approx(2.0, rel=1e-9)
     assert np.allclose(res.rotation, Rz, atol=1e-9)
@@ -139,7 +137,7 @@ def test_align_noise_residual_distribution():
 def test_align_se3_mode_pins_scale():
     g = np.random.default_rng(4)
     ref = _random_traj(g)
-    est = _traj(ref.translations() * 2.0, [p.rotation for p in ref.poses])
+    est = _traj(ref.translations() * 2.0, ref.quaternions())
     res = align_similarity(est, ref, with_scale=False)
     assert res.scale == 1.0
     assert align_similarity(est, ref, with_scale=True).rmse < 1e-9
@@ -160,10 +158,10 @@ def test_paired_metrics_reject_differing_frame_indices(fn):
     with pytest.raises(InvalidInput, match="position 0: estimated frame 500 vs reference frame 0"):
         fn(shifted, ref)
     # a frame skipped in the middle
-    gap = _traj(ref.translations(), ref.quaternions()).poses
-    poses = gap[:6] + tuple(Pose(p.rotation, p.translation, p.frame_index + 1) for p in gap[6:])
+    skipped = np.arange(10) + (np.arange(10) >= 6)
+    gap = Trajectory(skipped, ref.quaternions(), ref.translations())
     with pytest.raises(InvalidInput, match="position 6: estimated frame 7 vs reference frame 6"):
-        fn(Trajectory(poses), ref)
+        fn(gap, ref)
 
 
 def test_batched_rotation_metrics_match_per_pose_loops():
@@ -171,34 +169,32 @@ def test_batched_rotation_metrics_match_per_pose_loops():
     ref = _random_traj(g, n=200)
     est = _random_traj(g, n=200)
     M = np.zeros((3, 3))
-    for pe, pr in zip(est.poses, ref.poses):
-        M += quat_to_matrix(pr.rotation) @ quat_to_matrix(pe.rotation).T
+    for qe, qr in zip(est.quaternions(), ref.quaternions()):
+        M += quat_to_matrix(qr) @ quat_to_matrix(qe).T
     U, _, Vt = np.linalg.svd(M)
     S = np.diag([1.0, 1.0, np.sign(np.linalg.det(U) * np.linalg.det(Vt))])
     assert np.array_equal(fit_rotation(est, ref), U @ S @ Vt)
     total = 0.0
-    for pe, pr in zip(est.poses, ref.poses):
-        total += np.degrees(quat_angle(pe.rotation, pr.rotation))
+    for qe, qr in zip(est.quaternions(), ref.quaternions()):
+        total += np.degrees(quat_angle(qe, qr))
     assert are(est, ref, rotation_alignment="none") == float(total / len(est))
 
 
 def test_ate_absorbs_constant_offset():
     g = np.random.default_rng(6)
     ref = _random_traj(g)
-    est = _traj(ref.translations() + np.array([5.0, -2.0, 1.0]),
-                [p.rotation for p in ref.poses])
+    est = _traj(ref.translations() + np.array([5.0, -2.0, 1.0]), ref.quaternions())
     assert ate(est, ref) < 1e-9
 
 
 def test_ate_invariant_under_similarity_of_estimate():
     g = np.random.default_rng(7)
     ref = _random_traj(g)
-    est = _traj(ref.translations() + g.normal(0, 0.05, size=(50, 3)),
-                [p.rotation for p in ref.poses])
+    est = _traj(ref.translations() + g.normal(0, 0.05, size=(50, 3)), ref.quaternions())
     base = ate(est, ref)
     R = quat_to_matrix(rotation_about_z(0.8))
     warped = _traj(est.translations() @ R.T * 3.0 + np.array([4.0, 4.0, -1.0]),
-                   [p.rotation for p in est.poses])
+                   est.quaternions())
     assert abs(ate(warped, ref) - base) < 1e-9
 
 
@@ -215,8 +211,7 @@ def test_are_rotation_fit_absorbs_constant_offset():
     ref = _random_traj(g)
     from rollbound.core import quat_multiply
     off = rotation_about_z(np.radians(10.0))
-    est = _traj(ref.translations(),
-                [quat_multiply(off, p.rotation) for p in ref.poses])
+    est = _traj(ref.translations(), quat_multiply(off, ref.quaternions()))
     assert are(est, ref, rotation_alignment="rotfit") < 1e-6
     assert are(est, ref, rotation_alignment="umeyama") == pytest.approx(10.0, abs=1e-6)
 
@@ -226,12 +221,11 @@ def test_are_invariant_under_joint_global_rotation():
     ref = _random_traj(g)
     from rollbound.core import quat_multiply
     est = _traj(ref.translations() + g.normal(0, 0.02, size=(50, 3)),
-                [quat_multiply(rotation_about_z(0.05), p.rotation) for p in ref.poses])
+                quat_multiply(rotation_about_z(0.05), ref.quaternions()))
     base = are(est, ref)
     gq = rotation_about_z(1.2)
     G = quat_to_matrix(gq)
-    warped = _traj(est.translations() @ G.T,
-                   [quat_multiply(gq, p.rotation) for p in est.poses])
+    warped = _traj(est.translations() @ G.T, quat_multiply(gq, est.quaternions()))
     assert are(warped, ref) == pytest.approx(base, abs=1e-9)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollbound.core import InvalidInput, RolloutPlan, Segment, validate_plan
+from rollbound.core import InvalidInput, RolloutPlan, validate_plan
 from rollbound.schedule import (
     StridePolicy,
     build_plan,
@@ -104,27 +104,53 @@ def test_select_keyframes_matches_enumeration(kfset, start, length):
 # segment partitioning
 # ---------------------------------------------------------------------------
 
+def _while_loop_windows(n_frames, seg_len, overlap):
+    """The window rule as a loop, window by window: the reference the
+    closed-form partition must match."""
+    windows, start = [], 0
+    while True:
+        end = min(start + seg_len - 1, n_frames - 1)
+        windows.append((start, end))
+        if end >= n_frames - 1:
+            return windows
+        start += seg_len - overlap
+
+
+def test_partition_matches_while_loop_reference():
+    for n in range(1, 90):
+        for seg_len in range(1, 14):
+            for overlap in range(seg_len):
+                got = [(s.start, s.end) for s in partition_segments(n, seg_len, overlap)]
+                assert got == _while_loop_windows(n, seg_len, overlap), (n, seg_len, overlap)
+
+
 def test_partition_stride_enumeration():
-    segs = partition_segments(13, 5, 1, [0, 4, 8, 12])
+    segs = partition_segments(13, 5, 1)
     assert [(s.start, s.end) for s in segs] == [(0, 4), (4, 8), (8, 12)]
-    context = list(segment_context(RolloutPlan(13, (0, 4, 8, 12), segs, overlap=1)))
+    plan = RolloutPlan(13, (0, 4, 8, 12), segment_len=5, overlap=1)
+    assert plan.segments == segs
+    context = list(segment_context(plan))
     assert [history for _, history, _ in context] == [[], [4], [8]]
     assert [anchors for _, _, anchors in context] == [[0, 4, 8], [0, 4, 8, 12], [4, 8, 12]]
 
 
 def test_partition_single_segment():
-    segs = partition_segments(5, 5, 1, [0, 4])
+    segs = partition_segments(5, 5, 1)
     assert [(s.start, s.end) for s in segs] == [(0, 4)]
 
 
 def test_partition_truncates_last():
-    segs = partition_segments(14, 5, 1, [0, 4, 8, 13])
+    segs = partition_segments(14, 5, 1)
     assert [(s.start, s.end) for s in segs] == [(0, 4), (4, 8), (8, 12), (12, 13)]
 
 
 def test_partition_rejects_bad_overlap():
     with pytest.raises(InvalidInput, match="segment length must exceed overlap"):
-        partition_segments(10, 3, 3, [0, 9])
+        partition_segments(10, 3, 3)
+    with pytest.raises(InvalidInput, match="overlap must be >= 0"):
+        partition_segments(10, 3, -1)
+    with pytest.raises(InvalidInput, match="segment length must exceed overlap"):
+        build_plan(10, StridePolicy.test(3), 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +187,7 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
     assert validate_plan(plan) == []
     context = list(segment_context(plan))
     for (a, _, _), (b, history, anchors) in zip(context, context[1:]):
-        shared = set(a.span()) & set(b.span())
+        shared = set(range(a.start, a.end + 1)) & set(range(b.start, b.end + 1))
         assert len(shared) == overlap
         assert history == sorted(shared)
         assert anchors == select_keyframes(plan.keyframes, b.start, b.end)
@@ -173,14 +199,13 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
     ("keyframes", (0, 8, 4), "keyframes are not sorted"),
     ("keyframes", (1, 4, 8), "first keyframe must be frame 0"),
     ("keyframes", (0, 4, 7), "last keyframe must be the final frame 8"),
-    ("segments", (Segment(0, 3), Segment(5, 8)), "coverage gap between segments 0 and 1"),
-    ("segments", (Segment(0, 4), Segment(3, 8)), "overlap in 2 frames, expected 1"),
-    ("segments", (Segment(0, 4), Segment(4, 9)), "segment 1 extends past the final frame"),
-    ("segments", (), "plan has no segments"),
+    ("overlap", 5, "segment length must exceed overlap and overlap must be >= 0, got "
+                   "segment_len 5 and overlap 5"),
+    ("overlap", -1, "got segment_len 5 and overlap -1"),
     ("keyframes", (), "keyframe list is empty"),
-], ids=["unsorted", "first", "last", "gap", "overlap", "past_end", "no_segments",
-        "no_keyframes"])
+], ids=["unsorted", "first", "last", "overlap", "negative_overlap", "no_keyframes"])
 def test_load_plan_rejects_malformed(key, value, message):
-    plan = RolloutPlan(9, (0, 4, 8), (Segment(0, 4), Segment(4, 8)), overlap=1)
+    plan = RolloutPlan(9, (0, 4, 8), segment_len=5, overlap=1)
+    assert validate_plan(plan) == []
     violations = validate_plan(replace(plan, **{key: value}))
     assert any(message in v for v in violations), violations

@@ -67,16 +67,16 @@ def test_dynamics_spectral_norm_matches_lipschitz():
 
 
 def test_controls_from_trajectory_embed_translation_velocity():
-    from rollbound.core import Pose, Trajectory
+    from rollbound.core import Trajectory
     from rollbound.worldsim import controls_from_trajectory
-    poses = tuple(Pose(np.array([1.0, 0, 0, 0]), np.array([2.0 * i, -i, 0.5 * i]), i)
-                  for i in range(5))
-    u = controls_from_trajectory(Trajectory(poses), dim=4)
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
+    t = np.array([[2.0 * i, -i, 0.5 * i] for i in range(5)])
+    u = controls_from_trajectory(Trajectory(np.arange(5), q, t), dim=4)
     assert u.shape == (4, 4)
     assert np.allclose(u[:, :3], [[2.0, -1.0, 0.5]] * 4)
     assert np.all(u[:, 3] == 0.0)
     with pytest.raises(InvalidInput):
-        controls_from_trajectory(Trajectory((poses[0], poses[3])), dim=4)
+        controls_from_trajectory(Trajectory([0, 3], q[[0, 3]], t[[0, 3]]), dim=4)
 
 
 # ---------------------------------------------------------------------------
