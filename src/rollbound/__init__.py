@@ -18,7 +18,6 @@ from .errormodel import (
     bridge_mean,
     bridge_variance,
     cumulative_leakage_bound,
-    damping_step,
     discrete_spline_minimizer,
     leakage_peak,
     simulate_bridge_paths,

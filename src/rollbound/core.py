@@ -376,19 +376,50 @@ def _format_block(values: np.ndarray):
     return map(str, values.astype(np.int64).tolist())
 
 
+def _share_columns(columns) -> list:
+    """Each column's source of text: a str when every cell reads the same (a
+    scalar, or an array whose cells are all equal, a float's compared by its
+    bits so that -0.0 and 0.0 differ and NaN equals NaN), else the index of
+    the first array column of its kind (float or int) with the same cells,
+    itself if none."""
+    sources, seen = [], []
+    for i, c in enumerate(columns):
+        if not isinstance(c, np.ndarray):
+            sources.append(_format_scalar(c))
+            continue
+        is_float = c.dtype.kind == "f"
+        key = np.ascontiguousarray(c, dtype=np.float64).view(np.int64) if is_float else c
+        if len(key) and np.all(key == key[0]):
+            sources.append(next(_format_block(c[:1])))
+            continue
+        sources.append(next((j for j, f, other in seen
+                             if f == is_float and np.array_equal(other, key)), i))
+        seen.append((i, is_float, key))
+    return sources
+
+
 def write_columns_csv(path, header, columns) -> None:
     """Write equal-length columns as ", "-separated rows under the header
     names. A float array's values are written with repr (the shortest
     round-tripping form), an int or bool array's as integers; a scalar is
     the same cell on every row, formatted once by the same rule. Rows are
-    formatted and written CSV_ROW_BLOCK at a time."""
+    formatted and written CSV_ROW_BLOCK at a time; within a block each
+    distinct array column is formatted once, and a column whose cells all
+    read the same is formatted once per file."""
     n = next(len(c) for c in columns if isinstance(c, np.ndarray))
-    columns = [c if isinstance(c, np.ndarray) else _format_scalar(c) for c in columns]
+    sources = _share_columns(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(", ".join(header) + "\n")
         for lo in range(0, n, CSV_ROW_BLOCK):
-            cells = [_format_block(c[lo:lo + CSV_ROW_BLOCK]) if isinstance(c, np.ndarray)
-                     else repeat(c) for c in columns]
+            rows = min(CSV_ROW_BLOCK, n - lo)
+            cells = []
+            for i, (c, src) in enumerate(zip(columns, sources)):
+                if isinstance(src, str):
+                    # bounded, so zip stops when every column is constant
+                    cells.append(repeat(src, rows))
+                else:
+                    cells.append(list(_format_block(c[lo:lo + rows])) if src == i
+                                 else cells[src])
             fh.write("\n".join(map(", ".join, zip(*cells))) + "\n")
 
 

@@ -106,12 +106,6 @@ def solve_damping_spline(interval: float, velocity_in: float) -> SplineSolution:
     return SplineSolution(a, b, dv, 0.0, T, dv)
 
 
-def damping_step(velocity_in):
-    """Velocity error handed to the next segment: -1/2 of the incoming one,
-    independent of the segment length. Works on scalars and vectors."""
-    return DAMPING_FACTOR * velocity_in
-
-
 def leakage_peak(interval: float, velocity_in: float) -> tuple[float, float]:
     """Location and magnitude of the largest excursion of the damped leakage
     curve: tau* = T(1 - sqrt(3)/3), peak = (sqrt(3)/9) * T * |dv|."""
@@ -199,11 +193,12 @@ def bridge_mean(tau, interval: float, left, right):
     return (1.0 - lam) * left + lam * right
 
 
-def bridge_variance(tau, interval: float, noise_std: float):
-    """Variance of the pinned bridge at offset tau: tau*(T-tau)/T * sigma^2.
-    Zero at both anchors, maximal (T/4 * sigma^2) at midspan."""
-    T = float(interval)
-    if T <= 0.0:
+def bridge_variance(tau, interval, noise_std: float):
+    """Variance of the pinned bridge at offset tau: tau*(T-tau)/T * sigma^2,
+    elementwise over arrays of offsets and intervals. Zero at both anchors,
+    maximal (T/4 * sigma^2) at midspan."""
+    T = np.asarray(interval, dtype=float)
+    if np.any(T <= 0.0):
         raise InvalidInput("interval must be positive")
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0) or np.any(tau > T):

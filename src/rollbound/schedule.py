@@ -16,6 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import RolloutPlan, Segment
 from .errors import InvalidInput
 from .seeding import as_rng
@@ -100,17 +102,23 @@ def _check_windows(seg_len: int, overlap: int) -> None:
         raise InvalidInput("segment length must exceed overlap")
 
 
-def partition_segments(n_frames: int, seg_len: int, overlap: int) -> list[Segment]:
-    """Cut [0, n_frames-1] into windows of seg_len frames advancing by
-    (seg_len - overlap); the last window is truncated at the final frame.
-    Windows start at 0 and at every further multiple of the stride below
-    n_frames - overlap: from there on, the predecessor reaches the final
-    frame."""
+def window_spans(n_frames: int, seg_len: int, overlap: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last frames of the windows that cut [0, n_frames-1] into
+    seg_len frames advancing by (seg_len - overlap); the last window is
+    truncated at the final frame. Windows start at 0 and at every further
+    multiple of the stride below n_frames - overlap: from there on, the
+    predecessor reaches the final frame."""
     if n_frames < 1:
         raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
     _check_windows(seg_len, overlap)
-    return [Segment(start, min(start + seg_len, n_frames) - 1)
-            for start in range(0, max(n_frames - overlap, 1), seg_len - overlap)]
+    starts = np.arange(0, max(n_frames - overlap, 1), seg_len - overlap)
+    return starts, np.minimum(starts + seg_len, n_frames) - 1
+
+
+def partition_segments(n_frames: int, seg_len: int, overlap: int) -> list[Segment]:
+    """The windows of window_spans as Segment values."""
+    starts, ends = window_spans(n_frames, seg_len, overlap)
+    return list(map(Segment, starts.tolist(), ends.tolist()))
 
 
 def segment_context(plan: RolloutPlan):

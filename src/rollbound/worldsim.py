@@ -34,13 +34,14 @@ from .core import (
 )
 from .errormodel import (
     BoundBreakdown,
+    DAMPING_FACTOR,
     ar_upper_curve,
     bridge_variance,
-    damping_step,
     solve_damping_spline,
     unified_bound,
 )
 from .errors import InvalidInput
+from .schedule import window_spans
 from .seeding import as_rng, derive_rng, derive_seed_sequence
 
 SPECTRAL_NORM_TOL = 1e-6
@@ -201,10 +202,10 @@ def write_trace_csv(trace: RolloutTrace, path) -> None:
         path, ("frame", "err_norm", "bound_total", "anchor", "leakage", "noise",
                "is_keyframe", "segment_id"),
         (np.arange(n), trace.error_norms,
-         trace.bounds if trace.bounds is not None else np.zeros(n),
+         trace.bounds if trace.bounds is not None else 0.0,
          bd.anchor_term if bd else 0.0, bd.leakage_term if bd else 0.0,
          bd.noise_term if bd else 0.0, is_kf,
-         trace.segment_ids if trace.segment_ids is not None else np.zeros(n, dtype=int)))
+         trace.segment_ids if trace.segment_ids is not None else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +228,10 @@ def _require_finite(x: np.ndarray) -> None:
 
 
 def _error_norms(x: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """(B, n) error norms of a time-major (n, B, d) batch against (n, d)."""
-    return np.linalg.norm(x - gt[:, None], axis=-1).T
+    """(B, n) error norms of a time-major (n, B, d) batch against (n, d); a
+    norm beyond the float range reads inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(x - gt[:, None], axis=-1).T
 
 
 class _World:
@@ -308,11 +311,15 @@ class _World:
         if scenario == "global":
             if not 0.0 <= error_cap < np.inf:
                 raise InvalidInput("error_cap must be finite and non-negative")
-            for j, k in enumerate(idx[1:], start=1):
-                direction = g.standard_normal(cfg.dim)
-                norm = float(np.linalg.norm(direction))
-                direction = direction / norm if norm > 0.0 else np.zeros(cfg.dim)
-                vals[j] = gt[k] + g.uniform(0.0, error_cap) * direction
+            # per anchor a direction draw, then its radius, in that order
+            draws = np.empty((len(idx) - 1, cfg.dim))
+            radii = np.empty((len(idx) - 1, 1))
+            for direction, radius in zip(draws, radii):
+                g.standard_normal(out=direction)
+                radius[0] = g.uniform(0.0, error_cap)
+            norms = _row_norm(draws)[:, None]
+            unit = np.divide(draws, norms, out=np.zeros_like(draws), where=norms > 0.0)
+            vals[1:] = gt[idx[1:]] + radii * unit
         elif scenario == "downsampled_ar":
             if step_error is not None and not 0.0 <= step_error < np.inf:
                 raise InvalidInput("step_error must be finite and non-negative")
@@ -464,11 +471,15 @@ class _AnchoredLayout:
                 for length in np.unique(T).tolist():
                     rows = T == length
                     shape[rows] = solve_damping_spline(length, 1.0).value(tau[rows])
-                dvs = np.empty((len(kf) - 1, d))
-                dv = self.dv0
-                for i in range(len(dvs)):
-                    dvs[i] = dv
-                    dv = damping_step(dv) if substitution else np.zeros(d)
+                # interval i enters with DAMPING_FACTOR times its
+                # predecessor's velocity error, multiplied in interval order
+                # (a repeated product's rounding, subnormals included);
+                # without substitution the hand-off dies
+                dvs = np.zeros((len(kf) - 1, d))
+                dvs[0] = self.dv0
+                if substitution:
+                    dvs[1:] = DAMPING_FACTOR
+                    np.multiply.accumulate(dvs, out=dvs)
                 self.leak = shape[:, None] * dvs[j]
             elif T[0] > 1:
                 # the generator rides the erroneous velocity through the first
@@ -482,21 +493,27 @@ class _AnchoredLayout:
         # of them (overlap frames when substitution is off) are redrawn from the
         # marginal law, the rest continue the bridge recursion
         # w[t] = frac*w[t-1] + scale*eps
+        p = plan.overlap
+        starts, ends = window_spans(n, plan.segment_len, p)
+        # window i generates gen_from[i]..ends[i]: with substitution its
+        # overlap frames are its predecessor's, and the spans cut the plan;
+        # a frame's id is the last window that generates it
+        gen_from = starts + (p if substitution else 0)
+        gen_from[0] = 0
+        self.seg_ids = np.searchsorted(gen_from, t, side="right") - 1
+        # the generated spans one after another: frame span[k] of window win[k]
+        lens = ends - gen_from + 1
+        win = np.repeat(np.arange(len(starts)), lens)
+        span = np.arange(len(win)) + np.repeat(gen_from - (np.cumsum(lens) - lens), lens)
         is_kf = np.zeros(n, dtype=bool)
         is_kf[kf] = True
-        self.seg_ids = np.zeros(n, dtype=int)
-        frames, self.marginal = [], []
-        p = plan.overlap
-        for si, seg in enumerate(plan.segments):
-            gen_from = min(seg.start + p, seg.end + 1) if si > 0 and substitution else seg.start
-            self.seg_ids[gen_from:seg.end + 1] = si
-            span = t[gen_from:seg.end + 1]
-            span = span[~is_kf[span]]
-            redraw = si > 0 and not substitution
-            self.marginal.append(int(np.count_nonzero(span < seg.start + p)) if redraw else 0)
-            frames.append(span)
-        self.draw_frames = np.concatenate(frames)
-        self.cuts = np.cumsum([0] + [len(f) for f in frames])
+        drawn = ~is_kf[span]
+        self.draw_frames, win = span[drawn], win[drawn]
+        self.cuts = np.concatenate(([0], np.cumsum(np.bincount(win, minlength=len(starts)))))
+        # the overlap frames a later window generates are marginal redraws
+        # (with substitution it generates none)
+        redrawn = (win > 0) & (self.draw_frames < starts[win] + p)
+        self.marginal = np.bincount(win[redrawn], minlength=len(starts)).tolist()
         # with sigma_int 0 every kick is 0*eps, +0.0 or -0.0, and a bridge row
         # +0.0*frac + kick is +0.0: only a marginal redraw row can hold -0.0,
         # so without such rows the noise is +0.0 throughout and drawing it
@@ -505,10 +522,9 @@ class _AnchoredLayout:
         remaining = kf[j[self.draw_frames] + 1] - (self.draw_frames - 1)
         self.draw_frac = (remaining - 1) / remaining
         self.draw_scale = sigma_int * np.sqrt(self.draw_frac)
-        for start, m in zip(self.cuts.tolist(), self.marginal):
-            for r in range(start, start + m):
-                f = self.draw_frames[r]
-                self.draw_scale[r] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
+        if redrawn.any():  # only then: a huge sigma_int makes it raise OverflowError
+            f = self.draw_frames[redrawn]
+            self.draw_scale[redrawn] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
 
     def field(self, kv: np.ndarray) -> np.ndarray:
         """Deterministic part of each trial from its (K, B, d) anchor values:

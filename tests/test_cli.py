@@ -113,6 +113,20 @@ def test_cmd_bounds_overflowing_noise_variance(tmp_path, capsys):
     assert huge == plain
 
 
+@pytest.mark.parametrize("key, trace", [("noise_std", "ar_trace.csv"),
+                                        ("sigma_int", "anchored_trace.csv")])
+def test_cmd_simulate_overflowing_error_norm(tmp_path, capsys, key, trace):
+    # frames near 1e201 are finite, only their error norm overflows: it reads
+    # inf, and the run exits 0 without a warning
+    out = tmp_path / "o"
+    rc = run("--out", str(out), "--set", "total_frames=33", "--set", f"{key}=1e200",
+             "simulate")
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_rows(out / trace)
+    assert "inf" in [row[header.index("err_norm")] for row in rows]
+
+
 def test_cmd_bounds_divergence_flag(tmp_path):
     out = tmp_path / "o"
     rc = run("--out", str(out), "--set", "total_frames=20000",

@@ -216,3 +216,30 @@ def test_write_columns_csv_matches_per_row_format(tmp_path, monkeypatch):
         f"{int(ints[t])}, {float(floats[t])!r}, {0.1!r}, 2, {int(flags[t])}, {5e-324!r}\n"
         for t in range(n))
     assert path.read_text() == expected
+
+    # columns whose cells all read the same, or that repeat an earlier
+    # column, are formatted once: the text still matches cell by cell
+    def cell(column, t):
+        v = column[t] if isinstance(column, np.ndarray) else column
+        return f"{float(v)!r}" if isinstance(v, (float, np.floating)) else f"{int(v)}"
+
+    def every_constant(rows):
+        return np.full(rows, 2.5), np.full(rows, -3), 7, 0.25, np.ones(rows, dtype=bool)
+
+    cases = [
+        (floats, np.full(n, 0.1)),
+        (np.full(n, -0.0), np.zeros(n), ints),
+        (np.where(flags, 1.5, -0.0), np.where(flags, 1.5, 0.0)),
+        (ints, np.full(n, np.nan)),
+        (floats, ints, floats.copy()),
+        (np.arange(n, dtype=float), np.arange(n), np.ones(n), np.ones(n, dtype=int)),
+        (np.arange(n), np.arange(n).view(np.float64)),  # same int64s, as ints and as bits
+        every_constant(1),
+        every_constant(core.CSV_ROW_BLOCK + 1),
+    ]
+    for columns in cases:
+        rows = next(len(c) for c in columns if isinstance(c, np.ndarray))
+        header = [f"c{i}" for i in range(len(columns))]
+        write_columns_csv(path, header, columns)
+        assert path.read_text() == ", ".join(header) + "\n" + "".join(
+            ", ".join(cell(c, t) for c in columns) + "\n" for t in range(rows))

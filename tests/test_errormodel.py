@@ -9,7 +9,6 @@ from rollbound.errormodel import (
     bridge_mean,
     bridge_variance,
     cumulative_leakage_bound,
-    damping_step,
     discrete_spline_minimizer,
     leakage_peak,
     simulate_bridge_paths,
@@ -133,12 +132,6 @@ def test_spline_energy_optimality_against_feasible_perturbations():
             assert energy(d2) >= base - 1e-6
 
 
-def test_damping_step_halves_and_flips():
-    assert damping_step(2.0) == -1.0
-    assert damping_step(0.0) == 0.0
-    assert np.array_equal(damping_step(np.array([2.0, -4.0])), [-1.0, 2.0])
-
-
 def test_damping_factor_independent_of_interval():
     g = np.random.default_rng(5)
     for _ in range(100):
@@ -190,7 +183,7 @@ def test_damped_chain_respects_cumulative_bound():
         sp = solve_damping_spline(T, dv)
         sup = max(sup, float(np.max(np.abs(sp.value(tau)))))
         peaks.append(leakage_peak(T, dv)[1])
-        dv = damping_step(dv)
+        dv = DAMPING_FACTOR * dv
     assert sup <= bound + 1e-12
     assert sum(peaks) == pytest.approx(2.0 * peaks[0], abs=1e-9)
 

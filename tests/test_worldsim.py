@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from rollbound.core import InvalidInput
+from rollbound.core import InvalidInput, RolloutPlan
 from rollbound.errormodel import (
+    DAMPING_FACTOR,
     ar_upper_curve,
     bridge_mean,
+    bridge_variance,
     leakage_peak,
     solve_damping_spline,
 )
@@ -186,6 +188,34 @@ def test_anchor_error_norms_match_per_anchor_loop():
     assert rollout_anchored(cfg, plan, kf).breakdown.anchor_term == max(loop)
 
 
+def _loop_global_keyframes(gt, idx, error_cap, g):
+    """The global anchors as a loop, anchor by anchor: each draws a
+    direction, normalises it, then draws its radius. The reference the
+    batched expression must match bit for bit."""
+    vals = np.empty((len(idx), gt.shape[1]))
+    vals[0] = gt[0]
+    for j, k in enumerate(idx[1:], start=1):
+        direction = g.standard_normal(gt.shape[1])
+        norm = float(np.linalg.norm(direction))
+        direction = direction / norm if norm > 0.0 else np.zeros(gt.shape[1])
+        vals[j] = gt[k] + g.uniform(0.0, error_cap) * direction
+    return vals
+
+
+def test_global_keyframes_match_per_anchor_loop():
+    g = np.random.default_rng(52)
+    for dim in (1, 2, 3, 4):
+        cfg = WorldConfig(dim=dim, dynamics="rotation", bias=bias_from_norm(dim, 0.01),
+                          control=g.normal(size=dim), seed=dim)
+        for cap in (0.0, 0.1, 3.0):
+            idx = sorted({0, *g.choice(300, 40).tolist()})
+            gt = simulate_ground_truth(cfg, idx[-1] + 1).frames
+            kf = generate_keyframes(cfg, idx, "global", error_cap=cap,
+                                    rng=np.random.default_rng(dim))
+            loop = _loop_global_keyframes(gt, idx, cap, np.random.default_rng(dim))
+            assert kf.values.tobytes() == loop.tobytes(), (dim, cap)
+
+
 def test_keyframes_require_zero_start():
     with pytest.raises(InvalidInput):
         generate_keyframes(linear_world(), [8, 16], "global")
@@ -356,6 +386,84 @@ def test_momentum_off_does_not_reduce_boundary_discontinuity():
     dd_off = _boundary_second_differences(off, plan.keyframes)
     assert dd_off[0] > dd_on[0]
     assert dd_off.sum() >= dd_on.sum()
+
+
+def _loop_layout(plan, dv0, sigma_int, momentum, substitution):
+    """The anchored layout as loops, window by window and interval by
+    interval: segment ids, drawn frames, cuts, marginal counts and draw
+    scales, and the velocity hand-off rows with the leakage they give. The
+    reference _AnchoredLayout must match bit for bit."""
+    n, p = plan.total_frames, plan.overlap
+    kf = np.array(plan.keyframes)
+    t = np.arange(n)
+    j = np.minimum(np.searchsorted(kf, t, side="right") - 1, max(len(kf) - 2, 0))
+    T, tau = (kf[j + 1] - kf[j], t - kf[j]) if len(kf) > 1 else (np.zeros(n, int),) * 2
+    dvs, leak = np.empty((max(len(kf) - 1, 0), len(dv0))), None
+    dv = dv0
+    for i in range(len(dvs)):
+        dvs[i] = dv
+        dv = DAMPING_FACTOR * dv if substitution else np.zeros(len(dv0))
+    if momentum and len(kf) > 1:
+        shape = np.empty(n)
+        for length in np.unique(T).tolist():
+            rows = T == length
+            shape[rows] = solve_damping_spline(length, 1.0).value(tau[rows])
+        leak = shape[:, None] * dvs[j]
+    is_kf = np.zeros(n, dtype=bool)
+    is_kf[kf] = True
+    seg_ids = np.zeros(n, dtype=int)
+    frames, marginal = [], []
+    for si, seg in enumerate(plan.segments):
+        gen_from = min(seg.start + p, seg.end + 1) if si > 0 and substitution else seg.start
+        seg_ids[gen_from:seg.end + 1] = si
+        span = t[gen_from:seg.end + 1]
+        span = span[~is_kf[span]]
+        redraw = si > 0 and not substitution
+        marginal.append(int(np.count_nonzero(span < seg.start + p)) if redraw else 0)
+        frames.append(span)
+    draw_frames = np.concatenate(frames)
+    cuts = np.cumsum([0] + [len(f) for f in frames])
+    remaining = kf[j[draw_frames] + 1] - (draw_frames - 1)
+    scale = sigma_int * np.sqrt((remaining - 1) / remaining)
+    for start, m in zip(cuts.tolist(), marginal):
+        for r in range(start, start + m):
+            f = draw_frames[r]
+            scale[r] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
+    return dict(seg_ids=seg_ids, draw_frames=draw_frames, cuts=cuts, marginal=marginal,
+                draw_scale=scale, leak=leak), dvs
+
+
+def test_anchored_layout_matches_loop_reference():
+    g = np.random.default_rng(53)
+    cases = [(RolloutPlan(33, (0, 8, 16, 24, 32), 9, 1), np.array([2.0, -4.0]))]
+    for _ in range(200):
+        n = int(g.integers(1, 120))
+        kf = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n // 2 + 1))).tolist()})
+        seg_len = int(g.integers(1, 15))
+        plan = RolloutPlan(n, tuple(kf), seg_len, int(g.integers(0, seg_len)))
+        # magnitudes from subnormal to large: the hand-off rounds as the loop did
+        dv0 = g.choice([-1.0, 1.0], 3) * np.ldexp(g.uniform(1.0, 2.0, 3),
+                                                   g.integers(-1080, 30, 3))
+        cases.append((plan, dv0))
+    for i, (plan, dv0) in enumerate(cases):
+        for momentum in (True, False):
+            for substitution in (True, False):
+                sigma_int = 0.0 if i % 3 == 0 else 0.3
+                layout = worldsim._AnchoredLayout(plan, len(dv0), sigma_int, dv0,
+                                                  momentum, substitution)
+                expected, dvs = _loop_layout(plan, dv0, sigma_int, momentum, substitution)
+                assert layout.marginal == expected.pop("marginal")
+                leak = expected.pop("leak")
+                if momentum:
+                    assert (layout.leak is None) == (leak is None)
+                    assert leak is None or layout.leak.tobytes() == leak.tobytes()
+                for name, want in expected.items():
+                    got = getattr(layout, name)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                        (name, plan, momentum, substitution)
+                if i == 0 and substitution:
+                    # the hand-off halves the velocity error and flips its sign
+                    assert dvs[:3].tolist() == [[2.0, -4.0], [-1.0, 2.0], [0.5, -1.0]]
 
 
 def test_anchored_rejects_missing_anchors():
