@@ -2,7 +2,6 @@
 a controllable toy world for observing them, and camera-trajectory metrics."""
 
 from .core import (
-    ErrorModelParams,
     LatentSeq,
     RolloutPlan,
     Segment,

@@ -14,12 +14,7 @@ import sys
 
 import numpy as np
 
-from .core import (
-    ErrorModelParams,
-    RolloutPlan,
-    load_trajectory,
-    write_columns_csv,
-)
+from .core import RolloutPlan, load_trajectory, write_columns_csv
 from .errormodel import ar_upper_curve, unified_bound
 from .errors import InvalidInput
 from .expconfig import ExperimentConfig, apply_overrides, load_config, save_config
@@ -36,6 +31,7 @@ from .svgplot import save_line_chart
 from .worldsim import (
     WorldConfig,
     KeyframeLatents,
+    RolloutTrace,
     bias_from_norm,
     compare_pipelines,
     controls_from_trajectory,
@@ -78,10 +74,13 @@ def _plan(cfg: ExperimentConfig) -> RolloutPlan:
                       cfg.overlap, rng=derive_rng(cfg.seed, "plan"))
 
 
-def _error_params(cfg: ExperimentConfig, interval: int) -> ErrorModelParams:
-    return ErrorModelParams(step_error=cfg.bias, keyframe_interval=interval,
-                            interp_noise=cfg.sigma_int, velocity_error=cfg.velocity_error,
-                            keyframe_error_cap=cfg.kf_error_cap)
+def _bound_violations(cfg: ExperimentConfig, trace: RolloutTrace) -> int | None:
+    """Frames whose error exceeds the trace's bound, for a deterministic run
+    (no generator or bridge noise); None for a stochastic one, whose errors a
+    worst-case bound does not cover."""
+    if cfg.noise_std != 0.0 or cfg.sigma_int != 0.0:
+        return None
+    return int(np.sum(trace.error_norms > trace.bounds + BOUND_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +108,17 @@ def cmd_bounds(args) -> int:
     out = _out_dir(cfg)
     n = cfg.total_frames
     interval = max(cfg.strides)
-    params = _error_params(cfg, interval)
     upper, flags = ar_upper_curve(cfg.lipschitz, cfg.bias, n)
     lower = np.arange(n) * cfg.bias
     try:
         variance = np.arange(n) * cfg.noise_std ** 2
     except OverflowError:  # the step variance exceeds the float range
         variance = np.where(np.arange(n) > 0, np.inf, 0.0)
-    bd = unified_bound(params, scenario=cfg.kf_scenario,
-                       n_steps=n - 1 if cfg.kf_scenario == "downsampled_ar" else None)
+    if cfg.kf_scenario == "global":
+        anchor = cfg.kf_error_cap
+    else:  # downsampled_ar: one step error per anchor jump of the horizon
+        anchor = (n - 1) / interval * cfg.bias
+    bd = unified_bound(anchor, interval, cfg.velocity_error, cfg.sigma_int)
     path = os.path.join(out, "bounds.csv")
     write_columns_csv(path, ("frame", "ar_upper", "ar_lower", "ar_variance", "dcar_bound",
                              "anchor", "leakage", "noise", "diverged"),
@@ -143,40 +144,36 @@ def cmd_simulate(args) -> int:
     out = _out_dir(cfg)
     world = _world(cfg)
     plan = _plan(cfg)
-    report = compare_pipelines(world, plan, scenarios=(cfg.kf_scenario,),
-                               trials=cfg.trials, seed=cfg.seed, sigma_int=cfg.sigma_int,
-                               velocity_error=cfg.velocity_error,
+    report = compare_pipelines(world, plan, cfg.kf_scenario, trials=cfg.trials, seed=cfg.seed,
+                               sigma_int=cfg.sigma_int, velocity_error=cfg.velocity_error,
                                kf_error_cap=cfg.kf_error_cap,
                                kf_step_error=cfg.kf_step_error)
-    sc = cfg.kf_scenario
-    ar_trace, anchored_trace = report.trial0_ar, report.trial0_anchored[sc]
+    ar_trace, anchored_trace = report.trial0_ar, report.trial0_anchored
     write_trace_csv(ar_trace, os.path.join(out, "ar_trace.csv"))
     write_trace_csv(anchored_trace, os.path.join(out, "anchored_trace.csv"))
 
     mean_path = os.path.join(out, "mean_curves.csv")
-    dc_mean = report.anchored_mean_error[sc]
+    dc_mean = report.anchored_mean_error
     ratio = np.full(plan.total_frames, np.inf)
     np.divide(report.ar_mean_error, dc_mean, out=ratio, where=dc_mean > 0)
     write_columns_csv(mean_path, ("frame", "ar_mean_err", "anchored_mean_err", "ar_mse",
                                   "anchored_mse", "ratio"),
                       (report.frames, report.ar_mean_error, dc_mean, report.ar_mse,
-                       report.anchored_mse[sc], ratio))
+                       report.anchored_mse, ratio))
 
-    deterministic = cfg.noise_std == 0.0 and cfg.sigma_int == 0.0
     lines = [
         f"trials: {cfg.trials}",
-        f"scenario: {sc}",
+        f"scenario: {cfg.kf_scenario}",
         f"final step-by-step error: {float(report.ar_mean_error[-1])!r}",
         f"final anchored error: {float(dc_mean[-1])!r}",
-        f"final error ratio: {report.final_ratio(sc)!r}",
+        f"final error ratio: {report.final_ratio()!r}",
     ]
-    if deterministic:
-        ar_viol = int(np.sum(ar_trace.error_norms > ar_trace.bounds + BOUND_TOL))
-        dc_viol = int(np.sum(anchored_trace.error_norms > anchored_trace.bounds + BOUND_TOL))
+    ar_viol, dc_viol = (_bound_violations(cfg, tr) for tr in (ar_trace, anchored_trace))
+    if dc_viol is None:
+        lines.append("bound violations: n/a (stochastic run)")
+    else:
         lines.append(f"bound violations (step-by-step): {ar_viol}")
         lines.append(f"bound violations (anchored): {dc_viol}")
-    else:
-        lines.append("bound violations: n/a (stochastic run)")
     report_path = os.path.join(out, "report.txt")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -264,12 +261,11 @@ def cmd_ablate(args) -> int:
                     .generate_state(1)[0])
         trace = rollout_anchored(world, plan, sub, sigma_int=cfg.sigma_int,
                                  velocity_error=cfg.velocity_error, seed=child)
-        deterministic = cfg.noise_std == 0.0 and cfg.sigma_int == 0.0
-        viol = int(np.sum(trace.error_norms > trace.bounds + BOUND_TOL)) if deterministic else -1
+        viol = _bound_violations(cfg, trace)
         bd = trace.breakdown
         rows.append((g_stride, i_stride, len(sub.indices), len(plan.segments),
                      trace.final_error(), bd.total, bd.anchor_term, bd.leakage_term,
-                     bd.noise_term, viol))
+                     bd.noise_term, -1 if viol is None else viol))
     path = os.path.join(out, "ablation.csv")
     # each column is all ints or all floats, and np.array keeps it so
     write_columns_csv(path, ("dk_gen", "dk_int", "n_keyframes", "n_segments", "final_err",

@@ -421,36 +421,3 @@ def write_columns_csv(path, header, columns) -> None:
                     cells.append(list(_format_block(c[lo:lo + rows])) if src == i
                                  else cells[src])
             fh.write("\n".join(map(", ".join, zip(*cells))) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Error-model parameters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorModelParams:
-    """Scalar inputs of the anchored-interpolation error bound (unified_bound).
-
-    step_error        -- per-step local error norm bound (eta)
-    keyframe_interval -- anchor spacing T in frames
-    interp_noise      -- interpolation noise scale (sigma_int)
-    velocity_error    -- incoming boundary velocity error norm (delta-v_0)
-    keyframe_error_cap-- worst-case keyframe drift for globally generated anchors
-    """
-
-    step_error: float = 0.0
-    keyframe_interval: int = 1
-    interp_noise: float = 0.0
-    velocity_error: float = 0.0
-    keyframe_error_cap: float = 0.0
-
-    def __post_init__(self):
-        for name in ("step_error", "interp_noise", "velocity_error", "keyframe_error_cap"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise InvalidInput(f"{name} must be finite and non-negative")
-            object.__setattr__(self, name, v)
-        T = int(self.keyframe_interval)
-        if T < 1:
-            raise InvalidInput("keyframe_interval must be an integer >= 1")
-        object.__setattr__(self, "keyframe_interval", T)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ErrorModelParams
 from .errors import InvalidInput
 from .seeding import as_rng
 
@@ -203,7 +202,8 @@ def bridge_variance(tau, interval, noise_std: float):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0) or np.any(tau > T):
         raise InvalidInput("tau must lie in [0, interval]")
-    out = tau * (T - tau) / T * float(noise_std) ** 2
+    with np.errstate(over="ignore"):  # a variance past the float range reads inf
+        out = tau * (T - tau) / T * np.square(np.float64(noise_std))
     return float(out) if out.ndim == 0 else out
 
 
@@ -244,29 +244,26 @@ class BoundBreakdown:
                            self.anchor_term + self.leakage_term + self.noise_term)
 
 
-def unified_bound(params: ErrorModelParams, keyframe_errors=None,
-                  scenario: str = "global", n_steps: int | None = None) -> BoundBreakdown:
+def unified_bound(anchor_error: float, interval: int, velocity_error: float = 0.0,
+                  interp_noise: float = 0.0) -> BoundBreakdown:
     """Horizon-independent error cap for keyframe-anchored interpolation:
 
-        max anchor drift + 2*(sqrt(3)/9)*T*|dv0| + (sqrt(T)/2)*sigma_int
+        anchor_error + 2*(sqrt(3)/9)*T*|dv0| + (sqrt(T)/2)*sigma_int
 
-    The anchor term is the max of the supplied keyframe error norms; without
-    them it falls back to the configured cap (globally generated anchors) or
-    to (n_steps/T)*step_error when anchors are themselves generated
-    step-by-step at stride T (the downsampled regime).
+    from the largest anchor error norm, the largest anchor interval T in
+    frames (an integer >= 1), the incoming boundary velocity error norm dv0
+    and the bridge noise scale sigma_int. The caller picks the anchor term:
+    measured anchor errors, or an a-priori cap. Each value must be
+    non-negative and all but anchor_error finite; an anchor error norm past
+    the float range reads inf, and so does the bound.
     """
-    T = params.keyframe_interval
-    if keyframe_errors is not None:
-        errs = [abs(float(e)) for e in keyframe_errors]
-        anchor = max(errs) if errs else 0.0
-    elif scenario == "global":
-        anchor = params.keyframe_error_cap
-    elif scenario == "downsampled_ar":
-        if n_steps is None:
-            raise InvalidInput("downsampled_ar scenario needs n_steps")
-        anchor = (n_steps / T) * params.step_error
-    else:
-        raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
-    leakage = cumulative_leakage_bound(T, params.velocity_error)
-    noise = 0.5 * np.sqrt(T) * params.interp_noise
-    return BoundBreakdown(float(anchor), float(leakage), float(noise))
+    if not anchor_error >= 0.0:
+        raise InvalidInput("anchor_error must be non-negative")
+    for name, value in (("velocity_error", velocity_error), ("interp_noise", interp_noise)):
+        if not 0.0 <= value < np.inf:
+            raise InvalidInput(f"{name} must be finite and non-negative")
+    if not isinstance(interval, (int, np.integer)) or interval < 1:
+        raise InvalidInput("interval must be an integer >= 1")
+    leakage = cumulative_leakage_bound(interval, velocity_error)
+    noise = 0.5 * np.sqrt(interval) * interp_noise
+    return BoundBreakdown(float(anchor_error), float(leakage), float(noise))

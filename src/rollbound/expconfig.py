@@ -2,8 +2,12 @@
 
 Lines are "key = value"; '#' starts a comment. Unknown keys are rejected with
 the offending line number. Values round-trip losslessly (floats are written
-with repr). CLI flags override file values. Every float key must be finite
-and non-negative; a config that breaks this is rejected naming the key.
+with repr). CLI flags override file values. A config is checked when it is
+built, and one that breaks a rule is rejected naming the key:
+  * every float key is finite and non-negative,
+  * stride_mode, dynamics and kf_scenario take one of the values listed below,
+  * total_frames, dim, trials and every stride are >= 1,
+  * 0 <= overlap < segment_len.
 
 Keys (defaults in parentheses):
   total_frames (321)    frames including frame 0
@@ -39,6 +43,13 @@ from .schedule import StridePolicy
 _FLOAT_KEYS = ("lipschitz", "bias", "noise_std", "sigma_int", "velocity_error",
                "kf_error_cap", "kf_step_error")
 
+#: keys holding a choice, with the values each takes
+_CHOICE_KEYS = {"stride_mode": ("test", "train"), "dynamics": ("scaled_identity", "rotation"),
+                "kf_scenario": ("global", "downsampled_ar")}
+
+#: keys holding a count: each must be >= 1
+_COUNT_KEYS = ("total_frames", "dim", "trials")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,6 +78,18 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise InvalidInput(f"{name} must be finite and non-negative")
+        for name, choices in _CHOICE_KEYS.items():
+            if getattr(self, name) not in choices:
+                raise InvalidInput(f"{name} must be {' or '.join(map(repr, choices))}, "
+                                   f"got {getattr(self, name)!r}")
+        for name in _COUNT_KEYS:
+            if getattr(self, name) < 1:
+                raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(s < 1 for s in self.strides):
+            raise InvalidInput(f"strides must each be >= 1, got {self.strides}")
+        if not 0 <= self.overlap < self.segment_len:
+            raise InvalidInput(f"segment length must exceed overlap and overlap must be >= 0, "
+                               f"got segment_len {self.segment_len} and overlap {self.overlap}")
 
     def stride_policy(self) -> StridePolicy:
         if self.stride_mode == "train":

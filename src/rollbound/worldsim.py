@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ErrorModelParams,
     LatentSeq,
     RolloutPlan,
     Trajectory,
@@ -302,7 +301,7 @@ class _World:
         return RolloutTrace(LatentSeq(x), self.gt, err, bounds=bounds)
 
     def keyframes(self, idx: list[int], scenario: str, error_cap: float,
-                  step_error: float | None, step_noise: float, g) -> KeyframeLatents:
+                  step_error: float | None, g) -> KeyframeLatents:
         """Anchor latents at the sorted frames idx (see generate_keyframes)."""
         cfg = self.cfg
         gt = self.gt.frames
@@ -333,8 +332,6 @@ class _World:
                 for _ in range(idx[j] - idx[j - 1]):
                     err = self.A @ err
                 err = err + step_vec
-                if step_noise > 0.0:
-                    err = err + step_noise * g.standard_normal(cfg.dim)
                 vals[j] = gt[idx[j]] + err
         else:
             raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
@@ -391,21 +388,22 @@ class KeyframeLatents:
 
 def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
                        error_cap: float = 0.0, step_error: float | None = None,
-                       step_noise: float = 0.0, rng=None) -> KeyframeLatents:
+                       rng=None) -> KeyframeLatents:
     """Anchor latents under one of two regimes.
 
     "global": every anchor is ground truth plus an independent perturbation of
     norm <= error_cap (frame 0, the given initial frame, stays exact).
     "downsampled_ar": anchors follow the step-by-step recursion applied once
     per keyframe jump, so their error accumulates across anchors at one
-    step_error per jump (default step_error: the world's drift norm).
+    step_error per jump (default step_error: the world's drift norm); they
+    draw nothing, so rng is read only by "global".
     """
     idx = sorted(int(i) for i in indices)
     if not idx or idx[0] != 0:
         raise InvalidInput("keyframe indices must be sorted and include 0")
     world = _World(cfg, idx[-1] + 1)
     g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "keyframes"))
-    return world.keyframes(idx, scenario, error_cap, step_error, step_noise, g)
+    return world.keyframes(idx, scenario, error_cap, step_error, g)
 
 
 def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarray:
@@ -522,9 +520,8 @@ class _AnchoredLayout:
         remaining = kf[j[self.draw_frames] + 1] - (self.draw_frames - 1)
         self.draw_frac = (remaining - 1) / remaining
         self.draw_scale = sigma_int * np.sqrt(self.draw_frac)
-        if redrawn.any():  # only then: a huge sigma_int makes it raise OverflowError
-            f = self.draw_frames[redrawn]
-            self.draw_scale[redrawn] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
+        f = self.draw_frames[redrawn]
+        self.draw_scale[redrawn] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
 
     def field(self, kv: np.ndarray) -> np.ndarray:
         """Deterministic part of each trial from its (K, B, d) anchor values:
@@ -573,13 +570,13 @@ class _AnchoredLayout:
     def trace(self, world: _World, kv: np.ndarray, x: np.ndarray, err: np.ndarray,
               chunks=None) -> RolloutTrace:
         """One trial's trace from its (K, d) anchors and (n, d) frames; the
-        bound column holds the unified bound built from its anchor errors."""
+        bound column holds the unified bound built from its largest anchor
+        error."""
         gt, kf_idx = world.gt, self.plan.keyframes
         max_T = max((hi - lo for lo, hi in zip(kf_idx, kf_idx[1:])), default=1)
-        params = ErrorModelParams(keyframe_interval=max_T, interp_noise=self.sigma_int,
-                                  velocity_error=float(np.linalg.norm(self.dv0)))
-        kf_errs = _anchor_error_norms(kv, gt.frames, kf_idx).tolist()
-        breakdown = unified_bound(params, keyframe_errors=kf_errs)
+        anchor = float(_anchor_error_norms(kv, gt.frames, kf_idx).max())
+        breakdown = unified_bound(anchor, max_T, float(np.linalg.norm(self.dv0)),
+                                  self.sigma_int)
         return RolloutTrace(LatentSeq(x), gt, err, bounds=np.full(len(gt), breakdown.total),
                             breakdown=breakdown,
                             segment_ids=self.seg_ids.copy(), keyframe_indices=tuple(kf_idx),
@@ -631,22 +628,22 @@ def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, keyframes: KeyframeLat
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-frame Monte-Carlo means for the two pipelines, and trial 0's
-    rollouts: one step-by-step trace and one anchored trace per scenario."""
+    """Per-frame Monte-Carlo means for the two pipelines, the anchored one
+    under one keyframe scenario, and trial 0's rollout of each."""
 
     frames: np.ndarray
     ar_mean_error: np.ndarray
     ar_mse: np.ndarray
-    anchored_mean_error: dict[str, np.ndarray]
-    anchored_mse: dict[str, np.ndarray]
+    anchored_mean_error: np.ndarray
+    anchored_mse: np.ndarray
     trials: int
     trial0_ar: RolloutTrace
-    trial0_anchored: dict[str, RolloutTrace]
+    trial0_anchored: RolloutTrace
 
-    def final_ratio(self, scenario: str) -> float:
+    def final_ratio(self) -> float:
         """Final-frame mean error of the step-by-step pipeline over the
         anchored pipeline's."""
-        anchored = self.anchored_mean_error[scenario][-1]
+        anchored = self.anchored_mean_error[-1]
         return float(self.ar_mean_error[-1] / anchored) if anchored > 0 else float("inf")
 
 
@@ -658,21 +655,22 @@ def _accumulate(sums: np.ndarray, errs: np.ndarray) -> None:
         sums[1] += row ** 2
 
 
-def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan,
-                      scenarios=("global", "downsampled_ar"), trials: int = 1,
-                      seed: int | None = None, sigma_int: float = 0.0,
+def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "global",
+                      trials: int = 1, seed: int | None = None, sigma_int: float = 0.0,
                       velocity_error=None, kf_error_cap: float = 0.0,
                       kf_step_error: float | None = None) -> ComparisonReport:
-    """Monte-Carlo comparison of the two pipelines over independent trials.
+    """Monte-Carlo comparison of the two pipelines over independent trials,
+    the anchored one on keyframes of one scenario ("global" or
+    "downsampled_ar", see generate_keyframes).
 
     Trials run batched, TRIAL_BLOCK at a time, each on its own streams
-    derived from the seed and the trial number, so the result depends on the
-    seed alone. Per-frame sums accumulate in trial order."""
+    derived from the seed, the trial number and (for the anchors and the
+    bridge noise) the scenario, so the result depends on the seed alone.
+    Per-frame sums accumulate in trial order."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     base = cfg.seed if seed is None else int(seed)
     n = plan.total_frames
-    scenarios = tuple(scenarios)
 
     def ar_rngs(block):
         return [derive_rng(base, "trial-ar", i) for i in block]
@@ -681,13 +679,10 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan,
     world = _World(cfg, n, ar_rngs(range(min(TRIAL_BLOCK, trials))))
     layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error)
     kf_idx = list(plan.keyframes)
-    ar_sums = np.zeros((2, n))
-    dc_sums = {sc: np.zeros((2, n)) for sc in scenarios}
-    first_anchored = {}
-    # without step noise the downsampled-AR anchors draw nothing: every trial
-    # gets the same ones
-    shared_kv = {sc: world.keyframes(kf_idx, sc, kf_error_cap, kf_step_error, 0.0, None).values
-                 for sc in scenarios if sc == "downsampled_ar"}
+    ar_sums, dc_sums = np.zeros((2, n)), np.zeros((2, n))
+    # downsampled-AR anchors draw nothing: every trial gets the same ones
+    shared_kv = (world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error, None).values
+                 if scenario == "downsampled_ar" else None)
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
         x = world.take_rollouts() if first == 0 else world.ar_rollouts(ar_rngs(block))
@@ -695,26 +690,25 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan,
         _accumulate(ar_sums, err)
         if first == 0:
             first_ar = world.ar_trace(x[:, 0], err[0])
-        for sc in scenarios:
-            if sc in shared_kv:
-                kv = np.broadcast_to(shared_kv[sc][:, None], (len(kf_idx), len(block), cfg.dim))
-            else:
-                kv = np.stack([world.keyframes(kf_idx, sc, kf_error_cap, kf_step_error, 0.0,
-                                               derive_rng(base, f"trial-kf-{sc}", i)).values
-                               for i in block], axis=1)
-            seeds = [int(derive_seed_sequence(base, f"trial-anchored-{sc}", i)
-                         .generate_state(1)[0]) for i in block]
-            x, _ = layout.run(kv, seeds)
-            err = _error_norms(x, world.gt.frames)
-            _accumulate(dc_sums[sc], err)
-            if first == 0:
-                first_anchored[sc] = layout.trace(world, kv[:, 0], x[:, 0], err[0])
+        if shared_kv is not None:
+            kv = np.broadcast_to(shared_kv[:, None], (len(kf_idx), len(block), cfg.dim))
+        else:
+            kv = np.stack([world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
+                                           derive_rng(base, f"trial-kf-{scenario}", i)).values
+                           for i in block], axis=1)
+        seeds = [int(derive_seed_sequence(base, f"trial-anchored-{scenario}", i)
+                     .generate_state(1)[0]) for i in block]
+        x, _ = layout.run(kv, seeds)
+        err = _error_norms(x, world.gt.frames)
+        _accumulate(dc_sums, err)
+        if first == 0:
+            first_anchored = layout.trace(world, kv[:, 0], x[:, 0], err[0])
     return ComparisonReport(
         frames=np.arange(n),
         ar_mean_error=ar_sums[0] / trials,
         ar_mse=ar_sums[1] / trials,
-        anchored_mean_error={sc: dc_sums[sc][0] / trials for sc in scenarios},
-        anchored_mse={sc: dc_sums[sc][1] / trials for sc in scenarios},
+        anchored_mean_error=dc_sums[0] / trials,
+        anchored_mse=dc_sums[1] / trials,
         trials=trials,
         trial0_ar=first_ar,
         trial0_anchored=first_anchored,

@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from rollbound.cli import main as cli_main
-from rollbound.core import ErrorModelParams, Trajectory, rotation_about_z
+from rollbound.core import Trajectory, rotation_about_z
 from rollbound.core import quat_to_matrix, validate_plan
 from rollbound.errormodel import (
     bridge_mean,
@@ -15,7 +15,6 @@ from rollbound.errormodel import (
     leakage_peak,
     simulate_bridge_paths,
     solve_damping_spline,
-    unified_bound,
 )
 from rollbound.metrics import align_similarity, are, ate, psnr, slerp, ssim
 from rollbound.schedule import StridePolicy, build_plan, select_keyframes
@@ -168,8 +167,8 @@ def test_c07_t_fold_suppression():
                     "(within 20%)", 10.0) as b:
         cfg = WorldConfig(dim=2, lipschitz=1.0, bias=bias_from_norm(2, 0.01), seed=107)
         plan = build_plan(321, StridePolicy.test(8), 9, 1)
-        rep = compare_pipelines(cfg, plan, scenarios=("downsampled_ar",), trials=1)
-        ratio = rep.final_ratio("downsampled_ar")
+        rep = compare_pipelines(cfg, plan, "downsampled_ar", trials=1)
+        ratio = rep.final_ratio()
         b.finish(6.4 <= ratio <= 9.6, f"final-frame error ratio {ratio:.3f}")
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,23 @@ def test_cmd_bounds_linear_and_anchored(tmp_path):
     bounds = {float(r[4]) for r in rows}
     assert len(bounds) == 1  # constant across frames
     assert bounds.pop() == pytest.approx(expected, abs=1e-12)
+
+
+def test_cmd_bounds_downsampled_anchor_term(tmp_path):
+    # anchors generated step by step at stride 8 err by one bias per jump: the
+    # a-priori anchor term is (n - 1) / 8 * bias, an 8-fold cut of the
+    # step-by-step bound at the final frame
+    out = tmp_path / "o"
+    assert run("--out", str(out), "--set", "total_frames=321", "--set", "bias=0.01",
+               "--set", "strides=8", "--set", "kf_scenario=downsampled_ar", "bounds") == 0
+    header, rows = _read_rows(out / "bounds.csv")
+    anchor = {float(r[header.index("anchor")]) for r in rows}
+    assert len(anchor) == 1
+    anchor = anchor.pop()
+    assert anchor == pytest.approx(0.4)
+    pure = float(rows[-1][header.index("ar_upper")])
+    assert pure == pytest.approx(3.2)
+    assert pure / anchor == pytest.approx(8.0)
 
 
 def test_cmd_bounds_overflowing_noise_variance(tmp_path, capsys):
@@ -374,6 +393,19 @@ def test_invalid_float_key_is_invalid_input_naming_the_key(key, value, command, 
     rc = run("--out", str(tmp_path / "o"), "--set", f"{key}={value}", command)
     assert rc == 2
     assert f"error: {key} must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "bounds", "simulate"])
+@pytest.mark.parametrize("key, value", [
+    ("kf_scenario", "nope"), ("dynamics", "nope"), ("stride_mode", "nope"),
+    ("total_frames", "0"), ("strides", "0"), ("strides", "8,-4"), ("overlap", "-1"),
+    ("overlap", "9"), ("segment_len", "1"), ("dim", "0"), ("trials", "0")])
+def test_invalid_key_value_exits_2_naming_the_key(key, value, command, tmp_path, capsys):
+    rc = run("--out", str(tmp_path / "o"), "--set", f"{key}={value}", command)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and re.search(rf"\b{key}\b", err), err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_config_key_via_set(tmp_path, capsys):

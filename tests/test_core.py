@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from rollbound import core
 from rollbound.core import (
-    ErrorModelParams,
     InvalidInput,
     LatentSeq,
     RolloutPlan,
@@ -180,17 +179,6 @@ def test_latent_seq_validation():
         LatentSeq(np.array([[1.0, np.nan]]))
     z = LatentSeq(np.array([1.0, 2.0, 3.0]))
     assert z.dim == 1 and len(z) == 3
-
-
-def test_error_model_params_validation():
-    with pytest.raises(InvalidInput, match="step_error"):
-        ErrorModelParams(step_error=-0.1)
-    with pytest.raises(InvalidInput, match="interp_noise"):
-        ErrorModelParams(interp_noise=np.nan)
-    with pytest.raises(InvalidInput):
-        ErrorModelParams(keyframe_interval=0)
-    p = ErrorModelParams(keyframe_interval=8, interp_noise=0.2)
-    assert p.keyframe_interval == 8
 
 
 def test_validate_plan_accepts_well_formed():

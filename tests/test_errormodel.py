@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollbound.core import ErrorModelParams, InvalidInput
+from rollbound.core import InvalidInput
 from rollbound.errormodel import (
     DAMPING_FACTOR,
     ar_upper_curve,
@@ -259,8 +259,7 @@ def test_bridge_monte_carlo_mean_with_anchors():
 # ---------------------------------------------------------------------------
 
 def test_unified_bound_direct_evaluation():
-    params = ErrorModelParams(keyframe_interval=4, interp_noise=0.2, velocity_error=0.5)
-    bd = unified_bound(params, keyframe_errors=[0.02, 0.1, 0.05])
+    bd = unified_bound(0.1, 4, velocity_error=0.5, interp_noise=0.2)
     assert bd.anchor_term == pytest.approx(0.1)
     assert bd.leakage_term == pytest.approx(0.76980035891950095, abs=1e-12)
     assert bd.noise_term == pytest.approx(0.2)
@@ -269,30 +268,33 @@ def test_unified_bound_direct_evaluation():
 
 
 def test_unified_bound_perfect_anchor_case():
-    params = ErrorModelParams(keyframe_interval=4)
-    bd = unified_bound(params, keyframe_errors=[0.0, 0.0])
+    bd = unified_bound(0.0, 4)
     assert bd.total == 0.0
 
 
-def test_unified_bound_downsampled_scenario():
-    params = ErrorModelParams(step_error=0.01, keyframe_interval=8)
-    bd = unified_bound(params, scenario="downsampled_ar", n_steps=320)
-    assert bd.anchor_term == pytest.approx(0.4)
-    pure = _ar_upper(1.0, 0.01, 320)
-    assert pure == pytest.approx(3.2)
-    assert pure / bd.anchor_term == pytest.approx(8.0)
-
-
 def test_unified_bound_monotone_in_each_parameter():
-    base = dict(keyframe_interval=4, interp_noise=0.2, velocity_error=0.5,
-                keyframe_error_cap=0.3)
-    total0 = unified_bound(ErrorModelParams(**base)).total
-    for key, bigger in (("keyframe_interval", 8), ("interp_noise", 0.4),
-                        ("velocity_error", 1.0), ("keyframe_error_cap", 0.6)):
-        params = ErrorModelParams(**{**base, key: bigger})
-        assert unified_bound(params).total >= total0
+    base = dict(anchor_error=0.3, interval=4, velocity_error=0.5, interp_noise=0.2)
+    total0 = unified_bound(**base).total
+    for key, bigger in (("interval", 8), ("interp_noise", 0.4),
+                        ("velocity_error", 1.0), ("anchor_error", 0.6)):
+        assert unified_bound(**{**base, key: bigger}).total >= total0
 
 
-def test_unified_bound_rejects_unknown_scenario():
-    with pytest.raises(InvalidInput):
-        unified_bound(ErrorModelParams(keyframe_interval=4), scenario="nope")
+def test_unified_bound_rejects_bad_arguments():
+    with pytest.raises(InvalidInput, match="anchor_error"):
+        unified_bound(-0.1, 8)
+    with pytest.raises(InvalidInput, match="anchor_error"):
+        unified_bound(np.nan, 8)
+    with pytest.raises(InvalidInput, match="interp_noise"):
+        unified_bound(0.0, 8, interp_noise=np.nan)
+    with pytest.raises(InvalidInput, match="velocity_error"):
+        unified_bound(0.0, 8, velocity_error=np.inf)
+    with pytest.raises(InvalidInput, match="velocity_error"):
+        unified_bound(0.0, 8, velocity_error=-1.0)
+    for interval in (0, -8, 8.0, 2.5):
+        with pytest.raises(InvalidInput, match="interval must be an integer >= 1"):
+            unified_bound(0.0, interval)
+    assert unified_bound(0.0, np.int64(8), interp_noise=0.2).noise_term == pytest.approx(
+        0.5 * np.sqrt(8) * 0.2, abs=1e-15)
+    # an anchor error norm past the float range reads inf, and so does the bound
+    assert unified_bound(np.inf, 8).total == np.inf

@@ -221,12 +221,14 @@ def test_api_compare_both_scenarios_digest():
                       bias=bias_from_norm(2, 0.01), noise_std=0.02,
                       control=np.array([0.05, -0.02]), seed=31)
     plan = build_plan(81, StridePolicy.test(8), 9, 1)
-    rep = compare_pipelines(cfg, plan, trials=6, seed=8, sigma_int=0.1, velocity_error=0.3,
-                            kf_error_cap=0.05)
+    reps = [compare_pipelines(cfg, plan, sc, trials=6, seed=8, sigma_int=0.1,
+                              velocity_error=0.3, kf_error_cap=0.05)
+            for sc in ("global", "downsampled_ar")]
     ar = rollout_pure_ar(cfg, 81, rng=np.random.default_rng(3))
-    arrays = [rep.ar_mean_error, rep.ar_mse, ar.generated.frames, ar.error_norms, ar.bounds]
-    for sc in ("global", "downsampled_ar"):
-        arrays += [rep.anchored_mean_error[sc], rep.anchored_mse[sc]]
+    arrays = [reps[0].ar_mean_error, reps[0].ar_mse, ar.generated.frames, ar.error_norms,
+              ar.bounds]
+    for rep in reps:
+        arrays += [rep.anchored_mean_error, rep.anchored_mse]
     assert _arrays_digest(arrays) == (
         "0cff366a5fc9d8b8ad3ec0a7e40b53daf70afa4fb6da88c6e8904ab6a6ce59a4")
 
@@ -256,13 +258,14 @@ def test_api_compare_noiseless_interpolation_digest():
     cfg = WorldConfig(dim=2, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(2, 0.01), noise_std=0.02, seed=33)
     plan = build_plan(81, StridePolicy.test(8), 9, 1)
-    rep = compare_pipelines(cfg, plan, trials=TRIAL_BLOCK + 3, seed=9, sigma_int=0.0,
-                            velocity_error=0.3, kf_error_cap=0.05)
-    arrays = [rep.ar_mean_error, rep.ar_mse, rep.trial0_ar.generated.frames,
-              rep.trial0_ar.error_norms]
-    for sc in ("global", "downsampled_ar"):
-        tr = rep.trial0_anchored[sc]
-        arrays += [rep.anchored_mean_error[sc], rep.anchored_mse[sc], tr.generated.frames,
+    reps = [compare_pipelines(cfg, plan, sc, trials=TRIAL_BLOCK + 3, seed=9, sigma_int=0.0,
+                              velocity_error=0.3, kf_error_cap=0.05)
+            for sc in ("global", "downsampled_ar")]
+    arrays = [reps[0].ar_mean_error, reps[0].ar_mse, reps[0].trial0_ar.generated.frames,
+              reps[0].trial0_ar.error_norms]
+    for rep in reps:
+        tr = rep.trial0_anchored
+        arrays += [rep.anchored_mean_error, rep.anchored_mse, tr.generated.frames,
                    tr.error_norms, tr.bounds]
     assert _arrays_digest(arrays) == (
         "5bcfe9bacc81f3733808a7ed9f77339f713cb5426d8ddc1d644a6622be27fc94")

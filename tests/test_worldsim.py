@@ -486,6 +486,18 @@ def test_anchored_rejects_non_finite_inputs(name, value):
         rollout_anchored(cfg, plan, kf, **{name: value})
 
 
+def test_anchored_huge_sigma_int_without_substitution_is_invalid_input():
+    # the overlap redraws' variance sigma_int**2 exceeds the float range: it
+    # reads inf, and the rollout rejects its non-finite frames without an
+    # OverflowError or a numpy warning
+    assert bridge_variance(2.0, 4.0, 1e200) == np.inf
+    cfg = linear_world()
+    plan = _plan(n=33, stride=8, seg_len=6, overlap=1)
+    kf = generate_keyframes(cfg, plan.keyframes, "global")
+    with pytest.raises(InvalidInput, match="latent frames must be finite"):
+        rollout_anchored(cfg, plan, kf, sigma_int=1e200, substitution=False)
+
+
 def test_trace_csv_schema(tmp_path):
     cfg = linear_world(bias=0.01, seed=12)
     plan = _plan()
@@ -507,10 +519,9 @@ def test_trace_csv_schema(tmp_path):
 def test_compare_bounded_vs_linear_growth():
     cfg = linear_world(bias=0.01, seed=13)
     plan = build_plan(161, StridePolicy.test(8), 9, 1)
-    rep = compare_pipelines(cfg, plan, scenarios=("global",), trials=1,
-                            kf_error_cap=0.05)
+    rep = compare_pipelines(cfg, plan, "global", trials=1, kf_error_cap=0.05)
     ar = rep.ar_mean_error
-    dc = rep.anchored_mean_error["global"]
+    dc = rep.anchored_mean_error
     assert ar[-1] == pytest.approx(1.6, abs=1e-9)  # linear growth 160 * 0.01
     assert np.max(dc) <= 0.05 + 1e-9               # anchored stays bounded
 
@@ -518,18 +529,18 @@ def test_compare_bounded_vs_linear_growth():
 def test_compare_t_fold_suppression():
     cfg = linear_world(bias=0.01, seed=14)
     plan = build_plan(321, StridePolicy.test(8), 9, 1)
-    rep = compare_pipelines(cfg, plan, scenarios=("downsampled_ar",), trials=1)
-    ratio = rep.final_ratio("downsampled_ar")
+    rep = compare_pipelines(cfg, plan, "downsampled_ar", trials=1)
+    ratio = rep.final_ratio()
     assert 6.4 <= ratio <= 9.6
 
 
 def test_compare_zero_defect_world():
     cfg = linear_world(seed=15)
     plan = _plan()
-    rep = compare_pipelines(cfg, plan, scenarios=("global", "downsampled_ar"), trials=2)
-    assert np.all(rep.ar_mean_error == 0.0)
     for sc in ("global", "downsampled_ar"):
-        assert np.all(rep.anchored_mean_error[sc] == 0.0)
+        rep = compare_pipelines(cfg, plan, sc, trials=2)
+        assert np.all(rep.ar_mean_error == 0.0)
+        assert np.all(rep.anchored_mean_error == 0.0)
 
 
 def test_compare_deterministic_and_block_invariant(monkeypatch):
@@ -537,7 +548,7 @@ def test_compare_deterministic_and_block_invariant(monkeypatch):
     # alone, not on how trials are grouped into blocks
     cfg = linear_world(bias=0.005, noise=0.1, seed=16)
     plan = _plan(n=49)
-    kw = dict(scenarios=("global",), trials=4, sigma_int=0.2, kf_error_cap=0.03)
+    kw = dict(scenario="global", trials=4, sigma_int=0.2, kf_error_cap=0.03)
     a = compare_pipelines(cfg, plan, **kw)
     b = compare_pipelines(cfg, plan, **kw)
     monkeypatch.setattr(worldsim, "TRIAL_BLOCK", 3)
@@ -545,8 +556,8 @@ def test_compare_deterministic_and_block_invariant(monkeypatch):
     for other in (b, c):
         assert np.array_equal(a.ar_mean_error, other.ar_mean_error)
         assert np.array_equal(a.ar_mse, other.ar_mse)
-        assert np.array_equal(a.anchored_mean_error["global"], other.anchored_mean_error["global"])
-        assert np.array_equal(a.anchored_mse["global"], other.anchored_mse["global"])
+        assert np.array_equal(a.anchored_mean_error, other.anchored_mean_error)
+        assert np.array_equal(a.anchored_mse, other.anchored_mse)
 
 
 def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch):
@@ -562,7 +573,7 @@ def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch):
     monkeypatch.setattr(worldsim, "derive_rng", spy)
     cfg = linear_world(bias=0.01, noise=0.02, seed=19)
     plan = _plan(n=65, stride=8, seg_len=9, overlap=2)
-    kw = dict(scenarios=("global",), trials=3, velocity_error=0.4, kf_error_cap=0.05)
+    kw = dict(scenario="global", trials=3, velocity_error=0.4, kf_error_cap=0.05)
     compare_pipelines(cfg, plan, sigma_int=0.0, **kw)
     assert "interp-noise" not in labels
     compare_pipelines(cfg, plan, sigma_int=0.1, **kw)
@@ -582,8 +593,8 @@ def test_batched_engine_matches_standalone_rollouts(dim, trials):
     plan = build_plan(41, StridePolicy.test(8), 9, 1)
     n, base, scenarios = plan.total_frames, 17, ("global", "downsampled_ar")
     kw = dict(sigma_int=0.1, velocity_error=0.3)
-    rep = compare_pipelines(cfg, plan, scenarios=scenarios, trials=trials, seed=base,
-                            kf_error_cap=0.05, **kw)
+    reps = {sc: compare_pipelines(cfg, plan, sc, trials=trials, seed=base, kf_error_cap=0.05,
+                                  **kw) for sc in scenarios}
     sums = {key: np.zeros((2, n)) for key in ("ar",) + scenarios}
     for i in range(trials):
         traces = {"ar": rollout_pure_ar(cfg, n, rng=derive_rng(base, "trial-ar", i))}
@@ -597,13 +608,14 @@ def test_batched_engine_matches_standalone_rollouts(dim, trials):
             sums[key][0] += tr.error_norms
             sums[key][1] += tr.error_norms ** 2
         if i == 0:
-            first = {"ar": rep.trial0_ar, **rep.trial0_anchored}
+            first = {"ar": reps["global"].trial0_ar,
+                     **{sc: rep.trial0_anchored for sc, rep in reps.items()}}
             for key, tr in traces.items():
                 assert np.array_equal(first[key].generated.frames, tr.generated.frames)
                 assert np.array_equal(first[key].error_norms, tr.error_norms)
                 assert np.array_equal(first[key].bounds, tr.bounds)
-    assert np.array_equal(rep.ar_mean_error, sums["ar"][0] / trials)
-    assert np.array_equal(rep.ar_mse, sums["ar"][1] / trials)
-    for sc in scenarios:
-        assert np.array_equal(rep.anchored_mean_error[sc], sums[sc][0] / trials)
-        assert np.array_equal(rep.anchored_mse[sc], sums[sc][1] / trials)
+    for sc, rep in reps.items():
+        assert np.array_equal(rep.ar_mean_error, sums["ar"][0] / trials)
+        assert np.array_equal(rep.ar_mse, sums["ar"][1] / trials)
+        assert np.array_equal(rep.anchored_mean_error, sums[sc][0] / trials)
+        assert np.array_equal(rep.anchored_mse, sums[sc][1] / trials)
