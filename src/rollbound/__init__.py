@@ -36,7 +36,6 @@ from .metrics import (
     ssim,
 )
 from .schedule import (
-    StridePolicy,
     build_plan,
     partition_segments,
     sample_keyframe_indices,

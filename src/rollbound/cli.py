@@ -19,18 +19,11 @@ from .errormodel import ar_upper_curve, unified_bound
 from .errors import InvalidInput
 from .expconfig import ExperimentConfig, apply_overrides, load_config, save_config
 from .metrics import _rotation_error, are, align_similarity, smoothness, write_metric_report
-from .schedule import (
-    StridePolicy,
-    build_plan,
-    sample_keyframe_indices,
-    save_plan,
-    segment_context,
-)
-from .seeding import derive_rng, derive_seed_sequence
+from .schedule import build_plan, sample_keyframe_indices, save_plan, segment_context
+from .seeding import child_seed, derive_rng
 from .svgplot import save_line_chart
 from .worldsim import (
     WorldConfig,
-    KeyframeLatents,
     RolloutTrace,
     bias_from_norm,
     compare_pipelines,
@@ -70,7 +63,7 @@ def _world(cfg: ExperimentConfig) -> WorldConfig:
 
 
 def _plan(cfg: ExperimentConfig) -> RolloutPlan:
-    return build_plan(cfg.total_frames, cfg.stride_policy(), cfg.segment_len,
+    return build_plan(cfg.total_frames, cfg.strides, cfg.segment_len,
                       cfg.overlap, rng=derive_rng(cfg.seed, "plan"))
 
 
@@ -158,15 +151,15 @@ def cmd_simulate(args) -> int:
     np.divide(report.ar_mean_error, dc_mean, out=ratio, where=dc_mean > 0)
     write_columns_csv(mean_path, ("frame", "ar_mean_err", "anchored_mean_err", "ar_mse",
                                   "anchored_mse", "ratio"),
-                      (report.frames, report.ar_mean_error, dc_mean, report.ar_mse,
-                       report.anchored_mse, ratio))
+                      (np.arange(plan.total_frames), report.ar_mean_error, dc_mean,
+                       report.ar_mse, report.anchored_mse, ratio))
 
     lines = [
         f"trials: {cfg.trials}",
         f"scenario: {cfg.kf_scenario}",
         f"final step-by-step error: {float(report.ar_mean_error[-1])!r}",
         f"final anchored error: {float(dc_mean[-1])!r}",
-        f"final error ratio: {report.final_ratio()!r}",
+        f"final error ratio: {float(ratio[-1])!r}",
     ]
     ar_viol, dc_viol = (_bound_violations(cfg, tr) for tr in (ar_trace, anchored_trace))
     if dc_viol is None:
@@ -249,21 +242,19 @@ def cmd_ablate(args) -> int:
     world = _world(cfg)
     rows = []
     for g_stride, i_stride in grid:
-        gen_idx = sample_keyframe_indices(cfg.total_frames, StridePolicy.test(g_stride))
+        gen_idx = sample_keyframe_indices(cfg.total_frames, g_stride)
         kfs = generate_keyframes(world, gen_idx, cfg.kf_scenario,
                                  error_cap=cfg.kf_error_cap, step_error=cfg.kf_step_error,
                                  rng=derive_rng(cfg.seed, f"ablate-kf-{g_stride}-{i_stride}"))
-        keep = [j for j, k in enumerate(gen_idx)
-                if k % i_stride == 0 or k == cfg.total_frames - 1]
-        sub = KeyframeLatents(tuple(gen_idx[j] for j in keep), kfs.values[keep])
-        plan = RolloutPlan(cfg.total_frames, sub.indices, cfg.segment_len, cfg.overlap)
-        child = int(derive_seed_sequence(cfg.seed, f"ablate-{g_stride}-{i_stride}", 0)
-                    .generate_state(1)[0])
-        trace = rollout_anchored(world, plan, sub, sigma_int=cfg.sigma_int,
-                                 velocity_error=cfg.velocity_error, seed=child)
+        # the interpolation anchors are the generated ones at multiples of
+        # i_stride (and the final frame), since g_stride divides i_stride
+        plan = build_plan(cfg.total_frames, (i_stride,), cfg.segment_len, cfg.overlap)
+        trace = rollout_anchored(world, plan, kfs, sigma_int=cfg.sigma_int,
+                                 velocity_error=cfg.velocity_error,
+                                 seed=child_seed(cfg.seed, f"ablate-{g_stride}-{i_stride}"))
         viol = _bound_violations(cfg, trace)
         bd = trace.breakdown
-        rows.append((g_stride, i_stride, len(sub.indices), len(plan.segments),
+        rows.append((g_stride, i_stride, len(plan.keyframes), len(plan.segments),
                      trace.final_error(), bd.total, bd.anchor_term, bd.leakage_term,
                      bd.noise_term, -1 if viol is None else viol))
     path = os.path.join(out, "ablation.csv")

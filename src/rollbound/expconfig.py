@@ -5,14 +5,14 @@ the offending line number. Values round-trip losslessly (floats are written
 with repr). CLI flags override file values. A config is checked when it is
 built, and one that breaks a rule is rejected naming the key:
   * every float key is finite and non-negative,
-  * stride_mode, dynamics and kf_scenario take one of the values listed below,
+  * dynamics and kf_scenario take one of the values listed below,
   * total_frames, dim, trials and every stride are >= 1,
   * 0 <= overlap < segment_len.
 
 Keys (defaults in parentheses):
   total_frames (321)    frames including frame 0
-  strides (8)           comma list of keyframe strides; one value = test mode
-  stride_mode (test)    'test' or 'train' (train draws from the stride list)
+  strides (8)           comma list of keyframe strides; with several, each
+                        plan draws one from the seed's "plan" stream
   segment_len (9)       generation window length B
   overlap (1)           shared frames p between consecutive windows
   dim (1)               latent dimension
@@ -37,14 +37,13 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import InvalidInput
-from .schedule import StridePolicy
 
 #: keys holding a float (kf_step_error also None): each must be finite and >= 0
 _FLOAT_KEYS = ("lipschitz", "bias", "noise_std", "sigma_int", "velocity_error",
                "kf_error_cap", "kf_step_error")
 
 #: keys holding a choice, with the values each takes
-_CHOICE_KEYS = {"stride_mode": ("test", "train"), "dynamics": ("scaled_identity", "rotation"),
+_CHOICE_KEYS = {"dynamics": ("scaled_identity", "rotation"),
                 "kf_scenario": ("global", "downsampled_ar")}
 
 #: keys holding a count: each must be >= 1
@@ -55,7 +54,6 @@ _COUNT_KEYS = ("total_frames", "dim", "trials")
 class ExperimentConfig:
     total_frames: int = 321
     strides: tuple[int, ...] = (8,)
-    stride_mode: str = "test"
     segment_len: int = 9
     overlap: int = 1
     dim: int = 1
@@ -90,13 +88,6 @@ class ExperimentConfig:
         if not 0 <= self.overlap < self.segment_len:
             raise InvalidInput(f"segment length must exceed overlap and overlap must be >= 0, "
                                f"got segment_len {self.segment_len} and overlap {self.overlap}")
-
-    def stride_policy(self) -> StridePolicy:
-        if self.stride_mode == "train":
-            return StridePolicy.train(self.strides)
-        if len(self.strides) != 1:
-            raise InvalidInput("test mode needs exactly one stride")
-        return StridePolicy.test(self.strides[0])
 
 
 def _parse_value(name: str, kind, raw: str):

@@ -14,7 +14,6 @@ overlap, keyframes, segments as start:end spans).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,45 +22,13 @@ from .errors import InvalidInput
 from .seeding import as_rng
 
 
-@dataclass(frozen=True)
-class StridePolicy:
-    """Keyframe stride selection: a candidate set in train mode, a fixed
-    stride in test mode."""
-
-    mode: str
-    candidate_strides: tuple[int, ...] = ()
-    fixed_stride: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("train", "test"):
-            raise InvalidInput(f"stride mode must be 'train' or 'test', got {self.mode!r}")
-        object.__setattr__(self, "candidate_strides",
-                           tuple(int(s) for s in self.candidate_strides))
-        object.__setattr__(self, "fixed_stride", int(self.fixed_stride))
-        if self.mode == "train":
-            if not self.candidate_strides or any(s < 1 for s in self.candidate_strides):
-                raise InvalidInput("train mode needs a nonempty set of positive strides")
-        elif self.fixed_stride < 1:
-            raise InvalidInput("test mode needs fixed_stride >= 1")
-
-    @staticmethod
-    def test(stride: int) -> "StridePolicy":
-        return StridePolicy("test", fixed_stride=stride)
-
-    @staticmethod
-    def train(candidates) -> "StridePolicy":
-        return StridePolicy("train", candidate_strides=tuple(candidates))
-
-
-def sample_keyframe_indices(n_frames: int, policy: StridePolicy, rng=None) -> list[int]:
-    """Stride-sampled keyframe indices: multiples of the stride starting at 0,
-    with the final frame appended so the last segment has a forward anchor."""
+def sample_keyframe_indices(n_frames: int, stride: int) -> list[int]:
+    """Keyframe indices at one stride: its multiples below n_frames, with the
+    final frame appended so the last segment has a forward anchor."""
     if n_frames < 1:
         raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
-    if policy.mode == "train":
-        stride = int(as_rng(rng).choice(policy.candidate_strides))
-    else:
-        stride = policy.fixed_stride
+    if stride < 1:
+        raise InvalidInput(f"stride must be >= 1, got {stride}")
     idx = list(range(0, n_frames, stride))
     if idx[-1] != n_frames - 1:
         idx.append(n_frames - 1)
@@ -133,11 +100,17 @@ def segment_context(plan: RolloutPlan):
         yield seg, history, _select_sorted(kf, seg.start, seg.end)
 
 
-def build_plan(n_frames: int, policy: StridePolicy, seg_len: int, overlap: int,
+def build_plan(n_frames: int, strides, seg_len: int, overlap: int,
                rng=None) -> RolloutPlan:
     """Compose keyframe sampling and the window length and overlap into a
-    full plan, valid by construction (validate_plan finds nothing in it)."""
-    keyframes = sample_keyframe_indices(n_frames, policy, rng)
+    full plan, valid by construction (validate_plan finds nothing in it).
+
+    One stride is used as given; from several, the plan draws one with rng."""
+    strides = tuple(strides)
+    if not strides or min(strides) < 1:
+        raise InvalidInput(f"strides must be a nonempty list of strides >= 1, got {strides}")
+    stride = strides[0] if len(strides) == 1 else int(as_rng(rng).choice(strides))
+    keyframes = sample_keyframe_indices(n_frames, stride)
     _check_windows(seg_len, overlap)
     return RolloutPlan(n_frames, tuple(keyframes), seg_len, overlap)
 

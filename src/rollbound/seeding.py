@@ -22,6 +22,11 @@ def derive_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed_sequence(seed, label, index)))
 
 
+def child_seed(seed: int, label: str, index: int = 0) -> int:
+    """An integer seed for one purpose/index pair under a master seed."""
+    return int(derive_seed_sequence(seed, label, index).generate_state(1)[0])
+
+
 def as_rng(rng_or_seed) -> np.random.Generator:
     """Accept a Generator, an int seed, or None (fresh entropy)."""
     if isinstance(rng_or_seed, np.random.Generator):

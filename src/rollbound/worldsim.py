@@ -41,7 +41,7 @@ from .errormodel import (
 )
 from .errors import InvalidInput
 from .schedule import window_spans
-from .seeding import as_rng, derive_rng, derive_seed_sequence
+from .seeding import as_rng, child_seed, derive_rng
 
 SPECTRAL_NORM_TOL = 1e-6
 
@@ -631,20 +631,12 @@ class ComparisonReport:
     """Per-frame Monte-Carlo means for the two pipelines, the anchored one
     under one keyframe scenario, and trial 0's rollout of each."""
 
-    frames: np.ndarray
     ar_mean_error: np.ndarray
     ar_mse: np.ndarray
     anchored_mean_error: np.ndarray
     anchored_mse: np.ndarray
-    trials: int
     trial0_ar: RolloutTrace
     trial0_anchored: RolloutTrace
-
-    def final_ratio(self) -> float:
-        """Final-frame mean error of the step-by-step pipeline over the
-        anchored pipeline's."""
-        anchored = self.anchored_mean_error[-1]
-        return float(self.ar_mean_error[-1] / anchored) if anchored > 0 else float("inf")
 
 
 def _accumulate(sums: np.ndarray, errs: np.ndarray) -> None:
@@ -696,20 +688,17 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
             kv = np.stack([world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
                                            derive_rng(base, f"trial-kf-{scenario}", i)).values
                            for i in block], axis=1)
-        seeds = [int(derive_seed_sequence(base, f"trial-anchored-{scenario}", i)
-                     .generate_state(1)[0]) for i in block]
+        seeds = [child_seed(base, f"trial-anchored-{scenario}", i) for i in block]
         x, _ = layout.run(kv, seeds)
         err = _error_norms(x, world.gt.frames)
         _accumulate(dc_sums, err)
         if first == 0:
             first_anchored = layout.trace(world, kv[:, 0], x[:, 0], err[0])
     return ComparisonReport(
-        frames=np.arange(n),
         ar_mean_error=ar_sums[0] / trials,
         ar_mse=ar_sums[1] / trials,
         anchored_mean_error=dc_sums[0] / trials,
         anchored_mse=dc_sums[1] / trials,
-        trials=trials,
         trial0_ar=first_ar,
         trial0_anchored=first_anchored,
     )

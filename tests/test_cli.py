@@ -1,13 +1,17 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from rollbound import expconfig
 from rollbound.cli import main
 from rollbound.core import Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
-from rollbound.errormodel import cumulative_leakage_bound
+from rollbound.errormodel import cumulative_leakage_bound, unified_bound
 from rollbound.expconfig import ExperimentConfig, load_config, parse_config, save_config
+from rollbound.schedule import build_plan
+from rollbound.seeding import derive_rng
 
 
 def run(*argv):
@@ -26,12 +30,19 @@ def _read_rows(path):
 # ---------------------------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
-    cfg = ExperimentConfig(total_frames=77, strides=(4, 8), stride_mode="train",
-                           bias=0.0125, sigma_int=0.3, kf_scenario="downsampled_ar",
-                           kf_step_error=0.02, trials=3, seed=99, out_dir="artifacts")
+    cfg = ExperimentConfig(total_frames=77, strides=(4, 8), bias=0.0125, sigma_int=0.3,
+                           kf_scenario="downsampled_ar", kf_step_error=0.02, trials=3, seed=99,
+                           out_dir="artifacts")
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_config_docstring_lists_every_key_in_order():
+    # the README sends readers to this list for every key
+    doc = expconfig.__doc__.split("Keys (defaults in parentheses):\n", 1)[1]
+    keys = [m.group(1) for m in re.finditer(r"^  (\w+) \(", doc, re.MULTILINE)]
+    assert keys == [f.name for f in fields(ExperimentConfig)]
 
 
 def test_config_rejects_unknown_key():
@@ -397,7 +408,7 @@ def test_invalid_float_key_is_invalid_input_naming_the_key(key, value, command, 
 
 @pytest.mark.parametrize("command", ["plan", "bounds", "simulate"])
 @pytest.mark.parametrize("key, value", [
-    ("kf_scenario", "nope"), ("dynamics", "nope"), ("stride_mode", "nope"),
+    ("kf_scenario", "nope"), ("dynamics", "nope"),
     ("total_frames", "0"), ("strides", "0"), ("strides", "8,-4"), ("overlap", "-1"),
     ("overlap", "9"), ("segment_len", "1"), ("dim", "0"), ("trials", "0")])
 def test_invalid_key_value_exits_2_naming_the_key(key, value, command, tmp_path, capsys):
@@ -422,6 +433,15 @@ def test_removed_conditioning_keys_are_unknown(tmp_path, capsys):
     rc = run("--config", str(cfg_path), "--out", str(tmp_path / "o"), "plan")
     assert rc == 2
     assert "line 2: unknown config key 'sigma_c'" in capsys.readouterr().err
+    # the stride list alone sets the stride: stride_mode is gone too
+    rc = run("--out", str(tmp_path / "o"), "--set", "stride_mode=train", "plan")
+    assert rc == 2
+    assert "unknown config key 'stride_mode'" in capsys.readouterr().err
+    cfg_path.write_text("strides = 4,8\nstride_mode = train\n")
+    rc = run("--config", str(cfg_path), "--out", str(tmp_path / "o"), "plan")
+    assert rc == 2
+    assert "line 2: unknown config key 'stride_mode'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -437,12 +457,44 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_train_mode_plan_from_config(tmp_path, capsys):
     out = tmp_path / "o"
     rc = run("--out", str(out), "--seed", "3", "--set", "total_frames=65",
-             "--set", "strides=4,8,16", "--set", "stride_mode=train", "plan")
+             "--set", "strides=4,8,16", "plan")
     assert rc == 0
     text = (out / "plan.txt").read_text()
     kf_line = [l for l in text.splitlines() if l.startswith("keyframes")][0]
     kfs = [int(v) for v in kf_line.split("=")[1].split(",")]
     assert kfs[1] - kfs[0] in (4, 8, 16)
+
+
+@pytest.mark.parametrize("command", ["plan", "bounds", "simulate"])
+def test_several_strides_run_every_command(command, tmp_path):
+    out = tmp_path / "o"
+    rc = run("--out", str(out), "--set", "total_frames=65", "--set", "strides=4,8",
+             "--set", "velocity_error=0.3", command)
+    assert rc == 0
+    if command == "bounds":
+        # the a-priori leakage takes the widest anchor interval a plan can draw
+        header, rows = _read_rows(out / "bounds.csv")
+        assert {float(r[header.index("leakage")]) for r in rows} == {
+            unified_bound(0.0, 8, 0.3).leakage_term}
+
+
+def test_several_strides_simulate_within_bound(tmp_path, capsys):
+    # each seed's plan draws its own stride; a deterministic run stays
+    # within the bound of the stride it drew
+    strides = (4, 8, 16)
+    drawn = set()
+    for seed in range(6):
+        kf = build_plan(97, strides, 9, 1, rng=derive_rng(seed, "plan")).keyframes
+        drawn.add(kf[1] - kf[0])
+        rc = run("--out", str(tmp_path / str(seed)), "--seed", str(seed),
+                 "--set", "total_frames=97", "--set", "strides=4,8,16",
+                 "--set", "bias=0.01", "--set", "kf_error_cap=0.05",
+                 "--set", "velocity_error=0.3", "simulate")
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "bound violations (step-by-step): 0" in text
+        assert "bound violations (anchored): 0" in text
+    assert len(drawn) > 1
 
 
 def test_simulate_with_trajectory_controls(tmp_path):

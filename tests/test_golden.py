@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rollbound.cli import main
-from rollbound.schedule import StridePolicy, build_plan
+from rollbound.schedule import build_plan
 from rollbound.worldsim import (
     TRIAL_BLOCK,
     WorldConfig,
@@ -33,8 +33,7 @@ CLI_CASES = {
         "26141ade839c973fa15c503c6db77f6007ee4a81f5f322d5d9b521a7cfa51a67"),
     "plan_train_strides": (
         ["--seed", "5", "--set", "total_frames=203", "--set", "strides=4,8,16",
-         "--set", "stride_mode=train", "--set", "segment_len=12", "--set", "overlap=2",
-         "plan"], ("plan.txt",),
+         "--set", "segment_len=12", "--set", "overlap=2", "plan"], ("plan.txt",),
         "eeabd851c379bcb5e4be6bb9b6753b066516ff86a698a15010f3d0cee5980626"),
     "plan_single_frame": (
         ["--seed", "6", "--set", "total_frames=1", "plan"], ("plan.txt",),
@@ -202,7 +201,7 @@ def _arrays_digest(arrays) -> str:
 def test_api_anchored_without_substitution_digest():
     cfg = WorldConfig(dim=3, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(3, 0.02), seed=21)
-    plan = build_plan(70, StridePolicy.test(6), 10, 2)
+    plan = build_plan(70, (6,), 10, 2)
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
                             rng=np.random.default_rng(21))
     arrays = []
@@ -220,7 +219,7 @@ def test_api_compare_both_scenarios_digest():
     cfg = WorldConfig(dim=2, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(2, 0.01), noise_std=0.02,
                       control=np.array([0.05, -0.02]), seed=31)
-    plan = build_plan(81, StridePolicy.test(8), 9, 1)
+    plan = build_plan(81, (8,), 9, 1)
     reps = [compare_pipelines(cfg, plan, sc, trials=6, seed=8, sigma_int=0.1,
                               velocity_error=0.3, kf_error_cap=0.05)
             for sc in ("global", "downsampled_ar")]
@@ -238,7 +237,7 @@ def test_api_anchored_noiseless_without_substitution_digest():
     0 * eps, so the frames are hashed as raw bytes, sign of zero included."""
     cfg = WorldConfig(dim=3, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(3, 0.02), seed=22)
-    plan = build_plan(70, StridePolicy.test(6), 10, 2)
+    plan = build_plan(70, (6,), 10, 2)
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
                             rng=np.random.default_rng(22))
     parts = []
@@ -257,7 +256,7 @@ def test_api_compare_noiseless_interpolation_digest():
     """sigma_int = 0 over more trials than one block, both scenarios."""
     cfg = WorldConfig(dim=2, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(2, 0.01), noise_std=0.02, seed=33)
-    plan = build_plan(81, StridePolicy.test(8), 9, 1)
+    plan = build_plan(81, (8,), 9, 1)
     reps = [compare_pipelines(cfg, plan, sc, trials=TRIAL_BLOCK + 3, seed=9, sigma_int=0.0,
                               velocity_error=0.3, kf_error_cap=0.05)
             for sc in ("global", "downsampled_ar")]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from rollbound.core import InvalidInput, RolloutPlan, validate_plan
 from rollbound.schedule import (
-    StridePolicy,
     build_plan,
     partition_segments,
     sample_keyframe_indices,
@@ -20,43 +19,44 @@ from rollbound.schedule import (
 # ---------------------------------------------------------------------------
 
 def test_sample_keyframes_exact_multiples():
-    assert sample_keyframe_indices(33, StridePolicy.test(8)) == [0, 8, 16, 24, 32]
+    assert sample_keyframe_indices(33, 8) == [0, 8, 16, 24, 32]
 
 
 def test_sample_keyframes_appends_final_frame():
     # enumeration oracle: stride multiples below N, then the last index
     expected = [k for k in range(0, 21, 8)] + [20]
-    assert sample_keyframe_indices(21, StridePolicy.test(8)) == expected == [0, 8, 16, 20]
+    assert sample_keyframe_indices(21, 8) == expected == [0, 8, 16, 20]
 
 
 def test_sample_keyframes_single_frame():
-    assert sample_keyframe_indices(1, StridePolicy.test(5)) == [0]
+    assert sample_keyframe_indices(1, 5) == [0]
 
 
 def test_sample_keyframes_rejects_empty_sequence():
     with pytest.raises(InvalidInput):
-        sample_keyframe_indices(0, StridePolicy.test(4))
+        sample_keyframe_indices(0, 4)
 
 
 def test_sample_keyframes_train_mode_draws_from_candidates():
-    policy = StridePolicy.train((4, 8, 16))
     seen = set()
     for seed in range(30):
-        idx = sample_keyframe_indices(64, policy, rng=np.random.default_rng(seed))
-        stride = idx[1] - idx[0]
+        kf = build_plan(64, (4, 8, 16), 9, 1, rng=np.random.default_rng(seed)).keyframes
+        stride = kf[1] - kf[0]
         assert stride in {4, 8, 16}
+        assert list(kf) == sample_keyframe_indices(64, stride)
         seen.add(stride)
     assert len(seen) > 1  # actually random
-    a = sample_keyframe_indices(64, policy, rng=np.random.default_rng(7))
-    b = sample_keyframe_indices(64, policy, rng=np.random.default_rng(7))
+    a = build_plan(64, (4, 8, 16), 9, 1, rng=np.random.default_rng(7))
+    b = build_plan(64, (4, 8, 16), 9, 1, rng=np.random.default_rng(7))
     assert a == b
 
 
 def test_stride_policy_validation():
-    with pytest.raises(InvalidInput):
-        StridePolicy.test(0)
-    with pytest.raises(InvalidInput):
-        StridePolicy.train(())
+    with pytest.raises(InvalidInput, match="stride must be >= 1"):
+        sample_keyframe_indices(10, 0)
+    for strides in ((), (0,), (4, -8)):
+        with pytest.raises(InvalidInput, match="strides must be a nonempty list"):
+            build_plan(10, strides, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_partition_rejects_bad_overlap():
     with pytest.raises(InvalidInput, match="overlap must be >= 0"):
         partition_segments(10, 3, -1)
     with pytest.raises(InvalidInput, match="segment length must exceed overlap"):
-        build_plan(10, StridePolicy.test(3), 3, 3)
+        build_plan(10, (3,), 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +158,21 @@ def test_partition_rejects_bad_overlap():
 # ---------------------------------------------------------------------------
 
 def test_build_plan_composition():
-    plan = build_plan(33, StridePolicy.test(8), 9, 1)
+    plan = build_plan(33, (8,), 9, 1)
     assert plan.keyframes == (0, 8, 16, 24, 32)
     assert len(plan.segments) == 4
     assert validate_plan(plan) == []
 
 
 def test_build_plan_single_frame():
-    plan = build_plan(1, StridePolicy.test(8), 2, 0)
+    plan = build_plan(1, (8,), 2, 0)
     assert plan.keyframes == (0,)
     assert len(plan.segments) == 1
     assert validate_plan(plan) == []
 
 
 def test_build_plan_inference_defaults():
-    plan = build_plan(321, StridePolicy.test(8), 9, 1)
+    plan = build_plan(321, (8,), 9, 1)
     assert validate_plan(plan) == []
     assert len(plan.keyframes) == 41
     assert plan.keyframes[-1] == 320
@@ -183,7 +183,7 @@ def test_build_plan_inference_defaults():
 def test_random_plans_validate_clean(n, stride, seg_len, overlap):
     if seg_len <= overlap:
         overlap = seg_len - 1
-    plan = build_plan(n, StridePolicy.test(stride), seg_len, overlap)
+    plan = build_plan(n, (stride,), seg_len, overlap)
     assert validate_plan(plan) == []
     context = list(segment_context(plan))
     for (a, _, _), (b, history, anchors) in zip(context, context[1:]):

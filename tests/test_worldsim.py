@@ -11,8 +11,8 @@ from rollbound.errormodel import (
     solve_damping_spline,
 )
 from rollbound import worldsim
-from rollbound.schedule import StridePolicy, build_plan
-from rollbound.seeding import derive_rng, derive_seed_sequence
+from rollbound.schedule import build_plan
+from rollbound.seeding import child_seed, derive_rng
 from rollbound.worldsim import (
     KeyframeLatents,
     WorldConfig,
@@ -179,7 +179,7 @@ def test_anchor_error_norms_match_per_anchor_loop():
         loop = [np.linalg.norm(v - gt[k]) for k, v in zip(idx, values)]
         assert np.array_equal(worldsim._anchor_error_norms(values, gt, idx), loop)
     cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=51)
-    plan = build_plan(97, StridePolicy.test(4), 9, 1)
+    plan = build_plan(97, (4,), 9, 1)
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
                             rng=np.random.default_rng(51))
     gt = simulate_ground_truth(cfg, plan.total_frames).frames
@@ -250,7 +250,7 @@ def test_world_config_rejects_bad_inputs_naming_the_field(field, value):
 # ---------------------------------------------------------------------------
 
 def _plan(n=33, stride=8, seg_len=9, overlap=1):
-    return build_plan(n, StridePolicy.test(stride), seg_len, overlap)
+    return build_plan(n, (stride,), seg_len, overlap)
 
 
 def test_anchored_linear_truth_reproduced_exactly():
@@ -319,7 +319,7 @@ def test_anchored_error_decomposition_round_trip():
 
 def test_anchored_bound_dominates_deterministic_runs():
     cfg = linear_world(bias=0.02, control=np.array([0.15, 0.05]), seed=9)
-    plan = build_plan(321, StridePolicy.test(8), 9, 1)
+    plan = build_plan(321, (8,), 9, 1)
     kf = generate_keyframes(cfg, plan.keyframes, "downsampled_ar")
     trace = rollout_anchored(cfg, plan, kf, velocity_error=0.5)
     assert np.all(trace.error_norms <= trace.bounds + 1e-9)
@@ -518,7 +518,7 @@ def test_trace_csv_schema(tmp_path):
 
 def test_compare_bounded_vs_linear_growth():
     cfg = linear_world(bias=0.01, seed=13)
-    plan = build_plan(161, StridePolicy.test(8), 9, 1)
+    plan = build_plan(161, (8,), 9, 1)
     rep = compare_pipelines(cfg, plan, "global", trials=1, kf_error_cap=0.05)
     ar = rep.ar_mean_error
     dc = rep.anchored_mean_error
@@ -528,9 +528,9 @@ def test_compare_bounded_vs_linear_growth():
 
 def test_compare_t_fold_suppression():
     cfg = linear_world(bias=0.01, seed=14)
-    plan = build_plan(321, StridePolicy.test(8), 9, 1)
+    plan = build_plan(321, (8,), 9, 1)
     rep = compare_pipelines(cfg, plan, "downsampled_ar", trials=1)
-    ratio = rep.final_ratio()
+    ratio = rep.ar_mean_error[-1] / rep.anchored_mean_error[-1]
     assert 6.4 <= ratio <= 9.6
 
 
@@ -590,7 +590,7 @@ def test_batched_engine_matches_standalone_rollouts(dim, trials):
     # trial's derived streams, so the trial-order sums agree bit for bit
     cfg = WorldConfig(dim=dim, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(dim, 0.01), noise_std=0.05, seed=40 + dim)
-    plan = build_plan(41, StridePolicy.test(8), 9, 1)
+    plan = build_plan(41, (8,), 9, 1)
     n, base, scenarios = plan.total_frames, 17, ("global", "downsampled_ar")
     kw = dict(sigma_int=0.1, velocity_error=0.3)
     reps = {sc: compare_pipelines(cfg, plan, sc, trials=trials, seed=base, kf_error_cap=0.05,
@@ -601,8 +601,7 @@ def test_batched_engine_matches_standalone_rollouts(dim, trials):
         for sc in scenarios:
             kf = generate_keyframes(cfg, plan.keyframes, sc, error_cap=0.05,
                                     rng=derive_rng(base, f"trial-kf-{sc}", i))
-            child = int(derive_seed_sequence(base, f"trial-anchored-{sc}", i)
-                        .generate_state(1)[0])
+            child = child_seed(base, f"trial-anchored-{sc}", i)
             traces[sc] = rollout_anchored(cfg, plan, kf, seed=child, **kw)
         for key, tr in traces.items():
             sums[key][0] += tr.error_norms
