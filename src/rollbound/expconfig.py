@@ -6,7 +6,7 @@ with repr). CLI flags override file values. A config is checked when it is
 built, and one that breaks a rule is rejected naming the key:
   * every float key is finite and non-negative,
   * dynamics and kf_scenario take one of the values listed below,
-  * total_frames, dim, trials and every stride are >= 1,
+  * total_frames, dim, trials and every stride are >= 1, and seed is >= 0,
   * 0 <= overlap < segment_len.
 
 Keys (defaults in parentheses):
@@ -83,6 +83,8 @@ class ExperimentConfig:
         for name in _COUNT_KEYS:
             if getattr(self, name) < 1:
                 raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if any(s < 1 for s in self.strides):
             raise InvalidInput(f"strides must each be >= 1, got {self.strides}")
         if not 0 <= self.overlap < self.segment_len:

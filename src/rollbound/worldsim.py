@@ -41,7 +41,7 @@ from .errormodel import (
 )
 from .errors import InvalidInput
 from .schedule import window_spans
-from .seeding import as_rng, child_seed, derive_rng
+from .seeding import as_rng, child_seeds, derive_rng, derive_rngs, generators, stream_words
 
 SPECTRAL_NORM_TOL = 1e-6
 
@@ -228,9 +228,21 @@ def _require_finite(x: np.ndarray) -> None:
 
 def _error_norms(x: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """(B, n) error norms of a time-major (n, B, d) batch against (n, d); a
-    norm beyond the float range reads inf, without a warning."""
+    norm beyond the float range reads inf, without a warning.
+
+    The plain norm squares the components, so it reads inf from about 1e154
+    on. Only the rows that read inf from finite components are recomputed,
+    scaled by their largest component: every other norm keeps its rounding."""
     with np.errstate(over="ignore"):
-        return np.linalg.norm(x - gt[:, None], axis=-1).T
+        diff = x - gt[:, None]
+        norms = np.linalg.norm(diff, axis=-1)
+        redo = np.isinf(norms)
+        if redo.any():
+            redo &= np.isfinite(diff).all(axis=-1)
+            rows = diff[redo]
+            scale = np.abs(rows).max(axis=-1, keepdims=True)
+            norms[redo] = scale[:, 0] * np.linalg.norm(rows / scale, axis=-1)
+    return norms.T
 
 
 class _World:
@@ -549,10 +561,15 @@ class _AnchoredLayout:
         chunks = []
         segments = self.plan.segments if collect_segments else None
         bounds = self.cuts.tolist()
+        # every window's stream words are hashed here at once; its generators
+        # are built only as it runs, as all of them at once would take memory
+        # in proportion to the horizon
+        words = (stream_words(seeds, "interp-noise", range(len(self.marginal)))
+                 if self.draws else None)
         for si, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], self.marginal)):
             if self.draws:
-                eps = np.stack([derive_rng(s, "interp-noise", si).standard_normal((hi - lo, d))
-                                for s in seeds], axis=1)
+                eps = np.stack([g.standard_normal((hi - lo, d))
+                                for g in generators(words[:, si])], axis=1)
                 kicks = self.draw_scale[lo:hi, None, None] * eps
                 w[self.draw_frames[lo:lo + m]] = kicks[:m]
                 for t, frac, kick in zip(self.draw_frames[lo + m:hi].tolist(),
@@ -641,10 +658,11 @@ class ComparisonReport:
 
 def _accumulate(sums: np.ndarray, errs: np.ndarray) -> None:
     """Add each trial's error row and its square to (2, n) running sums, in
-    trial order."""
-    for row in errs:
-        sums[0] += row
-        sums[1] += row ** 2
+    trial order; a sum beyond the float range reads inf, without a warning."""
+    with np.errstate(over="ignore"):
+        for row in errs:
+            sums[0] += row
+            sums[1] += row ** 2
 
 
 def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "global",
@@ -664,11 +682,8 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     base = cfg.seed if seed is None else int(seed)
     n = plan.total_frames
 
-    def ar_rngs(block):
-        return [derive_rng(base, "trial-ar", i) for i in block]
-
     # trial block 0 runs in the ground truth's own pass
-    world = _World(cfg, n, ar_rngs(range(min(TRIAL_BLOCK, trials))))
+    world = _World(cfg, n, derive_rngs(base, "trial-ar", range(min(TRIAL_BLOCK, trials))))
     layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error)
     kf_idx = list(plan.keyframes)
     ar_sums, dc_sums = np.zeros((2, n)), np.zeros((2, n))
@@ -677,7 +692,8 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
                  if scenario == "downsampled_ar" else None)
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
-        x = world.take_rollouts() if first == 0 else world.ar_rollouts(ar_rngs(block))
+        x = (world.take_rollouts() if first == 0
+             else world.ar_rollouts(derive_rngs(base, "trial-ar", block)))
         err = _error_norms(x, world.gt.frames)
         _accumulate(ar_sums, err)
         if first == 0:
@@ -685,10 +701,10 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
         if shared_kv is not None:
             kv = np.broadcast_to(shared_kv[:, None], (len(kf_idx), len(block), cfg.dim))
         else:
+            rngs = derive_rngs(base, f"trial-kf-{scenario}", block)
             kv = np.stack([world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
-                                           derive_rng(base, f"trial-kf-{scenario}", i)).values
-                           for i in block], axis=1)
-        seeds = [child_seed(base, f"trial-anchored-{scenario}", i) for i in block]
+                                           g).values for g in rngs], axis=1)
+        seeds = child_seeds(base, f"trial-anchored-{scenario}", block)
         x, _ = layout.run(kv, seeds)
         err = _error_norms(x, world.gt.frames)
         _accumulate(dc_sums, err)

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -146,15 +149,20 @@ def test_cmd_bounds_overflowing_noise_variance(tmp_path, capsys):
 @pytest.mark.parametrize("key, trace", [("noise_std", "ar_trace.csv"),
                                         ("sigma_int", "anchored_trace.csv")])
 def test_cmd_simulate_overflowing_error_norm(tmp_path, capsys, key, trace):
-    # frames near 1e201 are finite, only their error norm overflows: it reads
-    # inf, and the run exits 0 without a warning
+    # errors near 1e201 are finite, only their squares overflow: the error
+    # norm reads its finite value, the mean squared error reads inf, and the
+    # run exits 0 without a warning
     out = tmp_path / "o"
     rc = run("--out", str(out), "--set", "total_frames=33", "--set", f"{key}=1e200",
              "simulate")
     assert rc == 0
     assert capsys.readouterr().err == ""
     header, rows = _read_rows(out / trace)
-    assert "inf" in [row[header.index("err_norm")] for row in rows]
+    norms = np.array([float(row[header.index("err_norm")]) for row in rows])
+    assert np.all(np.isfinite(norms)) and norms.max() > 1e154
+    header, rows = _read_rows(out / "mean_curves.csv")
+    mse = "ar_mse" if trace == "ar_trace.csv" else "anchored_mse"
+    assert "inf" in [row[header.index(mse)] for row in rows]
 
 
 def test_cmd_bounds_divergence_flag(tmp_path):
@@ -410,13 +418,32 @@ def test_invalid_float_key_is_invalid_input_naming_the_key(key, value, command, 
 @pytest.mark.parametrize("key, value", [
     ("kf_scenario", "nope"), ("dynamics", "nope"),
     ("total_frames", "0"), ("strides", "0"), ("strides", "8,-4"), ("overlap", "-1"),
-    ("overlap", "9"), ("segment_len", "1"), ("dim", "0"), ("trials", "0")])
+    ("overlap", "9"), ("segment_len", "1"), ("dim", "0"), ("trials", "0"), ("seed", "-1")])
 def test_invalid_key_value_exits_2_naming_the_key(key, value, command, tmp_path, capsys):
     rc = run("--out", str(tmp_path / "o"), "--set", f"{key}={value}", command)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and re.search(rf"\b{key}\b", err), err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_negative_seed_flag_exits_2_naming_the_key(command, tmp_path, capsys):
+    rc = run("--seed", "-1", "--out", str(tmp_path / "o"), command)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: seed must be >= 0"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random is imported on the first draw only: a command that draws
+    # nothing, or the import itself, does not pay for it
+    code = "import sys, rollbound.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_unknown_config_key_via_set(tmp_path, capsys):

@@ -12,7 +12,7 @@ from rollbound.errormodel import (
 )
 from rollbound import worldsim
 from rollbound.schedule import build_plan
-from rollbound.seeding import child_seed, derive_rng
+from rollbound.seeding import child_seed, derive_rng, stream_words
 from rollbound.worldsim import (
     KeyframeLatents,
     WorldConfig,
@@ -560,17 +560,30 @@ def test_compare_deterministic_and_block_invariant(monkeypatch):
         assert np.array_equal(a.anchored_mse, other.anchored_mse)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_error_norm_past_1e154_stays_finite_and_within_bound(dim):
+    # from about 1e154 the squares of the components overflow; the error
+    # itself reaches 1e227 at frame 1,299, within the float range and equal
+    # to the bias-only bound
+    cfg = WorldConfig(dim=dim, lipschitz=1.5, bias=bias_from_norm(dim, 0.01))
+    tr = rollout_pure_ar(cfg, 1300)
+    assert tr.error_norms[-1] > 1e200
+    assert np.all(np.isfinite(tr.error_norms))
+    assert np.all(tr.error_norms <= tr.bounds)
+
+
 def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch):
     # with sigma_int = 0 each bridge kick is 0 * eps: no stream is derived,
     # except for substitution off, whose marginal redraw rows keep the sign
     # of eps in 0 * eps
     labels = []
 
-    def spy(seed, label, index=0):
-        labels.append(label)
-        return derive_rng(seed, label, index)
+    def spy(seeds, label, indices):
+        words = stream_words(seeds, label, indices)
+        labels.extend([label] * (words.shape[0] * words.shape[1]))
+        return words
 
-    monkeypatch.setattr(worldsim, "derive_rng", spy)
+    monkeypatch.setattr(worldsim, "stream_words", spy)
     cfg = linear_world(bias=0.01, noise=0.02, seed=19)
     plan = _plan(n=65, stride=8, seg_len=9, overlap=2)
     kw = dict(scenario="global", trials=3, velocity_error=0.4, kf_error_cap=0.05)
