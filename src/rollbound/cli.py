@@ -102,7 +102,8 @@ def cmd_bounds(args) -> int:
     n = cfg.total_frames
     interval = max(cfg.strides)
     upper, flags = ar_upper_curve(cfg.lipschitz, cfg.bias, n)
-    lower = np.arange(n) * cfg.bias
+    with np.errstate(over="ignore"):  # past the float range reads inf, as upper diverges
+        lower = np.arange(n) * cfg.bias
     try:
         variance = np.arange(n) * cfg.noise_std ** 2
     except OverflowError:  # the step variance exceeds the float range

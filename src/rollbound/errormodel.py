@@ -43,14 +43,30 @@ def ar_upper_curve(lipschitz: float, step_error: float, n_frames: int,
                    cap: float = DIVERGENCE_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame bound values and diverged flags for frames 0..n_frames-1:
     frame t holds the bound after t steps of e <- L*e + eta, i.e. the
-    geometric sum eta*(L**t - 1)/(L - 1). Values beyond `cap` saturate to
-    `cap` and are flagged diverged, so divergence curves stay plottable."""
+    geometric sum eta*(L**t - 1)/(L - 1). Values from the first one beyond
+    `cap` (or non-finite) on saturate to `cap` and are flagged diverged, so
+    divergence curves stay plottable.
+
+    For L = 1, 1.0 * e is e, so the recursion is a running sum of eta: one
+    np.add.accumulate, strictly sequential, makes the loop's additions in
+    its order, bit for bit. The sum never falls, so the frames past `cap`
+    or the float range are a suffix, found by one binary search. Every other
+    L runs the loop."""
     if not lipschitz >= 0.0:
         raise InvalidInput("lipschitz constant must be >= 0")
     if not step_error >= 0.0:
         raise InvalidInput("step error must be >= 0")
     values = np.zeros(n_frames)
     flags = np.zeros(n_frames, dtype=bool)
+    if lipschitz == 1.0:
+        sums = values[1:]
+        sums[:] = step_error
+        with np.errstate(over="ignore"):
+            np.add.accumulate(sums, out=sums)
+        first = 1 + int(np.searchsorted(sums, min(cap, np.finfo(float).max), side="right"))
+        values[first:] = cap
+        flags[first:] = True
+        return values, flags
     total = 0.0
     for t in range(1, n_frames):
         total = lipschitz * total + step_error

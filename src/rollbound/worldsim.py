@@ -220,29 +220,41 @@ def write_trace_csv(trace: RolloutTrace, path) -> None:
 #: floats whatever the trial count
 TRIAL_BLOCK = 32
 
+#: frames per running-sum pass of the identity dynamics: a pass holds
+#: O(SUM_BLOCK * TRIAL_BLOCK * d) floats whatever the horizon
+SUM_BLOCK = 1024
+
 
 def _require_finite(x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)):
         raise InvalidInput("latent frames must be finite")
 
 
-def _error_norms(x: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """(B, n) error norms of a time-major (n, B, d) batch against (n, d); a
-    norm beyond the float range reads inf, without a warning.
+def _safe_norms(rows: np.ndarray, norm) -> np.ndarray:
+    """norm(rows), the norm of each row along the last axis; a norm beyond
+    the float range reads inf, without a warning.
 
-    The plain norm squares the components, so it reads inf from about 1e154
+    A plain norm squares the components, so it reads inf from about 1e154
     on. Only the rows that read inf from finite components are recomputed,
-    scaled by their largest component: every other norm keeps its rounding."""
+    scaled by their largest component: every other norm keeps norm's
+    rounding."""
     with np.errstate(over="ignore"):
-        diff = x - gt[:, None]
-        norms = np.linalg.norm(diff, axis=-1)
+        norms = norm(rows)
         redo = np.isinf(norms)
         if redo.any():
-            redo &= np.isfinite(diff).all(axis=-1)
-            rows = diff[redo]
-            scale = np.abs(rows).max(axis=-1, keepdims=True)
-            norms[redo] = scale[:, 0] * np.linalg.norm(rows / scale, axis=-1)
-    return norms.T
+            redo &= np.isfinite(rows).all(axis=-1)
+            big = rows[redo]
+            scale = np.abs(big).max(axis=-1, keepdims=True)
+            norms[redo] = scale[:, 0] * norm(big / scale)
+    return norms
+
+
+def _error_norms(x: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """(B, n) error norms of a time-major (n, B, d) batch against (n, d),
+    overflow-safe (see _safe_norms)."""
+    with np.errstate(over="ignore"):
+        diff = x - gt[:, None]
+    return _safe_norms(diff, lambda rows: np.linalg.norm(rows, axis=-1)).T
 
 
 class _World:
@@ -270,8 +282,13 @@ class _World:
         """Time-major (n, 1+B, d) batch: row 0 the ground truth, row 1+b the
         step-by-step rollout of generator b, which adds the drift and its
         noise, drawn as one (n-1, d) block (bit-identical to n-1 draws of d).
-        Each step is one matmul over the batch, bit-identical to the per-row
-        A @ x[t], and the additions keep their left-to-right order."""
+        Step t is ((A x[t] + u[t]) + b) + eps[t], added left to right.
+
+        For A = I the frames are running sums (_running_sums): the identity's
+        matmul returns x itself (a -0.0 read as +0.0), so np.add.accumulate
+        over the addends interleaved in step order makes the same additions
+        in the same order, bit for bit. Every other A takes the matmul loop
+        (_matmul_steps)."""
         cfg = self.cfg
         n = len(self.u) + 1
         x = np.empty((n, 1 + len(rngs), cfg.dim))
@@ -283,16 +300,61 @@ class _World:
             for g, block in zip(rngs, noise):
                 g.standard_normal(out=block)
             noise *= cfg.noise_std
+        # a frame past the float range reads inf or nan, without a warning:
+        # the callers' finite check rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n > 1 and np.array_equal(self.A, np.eye(cfg.dim)):
+                self._running_sums(x, b, noise)
+            else:
+                self._matmul_steps(x, b, noise)
+        return x
+
+    def _running_sums(self, x: np.ndarray, b: np.ndarray, noise) -> None:
+        """Frames 1.. of the batch for A = I, as running sums, bit for bit.
+
+        The matmul adds 1 * x_i and 0 * x_j terms to a +0.0 start: for
+        finite x that is x_i with a -0.0 read as +0.0, and a sum of addends
+        that starts from A x[0] never reads -0.0. So np.add.accumulate,
+        strictly sequential, over the addends interleaved as
+        [A x[0], u0, b, eps0, u1, b, eps1, ...] makes the loop's additions
+        in its order. Each pass sums SUM_BLOCK frames, from the last frame
+        of the previous one."""
+        n, rows, d = x.shape
+        start = np.matmul(self.A, x[0, :, :, None])[..., 0]
+        truth = x[1:, 0]
+        truth[:] = self.u
+        truth[0] += start[0]
+        np.add.accumulate(truth, axis=0, out=truth)
+        if rows == 1:
+            return
+        k = 2 if noise is None else 3
+        sums = np.empty((1 + k * SUM_BLOCK, rows - 1, d))
+        sums[0] = start[1:]
+        for lo in range(0, n - 1, SUM_BLOCK):
+            hi = min(lo + SUM_BLOCK, n - 1)
+            part = sums[:1 + k * (hi - lo)]
+            addends = part[1:].reshape(hi - lo, k, rows - 1, d)
+            addends[:, 0] = self.u[lo:hi, None]
+            addends[:, 1] = b
+            if noise is not None:
+                addends[:, 2] = noise[:, lo:hi].transpose(1, 0, 2)
+            np.add.accumulate(part, axis=0, out=part)
+            x[lo + 1:hi + 1, 1:] = part[k::k]
+            sums[0] = part[-1]
+
+    def _matmul_steps(self, x: np.ndarray, b: np.ndarray, noise) -> None:
+        """Frames 1.. of the batch for any A, one matmul over the batch per
+        step, bit-identical to the per-row A @ x[t]."""
         stacked = x[..., None]
+        rollouts = x.shape[1] > 1
         steps = zip(stacked[:-1], stacked[1:], x[1:], x[1:, 1:], self.u)
         for t, (prev, nxt, row, generated, u) in enumerate(steps):
             np.matmul(self.A, prev, out=nxt)
             row += u
-            if rngs:
+            if rollouts:
                 generated += b
                 if noise is not None:
                     generated += noise[:, t]
-        return x
 
     def take_rollouts(self) -> np.ndarray:
         """The (n, B, d) rollouts of the generators given at construction,
@@ -421,8 +483,10 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
 def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarray:
     """Error norm of each (K, d) anchor row against the ground truth at its
     frame: one batched expression, bit-identical to np.linalg.norm of each
-    row."""
-    return _row_norm(values - gt[list(indices)])
+    row, overflow-safe (see _safe_norms)."""
+    with np.errstate(over="ignore"):
+        diff = values - gt[list(indices)]
+    return _safe_norms(diff, _row_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +656,8 @@ class _AnchoredLayout:
         gt, kf_idx = world.gt, self.plan.keyframes
         max_T = max((hi - lo for lo, hi in zip(kf_idx, kf_idx[1:])), default=1)
         anchor = float(_anchor_error_norms(kv, gt.frames, kf_idx).max())
-        breakdown = unified_bound(anchor, max_T, float(np.linalg.norm(self.dv0)),
-                                  self.sigma_int)
+        dv0 = float(_safe_norms(self.dv0[None], _row_norm)[0])
+        breakdown = unified_bound(anchor, max_T, dv0, self.sigma_int)
         return RolloutTrace(LatentSeq(x), gt, err, bounds=np.full(len(gt), breakdown.total),
                             breakdown=breakdown,
                             segment_ids=self.seg_ids.copy(), keyframe_indices=tuple(kf_idx),

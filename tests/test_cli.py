@@ -165,6 +165,62 @@ def test_cmd_simulate_overflowing_error_norm(tmp_path, capsys, key, trace):
     assert "inf" in [row[header.index(mse)] for row in rows]
 
 
+def test_cmd_simulate_huge_velocity_error(tmp_path, capsys):
+    # 1e300 is a valid velocity error: its norm no longer overflows, so
+    # simulate runs without a warning and its leakage term is the one
+    # bounds prints
+    leakage = {}
+    for command, csv in (("bounds", "bounds.csv"), ("simulate", "anchored_trace.csv")):
+        rc = run("--out", str(tmp_path), "--set", "velocity_error=1e300",
+                 "--set", "total_frames=33", command)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _read_rows(tmp_path / csv)
+        leakage[command] = {row[header.index("leakage")] for row in rows}
+    assert leakage["simulate"] == leakage["bounds"] == {repr(cumulative_leakage_bound(8, 1e300))}
+    assert float(leakage["bounds"].pop()) == pytest.approx(3.0792e300, rel=1e-4)
+
+
+def test_cmd_simulate_diverging_anchors_without_warning(tmp_path, capsys):
+    # the downsampled-AR anchor errors reach about 1e227: their norms would
+    # square past the float range, but they are read without a warning
+    rc = run("--out", str(tmp_path), "--set", "lipschitz=1.5", "--set", "bias=0.01",
+             "--set", "kf_scenario=downsampled_ar", "--set", "total_frames=1300", "simulate")
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_rows(tmp_path / "anchored_trace.csv")
+    anchor = float(rows[0][header.index("anchor")])
+    assert 1e154 < anchor < np.inf
+
+
+@pytest.mark.parametrize("world", [
+    ("bias=1e306", "total_frames=200"),  # identity dynamics: running sums
+    ("lipschitz=3", "bias=0.01", "total_frames=2000", "dim=3", "dynamics=rotation"),
+])
+def test_cmd_simulate_overflowing_rollout(world, tmp_path, capsys):
+    # the step-by-step frames pass the float range: the run is rejected by
+    # the finite check alone, and numpy's overflow and invalid-value
+    # warnings stay inside
+    argv = ["--out", str(tmp_path)]
+    for setting in world:
+        argv += ["--set", setting]
+    rc = run(*argv, "simulate")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: latent frames must be finite\n"
+
+
+def test_cmd_bounds_overflowing_lower_curve(tmp_path, capsys):
+    # t * bias passes the float range: the lower curve reads inf, like the
+    # diverged upper curve, without a warning
+    rc = run("--out", str(tmp_path), "--set", "bias=1e308", "bounds")
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_rows(tmp_path / "bounds.csv")
+    lower = [row[header.index("ar_lower")] for row in rows]
+    assert lower[:2] == ["0.0", "1e+308"] and lower[-1] == "inf"
+    assert rows[-1][header.index("diverged")] == "1"
+
+
 def test_cmd_bounds_divergence_flag(tmp_path):
     out = tmp_path / "o"
     rc = run("--out", str(out), "--set", "total_frames=20000",

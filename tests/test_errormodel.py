@@ -67,6 +67,35 @@ def test_ar_upper_curve_flags():
     assert vals[3] == 7.0
 
 
+def _ar_upper_loop(L, eta, n, cap):
+    """The recursion e <- L*e + eta one scalar step at a time, saturating at
+    the first value beyond cap or non-finite."""
+    values, flags = np.zeros(n), np.zeros(n, dtype=bool)
+    total = 0.0
+    for t in range(1, n):
+        total = L * total + eta
+        if total > cap or not np.isfinite(total):
+            values[t:], flags[t:] = cap, True
+            break
+        values[t] = total
+    return values, flags
+
+
+@pytest.mark.parametrize("eta, cap", [(0.0, 1e300), (0.01, 1e300), (1e300, 1e300),
+                                      (np.inf, 1e300), (np.inf, np.inf),
+                                      (0.01, 0.25), (0.1, 0.5)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 100])
+def test_ar_upper_curve_unit_lipschitz_matches_scalar_loop(eta, cap, n):
+    # L = 1 runs as a running sum; it must make the loop's additions bit for
+    # bit, and saturate from the same frame (mid-horizon for the small caps)
+    values, flags = ar_upper_curve(1.0, eta, n, cap=cap)
+    loop_values, loop_flags = _ar_upper_loop(1.0, eta, n, cap)
+    np.testing.assert_array_equal(values, loop_values)
+    np.testing.assert_array_equal(flags, loop_flags)
+    if n == 100 and cap < 1.0:
+        assert 0 < int(np.argmax(flags)) < n - 1
+
+
 def test_ar_upper_rejects_bad_inputs():
     for L, eta in ((-1.0, 0.1), (np.nan, 0.1), (1.0, -0.1), (1.0, np.nan)):
         with pytest.raises(InvalidInput):

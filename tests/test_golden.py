@@ -65,6 +65,13 @@ CLI_CASES = {
          "--set", "bias=0.01", "--set", "sigma_int=0.05", "--set", "velocity_error=0.2",
          "--set", "kf_error_cap=0.1", "simulate"], SIM_FILES,
         "b59d9a26ea18f9c73081d456369bc0d6589644bdcdc74e0e22cb3f5e98b23771"),
+    # identity dynamics with both noise sources on, over two trial blocks
+    "simulate_identity_noisy": (
+        ["--seed", "12", "--set", "total_frames=200", "--set", "dim=3",
+         "--set", "noise_std=0.05", "--set", "bias=0.01", "--set", "sigma_int=0.05",
+         "--set", "velocity_error=0.2", "--set", "kf_error_cap=0.1", "--set", "trials=35",
+         "simulate"], SIM_FILES,
+        "46e83208e657bc253f2a051e6394d4a2678700270231c7c31829aec87797a043"),
     "simulate_downsampled_ar": (
         ["--seed", "7", "--set", "total_frames=129", "--set", "dim=2",
          "--set", "dynamics=rotation", "--set", "lipschitz=0.98", "--set", "bias=0.02",

@@ -81,6 +81,53 @@ def test_controls_from_trajectory_embed_translation_velocity():
         controls_from_trajectory(Trajectory([0, 3], q[[0, 3]], t[[0, 3]]), dim=4)
 
 
+def _propagate_loop(A, x0, u, b, eps):
+    """The world recursion one frame at a time: x[t+1] = A @ x[t] + u[t],
+    then + b, then + eps[t] (b and eps None for the ground truth)."""
+    x = [x0]
+    for t in range(len(u)):
+        nxt = A @ x[-1] + u[t]
+        if b is not None:
+            nxt = nxt + b
+            if eps is not None:
+                nxt = nxt + eps[t]
+        x.append(nxt)
+    return np.array(x)
+
+
+@pytest.mark.parametrize("dynamics, lipschitz", [("scaled_identity", 1.0),
+                                                 ("rotation", 0.97)])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_world_propagation_matches_frame_loop_bit_for_bit(dynamics, lipschitz, noise):
+    # identity dynamics run as running sums, any other A as a matmul per
+    # step: both must equal the plain frame loop, over two trial blocks
+    n, d = 60, 3
+    g = np.random.default_rng(70)
+    control = g.normal(scale=0.1, size=(n - 1, d))
+    control[::7, 0] = -0.0
+    cfg = WorldConfig(dim=d, lipschitz=lipschitz, dynamics=dynamics,
+                      bias=np.array([0.01, -0.02, 0.0]), noise_std=noise,
+                      x0=np.array([-0.0, 1.5, -2.0]), control=control, seed=71)
+    A = dynamics_matrix(cfg)
+    assert np.array_equal(A, np.eye(d)) == (dynamics == "scaled_identity")
+
+    def streams():
+        return [np.random.default_rng(s) for s in range(worldsim.TRIAL_BLOCK + 1)]
+
+    rngs = streams()
+    world = worldsim._World(cfg, n, rngs[:worldsim.TRIAL_BLOCK])
+    blocks = [world.take_rollouts(), world.ar_rollouts(rngs[worldsim.TRIAL_BLOCK:])]
+    rollouts = np.concatenate(blocks, axis=1)
+
+    truth = _propagate_loop(A, cfg.x0, control, None, None)
+    assert world.gt.frames.tobytes() == truth.tobytes()  # the sign of zero too
+    for i, rng in enumerate(streams()):
+        eps = rng.standard_normal((n - 1, d)) * noise if noise > 0.0 else None
+        expect = _propagate_loop(A, cfg.x0, control, cfg.bias, eps)
+        np.testing.assert_array_equal(rollouts[:, i], expect)
+        assert rollouts[:, i].tobytes() == expect.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pure autoregressive rollout
 # ---------------------------------------------------------------------------
