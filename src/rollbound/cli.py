@@ -1,8 +1,8 @@
 """Experiment runner: plan construction, bound curves, world simulation,
-trajectory metrics, and stride-ablation sweeps, with CSV/SVG artifacts.
+trajectory metrics, and stride-ablation sweeps, with CSV artifacts.
 
 Subcommands: plan, bounds, simulate, eval, ablate.
-Global flags: --config PATH, --seed N, --out DIR, --svg, --set key=value.
+Global flags: --config PATH, --seed N, --out DIR, --set key=value.
 Exit codes: 0 success, 1 internal error, 2 invalid input.
 """
 
@@ -21,7 +21,6 @@ from .expconfig import ExperimentConfig, apply_overrides, load_config, save_conf
 from .metrics import _rotation_error, are, align_similarity, smoothness, write_metric_report
 from .schedule import build_plan, sample_keyframe_indices, save_plan, segment_context
 from .seeding import child_seed, derive_rng
-from .svgplot import save_line_chart
 from .worldsim import (
     WorldConfig,
     RolloutTrace,
@@ -122,14 +121,6 @@ def cmd_bounds(args) -> int:
           f"anchored bound={bd.total:g} "
           f"(anchor {bd.anchor_term:g} + leakage {bd.leakage_term:g} + noise {bd.noise_term:g})")
     print(f"wrote {path}")
-    if args.svg:
-        frames = np.arange(n)
-        finite_upper = np.where(flags, np.nan, upper)
-        save_line_chart([("step-by-step bound", frames, finite_upper),
-                         ("anchored bound", frames, np.full(n, bd.total))],
-                        os.path.join(out, "bounds.svg"),
-                        title="error bounds", x_label="frame", y_label="error")
-        print(f"wrote {os.path.join(out, 'bounds.svg')}")
     return 0
 
 
@@ -174,14 +165,6 @@ def cmd_simulate(args) -> int:
     for line in lines:
         print(line)
     print(f"wrote {mean_path}")
-    if args.svg:
-        frames = np.arange(plan.total_frames)
-        save_line_chart([("step-by-step", frames, report.ar_mean_error),
-                         ("anchored", frames, dc_mean),
-                         ("anchored bound", frames, anchored_trace.bounds)],
-                        os.path.join(out, "errors.svg"),
-                        title="mean rollout error", x_label="frame", y_label="error norm")
-        print(f"wrote {os.path.join(out, 'errors.svg')}")
     return 0
 
 
@@ -223,10 +206,10 @@ def _parse_grid(spec: str) -> list[tuple[int, int]]:
         item = item.strip()
         if not item:
             continue
-        parts = item.split(":")
-        if len(parts) != 2:
-            raise InvalidInput(f"grid cell {item!r} is not gen:interp")
-        g, i = int(parts[0]), int(parts[1])
+        try:
+            g, i = map(int, item.split(":"))
+        except ValueError:  # not two fields, or a field that is not an integer
+            raise InvalidInput(f"grid cell {item!r} is not gen:interp") from None
         if g < 1 or i < 1 or i % g != 0:
             raise InvalidInput(f"grid cell {item!r}: interp stride must be a "
                                f"multiple of the generation stride")
@@ -281,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="experiment config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--svg", action="store_true", help="also emit SVG charts")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)

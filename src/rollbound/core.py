@@ -223,7 +223,11 @@ def load_trajectory(path) -> Trajectory:
     1-based line number of the first bad line."""
     linenos, fields = [], []
     parse_error = None
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInput(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split("#", 1)[0].split()
             if not parts:

@@ -134,7 +134,11 @@ def _key_kind(key: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInput(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         return parse_config(fh.read(), source=str(path))
 
 

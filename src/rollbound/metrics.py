@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LatentSeq,
     Trajectory,
     canonicalize_quaternion,
     matrix_to_quat,
@@ -230,12 +229,10 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray, max_value: float = 255.0,
 
 def smoothness(seq) -> float:
     """Mean squared second difference of a sequence (lower = smoother).
-    Accepts a LatentSeq, a Trajectory (translations), or an (n,) / (n, d)
-    array; needs at least 3 samples."""
+    Accepts a Trajectory (translations) or an (n,) / (n, d) array; needs at
+    least 3 samples."""
     if isinstance(seq, Trajectory):
         x = seq.translations()
-    elif isinstance(seq, LatentSeq):
-        x = seq.frames
     else:
         x = np.asarray(seq, dtype=float)
         if x.ndim == 1:
@@ -247,52 +244,8 @@ def smoothness(seq) -> float:
 
 
 # ---------------------------------------------------------------------------
-# PGM I/O and metric reports
+# metric reports
 # ---------------------------------------------------------------------------
-
-def read_pgm(path) -> np.ndarray:
-    """Grayscale image from a plain-text (P2) or binary (P5) PGM file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens: list[bytes] = []
-    pos = 0
-    while pos < len(data) and len(tokens) < 4:
-        if data[pos:pos + 1].isspace():
-            pos += 1
-        elif data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-    if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
-        raise InvalidInput(f"{path}: not a P2/P5 PGM file")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if tokens[0] == b"P2":
-        values = np.array(data[pos:].split(), dtype=float)
-    else:
-        pos += 1  # single whitespace after maxval
-        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
-        # a truncated file yields fewer pixels, rejected below
-        count = min(width * height, (len(data) - pos) // dtype.itemsize)
-        values = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(float)
-    if values.size != width * height:
-        raise InvalidInput(f"{path}: expected {width * height} pixels, got {values.size}")
-    return values.reshape(height, width)
-
-
-def write_pgm(img: np.ndarray, path, maxval: int = 255) -> None:
-    """Write a 2-D array as plain-text (P2) PGM."""
-    a = np.asarray(img)
-    if a.ndim != 2:
-        raise InvalidInput("PGM output needs a 2-D array")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P2\n{a.shape[1]} {a.shape[0]}\n{maxval}\n")
-        for row in a:
-            fh.write(" ".join(str(int(round(v))) for v in row) + "\n")
-
 
 def write_metric_report(rows: list[tuple[str, float, int]], path) -> None:
     """Metric report CSV: name, value, n_items."""

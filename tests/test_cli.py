@@ -3,12 +3,13 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rollbound import expconfig
-from rollbound.cli import main
+from rollbound.cli import build_parser, main
 from rollbound.core import Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
 from rollbound.errormodel import cumulative_leakage_bound, unified_bound
@@ -46,6 +47,23 @@ def test_config_docstring_lists_every_key_in_order():
     doc = expconfig.__doc__.split("Keys (defaults in parentheses):\n", 1)[1]
     keys = [m.group(1) for m in re.finditer(r"^  (\w+) \(", doc, re.MULTILINE)]
     assert keys == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_readme_lists_every_global_flag_in_order():
+    # the README's "Global flags:" sentence names the parser's global options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Global flags:", 1)[1].split(". ", 1)[0]
+    documented = re.findall(r"`(--[\w-]+)", sentence)
+    options = [max(action.option_strings, key=len) for action in build_parser()._actions
+               if action.option_strings and action.dest != "help"]
+    assert documented == options
+
+
+def test_removed_svg_flag_is_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--svg", "bounds"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_key():
@@ -229,15 +247,6 @@ def test_cmd_bounds_divergence_flag(tmp_path):
     header, rows = _read_rows(out / "bounds.csv")
     flags = [int(r[8]) for r in rows]
     assert flags[0] == 0 and flags[-1] == 1
-
-
-def test_cmd_bounds_svg(tmp_path):
-    out = tmp_path / "o"
-    rc = run("--out", str(out), "--svg", "--set", "total_frames=30",
-             "--set", "bias=0.1", "bounds")
-    assert rc == 0
-    svg = (out / "bounds.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +442,14 @@ def test_cmd_ablate_empty_grid(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["a:b", " : ", "4:x", "4:4:4", "4"])
+def test_cmd_ablate_malformed_cell_names_the_cell(cell, tmp_path, capsys):
+    rc = run("--out", str(tmp_path / "o"), "ablate", "--grid", f"4:4,{cell}")
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: grid cell {cell.strip()!r} is not gen:interp\n"
+    assert not (tmp_path / "o" / "ablation.csv").exists()
+
+
 def test_cmd_ablate_rejects_nonmultiple(tmp_path, capsys):
     rc = run("--out", str(tmp_path / "o"), "ablate", "--grid", "8:12")
     assert rc == 2
@@ -593,3 +610,23 @@ def test_simulate_with_trajectory_controls(tmp_path):
     assert rc == 0
     _, rows = _read_rows(out / "ar_trace.csv")
     assert float(rows[-1][1]) == pytest.approx(0.32, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("entry", ["config", "trajectory", "eval"])
+def test_unreadable_input_file_exits_2_naming_the_path(entry, kind, tmp_path, capsys):
+    bad = tmp_path / "input.txt"
+    if kind == "directory":
+        bad.mkdir()
+    good = tmp_path / "good.txt"
+    _write_traj(good, n=6)
+    out = ["--out", str(tmp_path / "o")]
+    argv = {
+        "config": ["--config", str(bad), *out, "plan"],
+        "trajectory": [*out, "--set", "dim=3", "--set", f"trajectory={bad}", "simulate"],
+        "eval": [*out, "eval", str(good), str(bad)],
+    }[entry]
+    rc = run(*argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad}: cannot open: "), err

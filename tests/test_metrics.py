@@ -14,12 +14,10 @@ from rollbound.metrics import (
     ate,
     fit_rotation,
     psnr,
-    read_pgm,
     slerp,
     smoothness,
     ssim,
     write_metric_report,
-    write_pgm,
 )
 
 
@@ -361,43 +359,8 @@ def test_smoothness_needs_three_samples():
 
 
 # ---------------------------------------------------------------------------
-# image and report I/O
+# metric report
 # ---------------------------------------------------------------------------
-
-def test_pgm_ascii_round_trip(tmp_path):
-    g = np.random.default_rng(15)
-    img = np.round(g.uniform(0, 255, (9, 7)))
-    path = tmp_path / "img.pgm"
-    write_pgm(img, path)
-    assert np.array_equal(read_pgm(path), img)
-
-
-def test_pgm_binary_read(tmp_path):
-    img = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    path = tmp_path / "img5.pgm"
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n# comment\n4 3\n255\n")
-        fh.write(img.tobytes())
-    assert np.array_equal(read_pgm(path), img.astype(float))
-
-
-@pytest.mark.parametrize("header, pixels, got", [
-    (b"P5\n4 3\n255\n", bytes(7), 7),
-    (b"P5\n4 3\n65535\n", bytes(15), 7),  # two bytes a pixel: 7 whole pixels
-], ids=["8-bit", "16-bit"])
-def test_pgm_truncated_binary_names_pixel_count(tmp_path, header, pixels, got):
-    path = tmp_path / "short.pgm"
-    path.write_bytes(header + pixels)
-    with pytest.raises(InvalidInput, match=f"expected 12 pixels, got {got}"):
-        read_pgm(path)
-
-
-def test_pgm_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.pgm"
-    path.write_text("P7\n1 1\n255\n0\n")
-    with pytest.raises(InvalidInput):
-        read_pgm(path)
-
 
 def test_metric_report_csv(tmp_path):
     path = tmp_path / "metrics.csv"
