@@ -10,7 +10,7 @@ Conventions used throughout the package:
   * a rollout plan is its keyframes, window length and overlap; its
     generation windows are derived from them, not stored.
 
-Trajectory files are plain text, one pose per line:
+Trajectory files are UTF-8 text, one pose per line:
 
     index tx ty tz qx qy qz qw
 
@@ -20,6 +20,7 @@ the file order is x,y,z,w while the in-memory order is w,x,y,z).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -208,53 +209,56 @@ def save_trajectory(traj: Trajectory, path) -> None:
             fh.write(f"{i} {tx!r} {ty!r} {tz!r} {x!r} {y!r} {z!r} {w!r}\n")
 
 
-def _parse_fields(fields: list[str]) -> tuple[list[int], np.ndarray]:
-    """Frame indices and (n, 7) numbers of flat 8-field rows, parsed with
-    int() and float(); a bad field raises their ValueError."""
-    indices = list(map(int, fields[::8]))
-    numbers = fields.copy()
-    del numbers[::8]
-    return indices, np.fromiter(map(float, numbers), dtype=float,
-                                count=len(numbers)).reshape(-1, 7)
-
-
-def load_trajectory(path) -> Trajectory:
-    """Parse a trajectory file; malformed lines raise InvalidInput naming the
-    1-based line number of the first bad line."""
-    linenos, fields = [], []
-    parse_error = None
+def read_text(path) -> str:
+    """All of an input file's text, read as UTF-8; a file that cannot be
+    opened, or whose bytes are not UTF-8, raises InvalidInput naming the
+    path."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise InvalidInput(f"{path}: cannot open: {exc.strerror}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split("#", 1)[0].split()
-            if not parts:
-                continue
-            if len(parts) != 8:
-                parse_error = f"line {lineno}: expected 8 fields, got {len(parts)}"
-                break
-            linenos.append(lineno)
-            fields += parts
-    try:
-        indices, vals = _parse_fields(fields)
-    except ValueError:
-        # the bulk parse failed: find the first line that fails on its own,
-        # and keep the rows before it
-        for r, lineno in enumerate(linenos):
-            try:
-                _parse_fields(fields[8 * r:8 * r + 8])
-            except ValueError as exc:
-                parse_error = f"line {lineno}: {exc}"
-                break
-        del linenos[r:], fields[8 * r:]
-        indices, vals = _parse_fields(fields)
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+#: a pose line as np.loadtxt reads it: the frame index, then tx ty tz qx qy qz qw
+_POSE_LINE = np.dtype([("i", np.int64), ("v", np.float64, (7,))])
+
+
+def _quaternions_translations(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 4) quaternions (w, x, y, z) and (n, 3) translations of the
+    (n, 7) numbers of pose lines (tx ty tz qx qy qz qw)."""
+    return vals[:, [6, 3, 4, 5]], vals[:, :3]
+
+
+def _scan_trajectory(text: str, path) -> Trajectory:
+    """The reference parse of a trajectory file's text: each line is read
+    with int() and float(), and InvalidInput names the 1-based number of the
+    first bad line, be it a line that does not parse or a row failing a
+    check of _ROW_CHECKS."""
+    linenos, indices, numbers = [], [], []
+    parse_error = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != 8:
+            parse_error = f"line {lineno}: expected 8 fields, got {len(fields)}"
+            break
+        try:
+            index, row = int(fields[0]), [float(f) for f in fields[1:]]
+        except ValueError as exc:
+            parse_error = f"line {lineno}: {exc}"
+            break
+        linenos.append(lineno)
+        indices.append(index)
+        numbers.append(row)
     try:
         idx = np.array(indices, dtype=np.int64)
     except OverflowError:
         raise InvalidInput(f"{path}: frame index beyond the 64-bit integer range") from None
-    t, q = vals[:, :3], vals[:, [6, 3, 4, 5]]
+    q, t = _quaternions_translations(np.array(numbers, dtype=float).reshape(-1, 7))
     # the rows before a parse error come first in the file: check them first
     bad = _first_bad_row(idx, q, t)
     if bad is not None:
@@ -267,6 +271,28 @@ def load_trajectory(path) -> Trajectory:
         return Trajectory(idx, q, t)
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from None
+
+
+def load_trajectory(path) -> Trajectory:
+    """Parse a trajectory file. Numbers are read as int() and float() read
+    them; a malformed file raises InvalidInput naming the 1-based number of
+    its first bad line.
+
+    Valid input takes one np.loadtxt pass and is checked once, by
+    Trajectory. Where numpy's reader and int()/float() differ, numpy rejects
+    (digit separators such as 1_0, non-ASCII digits, indices beyond int64):
+    any line numpy rejects, and any row failing a check, sends the file to
+    _scan_trajectory, which parses as int()/float() do and names the line."""
+    text = read_text(path)
+    try:
+        with warnings.catch_warnings():
+            # numpy warns on a file of only comments and blank lines; the
+            # scan reports it
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(text.split("\n"), dtype=_POSE_LINE, comments="#", ndmin=1)
+        return Trajectory(rows["i"], *_quaternions_translations(rows["v"]))
+    except ValueError:  # numpy could not read a line, or Trajectory rejected a row
+        return _scan_trajectory(text, path)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .core import read_text
 from .errors import InvalidInput
 
 #: keys holding a float (kf_step_error also None): each must be finite and >= 0
@@ -134,12 +135,7 @@ def _key_kind(key: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InvalidInput(f"{path}: cannot open: {exc.strerror}") from None
-    with fh:
-        return parse_config(fh.read(), source=str(path))
+    return parse_config(read_text(path), source=str(path))
 
 
 def format_config(cfg: ExperimentConfig) -> str:

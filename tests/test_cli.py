@@ -447,7 +447,7 @@ def test_cmd_ablate_malformed_cell_names_the_cell(cell, tmp_path, capsys):
     rc = run("--out", str(tmp_path / "o"), "ablate", "--grid", f"4:4,{cell}")
     assert rc == 2
     assert capsys.readouterr().err == f"error: grid cell {cell.strip()!r} is not gen:interp\n"
-    assert not (tmp_path / "o" / "ablation.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_ablate_rejects_nonmultiple(tmp_path, capsys):
@@ -612,12 +612,14 @@ def test_simulate_with_trajectory_controls(tmp_path):
     assert float(rows[-1][1]) == pytest.approx(0.32, abs=1e-9)
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
-@pytest.mark.parametrize("entry", ["config", "trajectory", "eval"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("entry", ["config", "trajectory", "eval", "ablate"])
 def test_unreadable_input_file_exits_2_naming_the_path(entry, kind, tmp_path, capsys):
     bad = tmp_path / "input.txt"
     if kind == "directory":
         bad.mkdir()
+    if kind == "not_utf8":
+        bad.write_bytes(b"\xff\xfe0 0 0 0 0 0 0 1\n")
     good = tmp_path / "good.txt"
     _write_traj(good, n=6)
     out = ["--out", str(tmp_path / "o")]
@@ -625,8 +627,26 @@ def test_unreadable_input_file_exits_2_naming_the_path(entry, kind, tmp_path, ca
         "config": ["--config", str(bad), *out, "plan"],
         "trajectory": [*out, "--set", "dim=3", "--set", f"trajectory={bad}", "simulate"],
         "eval": [*out, "eval", str(good), str(bad)],
+        "ablate": [*out, "--set", "dim=3", "--set", f"trajectory={bad}",
+                   "ablate", "--grid", "4:4"],
     }[entry]
     rc = run(*argv)
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"error: {bad}: cannot open: "), err
+    reason = ("not UTF-8 text (invalid start byte at byte 0)\n" if kind == "not_utf8"
+              else "cannot open: ")
+    assert err.startswith(f"error: {bad}: {reason}"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_eval_comment_only_file_prints_only_the_error(tmp_path):
+    # numpy's reader warns on input that holds no data; a user sees only the
+    # error line
+    path = tmp_path / "comments.txt"
+    path.write_text("# only a comment\n\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "rollbound.cli", "--out", str(tmp_path / "o"),
+                           "eval", str(path), str(path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: no poses found\n"

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rollbound import core
 from rollbound.core import (
@@ -129,12 +129,104 @@ def test_trajectory_load_names_bad_line(tmp_path):
     (["# only a comment", ""], "no poses found"),
     (["0 0 0 0 0 0 0 1", "1 0 0 0 1e200 1e200 0 1"],
      "line 2: quaternion has zero or non-finite norm"),
+    (["0 0 0 0 0 0 0 1", "1 0 0 0 0 0 0 1 9"], "line 2: expected 8 fields, got 9"),
+    # numbers read as int() and float() read them: a digit separator and
+    # non-ASCII digits parse, and the error is the later line's
+    (["1_0 0 0 0 0 0 0 1", "٥ 0 0 0 0 0 0 1"], "strictly increasing"),
+    (["1_0 0 0 0 0 0 0 1", "1٥ 0 0 ٠.٥ 0 0 0 0"],
+     "line 2: quaternion has zero or non-finite norm"),
+    ([f"{2 ** 63} 0 0 0 0 0 0 1"], "frame index beyond the 64-bit integer range"),
 ])
 def test_trajectory_load_reports_first_bad_line(tmp_path, lines, message):
     path = tmp_path / "bad.txt"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvalidInput, match=re.escape(message)):
         load_trajectory(path)
+
+
+#: separators str.split() and numpy's reader both split on
+_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\x0c", "\x1c", "\xa0"])
+#: Arabic-Indic digits: int() and float() read them, numpy's reader does not
+_ODD_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+#: what may be wrong with a pose line, or spelled so that only int()/float()
+#: read it; a line has at most one
+_FLAWS = ("index sign", "index 1_0", "index digits", "index odd", "index repeats",
+          "index falls", "number odd", "zero quaternion", "7 fields", "9 fields")
+
+
+def _number_token(rng) -> str:
+    """A finite number in a spelling both readers take: small, integral, or
+    any finite double, as repr, exponent, signed, 1. or .5."""
+    kind = rng.randrange(10)
+    if kind < 3:
+        x = float(rng.randint(-3, 3))
+    elif kind < 9:
+        x = rng.uniform(-1e3, 1e3)
+    else:  # any bits: huge, tiny or subnormal; a NaN or inf draw reads 0.0
+        x = float(np.frombuffer(rng.randbytes(8))[0])
+    text = repr(x) if np.isfinite(x) else "0.0"
+    form = rng.choice(["repr", "repr", "exp", "plus", "short"])
+    if form == "exp":
+        return f"{float(text):.17E}"
+    if form == "plus" and not text.startswith("-"):
+        return "+" + text
+    if form == "short":  # 1. for 1.0, .5 for 0.5
+        return text[:-1] if text.endswith(".0") else re.sub(r"^(-?)0\.", r"\1.", text)
+    return text
+
+
+@st.composite
+def _pose_files(draw):
+    """Pose-file text: valid rows and comment and blank lines, with flaws of
+    _FLAWS mixed in."""
+    lines, index = [], draw(st.integers(0, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " \t", "# c", "  # 1 2 3"])))
+            continue
+        flaw = draw(st.sampled_from((None,) * 12 + _FLAWS))
+        index += {"index repeats": 0, "index falls": -1}.get(flaw, draw(st.integers(1, 12)))
+        count = {"7 fields": 7, "9 fields": 9}.get(flaw, 8)
+        fields = [str(index)] + [_number_token(rng) for _ in range(count - 1)]
+        if flaw == "index sign":
+            fields[0] = ("-" if index == 0 else "+") + fields[0]
+        elif flaw == "index 1_0":  # 1_0 for 10, 0_5 for 5
+            fields[0] = f"{fields[0][:-1] or 0}_{fields[0][-1]}"
+        elif flaw == "index digits":
+            fields[0] = fields[0].translate(_ODD_DIGITS)
+        elif flaw == "index odd":  # beyond int64 either way, or not an integer
+            fields[0] = draw(st.sampled_from([str(2 ** 63), str(2 ** 63 - 1),
+                                              str(-2 ** 63 - 1), "5.0", "1e5", "x"]))
+        elif flaw == "number odd":
+            fields[draw(st.integers(1, 7))] = draw(st.sampled_from(
+                ["1_0", "٥", "١.٥", "nan", "-inf", "Infinity", "1e400", "nope"]))
+        elif flaw == "zero quaternion":
+            fields[4:] = ["0", "-0", "0.", "0e0"]
+        line = draw(st.sampled_from(["", "", "\t"])) + draw(_SEPARATORS).join(fields)
+        lines.append(line + draw(st.sampled_from(["", "", " ", " # trailing"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(load):
+    """A load's three arrays as (dtype, shape, bytes), or its error message."""
+    try:
+        traj = load()
+    except InvalidInput as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (traj.frame_indices(), traj.quaternions(), traj.translations())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_pose_files())
+def test_trajectory_load_matches_line_scan(tmp_path_factory, text):
+    # the line scan is the reference: the one-pass read returns its arrays
+    # bit for bit, or fails with its message
+    path = tmp_path_factory.mktemp("scan") / "poses.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(lambda: core._scan_trajectory(core.read_text(path), path))
+    assert _outcome(lambda: load_trajectory(path)) == expected
 
 
 def test_trajectory_arrays_frozen_and_rebuildable(tmp_path):
