@@ -48,8 +48,9 @@ def _load_experiment(args) -> ExperimentConfig:
 
 
 def _out_dir(cfg: ExperimentConfig) -> str:
-    """The output directory, made on the first write: a run rejected before
-    it leaves none behind."""
+    """The output directory, made once the run's input is read: a run
+    rejected by its input leaves none behind, and an --out that cannot be
+    made fails before the computation."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg.out_dir
 
@@ -83,8 +84,8 @@ def _bound_violations(cfg: ExperimentConfig, trace: RolloutTrace) -> int | None:
 
 def cmd_plan(args) -> int:
     cfg = _load_experiment(args)
-    plan = _plan(cfg)
     out = _out_dir(cfg)
+    plan = _plan(cfg)
     path = os.path.join(out, "plan.txt")
     save_plan(plan, path)
     save_config(cfg, os.path.join(out, "config.txt"))
@@ -99,6 +100,7 @@ def cmd_plan(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_experiment(args)
+    out = _out_dir(cfg)
     n = cfg.total_frames
     interval = max(cfg.strides)
     upper, flags = ar_upper_curve(cfg.lipschitz, cfg.bias, n)
@@ -113,7 +115,7 @@ def cmd_bounds(args) -> int:
     else:  # downsampled_ar: one step error per anchor jump of the horizon
         anchor = (n - 1) / interval * cfg.bias
     bd = unified_bound(anchor, interval, cfg.velocity_error, cfg.sigma_int)
-    path = os.path.join(_out_dir(cfg), "bounds.csv")
+    path = os.path.join(out, "bounds.csv")
     write_columns_csv(path, ("frame", "ar_upper", "ar_lower", "ar_variance", "dcar_bound",
                              "anchor", "leakage", "noise", "diverged"),
                       (np.arange(n), upper, lower, variance, bd.total, bd.anchor_term,
@@ -129,11 +131,11 @@ def cmd_simulate(args) -> int:
     cfg = _load_experiment(args)
     world = _world(cfg)
     plan = _plan(cfg)
+    out = _out_dir(cfg)
     report = compare_pipelines(world, plan, cfg.kf_scenario, trials=cfg.trials, seed=cfg.seed,
                                sigma_int=cfg.sigma_int, velocity_error=cfg.velocity_error,
                                kf_error_cap=cfg.kf_error_cap,
                                kf_step_error=cfg.kf_step_error)
-    out = _out_dir(cfg)
     ar_trace, anchored_trace = report.trial0_ar, report.trial0_anchored
     write_trace_csv(ar_trace, os.path.join(out, "ar_trace.csv"))
     write_trace_csv(anchored_trace, os.path.join(out, "anchored_trace.csv"))
@@ -224,6 +226,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_experiment(args)
     grid = _parse_grid(args.grid)
     world = _world(cfg)
+    out = _out_dir(cfg)
     rows = []
     for g_stride, i_stride in grid:
         gen_idx = sample_keyframe_indices(cfg.total_frames, g_stride)
@@ -241,7 +244,7 @@ def cmd_ablate(args) -> int:
         rows.append((g_stride, i_stride, len(plan.keyframes), len(plan.segments),
                      trace.final_error(), bd.total, bd.anchor_term, bd.leakage_term,
                      bd.noise_term, -1 if viol is None else viol))
-    path = os.path.join(_out_dir(cfg), "ablation.csv")
+    path = os.path.join(out, "ablation.csv")
     # each column is all ints or all floats, and np.array keeps it so
     write_columns_csv(path, ("dk_gen", "dk_int", "n_keyframes", "n_segments", "final_err",
                              "bound_total", "anchor", "leakage", "noise", "violations"),

@@ -289,6 +289,10 @@ def load_trajectory(path) -> Trajectory:
             # numpy warns on a file of only comments and blank lines; the
             # scan reports it
             warnings.simplefilter("ignore", UserWarning)
+            # numpy 1.23 to 1.26 read an index such as 5.7 as a float,
+            # truncate it and only warn; as an error, numpy raises
+            # ValueError and the scan rejects the line as int() does
+            warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(text.split("\n"), dtype=_POSE_LINE, comments="#", ndmin=1)
         return Trajectory(rows["i"], *_quaternions_translations(rows["v"]))
     except ValueError:  # numpy could not read a line, or Trajectory rejected a row

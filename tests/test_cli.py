@@ -650,3 +650,17 @@ def test_cmd_eval_comment_only_file_prints_only_the_error(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {path}: no poses found\n"
+
+
+def test_cmd_eval_rejects_a_fractional_index_with_deprecations_ignored(tmp_path):
+    # as outside the test suite, a DeprecationWarning is not an error: an
+    # index int() rejects still exits 2 naming its line
+    path = tmp_path / "poses.txt"
+    path.write_text("0 0 0 0 0 0 0 1\n5.7 0 0 0 0 0 0 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-m",
+                           "rollbound.cli", "--out", str(tmp_path / "o"),
+                           "eval", str(path), str(path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: line 2: invalid literal for int()"), proc.stderr

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,35 @@ def test_trajectory_load_matches_line_scan(tmp_path_factory, text):
     path.write_bytes(text.encode("utf-8"))
     expected = _outcome(lambda: core._scan_trajectory(core.read_text(path), path))
     assert _outcome(lambda: load_trajectory(path)) == expected
+
+
+def test_trajectory_load_rejects_an_index_numpy_reads_via_float(tmp_path, monkeypatch):
+    # numpy 1.23 to 1.26 read an integer field that int() rejects as a float,
+    # truncated, and only warned: emulate that reader, with the warning
+    # ignored as it is outside the test suite
+    loadtxt = np.loadtxt
+
+    def via_float(lines, dtype, **kwargs):
+        try:
+            return loadtxt(lines, dtype=dtype, **kwargs)
+        except ValueError:
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string to int64") from exc
+            rows = loadtxt(lines, dtype=np.float64, ndmin=2, comments=kwargs["comments"])
+            out = np.empty(len(rows), dtype=dtype)
+            out["i"], out["v"] = rows[:, 0], rows[:, 1:]
+            return out
+
+    monkeypatch.setattr(np, "loadtxt", via_float)
+    path = tmp_path / "poses.txt"
+    path.write_text("0 0 0 0 0 0 0 1\n5.7 0 0 0 0 0 0 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(InvalidInput, match=r"line 2: invalid literal for int\(\)"):
+            load_trajectory(path)
 
 
 def test_trajectory_arrays_frozen_and_rebuildable(tmp_path):
