@@ -21,6 +21,7 @@ the file order is x,y,z,w while the in-memory order is w,x,y,z).
 from __future__ import annotations
 
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -251,13 +252,13 @@ def _scan_trajectory(text: str, path) -> Trajectory:
         except ValueError as exc:
             parse_error = f"line {lineno}: {exc}"
             break
+        if not -2 ** 63 <= index < 2 ** 63:
+            parse_error = f"line {lineno}: frame index beyond the 64-bit integer range"
+            break
         linenos.append(lineno)
         indices.append(index)
         numbers.append(row)
-    try:
-        idx = np.array(indices, dtype=np.int64)
-    except OverflowError:
-        raise InvalidInput(f"{path}: frame index beyond the 64-bit integer range") from None
+    idx = np.array(indices, dtype=np.int64)
     q, t = _quaternions_translations(np.array(numbers, dtype=float).reshape(-1, 7))
     # the rows before a parse error come first in the file: check them first
     bad = _first_bad_row(idx, q, t)
@@ -432,18 +433,34 @@ def _share_columns(columns) -> list:
     return sources
 
 
-def write_columns_csv(path, header, columns) -> None:
+def write_columns_csv(path, header, columns, *tables) -> None:
     """Write equal-length columns as ", "-separated rows under the header
     names. A float array's values are written with repr (the shortest
     round-tripping form), an int or bool array's as integers; a scalar is
-    the same cell on every row, formatted once by the same rule. Rows are
-    formatted and written CSV_ROW_BLOCK at a time; within a block each
-    distinct array column is formatted once, and a column whose cells all
-    read the same is formatted once per file."""
-    n = next(len(c) for c in columns if isinstance(c, np.ndarray))
+    the same cell on every row, formatted once by the same rule.
+
+    Each further table is a (path, header, columns) triple of its own file,
+    with the same number of rows; all the files are written together, block
+    by block. Rows are formatted and written CSV_ROW_BLOCK at a time; within
+    a block each distinct array column of all the tables is formatted once,
+    and a column whose cells all read the same is formatted once per call.
+    Array columns of different lengths, or a header whose names do not match
+    its table's columns one for one, raise ValueError before any file is
+    opened."""
+    tables = ((path, header, columns), *tables)
+    for p, h, cols in tables:
+        if len(h) != len(cols):
+            raise ValueError(f"{p}: {len(h)} header names for {len(cols)} columns")
+    columns = [c for _, _, cols in tables for c in cols]
+    lengths = {len(c) for c in columns if isinstance(c, np.ndarray)}
+    if len(lengths) != 1:
+        raise ValueError(f"array columns must have one length, got {sorted(lengths)}")
+    n = lengths.pop()
     sources = _share_columns(columns)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(", ".join(header) + "\n")
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8")) for p, _, _ in tables]
+        for fh, (_, h, _) in zip(files, tables):
+            fh.write(", ".join(h) + "\n")
         for lo in range(0, n, CSV_ROW_BLOCK):
             rows = min(CSV_ROW_BLOCK, n - lo)
             cells = []
@@ -454,4 +471,7 @@ def write_columns_csv(path, header, columns) -> None:
                 else:
                     cells.append(list(_format_block(c[lo:lo + rows])) if src == i
                                  else cells[src])
-            fh.write("\n".join(map(", ".join, zip(*cells))) + "\n")
+            first = 0
+            for fh, (_, _, cols) in zip(files, tables):
+                own, first = cells[first:first + len(cols)], first + len(cols)
+                fh.write("\n".join(map(", ".join, zip(*own))) + "\n")

@@ -190,21 +190,27 @@ class RolloutTrace:
         return float(self.error_norms[-1])
 
 
-def write_trace_csv(trace: RolloutTrace, path) -> None:
-    """Trace export: frame, err_norm, bound_total, anchor, leakage, noise,
-    is_keyframe, segment_id."""
+def trace_table(trace: RolloutTrace, path) -> tuple:
+    """The (path, header, columns) table of a trace's CSV: frame, err_norm,
+    bound_total, anchor, leakage, noise, is_keyframe, segment_id."""
     bd = trace.breakdown
     n = len(trace.error_norms)
     is_kf = np.zeros(n, dtype=bool)
     is_kf[list(trace.keyframe_indices)] = True
-    write_columns_csv(
-        path, ("frame", "err_norm", "bound_total", "anchor", "leakage", "noise",
-               "is_keyframe", "segment_id"),
-        (np.arange(n), trace.error_norms,
-         trace.bounds if trace.bounds is not None else 0.0,
-         bd.anchor_term if bd else 0.0, bd.leakage_term if bd else 0.0,
-         bd.noise_term if bd else 0.0, is_kf,
-         trace.segment_ids if trace.segment_ids is not None else 0))
+    return (path, ("frame", "err_norm", "bound_total", "anchor", "leakage", "noise",
+                   "is_keyframe", "segment_id"),
+            (np.arange(n), trace.error_norms,
+             trace.bounds if trace.bounds is not None else 0.0,
+             bd.anchor_term if bd else 0.0, bd.leakage_term if bd else 0.0,
+             bd.noise_term if bd else 0.0, is_kf,
+             trace.segment_ids if trace.segment_ids is not None else 0))
+
+
+def write_trace_csv(trace: RolloutTrace, path, *tables) -> None:
+    """Write a trace's CSV (see trace_table). Further (path, header, columns)
+    tables of the same length are written with it, in one
+    core.write_columns_csv pass."""
+    write_columns_csv(*trace_table(trace, path), *tables)
 
 
 # ---------------------------------------------------------------------------

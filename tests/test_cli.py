@@ -2,13 +2,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rollbound import expconfig
+from rollbound import core, expconfig
 from rollbound.cli import build_parser, main
 from rollbound.core import Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
@@ -296,6 +297,29 @@ def test_cmd_simulate_byte_identical_reruns(tmp_path):
     assert main(_sim_args(out2, extra)) == 0
     for name in ("ar_trace.csv", "anchored_trace.csv", "mean_curves.csv", "report.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cmd_simulate_formats_each_error_column_once(tmp_path, monkeypatch):
+    # with 1 trial the mean errors are the trial's errors: the three CSVs are
+    # written in one pass, so each pipeline's error text, and the frame
+    # column, is formatted once a block, not once a file
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 16)
+    formatted = Counter()
+    format_block = core._format_block
+
+    def counting(values):
+        formatted[values.dtype.kind, values.tobytes()] += 1
+        return format_block(values)
+
+    monkeypatch.setattr(core, "_format_block", counting)
+    assert main(_sim_args(tmp_path, ["--set", "total_frames=57"])) == 0
+    mean = np.loadtxt(tmp_path / "mean_curves.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+    for name, err in (("ar_trace.csv", mean[:, 0]), ("anchored_trace.csv", mean[:, 1])):
+        assert np.array_equal(np.loadtxt(tmp_path / name, delimiter=",", skiprows=1,
+                                         usecols=1), err)
+        for column in (err, np.arange(57)):
+            blocks = [column[lo:lo + 16] for lo in range(0, 57, 16)]
+            assert [formatted[b.dtype.kind, b.tobytes()] for b in blocks] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("frames, bound_share", [

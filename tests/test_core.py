@@ -137,6 +137,11 @@ def test_trajectory_load_names_bad_line(tmp_path):
     (["1_0 0 0 0 0 0 0 1", "1٥ 0 0 ٠.٥ 0 0 0 0"],
      "line 2: quaternion has zero or non-finite norm"),
     ([f"{2 ** 63} 0 0 0 0 0 0 1"], "frame index beyond the 64-bit integer range"),
+    # an index beyond int64 is an error of its line, after earlier lines' rows
+    (["0 0 0 0 0 0 0 1", "1 nan 0 0 0 0 0 1", f"{2 ** 63} 0 0 0 0 0 0 1"],
+     "line 2: pose components must be finite"),
+    (["0 0 0 0 0 0 0 1", f"{2 ** 63} 0 0 0 0 0 0 1"],
+     "line 2: frame index beyond the 64-bit integer range"),
 ])
 def test_trajectory_load_reports_first_bad_line(tmp_path, lines, message):
     path = tmp_path / "bad.txt"
@@ -309,13 +314,54 @@ def test_validate_plan_accepts_well_formed():
     assert [(s.start, s.end) for s in plan.segments] == [(0, 4), (4, 8)]
 
 
+#: floats whose repr takes every form: signed zero, inf, nan, exponents
+_CSV_FLOATS = np.array([0.0, -0.0, 0.1, 1e16, 9999999999999998.0, 1e-05, -2.5e-300,
+                        np.inf, -np.inf, np.nan, 1.0 / 3.0])
+
+
+def _cell(column, t) -> str:
+    """Row t of a column as one f-string per row formats it."""
+    v = column[t] if isinstance(column, np.ndarray) else column
+    return f"{float(v)!r}" if isinstance(v, (float, np.floating)) else f"{int(v)}"
+
+
+def _csv_text(header, columns) -> str:
+    rows = next(len(c) for c in columns if isinstance(c, np.ndarray))
+    return ", ".join(header) + "\n" + "".join(
+        ", ".join(_cell(c, t) for c in columns) + "\n" for t in range(rows))
+
+
+def _csv_cases() -> list:
+    """Column sets of _CSV_FLOATS's length with columns whose cells all read
+    the same or that repeat an earlier column, then two of constant columns
+    only, of 1 and CSV_ROW_BLOCK + 1 rows."""
+    floats = _CSV_FLOATS
+    n = len(floats)
+    ints = np.arange(n) * 7 - 20
+    flags = np.arange(n) % 3 == 0
+
+    def every_constant(rows):
+        return np.full(rows, 2.5), np.full(rows, -3), 7, 0.25, np.ones(rows, dtype=bool)
+
+    return [
+        (floats, np.full(n, 0.1)),
+        (np.full(n, -0.0), np.zeros(n), ints),
+        (np.where(flags, 1.5, -0.0), np.where(flags, 1.5, 0.0)),
+        (ints, np.full(n, np.nan)),
+        (floats, ints, floats.copy()),
+        (np.arange(n, dtype=float), np.arange(n), np.ones(n), np.ones(n, dtype=int)),
+        (np.arange(n), np.arange(n).view(np.float64)),  # same int64s, as ints and as bits
+        every_constant(1),
+        every_constant(core.CSV_ROW_BLOCK + 1),
+    ]
+
+
 def test_write_columns_csv_matches_per_row_format(tmp_path, monkeypatch):
     # rows written in blocks read exactly as one f-string per row did: floats
     # by repr (sign of zero, inf, nan and exponent forms included), ints and
     # bools as integers, scalars repeated
     monkeypatch.setattr(core, "CSV_ROW_BLOCK", 3)
-    floats = np.array([0.0, -0.0, 0.1, 1e16, 9999999999999998.0, 1e-05, -2.5e-300,
-                       np.inf, -np.inf, np.nan, 1.0 / 3.0])
+    floats = _CSV_FLOATS
     n = len(floats)
     ints = np.arange(n) * 7 - 20
     flags = np.arange(n) % 3 == 0
@@ -327,29 +373,70 @@ def test_write_columns_csv_matches_per_row_format(tmp_path, monkeypatch):
         for t in range(n))
     assert path.read_text() == expected
 
-    # columns whose cells all read the same, or that repeat an earlier
-    # column, are formatted once: the text still matches cell by cell
-    def cell(column, t):
-        v = column[t] if isinstance(column, np.ndarray) else column
-        return f"{float(v)!r}" if isinstance(v, (float, np.floating)) else f"{int(v)}"
-
-    def every_constant(rows):
-        return np.full(rows, 2.5), np.full(rows, -3), 7, 0.25, np.ones(rows, dtype=bool)
-
-    cases = [
-        (floats, np.full(n, 0.1)),
-        (np.full(n, -0.0), np.zeros(n), ints),
-        (np.where(flags, 1.5, -0.0), np.where(flags, 1.5, 0.0)),
-        (ints, np.full(n, np.nan)),
-        (floats, ints, floats.copy()),
-        (np.arange(n, dtype=float), np.arange(n), np.ones(n), np.ones(n, dtype=int)),
-        (np.arange(n), np.arange(n).view(np.float64)),  # same int64s, as ints and as bits
-        every_constant(1),
-        every_constant(core.CSV_ROW_BLOCK + 1),
-    ]
-    for columns in cases:
-        rows = next(len(c) for c in columns if isinstance(c, np.ndarray))
+    # columns formatted once, as constant or as a repeat, still match cell
+    # by cell
+    for columns in _csv_cases():
         header = [f"c{i}" for i in range(len(columns))]
         write_columns_csv(path, header, columns)
-        assert path.read_text() == ", ".join(header) + "\n" + "".join(
-            ", ".join(cell(c, t) for c in columns) + "\n" for t in range(rows))
+        assert path.read_text() == _csv_text(header, columns)
+
+
+def test_write_columns_csv_tables_match_one_table_calls(tmp_path, monkeypatch):
+    # one call writing several tables in lockstep writes each file byte for
+    # byte as a call of its own does, also where a column takes its text
+    # from an equal column of an earlier table
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 3)
+    n = len(_CSV_FLOATS)
+    flags = np.arange(n) % 3 == 0
+    ints = np.arange(n) * 3 - 4
+    across = [  # each column but the last has an equal one in the table before
+        (_CSV_FLOATS, np.where(flags, 1.5, -0.0), np.where(flags, np.nan, 2.0), ints),
+        (_CSV_FLOATS.copy(), np.where(flags, 1.5, 0.0), np.where(flags, np.nan, 2.0),
+         ints.view(np.float64), ints.astype(np.int32)),
+    ]
+    by_rows = {}
+    for columns in _csv_cases() + across:
+        rows = next(len(c) for c in columns if isinstance(c, np.ndarray))
+        by_rows.setdefault(rows, []).append(columns)
+    assert sorted(map(len, by_rows.values())) == [1, 1, 9]
+    for group in by_rows.values():
+        tables = [(tmp_path / f"t{k}.csv", [f"c{i}" for i in range(len(columns))], columns)
+                  for k, columns in enumerate(group)]
+        write_columns_csv(*tables[0], *tables[1:])
+        lockstep = [path.read_bytes() for path, _, _ in tables]
+        for (path, header, columns), text in zip(tables, lockstep):
+            write_columns_csv(path, header, columns)
+            assert text == path.read_bytes() == _csv_text(header, columns).encode()
+
+
+def test_write_columns_csv_rejects_ragged_tables(tmp_path):
+    # a short column, in the same table or in another, or a header of the
+    # wrong length fails before any file is opened
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    with pytest.raises(ValueError, match=re.escape("one length, got [3, 5]")):
+        write_columns_csv(a, ("x", "y"), (np.arange(5), np.arange(3.0)))
+    with pytest.raises(ValueError, match=re.escape("one length, got [3, 5]")):
+        write_columns_csv(a, ("x",), (np.arange(5),), (b, ("y", "k"), (np.arange(3.0), 1)))
+    with pytest.raises(ValueError, match="3 header names for 2 columns"):
+        write_columns_csv(a, ("x", "y", "z"), (np.arange(5), 1.0))
+    with pytest.raises(ValueError, match="1 header names for 2 columns"):
+        write_columns_csv(a, ("x",), (np.arange(5),), (b, ("y",), (np.arange(5), 2)))
+    assert not a.exists() and not b.exists()
+
+
+def test_write_columns_csv_formats_a_shared_column_once_per_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 4)
+    formatted = []
+    format_block = core._format_block
+
+    def counting(values):
+        formatted.append(len(values))
+        return format_block(values)
+
+    monkeypatch.setattr(core, "_format_block", counting)
+    n = 10
+    x = np.linspace(0.0, 1.0, n) ** 2
+    write_columns_csv(tmp_path / "a.csv", ("frame", "x"), (np.arange(n), x),
+                      (tmp_path / "b.csv", ("frame", "x", "y"), (np.arange(n), x.copy(), x + 1)))
+    # frame, x and y once each in each of the 3 blocks
+    assert formatted == [4, 4, 4, 4, 4, 4, 2, 2, 2]
