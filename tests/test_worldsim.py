@@ -678,3 +678,49 @@ def test_batched_engine_matches_standalone_rollouts(dim, trials):
         assert np.array_equal(rep.ar_mse, sums["ar"][1] / trials)
         assert np.array_equal(rep.anchored_mean_error, sums[sc][0] / trials)
         assert np.array_equal(rep.anchored_mse, sums[sc][1] / trials)
+
+
+# ---------------------------------------------------------------------------
+# bridge-noise law
+# ---------------------------------------------------------------------------
+#
+# Whatever stream layout the bridge noise draws from, its frames must follow
+# the pinned Brownian bridge's law: the windows draw fresh rows, continue one
+# bridge across their overlap, and stay independent across anchor intervals.
+
+
+def test_anchored_mse_matches_bridge_variance():
+    # exact anchors, no leakage: the anchored MSE is the bridge's variance,
+    # summed over d components, frame by frame
+    d, sigma, trials = 4, 0.05, 2000
+    cfg = WorldConfig(dim=d, seed=3)
+    plan = build_plan(161, (16,), 12, 1)
+    rep = compare_pipelines(cfg, plan, "global", trials=trials, seed=29, sigma_int=sigma)
+    kf = np.array(plan.keyframes)
+    t = np.arange(plan.total_frames)
+    j = np.minimum(np.searchsorted(kf, t, side="right") - 1, len(kf) - 2)
+    expected = d * bridge_variance(t - kf[j], kf[j + 1] - kf[j], sigma)
+    inner = expected > 0.0
+    assert np.all(rep.anchored_mse[~inner] == 0.0)
+    ratio = rep.anchored_mse[inner] / expected[inner]
+    assert np.max(np.abs(ratio - 1.0)) <= 0.08
+    assert abs(np.mean(ratio) - 1.0) <= 0.01
+
+
+def test_bridge_noise_covariance_is_the_pinned_bridge():
+    # zero anchors: the frames are the noise itself; one component's
+    # covariance is sigma^2 min(tau)(T - max tau)/T inside an anchor
+    # interval and 0 across intervals
+    d, sigma, trials, n, T = 2, 0.5, 4000, 49, 16
+    plan = build_plan(n, (T,), 12, 1)
+    layout = worldsim._AnchoredLayout(plan, d, sigma, None)
+    kv = np.zeros((len(plan.keyframes), trials, d))
+    x, _ = layout.run(kv, range(trials))
+    cov = x[:, :, 0] @ x[:, :, 0].T / trials
+    t = np.arange(n)
+    j = np.minimum(t // T, len(plan.keyframes) - 2)
+    tau = t - T * j
+    same = j[:, None] == j[None, :]
+    expected = np.where(same, sigma ** 2 * np.minimum.outer(tau, tau)
+                        * (T - np.maximum.outer(tau, tau)) / T, 0.0)
+    assert np.max(np.abs(cov - expected)) <= 0.1 * sigma ** 2 * T / 4
