@@ -52,7 +52,11 @@ def _out_dir(cfg: ExperimentConfig) -> str:
     """The output directory, made once the run's input is read: a run
     rejected by its input leaves none behind, and an --out that cannot be
     made fails before the computation."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except (FileExistsError, FileNotFoundError, NotADirectoryError) as exc:
+        raise InvalidInput(f"out_dir {cfg.out_dir!r} cannot be made a directory: "
+                           f"{exc.strerror}") from None
     return cfg.out_dir
 
 
@@ -70,11 +74,12 @@ def _plan(cfg: ExperimentConfig) -> RolloutPlan:
                       cfg.overlap, rng=derive_rng(cfg.seed, "plan"))
 
 
-def _bound_violations(cfg: ExperimentConfig, trace: RolloutTrace) -> int | None:
-    """Frames whose error exceeds the trace's bound, for a deterministic run
-    (no generator or bridge noise); None for a stochastic one, whose errors a
-    worst-case bound does not cover."""
-    if cfg.noise_std != 0.0 or cfg.sigma_int != 0.0:
+def _bound_violations(trace: RolloutTrace, noise: float) -> int | None:
+    """Frames whose error exceeds the trace's bound, for a trace its
+    pipeline's noise (noise_std for the step-by-step one, sigma_int for the
+    anchored one) leaves deterministic; None for a stochastic one, whose
+    errors a worst-case bound does not cover."""
+    if noise != 0.0:
         return None
     return int(np.sum(trace.error_norms > trace.bounds + BOUND_TOL))
 
@@ -158,12 +163,14 @@ def cmd_simulate(args) -> int:
         f"final anchored error: {float(dc_mean[-1])!r}",
         f"final error ratio: {float(ratio[-1])!r}",
     ]
-    ar_viol, dc_viol = (_bound_violations(cfg, tr) for tr in (ar_trace, anchored_trace))
-    if dc_viol is None:
+    violations = (_bound_violations(ar_trace, cfg.noise_std),
+                  _bound_violations(anchored_trace, cfg.sigma_int))
+    if violations == (None, None):
         lines.append("bound violations: n/a (stochastic run)")
     else:
-        lines.append(f"bound violations (step-by-step): {ar_viol}")
-        lines.append(f"bound violations (anchored): {dc_viol}")
+        for name, viol in zip(("step-by-step", "anchored"), violations):
+            lines.append(f"bound violations ({name}): "
+                         f"{'n/a (stochastic)' if viol is None else viol}")
     report_path = os.path.join(out, "report.txt")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -241,7 +248,7 @@ def cmd_ablate(args) -> int:
         trace = rollout_anchored(world, plan, kfs, sigma_int=cfg.sigma_int,
                                  velocity_error=cfg.velocity_error,
                                  seed=child_seed(cfg.seed, f"ablate-{g_stride}-{i_stride}"))
-        viol = _bound_violations(cfg, trace)
+        viol = _bound_violations(trace, cfg.sigma_int)
         bd = trace.breakdown
         rows.append((g_stride, i_stride, len(plan.keyframes), len(plan.segments),
                      trace.final_error(), bd.total, bd.anchor_term, bd.leakage_term,

@@ -41,7 +41,7 @@ from .errormodel import (
 )
 from .errors import InvalidInput
 from .schedule import window_spans
-from .seeding import as_rng, child_seeds, derive_rng, derive_rngs, generators, stream_words
+from .seeding import as_rng, child_seed, derive_rng
 
 SPECTRAL_NORM_TOL = 1e-6
 
@@ -568,9 +568,10 @@ class _AnchoredLayout:
                 ramp = np.where(tau[first] < T[0], tau[first], 0).astype(float)
                 self.leak_rows, self.leak = first, ramp[:, None] * self.dv0
 
-        # bridge-noise schedule: window i's stream draws one row for each of
-        # draw_frames[cuts[i]:cuts[i+1]], in that order; the first marginal[i]
-        # of them (overlap frames when substitution is off) are redrawn from the
+        # bridge-noise schedule: window i draws, from its trial's stream, one
+        # row for each of draw_frames[cuts[i]:cuts[i+1]], in that order, after
+        # the rows of the windows before it; the first marginal[i] of them
+        # (overlap frames when substitution is off) are redrawn from the
         # marginal law, the rest continue the bridge recursion
         # w[t] = frac*w[t-1] + scale*eps
         p = plan.overlap
@@ -621,26 +622,24 @@ class _AnchoredLayout:
         return det
 
     def run(self, kv: np.ndarray, seeds, collect_segments: bool = False):
-        """Anchored rollouts of a batch, trial b drawing its noise from the
-        streams of seeds[b] (one (k, d) block per window). Returns the
+        """Anchored rollouts of a batch, trial b drawing its bridge noise from
+        its one stream derive_rng(seeds[b], "interp-noise"), read window by
+        window: each window draws its (k, d) rows as it runs. Returns the
         (n, B, d) frames and, on request, trial 0's frames of each window as
         they stood once that window was generated."""
         det = self.field(kv)
-        d = det.shape[2]
+        B, d = det.shape[1:]
         w = np.zeros_like(det)
         chunks = []
         segments = self.plan.segments if collect_segments else None
         bounds = self.cuts.tolist()
-        # every window's stream words are hashed here at once; its generators
-        # are built only as it runs, as all of them at once would take memory
-        # in proportion to the horizon
-        words = (stream_words(seeds, "interp-noise", range(len(self.marginal)))
-                 if self.draws else None)
+        rngs = [derive_rng(s, "interp-noise") for s in seeds] if self.draws else ()
         for si, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], self.marginal)):
-            if self.draws:
-                eps = np.stack([g.standard_normal((hi - lo, d))
-                                for g in generators(words[:, si])], axis=1)
-                kicks = self.draw_scale[lo:hi, None, None] * eps
+            if rngs:
+                eps = np.empty((B, hi - lo, d))
+                for g, rows in zip(rngs, eps):
+                    g.standard_normal(out=rows)
+                kicks = self.draw_scale[lo:hi, None, None] * eps.transpose(1, 0, 2)
                 w[self.draw_frames[lo:lo + m]] = kicks[:m]
                 for t, frac, kick in zip(self.draw_frames[lo + m:hi].tolist(),
                                          self.draw_frac[lo + m:hi].tolist(), kicks[m:]):
@@ -743,17 +742,20 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     the anchored one on keyframes of one scenario ("global" or
     "downsampled_ar", see generate_keyframes).
 
-    Trials run batched, TRIAL_BLOCK at a time, each on its own streams
-    derived from the seed, the trial number and (for the anchors and the
-    bridge noise) the scenario, so the result depends on the seed alone.
-    Per-frame sums accumulate in trial order."""
+    Trials run batched, TRIAL_BLOCK at a time. Each trial draws from one
+    stream per purpose, derived from the seed, the trial number and (for the
+    anchors and the bridge noise) the scenario: its step-by-step noise, its
+    anchors, and its bridge noise, which rollout_anchored's windows read in
+    turn. So the result depends on the seed alone. Per-frame sums accumulate
+    in trial order."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     base = cfg.seed if seed is None else int(seed)
     n = plan.total_frames
 
     # trial block 0 runs in the ground truth's own pass
-    world = _World(cfg, n, derive_rngs(base, "trial-ar", range(min(TRIAL_BLOCK, trials))))
+    world = _World(cfg, n, [derive_rng(base, "trial-ar", i)
+                            for i in range(min(TRIAL_BLOCK, trials))])
     layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error)
     kf_idx = list(plan.keyframes)
     ar_sums, dc_sums = np.zeros((2, n)), np.zeros((2, n))
@@ -763,7 +765,7 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
         x = (world.take_rollouts() if first == 0
-             else world.ar_rollouts(derive_rngs(base, "trial-ar", block)))
+             else world.ar_rollouts([derive_rng(base, "trial-ar", i) for i in block]))
         err = _error_norms(x, world.gt.frames)
         _accumulate(ar_sums, err)
         if first == 0:
@@ -771,11 +773,11 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
         if shared_kv is not None:
             kv = np.broadcast_to(shared_kv[:, None], (len(kf_idx), len(block), cfg.dim))
         else:
-            rngs = derive_rngs(base, f"trial-kf-{scenario}", block)
             kv = np.stack([world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
-                                           g).values for g in rngs], axis=1)
-        seeds = child_seeds(base, f"trial-anchored-{scenario}", block)
-        x, _ = layout.run(kv, seeds)
+                                           derive_rng(base, f"trial-kf-{scenario}", i)).values
+                           for i in block], axis=1)
+        x, _ = layout.run(kv, [child_seed(base, f"trial-anchored-{scenario}", i)
+                               for i in block])
         err = _error_norms(x, world.gt.frames)
         _accumulate(dc_sums, err)
         if first == 0:

@@ -487,6 +487,27 @@ def test_cmd_ablate_rejects_overlap_geq_segment(tmp_path, capsys):
     assert not (tmp_path / "o" / "ablation.csv").exists()
 
 
+def test_cmd_ablate_checks_the_anchored_bound_under_generator_noise(tmp_path):
+    # noise_std drives only the step-by-step generator, which ablate does not run
+    rc = run("--out", str(tmp_path), "--set", "noise_std=0.1", "--set", "total_frames=33",
+             "ablate", "--grid", "4:4")
+    assert rc == 0
+    _, rows = _read_rows(tmp_path / "ablation.csv")
+    assert int(rows[0][9]) == 0
+
+
+@pytest.mark.parametrize("noise, lines", [
+    ("noise_std=0.1", ["bound violations (step-by-step): n/a (stochastic)",
+                       "bound violations (anchored): 0"]),
+    ("sigma_int=0.1", ["bound violations (step-by-step): 0",
+                       "bound violations (anchored): n/a (stochastic)"])])
+def test_cmd_simulate_checks_each_bound_against_its_own_noise(noise, lines, tmp_path):
+    rc = run("--out", str(tmp_path), "--set", "total_frames=65", "--set", "bias=0.01",
+             "--set", "trials=2", "--set", noise, "simulate")
+    assert rc == 0
+    assert (tmp_path / "report.txt").read_text().splitlines()[-2:] == lines
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["ablate", "--grid", "4:4"]])
 @pytest.mark.parametrize("cap", ["nan", "inf"])
 def test_non_finite_kf_error_cap_is_invalid_input(command, cap, tmp_path, capsys):
@@ -541,6 +562,17 @@ def test_cli_import_does_not_load_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("out", [["--out", ""], ["--set", "out_dir="],
+                                 ["--out", "{file}"], ["--out", "{file}/sub"]],
+                         ids=["empty-flag", "empty-key", "file", "under-file"])
+def test_out_that_cannot_be_a_directory_is_invalid_input(out, tmp_path, capsys):
+    file = tmp_path / "taken"
+    file.write_text("x")
+    rc = run(*[arg.format(file=file) for arg in out], "plan")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: out_dir ")
 
 
 def test_unknown_config_key_via_set(tmp_path, capsys):

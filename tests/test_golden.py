@@ -57,28 +57,28 @@ CLI_CASES = {
          "--set", "dynamics=rotation", "--set", "noise_std=0.05", "--set", "bias=0.01",
          "--set", "sigma_int=0.05", "--set", "velocity_error=0.2",
          "--set", "kf_error_cap=0.1", "--set", "trials=35", "simulate"], SIM_FILES,
-        "eec8bd136897b8bbe08ad0d01d0348a0d60141f0fb515b37f90c6659c3d74c3f"),
+        "420a0cd93f91d6659667b8907f6e625bf6572e91d814b5ebb18c7c12bc43b16d"),
     # the benchmark's mc_trials op
     "simulate_mc_trials": (
         ["--seed", "1", "--set", "total_frames=321", "--set", "dim=4",
          "--set", "dynamics=rotation", "--set", "trials=32", "--set", "noise_std=0.05",
          "--set", "bias=0.01", "--set", "sigma_int=0.05", "--set", "velocity_error=0.2",
          "--set", "kf_error_cap=0.1", "simulate"], SIM_FILES,
-        "b59d9a26ea18f9c73081d456369bc0d6589644bdcdc74e0e22cb3f5e98b23771"),
+        "c8ab71bc984744e1fd683c6ea607e47c673c4f94a23daca54e61faf95bf9c1a1"),
     # identity dynamics with both noise sources on, over two trial blocks
     "simulate_identity_noisy": (
         ["--seed", "12", "--set", "total_frames=200", "--set", "dim=3",
          "--set", "noise_std=0.05", "--set", "bias=0.01", "--set", "sigma_int=0.05",
          "--set", "velocity_error=0.2", "--set", "kf_error_cap=0.1", "--set", "trials=35",
          "simulate"], SIM_FILES,
-        "46e83208e657bc253f2a051e6394d4a2678700270231c7c31829aec87797a043"),
+        "b5fb6862a5dc5aae1e0910cd6be3bd079515df4e96903c38efd078ab1dfb2678"),
     "simulate_downsampled_ar": (
         ["--seed", "7", "--set", "total_frames=129", "--set", "dim=2",
          "--set", "dynamics=rotation", "--set", "lipschitz=0.98", "--set", "bias=0.02",
          "--set", "noise_std=0.03", "--set", "sigma_int=0.1", "--set", "velocity_error=0.4",
          "--set", "kf_scenario=downsampled_ar", "--set", "kf_step_error=0.015",
          "--set", "trials=5", "simulate"], SIM_FILES,
-        "d8078a52430a77854cbbc1884242b925b159f375b76ca35d768fd4c138a77167"),
+        "ac492c8d7defb7ca715c3026ead7ee3f22cb04abb80dd1a11be7c19eb5301f92"),
     "simulate_overlap_deterministic": (
         ["--seed", "2", "--set", "total_frames=150", "--set", "dim=3",
          "--set", "strides=4", "--set", "segment_len=12", "--set", "overlap=3",
@@ -219,7 +219,7 @@ def test_api_anchored_without_substitution_digest():
         arrays += [tr.generated.frames, tr.error_norms, tr.bounds, tr.segment_ids]
         arrays += [chunk for _, chunk in tr.segment_chunks]
     assert _arrays_digest(arrays) == (
-        "6ec642d9db059da0e3436e3c4d6503e49005a31faa319a1fd3a8e9eed6fd109c")
+        "2c618035a150b0bc4628bee5619d561404823eac5d810ca4b744be14ffc7bc2a")
 
 
 def test_api_compare_both_scenarios_digest():
@@ -236,7 +236,7 @@ def test_api_compare_both_scenarios_digest():
     for rep in reps:
         arrays += [rep.anchored_mean_error, rep.anchored_mse]
     assert _arrays_digest(arrays) == (
-        "0cff366a5fc9d8b8ad3ec0a7e40b53daf70afa4fb6da88c6e8904ab6a6ce59a4")
+        "fd19665906a9e6fd1086a22b3928265a468a532d3e0995dccdf474b0560a15b0")
 
 
 def test_api_anchored_noiseless_without_substitution_digest():

@@ -12,7 +12,7 @@ from rollbound.errormodel import (
 )
 from rollbound import worldsim
 from rollbound.schedule import build_plan
-from rollbound.seeding import child_seed, derive_rng, stream_words
+from rollbound.seeding import child_seed, derive_rng
 from rollbound.worldsim import (
     KeyframeLatents,
     WorldConfig,
@@ -619,29 +619,39 @@ def test_error_norm_past_1e154_stays_finite_and_within_bound(dim):
     assert np.all(tr.error_norms <= tr.bounds)
 
 
-def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch):
+def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch, tmp_path):
     # with sigma_int = 0 each bridge kick is 0 * eps: no stream is derived,
     # except for substitution off, whose marginal redraw rows keep the sign
-    # of eps in 0 * eps
+    # of eps in 0 * eps; otherwise each trial derives one bridge stream
     labels = []
 
-    def spy(seeds, label, indices):
-        words = stream_words(seeds, label, indices)
-        labels.extend([label] * (words.shape[0] * words.shape[1]))
-        return words
+    def spy(seed, label, index=0):
+        labels.append(label)
+        return derive_rng(seed, label, index)
 
-    monkeypatch.setattr(worldsim, "stream_words", spy)
+    monkeypatch.setattr(worldsim, "derive_rng", spy)
     cfg = linear_world(bias=0.01, noise=0.02, seed=19)
     plan = _plan(n=65, stride=8, seg_len=9, overlap=2)
     kw = dict(scenario="global", trials=3, velocity_error=0.4, kf_error_cap=0.05)
     compare_pipelines(cfg, plan, sigma_int=0.0, **kw)
     assert "interp-noise" not in labels
     compare_pipelines(cfg, plan, sigma_int=0.1, **kw)
-    assert labels.count("interp-noise") == 3 * len(plan.segments)
+    assert labels.count("interp-noise") == 3
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.05)
     labels.clear()
     rollout_anchored(cfg, plan, kf, substitution=False)
-    assert labels.count("interp-noise") == len(plan.segments)
+    assert labels.count("interp-noise") == 1
+
+    # a simulate derives a few streams per trial, not one per window
+    from rollbound import cli
+    monkeypatch.setattr(cli, "derive_rng", spy)
+    labels.clear()
+    trials = worldsim.TRIAL_BLOCK + 3
+    assert cli.main(["--out", str(tmp_path), "--set", "total_frames=65", "--set", "dim=3",
+                     "--set", "dynamics=rotation", "--set", "noise_std=0.05",
+                     "--set", "sigma_int=0.05", "--set", "kf_error_cap=0.1",
+                     "--set", f"trials={trials}", "simulate"]) == 0
+    assert len(labels) <= 3 * trials + 2
 
 
 @pytest.mark.parametrize("dim, trials", [(2, 3), (3, worldsim.TRIAL_BLOCK + 1), (4, 5)])
