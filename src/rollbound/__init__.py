@@ -45,7 +45,6 @@ from .schedule import (
 )
 from .worldsim import (
     ComparisonReport,
-    KeyframeLatents,
     RolloutTrace,
     WorldConfig,
     compare_pipelines,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .core import RolloutPlan, load_trajectory, write_columns_csv
-from .errormodel import ar_upper_curve, unified_bound
+from .errormodel import ar_upper_curve, jump_anchor_bound, unified_bound
 from .errors import InvalidInput
 from .expconfig import ExperimentConfig, apply_overrides, load_config, save_config
 from .metrics import _rotation_error, are, align_similarity, smoothness, write_metric_report
@@ -118,8 +118,9 @@ def cmd_bounds(args) -> int:
         variance = np.where(np.arange(n) > 0, np.inf, 0.0)
     if cfg.kf_scenario == "global":
         anchor = cfg.kf_error_cap
-    else:  # downsampled_ar: one step error per anchor jump of the horizon
-        anchor = (n - 1) / interval * cfg.bias
+    else:  # downsampled_ar: one step error per anchor jump, at the worst stride
+        mu = cfg.bias if cfg.kf_step_error is None else cfg.kf_step_error
+        anchor = max(jump_anchor_bound(cfg.lipschitz, mu, n, s) for s in cfg.strides)
     bd = unified_bound(anchor, interval, cfg.velocity_error, cfg.sigma_int)
     path = os.path.join(out, "bounds.csv")
     write_columns_csv(path, ("frame", "ar_upper", "ar_lower", "ar_variance", "dcar_bound",
@@ -245,7 +246,8 @@ def cmd_ablate(args) -> int:
         # the interpolation anchors are the generated ones at multiples of
         # i_stride (and the final frame), since g_stride divides i_stride
         plan = build_plan(cfg.total_frames, (i_stride,), cfg.segment_len, cfg.overlap)
-        trace = rollout_anchored(world, plan, kfs, sigma_int=cfg.sigma_int,
+        anchors = kfs[np.searchsorted(gen_idx, plan.keyframes)]
+        trace = rollout_anchored(world, plan, anchors, sigma_int=cfg.sigma_int,
                                  velocity_error=cfg.velocity_error,
                                  seed=child_seed(cfg.seed, f"ablate-{g_stride}-{i_stride}"))
         viol = _bound_violations(trace, cfg.sigma_int)

@@ -78,6 +78,28 @@ def ar_upper_curve(lipschitz: float, step_error: float, n_frames: int,
     return values, flags
 
 
+def jump_anchor_bound(lipschitz: float, step_error: float, n_frames: int, stride: int,
+                      cap: float = DIVERGENCE_CAP) -> float:
+    """A-priori cap on the anchor error of keyframes generated step by step
+    at one stride (the "downsampled_ar" anchors): one jump per anchor
+    interval D, e <- L**D * e + step_error, over the intervals of a plan at
+    that stride, (n_frames-1)//stride of length stride and then the shorter
+    remainder, if any. From e = 0 the error never falls along the jumps, so
+    the last anchor carries the largest. The full intervals run on
+    ar_upper_curve with L**stride; the result saturates to `cap` as
+    ar_upper_curve's does, and so does a jump factor past the float range."""
+    full, last = divmod(n_frames - 1, stride)
+    with np.errstate(over="ignore"):
+        factor = float(np.float64(lipschitz) ** stride)
+    values, flags = ar_upper_curve(factor, step_error, full + 1, cap)
+    error = float(values[-1])
+    if flags[-1] or not last:
+        return error
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = float(np.float64(lipschitz) ** last * error + step_error)
+    return error if error <= cap else cap
+
+
 # ---------------------------------------------------------------------------
 # velocity-leakage damping
 # ---------------------------------------------------------------------------
@@ -139,7 +161,8 @@ def cumulative_leakage_bound(interval: float, velocity0: float) -> float:
     T = float(interval)
     if not np.isfinite(T) or T <= 0.0:
         raise InvalidInput("interval must be positive")
-    return float(LEAKAGE_SERIES_SUM * LEAKAGE_PEAK_COEFF * T * abs(float(velocity0)))
+    with np.errstate(over="ignore"):  # a cap past the float range reads inf
+        return float(LEAKAGE_SERIES_SUM * LEAKAGE_PEAK_COEFF * T * abs(float(velocity0)))
 
 
 def discrete_spline_minimizer(interval: float, velocity_in: float,

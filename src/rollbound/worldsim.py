@@ -13,6 +13,11 @@ Two generation pipelines run against the same ground truth:
     (anchor convex combination + damped velocity-leakage spline + pinned
     bridge noise), with overlap substitution between generation windows.
 
+Anchors are a (K, d) array, one row per plan keyframe in plan order. Each
+trial reads its bridge noise from one stream in generation order, a block of
+frames at a time; under substitution the windows change no frame, and
+without it each window's overlap frames are redrawn as they come.
+
 Both run on one trial engine that simulates a batch of Monte-Carlo trials as
 one array; a standalone rollout is its one-trial case.
 """
@@ -184,7 +189,6 @@ class RolloutTrace:
     breakdown: BoundBreakdown | None = None
     segment_ids: np.ndarray | None = None
     keyframe_indices: tuple[int, ...] = ()
-    segment_chunks: tuple[tuple[int, np.ndarray], ...] | None = None
 
     def final_error(self) -> float:
         return float(self.error_norms[-1])
@@ -226,9 +230,10 @@ def write_trace_csv(trace: RolloutTrace, path, *tables) -> None:
 #: floats whatever the trial count
 TRIAL_BLOCK = 32
 
-#: frames per running-sum pass of the identity dynamics: a pass holds
-#: O(SUM_BLOCK * TRIAL_BLOCK * d) floats whatever the horizon
-SUM_BLOCK = 1024
+#: frames per pass of the identity dynamics' running sums, and bridge-noise
+#: rows per draw: a pass holds O(FRAME_BLOCK * TRIAL_BLOCK * d) floats
+#: whatever the horizon
+FRAME_BLOCK = 1024
 
 
 def _require_finite(x: np.ndarray) -> None:
@@ -323,7 +328,7 @@ class _World:
         that starts from A x[0] never reads -0.0. So np.add.accumulate,
         strictly sequential, over the addends interleaved as
         [A x[0], u0, b, eps0, u1, b, eps1, ...] makes the loop's additions
-        in its order. Each pass sums SUM_BLOCK frames, from the last frame
+        in its order. Each pass sums FRAME_BLOCK frames, from the last frame
         of the previous one."""
         n, rows, d = x.shape
         start = np.matmul(self.A, x[0, :, :, None])[..., 0]
@@ -334,10 +339,10 @@ class _World:
         if rows == 1:
             return
         k = 2 if noise is None else 3
-        sums = np.empty((1 + k * SUM_BLOCK, rows - 1, d))
+        sums = np.empty((1 + k * FRAME_BLOCK, rows - 1, d))
         sums[0] = start[1:]
-        for lo in range(0, n - 1, SUM_BLOCK):
-            hi = min(lo + SUM_BLOCK, n - 1)
+        for lo in range(0, n - 1, FRAME_BLOCK):
+            hi = min(lo + FRAME_BLOCK, n - 1)
             part = sums[:1 + k * (hi - lo)]
             addends = part[1:].reshape(hi - lo, k, rows - 1, d)
             addends[:, 0] = self.u[lo:hi, None]
@@ -381,8 +386,9 @@ class _World:
         return RolloutTrace(LatentSeq(x), self.gt, err, bounds=bounds)
 
     def keyframes(self, idx: list[int], scenario: str, error_cap: float,
-                  step_error: float | None, g) -> KeyframeLatents:
-        """Anchor latents at the sorted frames idx (see generate_keyframes)."""
+                  step_error: float | None, g) -> np.ndarray:
+        """(K, d) anchor latents at the sorted frames idx, one row per frame
+        (see generate_keyframes)."""
         cfg = self.cfg
         gt = self.gt.frames
         vals = np.empty((len(idx), cfg.dim))
@@ -408,14 +414,17 @@ class _World:
             direction = b / bn if bn > 0.0 else np.eye(cfg.dim)[0]
             step_vec = mu * direction
             err = np.zeros(cfg.dim)
-            for j in range(1, len(idx)):
-                for _ in range(idx[j] - idx[j - 1]):
-                    err = self.A @ err
-                err = err + step_vec
-                vals[j] = gt[idx[j]] + err
+            # an anchor past the float range reads inf or nan, without a
+            # warning: the callers' finite check rejects it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(1, len(idx)):
+                    for _ in range(idx[j] - idx[j - 1]):
+                        err = self.A @ err
+                    err = err + step_vec
+                    vals[j] = gt[idx[j]] + err
         else:
             raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
-        return KeyframeLatents(tuple(idx), vals)
+        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -443,33 +452,12 @@ def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
 # keyframe generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyframeLatents:
-    """Sparse anchor latents: sorted frame indices with one value per index."""
-
-    indices: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if list(idx) != sorted(set(idx)):
-            raise InvalidInput("keyframe indices must be sorted and unique")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != len(idx):
-            raise InvalidInput("keyframe values must be (len(indices), d)")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidInput("keyframe values must be finite")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", vals)
-
-    def lookup(self) -> dict[int, np.ndarray]:
-        return {k: self.values[i] for i, k in enumerate(self.indices)}
-
-
 def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
                        error_cap: float = 0.0, step_error: float | None = None,
-                       rng=None) -> KeyframeLatents:
-    """Anchor latents under one of two regimes.
+                       rng=None) -> np.ndarray:
+    """Anchor latents under one of two regimes, as a (K, d) array with one
+    row per index, in sorted index order. The indices must be unique and
+    include 0.
 
     "global": every anchor is ground truth plus an independent perturbation of
     norm <= error_cap (frame 0, the given initial frame, stays exact).
@@ -479,8 +467,8 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
     draw nothing, so rng is read only by "global".
     """
     idx = sorted(int(i) for i in indices)
-    if not idx or idx[0] != 0:
-        raise InvalidInput("keyframe indices must be sorted and include 0")
+    if not idx or idx[0] != 0 or len(set(idx)) < len(idx):
+        raise InvalidInput("keyframe indices must be unique and include 0")
     world = _World(cfg, idx[-1] + 1)
     g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "keyframes"))
     return world.keyframes(idx, scenario, error_cap, step_error, g)
@@ -517,7 +505,7 @@ def _velocity_vector(velocity_error, d: int) -> np.ndarray:
 class _AnchoredLayout:
     """What every trial of an anchored rollout shares, built once from the
     plan: each frame's anchor interval, interpolation weight and
-    velocity-leakage offset, and each generation window's noise schedule.
+    velocity-leakage offset, and the bridge-noise rows in generation order.
     Only the anchor values and the noise streams differ between trials."""
 
     def __init__(self, plan: RolloutPlan, d: int, sigma_int: float, velocity_error,
@@ -568,12 +556,11 @@ class _AnchoredLayout:
                 ramp = np.where(tau[first] < T[0], tau[first], 0).astype(float)
                 self.leak_rows, self.leak = first, ramp[:, None] * self.dv0
 
-        # bridge-noise schedule: window i draws, from its trial's stream, one
-        # row for each of draw_frames[cuts[i]:cuts[i+1]], in that order, after
-        # the rows of the windows before it; the first marginal[i] of them
-        # (overlap frames when substitution is off) are redrawn from the
-        # marginal law, the rest continue the bridge recursion
-        # w[t] = frac*w[t-1] + scale*eps
+        # bridge-noise schedule: each trial reads one row of its stream for
+        # each of draw_frames, in generation order. A redrawn row (an overlap
+        # frame a later window generates again, only without substitution)
+        # is drawn from the marginal law; every other row continues the
+        # bridge recursion w[t] = frac*w[t-1] + scale*eps
         p = plan.overlap
         starts, ends = window_spans(n, plan.segment_len, p)
         # window i generates gen_from[i]..ends[i]: with substitution its
@@ -590,21 +577,17 @@ class _AnchoredLayout:
         is_kf[kf] = True
         drawn = ~is_kf[span]
         self.draw_frames, win = span[drawn], win[drawn]
-        self.cuts = np.concatenate(([0], np.cumsum(np.bincount(win, minlength=len(starts)))))
-        # the overlap frames a later window generates are marginal redraws
-        # (with substitution it generates none)
-        redrawn = (win > 0) & (self.draw_frames < starts[win] + p)
-        self.marginal = np.bincount(win[redrawn], minlength=len(starts)).tolist()
+        self.redrawn = (win > 0) & (self.draw_frames < starts[win] + p)
         # with sigma_int 0 every kick is 0*eps, +0.0 or -0.0, and a bridge row
-        # +0.0*frac + kick is +0.0: only a marginal redraw row can hold -0.0,
-        # so without such rows the noise is +0.0 throughout and drawing it
+        # +0.0*frac + kick is +0.0: only a redrawn row can hold -0.0, so
+        # without such rows the noise is +0.0 throughout and drawing it
         # changes no bit
-        self.draws = sigma_int > 0.0 or any(self.marginal)
+        self.draws = sigma_int > 0.0 or bool(self.redrawn.any())
         remaining = kf[j[self.draw_frames] + 1] - (self.draw_frames - 1)
         self.draw_frac = (remaining - 1) / remaining
         self.draw_scale = sigma_int * np.sqrt(self.draw_frac)
-        f = self.draw_frames[redrawn]
-        self.draw_scale[redrawn] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
+        f = self.draw_frames[self.redrawn]
+        self.draw_scale[self.redrawn] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
 
     def field(self, kv: np.ndarray) -> np.ndarray:
         """Deterministic part of each trial from its (K, B, d) anchor values:
@@ -621,40 +604,46 @@ class _AnchoredLayout:
             det[self.leak_rows] += self.leak[:, None]
         return det
 
-    def run(self, kv: np.ndarray, seeds, collect_segments: bool = False):
-        """Anchored rollouts of a batch, trial b drawing its bridge noise from
-        its one stream derive_rng(seeds[b], "interp-noise"), read window by
-        window: each window draws its (k, d) rows as it runs. Returns the
-        (n, B, d) frames and, on request, trial 0's frames of each window as
-        they stood once that window was generated."""
+    def run(self, kv: np.ndarray, seeds) -> np.ndarray:
+        """Anchored rollouts of a batch from its (K, B, d) anchor values, as
+        (n, B, d) frames. Trial b reads its bridge noise from its one stream
+        derive_rng(seeds[b], "interp-noise") in generation order, FRAME_BLOCK
+        rows at a time; one pass over the rows runs the bridge recursion, so
+        the frames depend neither on the block size nor, with substitution,
+        on the windows."""
         det = self.field(kv)
-        B, d = det.shape[1:]
         w = np.zeros_like(det)
-        chunks = []
-        segments = self.plan.segments if collect_segments else None
-        bounds = self.cuts.tolist()
-        rngs = [derive_rng(s, "interp-noise") for s in seeds] if self.draws else ()
-        for si, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], self.marginal)):
-            if rngs:
-                eps = np.empty((B, hi - lo, d))
-                for g, rows in zip(rngs, eps):
-                    g.standard_normal(out=rows)
-                kicks = self.draw_scale[lo:hi, None, None] * eps.transpose(1, 0, 2)
-                w[self.draw_frames[lo:lo + m]] = kicks[:m]
-                for t, frac, kick in zip(self.draw_frames[lo + m:hi].tolist(),
-                                         self.draw_frac[lo + m:hi].tolist(), kicks[m:]):
+        # noise past the float range reads inf or nan, without a warning:
+        # the finite check rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.draws:
+                self._bridge_noise(w, [derive_rng(s, "interp-noise") for s in seeds])
+            det += w
+        _require_finite(det)
+        return det
+
+    def _bridge_noise(self, w: np.ndarray, rngs) -> None:
+        """Fill the (n, B, d) noise w row by row, in generation order."""
+        rows, (B, d) = len(self.draw_frames), w.shape[1:]
+        eps = np.empty((B, min(rows, FRAME_BLOCK), d))
+        for lo in range(0, rows, FRAME_BLOCK):
+            hi = min(lo + FRAME_BLOCK, rows)
+            kicks = eps[:, :hi - lo]
+            for g, draws in zip(rngs, kicks):
+                g.standard_normal(out=draws)
+            kicks *= self.draw_scale[lo:hi, None]
+            for t, frac, redraw, kick in zip(self.draw_frames[lo:hi].tolist(),
+                                             self.draw_frac[lo:hi].tolist(),
+                                             self.redrawn[lo:hi].tolist(),
+                                             kicks.transpose(1, 0, 2)):
+                if redraw:
+                    w[t] = kick
+                else:
                     np.multiply(w[t - 1], frac, out=w[t])
                     w[t] += kick
-            if collect_segments:
-                seg = segments[si]
-                span = slice(seg.start, seg.end + 1)
-                chunks.append((seg.start, det[span, 0] + w[span, 0]))
-        det += w
-        _require_finite(det)
-        return det, chunks
 
-    def trace(self, world: _World, kv: np.ndarray, x: np.ndarray, err: np.ndarray,
-              chunks=None) -> RolloutTrace:
+    def trace(self, world: _World, kv: np.ndarray, x: np.ndarray,
+              err: np.ndarray) -> RolloutTrace:
         """One trial's trace from its (K, d) anchors and (n, d) frames; the
         bound column holds the unified bound built from its largest anchor
         error."""
@@ -665,16 +654,21 @@ class _AnchoredLayout:
         breakdown = unified_bound(anchor, max_T, dv0, self.sigma_int)
         return RolloutTrace(LatentSeq(x), gt, err, bounds=np.full(len(gt), breakdown.total),
                             breakdown=breakdown,
-                            segment_ids=self.seg_ids.copy(), keyframe_indices=tuple(kf_idx),
-                            segment_chunks=None if chunks is None else tuple(chunks))
+                            segment_ids=self.seg_ids.copy(), keyframe_indices=tuple(kf_idx))
 
 
-def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, keyframes: KeyframeLatents,
+def _finite_anchors(kv: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(kv)):
+        raise InvalidInput("keyframe values must be finite")
+    return kv
+
+
+def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, anchors,
                      sigma_int: float = 0.0, momentum: bool = True,
                      substitution: bool = True, velocity_error=None,
-                     seed: int | None = None,
-                     collect_segments: bool = False) -> RolloutTrace:
-    """Anchored interpolation rollout over a plan.
+                     seed: int | None = None) -> RolloutTrace:
+    """Anchored interpolation rollout over a plan, from a (K, d) array of
+    anchor latents with one row per plan keyframe, in plan order.
 
     Each frame between consecutive anchors is the convex combination of the
     anchor latents, plus a velocity-leakage correction, plus pinned bridge
@@ -685,9 +679,10 @@ def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, keyframes: KeyframeLat
     substitution is off). With momentum off the generator rides the erroneous
     velocity and snaps back at the next anchor.
 
-    Generation windows run in order; with substitution on, each window's
-    first `overlap` frames are taken verbatim from its predecessor and the
-    noise process continues through them, otherwise the window redraws those
+    The bridge noise is read from one stream (seed, default cfg.seed) in
+    generation order. With substitution on, each window's first `overlap`
+    frames are its predecessor's and the noise process continues through
+    them, so the windows change no frame; otherwise the window redraws those
     frames from the marginal noise law (a visible junction discontinuity).
 
     The per-frame bound column holds the unified anchored-interpolation bound
@@ -695,17 +690,15 @@ def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, keyframes: KeyframeLat
     measured anchor errors.
     """
     layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error, momentum, substitution)
-    have = set(keyframes.indices)
-    missing = [k for k in plan.keyframes if k not in have]
-    if missing:
-        raise InvalidInput(f"keyframe latents missing plan anchors {missing}")
+    kv = np.asarray(anchors, dtype=float)
+    if kv.shape != (len(plan.keyframes), cfg.dim):
+        raise InvalidInput(f"anchors must be a ({len(plan.keyframes)}, {cfg.dim}) array, "
+                           f"one row per plan keyframe, not {kv.shape}")
+    _finite_anchors(kv)
     world = _World(cfg, plan.total_frames)
-    values = keyframes.lookup()
-    kv = np.stack([values[k] for k in plan.keyframes])[:, None]
-    x, chunks = layout.run(kv, [cfg.seed if seed is None else int(seed)], collect_segments)
+    x = layout.run(kv[:, None], [cfg.seed if seed is None else int(seed)])
     err = _error_norms(x, world.gt.frames)[0]
-    return layout.trace(world, kv[:, 0], x[:, 0], err,
-                        chunks if collect_segments else None)
+    return layout.trace(world, kv, x[:, 0], err)
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +738,10 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     Trials run batched, TRIAL_BLOCK at a time. Each trial draws from one
     stream per purpose, derived from the seed, the trial number and (for the
     anchors and the bridge noise) the scenario: its step-by-step noise, its
-    anchors, and its bridge noise, which rollout_anchored's windows read in
-    turn. So the result depends on the seed alone. Per-frame sums accumulate
-    in trial order."""
+    anchors, and its bridge noise, read in generation order as in
+    rollout_anchored. So the result depends on the seed alone. The anchors
+    of a trial block are one (K, B, d) array, checked finite once. Per-frame
+    sums accumulate in trial order."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     base = cfg.seed if seed is None else int(seed)
@@ -760,7 +754,8 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     kf_idx = list(plan.keyframes)
     ar_sums, dc_sums = np.zeros((2, n)), np.zeros((2, n))
     # downsampled-AR anchors draw nothing: every trial gets the same ones
-    shared_kv = (world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error, None).values
+    shared_kv = (_finite_anchors(world.keyframes(kf_idx, scenario, kf_error_cap,
+                                                 kf_step_error, None))
                  if scenario == "downsampled_ar" else None)
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
@@ -773,11 +768,11 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
         if shared_kv is not None:
             kv = np.broadcast_to(shared_kv[:, None], (len(kf_idx), len(block), cfg.dim))
         else:
-            kv = np.stack([world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
-                                           derive_rng(base, f"trial-kf-{scenario}", i)).values
-                           for i in block], axis=1)
-        x, _ = layout.run(kv, [child_seed(base, f"trial-anchored-{scenario}", i)
-                               for i in block])
+            kv = _finite_anchors(np.stack(
+                [world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
+                                 derive_rng(base, f"trial-kf-{scenario}", i))
+                 for i in block], axis=1))
+        x = layout.run(kv, [child_seed(base, f"trial-anchored-{scenario}", i) for i in block])
         err = _error_norms(x, world.gt.frames)
         _accumulate(dc_sums, err)
         if first == 0:

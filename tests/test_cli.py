@@ -130,9 +130,10 @@ def test_cmd_bounds_linear_and_anchored(tmp_path):
 
 
 def test_cmd_bounds_downsampled_anchor_term(tmp_path):
-    # anchors generated step by step at stride 8 err by one bias per jump: the
-    # a-priori anchor term is (n - 1) / 8 * bias, an 8-fold cut of the
-    # step-by-step bound at the final frame
+    # anchors generated step by step at stride 8 err by one bias per jump: at
+    # L = 1 the a-priori anchor term is one bias per anchor interval, here
+    # (n - 1) / 8 of them, an 8-fold cut of the step-by-step bound at the
+    # final frame
     out = tmp_path / "o"
     assert run("--out", str(out), "--set", "total_frames=321", "--set", "bias=0.01",
                "--set", "strides=8", "--set", "kf_scenario=downsampled_ar", "bounds") == 0
@@ -144,6 +145,94 @@ def test_cmd_bounds_downsampled_anchor_term(tmp_path):
     pure = float(rows[-1][header.index("ar_upper")])
     assert pure == pytest.approx(3.2)
     assert pure / anchor == pytest.approx(8.0)
+
+
+def _anchor_column(path):
+    header, rows = _read_rows(path)
+    return {float(row[header.index("anchor")]) for row in rows}
+
+
+@pytest.mark.parametrize("dynamics", ["scaled_identity", "rotation"])
+def test_cmd_bounds_downsampled_anchor_term_covers_simulate(dynamics, tmp_path):
+    # the a-priori anchor term of bounds is at least the largest anchor error
+    # simulate measures, whichever stride the plan draws: one jump per anchor
+    # interval, the short last one included, at kf_step_error or else bias
+    # per jump. 51 frames leave a last interval of 2 frames at stride 8 and
+    # of 1 at stride 5
+    cases = 0
+    for lipschitz in ("0.9", "1", "1.05"):
+        for step in ((), ("kf_step_error=0.3",)):
+            for strides in ("8", "4,8", "5,8,16"):
+                for seed in ("1", "2", "3"):
+                    argv = ["--seed", seed]
+                    for setting in (f"dynamics={dynamics}", f"lipschitz={lipschitz}",
+                                    "bias=0.1", "dim=2", "total_frames=51",
+                                    f"strides={strides}", "kf_scenario=downsampled_ar",
+                                    "velocity_error=0.2", *step):
+                        argv += ["--set", setting]
+                    out = tmp_path / f"{lipschitz}-{len(step)}-{strides}-{seed}"
+                    assert run("--out", str(out), *argv, "bounds") == 0
+                    assert run("--out", str(out), *argv, "simulate") == 0
+                    (printed,), (measured,) = (_anchor_column(out / name) for name in
+                                               ("bounds.csv", "anchored_trace.csv"))
+                    # the jumps multiply by L**D once where the anchors step
+                    # D times: a few ulps apart
+                    assert measured <= printed + 1e-12 * printed, (out.name, measured,
+                                                                   printed)
+                    cases += 1
+    assert cases == 54
+
+
+def test_cmd_bounds_downsampled_anchor_term_short_last_interval(tmp_path):
+    # 51 frames at stride 8: six full jumps and a short one, 7 * bias, as
+    # simulate measures; kf_step_error replaces bias per jump; with strides
+    # 4 and 8 the term is that of stride 4, 13 jumps
+    for settings, expected in ((("strides=8",), 0.7),
+                               (("strides=8", "kf_step_error=0.3"), 2.1),
+                               (("strides=4,8",), 1.3)):
+        argv = ["--out", str(tmp_path), "--set", "total_frames=51", "--set", "bias=0.1",
+                "--set", "kf_scenario=downsampled_ar"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert run(*argv, "bounds") == 0
+        (anchor,) = _anchor_column(tmp_path / "bounds.csv")
+        assert anchor == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("command, csv", [("bounds", "bounds.csv"),
+                                          ("simulate", "anchored_trace.csv"),
+                                          ("ablate", "ablation.csv")])
+def test_cmd_leakage_past_the_float_range_reads_inf_without_warning(command, csv,
+                                                                    tmp_path, capsys):
+    # 2(sqrt(3)/9) * 8 * 1e308 is past the float range: the leakage term
+    # reads inf, and numpy's overflow warning stays inside
+    extra = ["--grid", "8:8"] if command == "ablate" else []
+    assert run("--out", str(tmp_path), "--set", "velocity_error=1e308",
+               "--set", "total_frames=33", command, *extra) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_rows(tmp_path / csv)
+    assert {row[header.index("leakage")] for row in rows} == {"inf"}
+
+
+@pytest.mark.parametrize("settings, command, message", [
+    (("sigma_int=1e308",), "simulate", "latent frames must be finite"),
+    (("sigma_int=1e308",), "ablate", "latent frames must be finite"),
+    (("kf_scenario=downsampled_ar", "lipschitz=3", "bias=0.01", "total_frames=2000"),
+     "simulate", "keyframe values must be finite"),
+], ids=["bridge-noise-simulate", "bridge-noise-ablate", "downsampled-anchors"])
+def test_cmd_overflow_prints_only_the_error_line(settings, command, message, tmp_path,
+                                                 capsys):
+    # bridge noise or anchors past the float range: the finite check rejects
+    # the run, and numpy's overflow warnings stay inside
+    argv = ["--out", str(tmp_path)]
+    for setting in settings:
+        argv += ["--set", setting]
+    if command == "ablate":
+        argv += ["--set", "total_frames=33", command, "--grid", "4:4"]
+    else:
+        argv += [command]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cmd_bounds_overflowing_noise_variance(tmp_path, capsys):

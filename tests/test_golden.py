@@ -49,7 +49,7 @@ CLI_CASES = {
     "bounds_diverging": (
         ["--set", "total_frames=400", "--set", "bias=0.1", "--set", "lipschitz=7",
          "--set", "kf_scenario=downsampled_ar", "bounds"], ("bounds.csv",),
-        "dfcb5cfc719e1e7cc1d5e9e7866fe92f42971fe5a2fe0e63bcba05c77bfd455b"),
+        "9f15076a3f6ea343cf9af3a2eef9417e5517e837781e291e987406c64555cfe4"),
     # rotation dynamics at d=4, both noise sources on, 35 trials (not a
     # multiple of the trial block)
     "simulate_rotation_d4": (
@@ -214,12 +214,10 @@ def test_api_anchored_without_substitution_digest():
     arrays = []
     for momentum in (True, False):
         tr = rollout_anchored(cfg, plan, kf, sigma_int=0.3, velocity_error=[0.4, -0.2, 0.1],
-                              momentum=momentum, substitution=False, seed=5,
-                              collect_segments=True)
+                              momentum=momentum, substitution=False, seed=5)
         arrays += [tr.generated.frames, tr.error_norms, tr.bounds, tr.segment_ids]
-        arrays += [chunk for _, chunk in tr.segment_chunks]
     assert _arrays_digest(arrays) == (
-        "2c618035a150b0bc4628bee5619d561404823eac5d810ca4b744be14ffc7bc2a")
+        "cc1e5517ac1c6a1f739743aa6e07f142b24ec0fac6436e2e6b7fa620edaa9467")
 
 
 def test_api_compare_both_scenarios_digest():
@@ -250,13 +248,10 @@ def test_api_anchored_noiseless_without_substitution_digest():
     parts = []
     for momentum in (True, False):
         tr = rollout_anchored(cfg, plan, kf, sigma_int=0.0, velocity_error=[0.4, -0.2, 0.1],
-                              momentum=momentum, substitution=False, seed=6,
-                              collect_segments=True)
+                              momentum=momentum, substitution=False, seed=6)
         parts.append((f"frames-{momentum}", tr.generated.frames.tobytes()))
-        parts += [(f"chunk-{momentum}-{start}", chunk.tobytes())
-                  for start, chunk in tr.segment_chunks]
     assert _digest(parts) == (
-        "c0e162e750829d178009a88c07e79b50e61f0eb7026043ce1dd7cfc6cbc64d4e")
+        "28d5e9ed0aa159dbcc3c4ce1f785d4a50cc6e17db0d9380c0a6e6564151fd5bd")
 
 
 def test_api_compare_noiseless_interpolation_digest():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rollbound.core import InvalidInput, RolloutPlan
 from rollbound.errormodel import (
@@ -11,10 +12,9 @@ from rollbound.errormodel import (
     solve_damping_spline,
 )
 from rollbound import worldsim
-from rollbound.schedule import build_plan
+from rollbound.schedule import build_plan, sample_keyframe_indices
 from rollbound.seeding import child_seed, derive_rng
 from rollbound.worldsim import (
-    KeyframeLatents,
     WorldConfig,
     bias_from_norm,
     compare_pipelines,
@@ -32,10 +32,11 @@ def linear_world(dim=2, bias=0.0, noise=0.0, seed=0, control=None):
                        noise_std=noise, control=control, seed=seed)
 
 
-def anchor_errors(cfg, kf):
-    """Each anchor's error norm against the world's ground truth."""
-    gt = simulate_ground_truth(cfg, kf.indices[-1] + 1).frames
-    return worldsim._anchor_error_norms(kf.values, gt, kf.indices)
+def anchor_errors(cfg, idx, anchors):
+    """Each anchor's error norm against the world's ground truth, for the
+    (K, d) anchors at the sorted frames idx."""
+    gt = simulate_ground_truth(cfg, idx[-1] + 1).frames
+    return worldsim._anchor_error_norms(anchors, gt, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +192,14 @@ def test_pure_ar_deterministic_error_norms_match_recursion_exactly():
 def test_keyframes_exact_when_cap_zero():
     cfg = linear_world(bias=0.05)
     kf = generate_keyframes(cfg, [0, 8, 16], "global", error_cap=0.0)
-    assert np.all(anchor_errors(cfg, kf) == 0.0)
+    assert np.all(anchor_errors(cfg, [0, 8, 16], kf) == 0.0)
 
 
 def test_keyframes_downsampled_accumulation():
     cfg = linear_world(bias=0.01)
     idx = list(range(0, 321, 8))
     kf = generate_keyframes(cfg, idx, "downsampled_ar")
-    errs = anchor_errors(cfg, kf)
+    errs = anchor_errors(cfg, idx, kf)
     assert errs[0] == 0.0
     assert errs[-1] == pytest.approx(0.4, abs=1e-9)
     assert np.allclose(errs, 0.01 * np.arange(len(idx)), atol=1e-9)
@@ -211,7 +212,7 @@ def test_keyframes_global_cap_respected_over_seeds():
     for seed in range(1000):
         kf = generate_keyframes(cfg, idx, "global", error_cap=0.1,
                                 rng=np.random.default_rng(seed))
-        worst = max(worst, float(anchor_errors(cfg, kf).max()))
+        worst = max(worst, float(anchor_errors(cfg, idx, kf).max()))
     assert worst <= 0.1 + 1e-12
 
 
@@ -230,8 +231,8 @@ def test_anchor_error_norms_match_per_anchor_loop():
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
                             rng=np.random.default_rng(51))
     gt = simulate_ground_truth(cfg, plan.total_frames).frames
-    loop = [np.linalg.norm(v - gt[k]) for k, v in zip(kf.indices, kf.values)]
-    assert np.array_equal(anchor_errors(cfg, kf), loop)
+    loop = [np.linalg.norm(v - gt[k]) for k, v in zip(plan.keyframes, kf)]
+    assert np.array_equal(anchor_errors(cfg, plan.keyframes, kf), loop)
     assert rollout_anchored(cfg, plan, kf).breakdown.anchor_term == max(loop)
 
 
@@ -260,12 +261,21 @@ def test_global_keyframes_match_per_anchor_loop():
             kf = generate_keyframes(cfg, idx, "global", error_cap=cap,
                                     rng=np.random.default_rng(dim))
             loop = _loop_global_keyframes(gt, idx, cap, np.random.default_rng(dim))
-            assert kf.values.tobytes() == loop.tobytes(), (dim, cap)
+            assert kf.tobytes() == loop.tobytes(), (dim, cap)
 
 
 def test_keyframes_require_zero_start():
     with pytest.raises(InvalidInput):
         generate_keyframes(linear_world(), [8, 16], "global")
+
+
+def test_keyframes_sorted_and_repeats_rejected():
+    # one row per index, in sorted index order; a repeated index is invalid
+    cfg = WorldConfig(dim=2, control=np.array([1.0, 0.0]))
+    kf = generate_keyframes(cfg, [16, 0, 8], "global", error_cap=0.0)
+    assert kf[:, 0].tolist() == [0.0, 8.0, 16.0]
+    with pytest.raises(InvalidInput, match="unique and include 0"):
+        generate_keyframes(cfg, [0, 8, 8, 16], "global")
 
 
 @pytest.mark.parametrize("cap", [-0.1, np.nan, np.inf])
@@ -313,7 +323,7 @@ def test_anchored_anchoring_invariant():
     cfg = linear_world(bias=0.01, control=np.array([0.1, 0.0]), seed=6)
     plan = _plan()
     kf = generate_keyframes(cfg, plan.keyframes, "downsampled_ar")
-    kf_err = anchor_errors(cfg, kf)
+    kf_err = anchor_errors(cfg, plan.keyframes, kf)
     trace = rollout_anchored(cfg, plan, kf, sigma_int=0.4, velocity_error=0.7, seed=123)
     for j, k in enumerate(plan.keyframes):
         assert trace.error_norms[k] == pytest.approx(kf_err[j], abs=1e-12)
@@ -349,7 +359,7 @@ def test_anchored_error_decomposition_round_trip():
     trace = rollout_anchored(cfg, plan, kf, velocity_error=dv0)
     gt = trace.ground_truth.frames
     gen = trace.generated.frames
-    lookup = kf.lookup()
+    lookup = dict(zip(plan.keyframes, kf))
     intervals = list(zip(plan.keyframes, plan.keyframes[1:]))
     for j, (lo, hi) in enumerate(intervals):
         T = hi - lo
@@ -373,40 +383,32 @@ def test_anchored_bound_dominates_deterministic_runs():
     assert trace.breakdown.total == pytest.approx(trace.bounds[0])
 
 
-def test_anchored_overlap_frames_bit_identical():
-    cfg = linear_world(control=np.array([0.3, 0.1]), seed=10)
-    plan = _plan(n=33, stride=8, seg_len=6, overlap=1)  # windows cross anchors
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
-                            rng=np.random.default_rng(2))
-    trace = rollout_anchored(cfg, plan, kf, sigma_int=0.5, velocity_error=0.4,
-                         seed=77, collect_segments=True)
-    chunks = dict(trace.segment_chunks)
-    segs = plan.segments
-    for prev, cur in zip(segs, segs[1:]):
-        prev_chunk = chunks[prev.start]
-        cur_chunk = chunks[cur.start]
-        shared = range(cur.start, prev.end + 1)
-        for t in shared:
-            a = prev_chunk[t - prev.start]
-            b = cur_chunk[t - cur.start]
-            assert np.array_equal(a, b)  # bitwise
-
-
-def test_anchored_substitution_off_breaks_overlap_identity():
-    cfg = linear_world(control=np.array([0.3, 0.1]), seed=10)
-    plan = _plan(n=33, stride=8, seg_len=6, overlap=1)
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
-                            rng=np.random.default_rng(2))
-    trace = rollout_anchored(cfg, plan, kf, sigma_int=0.5, velocity_error=0.4,
-                         seed=77, substitution=False, collect_segments=True)
-    chunks = dict(trace.segment_chunks)
-    segs = plan.segments
-    diffs = 0
-    for prev, cur in zip(segs, segs[1:]):
-        a = chunks[prev.start][cur.start - prev.start]
-        b = chunks[cur.start][0]
-        diffs += int(not np.array_equal(a, b))
-    assert diffs > 0
+@given(st.integers(1, 90), st.integers(1, 20), st.integers(1, 4), st.booleans(),
+       st.lists(st.tuples(st.integers(1, 30), st.integers(0, 5)), min_size=1, max_size=3),
+       st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_anchored_frames_do_not_depend_on_the_windows(n, stride, dim, momentum, layouts,
+                                                      seed):
+    # with substitution on, each window takes its overlap frames from its
+    # predecessor and the bridge noise runs through them: the frames of a
+    # rollout, and the anchored mean and MSE curves of a comparison, are the
+    # same bits for every (segment_len, overlap), one window over the whole
+    # horizon included
+    cfg = WorldConfig(dim=dim, dynamics="rotation", bias=bias_from_norm(dim, 0.01),
+                      control=np.full(dim, 0.1), seed=seed % 97)
+    kf = tuple(sample_keyframe_indices(n, stride))
+    anchors = generate_keyframes(cfg, kf, "global", error_cap=0.1,
+                                 rng=np.random.default_rng(seed))
+    kw = dict(sigma_int=0.3, velocity_error=0.4)
+    runs = []
+    for seg_len, overlap in [(n, 0)] + [(s + o, o) for s, o in layouts]:
+        plan = RolloutPlan(n, kf, seg_len, overlap)
+        tr = rollout_anchored(cfg, plan, anchors, momentum=momentum, seed=seed, **kw)
+        rep = compare_pipelines(cfg, plan, "global", trials=3, seed=seed, kf_error_cap=0.1,
+                                **kw)
+        runs.append([tr.generated.frames.tobytes(), rep.anchored_mean_error.tobytes(),
+                     rep.anchored_mse.tobytes()])
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def _boundary_second_differences(trace, keyframes):
@@ -437,9 +439,10 @@ def test_momentum_off_does_not_reduce_boundary_discontinuity():
 
 def _loop_layout(plan, dv0, sigma_int, momentum, substitution):
     """The anchored layout as loops, window by window and interval by
-    interval: segment ids, drawn frames, cuts, marginal counts and draw
-    scales, and the velocity hand-off rows with the leakage they give. The
-    reference _AnchoredLayout must match bit for bit."""
+    interval: segment ids, the drawn frames in generation order with their
+    redraw flags and draw scales, and the velocity hand-off rows with the
+    leakage they give. The reference _AnchoredLayout must match bit for
+    bit."""
     n, p = plan.total_frames, plan.overlap
     kf = np.array(plan.keyframes)
     t = np.arange(n)
@@ -459,24 +462,21 @@ def _loop_layout(plan, dv0, sigma_int, momentum, substitution):
     is_kf = np.zeros(n, dtype=bool)
     is_kf[kf] = True
     seg_ids = np.zeros(n, dtype=int)
-    frames, marginal = [], []
+    frames, redrawn = [], []
     for si, seg in enumerate(plan.segments):
         gen_from = min(seg.start + p, seg.end + 1) if si > 0 and substitution else seg.start
         seg_ids[gen_from:seg.end + 1] = si
-        span = t[gen_from:seg.end + 1]
-        span = span[~is_kf[span]]
-        redraw = si > 0 and not substitution
-        marginal.append(int(np.count_nonzero(span < seg.start + p)) if redraw else 0)
-        frames.append(span)
-    draw_frames = np.concatenate(frames)
-    cuts = np.cumsum([0] + [len(f) for f in frames])
+        for f in range(gen_from, seg.end + 1):
+            if not is_kf[f]:
+                frames.append(f)
+                redrawn.append(si > 0 and not substitution and f < seg.start + p)
+    draw_frames = np.array(frames, dtype=int)
     remaining = kf[j[draw_frames] + 1] - (draw_frames - 1)
     scale = sigma_int * np.sqrt((remaining - 1) / remaining)
-    for start, m in zip(cuts.tolist(), marginal):
-        for r in range(start, start + m):
-            f = draw_frames[r]
+    for r, f in enumerate(frames):
+        if redrawn[r]:
             scale[r] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
-    return dict(seg_ids=seg_ids, draw_frames=draw_frames, cuts=cuts, marginal=marginal,
+    return dict(seg_ids=seg_ids, draw_frames=draw_frames, redrawn=np.array(redrawn, dtype=bool),
                 draw_scale=scale, leak=leak), dvs
 
 
@@ -499,7 +499,6 @@ def test_anchored_layout_matches_loop_reference():
                 layout = worldsim._AnchoredLayout(plan, len(dv0), sigma_int, dv0,
                                                   momentum, substitution)
                 expected, dvs = _loop_layout(plan, dv0, sigma_int, momentum, substitution)
-                assert layout.marginal == expected.pop("marginal")
                 leak = expected.pop("leak")
                 if momentum:
                     assert (layout.leak is None) == (leak is None)
@@ -514,11 +513,17 @@ def test_anchored_layout_matches_loop_reference():
 
 
 def test_anchored_rejects_missing_anchors():
+    # one row per plan keyframe: too few rows, or rows of the wrong width,
+    # are invalid input, and so is a non-finite anchor
     cfg = linear_world()
     plan = _plan()
-    kf = KeyframeLatents((0, 8), np.zeros((2, 2)))
-    with pytest.raises(InvalidInput, match="missing plan anchors"):
-        rollout_anchored(cfg, plan, kf)
+    for anchors in (np.zeros((2, 2)), np.zeros((5, 3)), np.zeros(10)):
+        with pytest.raises(InvalidInput, match=r"anchors must be a \(5, 2\) array, one row per"):
+            rollout_anchored(cfg, plan, anchors)
+    anchors = np.zeros((5, 2))
+    anchors[3, 1] = np.nan
+    with pytest.raises(InvalidInput, match="keyframe values must be finite"):
+        rollout_anchored(cfg, plan, anchors)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -720,17 +725,52 @@ def test_anchored_mse_matches_bridge_variance():
 def test_bridge_noise_covariance_is_the_pinned_bridge():
     # zero anchors: the frames are the noise itself; one component's
     # covariance is sigma^2 min(tau)(T - max tau)/T inside an anchor
-    # interval and 0 across intervals
+    # interval and 0 across intervals. Without substitution each redrawn
+    # overlap frame starts a new block of its interval: the formula holds on
+    # the same side of the redraw, and the covariance across it is 0
     d, sigma, trials, n, T = 2, 0.5, 4000, 49, 16
-    plan = build_plan(n, (T,), 12, 1)
-    layout = worldsim._AnchoredLayout(plan, d, sigma, None)
-    kv = np.zeros((len(plan.keyframes), trials, d))
-    x, _ = layout.run(kv, range(trials))
-    cov = x[:, :, 0] @ x[:, :, 0].T / trials
     t = np.arange(n)
-    j = np.minimum(t // T, len(plan.keyframes) - 2)
+    j = np.minimum(t // T, n // T - 1)
     tau = t - T * j
-    same = j[:, None] == j[None, :]
-    expected = np.where(same, sigma ** 2 * np.minimum.outer(tau, tau)
-                        * (T - np.maximum.outer(tau, tau)) / T, 0.0)
-    assert np.max(np.abs(cov - expected)) <= 0.1 * sigma ** 2 * T / 4
+    bridge = sigma ** 2 * np.minimum.outer(tau, tau) * (T - np.maximum.outer(tau, tau)) / T
+    for substitution, overlap in ((True, 1), (False, 2)):
+        plan = build_plan(n, (T,), 12, overlap)
+        layout = worldsim._AnchoredLayout(plan, d, sigma, None, substitution=substitution)
+        kv = np.zeros((len(plan.keyframes), trials, d))
+        x = layout.run(kv, range(trials))
+        cov = x[:, :, 0] @ x[:, :, 0].T / trials
+        redrawn = np.zeros(n, dtype=bool)
+        if not substitution:
+            for seg in plan.segments[1:]:
+                redrawn[seg.start:seg.start + overlap] = True
+            redrawn[list(plan.keyframes)] = False
+            assert redrawn.sum() == 8
+        block = np.cumsum(redrawn)
+        same = (j[:, None] == j[None, :]) & (block[:, None] == block[None, :])
+        expected = np.where(same, bridge, 0.0)
+        assert np.max(np.abs(cov - expected)) <= 0.1 * sigma ** 2 * T / 4, substitution
+
+
+@pytest.mark.parametrize("substitution", [True, False], ids=["anchored", "anchored-redraws"])
+def test_anchored_frames_do_not_depend_on_the_noise_block(monkeypatch, substitution):
+    # the bridge noise is read FRAME_BLOCK rows at a time: blocks of 3 rows
+    # split windows, intervals and redraw runs, and give the same bits
+    cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=61)
+    plan = build_plan(70, (6,), 10, 2)
+    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+                            rng=np.random.default_rng(61))
+    kw = dict(sigma_int=0.3, velocity_error=0.4, substitution=substitution, seed=8)
+    default = rollout_anchored(cfg, plan, kf, **kw).generated.frames
+    monkeypatch.setattr(worldsim, "FRAME_BLOCK", 3)
+    assert rollout_anchored(cfg, plan, kf, **kw).generated.frames.tobytes() == default.tobytes()
+
+
+def test_running_sums_do_not_depend_on_the_frame_block(monkeypatch):
+    # the identity dynamics' running sums carry each block's last frame into
+    # the next: blocks of 3 frames give the same bits
+    cfg = WorldConfig(dim=2, bias=bias_from_norm(2, 0.01), noise_std=0.05,
+                      control=np.array([0.1, -0.2]), seed=62)
+    default = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated.frames
+    monkeypatch.setattr(worldsim, "FRAME_BLOCK", 3)
+    frames = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated.frames
+    assert frames.tobytes() == default.tobytes()
