@@ -411,6 +411,31 @@ def test_anchored_frames_do_not_depend_on_the_windows(n, stride, dim, momentum, 
     assert all(run == runs[0] for run in runs[1:])
 
 
+def test_anchored_substitution_off_breaks_overlap_identity():
+    # without substitution a window generates its overlap frame again, from
+    # the marginal law: up to the first handed-over frame the rollout is the
+    # one-window rollout bit for bit, and from there the frames differ
+    cfg = linear_world(control=np.array([0.3, 0.1]), seed=10)
+    plan = _plan(n=33, stride=8, seg_len=6, overlap=1)
+    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+                            rng=np.random.default_rng(2))
+    one_window = RolloutPlan(plan.total_frames, plan.keyframes, plan.total_frames, 0)
+    kw = dict(sigma_int=0.5, velocity_error=0.4, seed=77)
+    frames = {}
+    for substitution in (True, False):
+        for name, p in (("windows", plan), ("one", one_window)):
+            tr = rollout_anchored(cfg, p, kf, substitution=substitution, **kw)
+            frames[substitution, name] = tr.generated.frames
+    assert frames[True, "windows"].tobytes() == frames[True, "one"].tobytes()
+    a, b = frames[False, "windows"], frames[False, "one"]
+    handed = [cur.start for cur in plan.segments[1:] if cur.start not in plan.keyframes]
+    assert handed
+    assert a[:handed[0]].tobytes() == b[:handed[0]].tobytes()
+    diffs = sum(int(not np.array_equal(a[t], b[t])) for t in handed)
+    assert not np.array_equal(a[handed[0]], b[handed[0]])
+    assert diffs > 0
+
+
 def _boundary_second_differences(trace, keyframes):
     x = trace.generated.frames
     out = []
