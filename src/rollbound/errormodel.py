@@ -78,26 +78,31 @@ def ar_upper_curve(lipschitz: float, step_error: float, n_frames: int,
     return values, flags
 
 
-def jump_anchor_bound(lipschitz: float, step_error: float, n_frames: int, stride: int,
-                      cap: float = DIVERGENCE_CAP) -> float:
+def jump_anchor_bound(lipschitz: float, step_error: float, n_frames: int,
+                      stride: int) -> float:
     """A-priori cap on the anchor error of keyframes generated step by step
     at one stride (the "downsampled_ar" anchors): one jump per anchor
     interval D, e <- L**D * e + step_error, over the intervals of a plan at
     that stride, (n_frames-1)//stride of length stride and then the shorter
     remainder, if any. From e = 0 the error never falls along the jumps, so
     the last anchor carries the largest. The full intervals run on
-    ar_upper_curve with L**stride; the result saturates to `cap` as
-    ar_upper_curve's does, and so does a jump factor past the float range."""
+    ar_upper_curve with L**stride. The anchors round at each of their
+    n_frames-1 steps where the jumps round once a jump, so the result is
+    rounded up by 4 ulps a step to stay at or above their measured error;
+    it saturates to DIVERGENCE_CAP as ar_upper_curve's does, and so does a
+    jump factor past the float range."""
     full, last = divmod(n_frames - 1, stride)
     with np.errstate(over="ignore"):
         factor = float(np.float64(lipschitz) ** stride)
-    values, flags = ar_upper_curve(factor, step_error, full + 1, cap)
+    values, flags = ar_upper_curve(factor, step_error, full + 1)
     error = float(values[-1])
-    if flags[-1] or not last:
+    if flags[-1]:
         return error
-    with np.errstate(over="ignore", invalid="ignore"):
-        error = float(np.float64(lipschitz) ** last * error + step_error)
-    return error if error <= cap else cap
+    if last:
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = float(np.float64(lipschitz) ** last * error + step_error)
+    error *= 1.0 + 4.0 * (n_frames - 1) * math.ulp(1.0)
+    return error if error <= DIVERGENCE_CAP else DIVERGENCE_CAP
 
 
 # ---------------------------------------------------------------------------

@@ -464,14 +464,15 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
     "downsampled_ar": anchors follow the step-by-step recursion applied once
     per keyframe jump, so their error accumulates across anchors at one
     step_error per jump (default step_error: the world's drift norm); they
-    draw nothing, so rng is read only by "global".
+    draw nothing, so rng is read only by "global". Anchors past the float
+    range are rejected ("keyframe values must be finite").
     """
     idx = sorted(int(i) for i in indices)
     if not idx or idx[0] != 0 or len(set(idx)) < len(idx):
         raise InvalidInput("keyframe indices must be unique and include 0")
     world = _World(cfg, idx[-1] + 1)
     g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "keyframes"))
-    return world.keyframes(idx, scenario, error_cap, step_error, g)
+    return _finite_anchors(world.keyframes(idx, scenario, error_cap, step_error, g))
 
 
 def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +278,16 @@ def test_keyframes_sorted_and_repeats_rejected():
     assert kf[:, 0].tolist() == [0.0, 8.0, 16.0]
     with pytest.raises(InvalidInput, match="unique and include 0"):
         generate_keyframes(cfg, [0, 8, 8, 16], "global")
+
+
+def test_keyframes_reject_anchors_past_the_float_range():
+    # 3**700 is past the float range: the downsampled anchors are rejected,
+    # and numpy's overflow warnings stay inside
+    cfg = WorldConfig(dim=2, lipschitz=3.0, bias=bias_from_norm(2, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="keyframe values must be finite"):
+            generate_keyframes(cfg, [0, 1, 701], "downsampled_ar")
 
 
 @pytest.mark.parametrize("cap", [-0.1, np.nan, np.inf])
