@@ -78,10 +78,14 @@ def _bound_violations(trace: RolloutTrace, noise: float) -> int | None:
     """Frames whose error exceeds the trace's bound, for a trace its
     pipeline's noise (noise_std for the step-by-step one, sigma_int for the
     anchored one) leaves deterministic; None for a stochastic one, whose
-    errors a worst-case bound does not cover."""
+    errors a worst-case bound does not cover. A saturated bound frame is
+    diverged, not violated, and is not counted."""
     if noise != 0.0:
         return None
-    return int(np.sum(trace.error_norms > trace.bounds + BOUND_TOL))
+    over = trace.error_norms > trace.bounds + BOUND_TOL
+    if trace.diverged is not None:
+        over &= ~trace.diverged
+    return int(np.sum(over))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,8 @@ def cmd_simulate(args) -> int:
         for name, viol in zip(("step-by-step", "anchored"), violations):
             lines.append(f"bound violations ({name}): "
                          f"{'n/a (stochastic)' if viol is None else viol}")
+    if ar_trace.diverged.any():
+        lines.append(f"diverged (step-by-step): from frame {int(ar_trace.diverged.argmax())}")
     report_path = os.path.join(out, "report.txt")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

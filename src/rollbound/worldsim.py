@@ -110,7 +110,8 @@ class WorldConfig:
         return np.zeros(self.dim) if self.bias is None else self.bias
 
     def drift_norm(self) -> float:
-        return float(np.linalg.norm(self.bias_vector()))
+        """The drift rate mu, overflow-safe (see _safe_norms)."""
+        return float(_safe_norms(self.bias_vector()[None], _row_norm)[0])
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.dim) if self.x0 is None else self.x0
@@ -179,13 +180,15 @@ class RolloutTrace:
     """One generated rollout next to its ground truth.
 
     error_norms[t] is ||generated[t] - ground_truth[t]|| (recomputable);
-    bounds[t] carries the per-frame bound curve when one applies.
+    bounds[t] carries the per-frame bound curve when one applies, and
+    diverged[t] flags a bound frame that saturated (see ar_upper_curve).
     """
 
     generated: LatentSeq
     ground_truth: LatentSeq
     error_norms: np.ndarray
     bounds: np.ndarray | None = None
+    diverged: np.ndarray | None = None
     breakdown: BoundBreakdown | None = None
     segment_ids: np.ndarray | None = None
     keyframe_indices: tuple[int, ...] = ()
@@ -382,36 +385,40 @@ class _World:
         return x
 
     def ar_trace(self, x: np.ndarray, err: np.ndarray) -> RolloutTrace:
-        bounds, _ = ar_upper_curve(self.cfg.lipschitz, self.cfg.drift_norm(), len(self.gt))
-        return RolloutTrace(LatentSeq(x), self.gt, err, bounds=bounds)
+        bounds, diverged = ar_upper_curve(self.cfg.lipschitz, self.cfg.drift_norm(),
+                                          len(self.gt))
+        return RolloutTrace(LatentSeq(x), self.gt, err, bounds=bounds, diverged=diverged)
 
     def keyframes(self, idx: list[int], scenario: str, error_cap: float,
-                  step_error: float | None, g) -> np.ndarray:
-        """(K, d) anchor latents at the sorted frames idx, one row per frame
-        (see generate_keyframes)."""
+                  step_error: float | None, rngs) -> np.ndarray:
+        """(K, B, d) anchor latents at the sorted frames idx, one row per
+        frame and one column per generator of rngs (see generate_keyframes).
+
+        "global" draws from each generator twice: its K-1 directions as one
+        (K-1, d) block, then its K-1 radii as one block, so a column depends
+        on its own generator alone. "downsampled_ar" draws nothing: every
+        column holds the same anchors, and rngs only sets their number."""
         cfg = self.cfg
         gt = self.gt.frames
-        vals = np.empty((len(idx), cfg.dim))
+        vals = np.empty((len(idx), len(rngs), cfg.dim))
         vals[0] = gt[0]
         if scenario == "global":
             if not 0.0 <= error_cap < np.inf:
                 raise InvalidInput("error_cap must be finite and non-negative")
-            # per anchor a direction draw, then its radius, in that order
-            draws = np.empty((len(idx) - 1, cfg.dim))
-            radii = np.empty((len(idx) - 1, 1))
-            for direction, radius in zip(draws, radii):
-                g.standard_normal(out=direction)
-                radius[0] = g.uniform(0.0, error_cap)
-            norms = _row_norm(draws)[:, None]
+            draws = np.empty((len(rngs), len(idx) - 1, cfg.dim))
+            radii = np.empty((len(rngs), len(idx) - 1, 1))
+            for g, directions, radius in zip(rngs, draws, radii):
+                g.standard_normal(out=directions)
+                radius[:, 0] = g.uniform(0.0, error_cap, len(idx) - 1)
+            norms = _row_norm(draws)[..., None]
             unit = np.divide(draws, norms, out=np.zeros_like(draws), where=norms > 0.0)
-            vals[1:] = gt[idx[1:]] + radii * unit
+            vals[1:] = gt[idx[1:], None] + (radii * unit).transpose(1, 0, 2)
         elif scenario == "downsampled_ar":
             if step_error is not None and not 0.0 <= step_error < np.inf:
                 raise InvalidInput("step_error must be finite and non-negative")
-            mu = cfg.drift_norm() if step_error is None else float(step_error)
-            b = cfg.bias_vector()
-            bn = float(np.linalg.norm(b))
-            direction = b / bn if bn > 0.0 else np.eye(cfg.dim)[0]
+            bn = cfg.drift_norm()
+            mu = bn if step_error is None else float(step_error)
+            direction = cfg.bias_vector() / bn if bn > 0.0 else np.eye(cfg.dim)[0]
             step_vec = mu * direction
             err = np.zeros(cfg.dim)
             # an anchor past the float range reads inf or nan, without a
@@ -457,10 +464,13 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
                        rng=None) -> np.ndarray:
     """Anchor latents under one of two regimes, as a (K, d) array with one
     row per index, in sorted index order. The indices must be unique and
-    include 0.
+    include 0. These are a trial's anchors in compare_pipelines, on rng as
+    its anchor stream: the one-generator case of _World.keyframes.
 
-    "global": every anchor is ground truth plus an independent perturbation of
-    norm <= error_cap (frame 0, the given initial frame, stays exact).
+    "global": every anchor is ground truth plus an independent perturbation
+    of norm <= error_cap (frame 0, the given initial frame, stays exact): an
+    isotropic direction times a radius uniform on [0, error_cap]. rng draws
+    all K-1 directions as one (K-1, d) block, then all K-1 radii as one block.
     "downsampled_ar": anchors follow the step-by-step recursion applied once
     per keyframe jump, so their error accumulates across anchors at one
     step_error per jump (default step_error: the world's drift norm); they
@@ -472,7 +482,7 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
         raise InvalidInput("keyframe indices must be unique and include 0")
     world = _World(cfg, idx[-1] + 1)
     g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "keyframes"))
-    return _finite_anchors(world.keyframes(idx, scenario, error_cap, step_error, g))
+    return _finite_anchors(world.keyframes(idx, scenario, error_cap, step_error, [g])[:, 0])
 
 
 def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarray:
@@ -741,8 +751,10 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     anchors and the bridge noise) the scenario: its step-by-step noise, its
     anchors, and its bridge noise, read in generation order as in
     rollout_anchored. So the result depends on the seed alone. The anchors
-    of a trial block are one (K, B, d) array, checked finite once. Per-frame
-    sums accumulate in trial order."""
+    of a trial block come from one _World.keyframes call as one (K, B, d)
+    array, checked finite once: "global" takes two draws from each trial's
+    anchor stream, "downsampled_ar" is computed once and derives no anchor
+    stream. Per-frame sums accumulate in trial order."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     base = cfg.seed if seed is None else int(seed)
@@ -756,7 +768,7 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     ar_sums, dc_sums = np.zeros((2, n)), np.zeros((2, n))
     # downsampled-AR anchors draw nothing: every trial gets the same ones
     shared_kv = (_finite_anchors(world.keyframes(kf_idx, scenario, kf_error_cap,
-                                                 kf_step_error, None))
+                                                 kf_step_error, [None]))
                  if scenario == "downsampled_ar" else None)
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
@@ -767,12 +779,11 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
         if first == 0:
             first_ar = world.ar_trace(x[:, 0], err[0])
         if shared_kv is not None:
-            kv = np.broadcast_to(shared_kv[:, None], (len(kf_idx), len(block), cfg.dim))
+            kv = np.broadcast_to(shared_kv, (len(kf_idx), len(block), cfg.dim))
         else:
-            kv = _finite_anchors(np.stack(
-                [world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
-                                 derive_rng(base, f"trial-kf-{scenario}", i))
-                 for i in block], axis=1))
+            kv = _finite_anchors(world.keyframes(
+                kf_idx, scenario, kf_error_cap, kf_step_error,
+                [derive_rng(base, f"trial-kf-{scenario}", i) for i in block]))
         x = layout.run(kv, [child_seed(base, f"trial-anchored-{scenario}", i) for i in block])
         err = _error_norms(x, world.gt.frames)
         _accumulate(dc_sums, err)

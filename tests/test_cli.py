@@ -308,6 +308,48 @@ def test_cmd_simulate_diverging_anchors_without_warning(tmp_path, capsys):
     assert 1e154 < anchor < np.inf
 
 
+def test_cmd_simulate_saturated_bound_is_diverged_not_violated(tmp_path, capsys):
+    # from frame 2 the bias-only bound passes 1e300 and saturates, the frames
+    # bounds flags diverged: simulate reports them as diverged, not as
+    # violations of the saturated value
+    settings = ["--set", "lipschitz=1.5", "--set", "bias=1e300", "--set", "total_frames=20",
+                "--set", "trials=2"]
+    assert run("--out", str(tmp_path), *settings, "simulate") == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "bound violations (step-by-step): 0" in lines
+    assert lines[-1] == "diverged (step-by-step): from frame 2"
+    header, rows = _read_rows(tmp_path / "ar_trace.csv")
+    assert max(float(row[header.index("err_norm")]) for row in rows) > 1e303
+    assert run("--out", str(tmp_path), *settings, "bounds") == 0
+    header, rows = _read_rows(tmp_path / "bounds.csv")
+    assert [row[header.index("diverged")] for row in rows] == ["0"] * 2 + ["1"] * 18
+
+
+@pytest.mark.parametrize("scenario", ["global", "downsampled_ar"])
+def test_cmd_simulate_drift_past_1e154(scenario, tmp_path, capsys):
+    # the drift norm's square passes the float range, the norm does not:
+    # simulate runs without a warning, its step-by-step bound is the one
+    # bounds prints, and the downsampled anchors stay finite
+    settings = ["--set", "bias=1e200", "--set", "total_frames=17",
+                "--set", f"kf_scenario={scenario}"]
+    for command in ("bounds", "simulate"):
+        assert run("--out", str(tmp_path), *settings, command) == 0
+        assert capsys.readouterr().err == ""
+    header, rows = _read_rows(tmp_path / "bounds.csv")
+    upper = [row[header.index("ar_upper")] for row in rows]
+    assert upper[-1] == "1.6e+201"
+    anchor_bound = float(rows[0][header.index("anchor")])
+    header, rows = _read_rows(tmp_path / "ar_trace.csv")
+    assert [row[header.index("bound_total")] for row in rows] == upper
+    assert "diverged" not in (tmp_path / "report.txt").read_text()
+    header, rows = _read_rows(tmp_path / "anchored_trace.csv")
+    anchor = float(rows[0][header.index("anchor")])
+    assert anchor <= anchor_bound
+    if scenario == "downsampled_ar":
+        assert anchor == pytest.approx(2e200)
+
+
 @pytest.mark.parametrize("world", [
     ("bias=1e306", "total_frames=200"),  # identity dynamics: running sums
     ("lipschitz=3", "bias=0.01", "total_frames=2000", "dim=3", "dynamics=rotation"),

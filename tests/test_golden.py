@@ -57,21 +57,21 @@ CLI_CASES = {
          "--set", "dynamics=rotation", "--set", "noise_std=0.05", "--set", "bias=0.01",
          "--set", "sigma_int=0.05", "--set", "velocity_error=0.2",
          "--set", "kf_error_cap=0.1", "--set", "trials=35", "simulate"], SIM_FILES,
-        "420a0cd93f91d6659667b8907f6e625bf6572e91d814b5ebb18c7c12bc43b16d"),
+        "125391b659223fc06355656bf84cffb7daefd05d6771c3f6108aba5eeb7f040a"),
     # the benchmark's mc_trials op
     "simulate_mc_trials": (
         ["--seed", "1", "--set", "total_frames=321", "--set", "dim=4",
          "--set", "dynamics=rotation", "--set", "trials=32", "--set", "noise_std=0.05",
          "--set", "bias=0.01", "--set", "sigma_int=0.05", "--set", "velocity_error=0.2",
          "--set", "kf_error_cap=0.1", "simulate"], SIM_FILES,
-        "c8ab71bc984744e1fd683c6ea607e47c673c4f94a23daca54e61faf95bf9c1a1"),
+        "ce05f82d64e80e1b42b858df01697cee642a4a474e06ac4b27cde416a1b581e0"),
     # identity dynamics with both noise sources on, over two trial blocks
     "simulate_identity_noisy": (
         ["--seed", "12", "--set", "total_frames=200", "--set", "dim=3",
          "--set", "noise_std=0.05", "--set", "bias=0.01", "--set", "sigma_int=0.05",
          "--set", "velocity_error=0.2", "--set", "kf_error_cap=0.1", "--set", "trials=35",
          "simulate"], SIM_FILES,
-        "b5fb6862a5dc5aae1e0910cd6be3bd079515df4e96903c38efd078ab1dfb2678"),
+        "c13a74bc6cbfc732ae2b7c9ca0fa66d8dd0dc0af0fe41691dcce0113326fb58e"),
     "simulate_downsampled_ar": (
         ["--seed", "7", "--set", "total_frames=129", "--set", "dim=2",
          "--set", "dynamics=rotation", "--set", "lipschitz=0.98", "--set", "bias=0.02",
@@ -84,17 +84,17 @@ CLI_CASES = {
          "--set", "strides=4", "--set", "segment_len=12", "--set", "overlap=3",
          "--set", "bias=0.01", "--set", "velocity_error=0.5", "--set", "kf_error_cap=0.02",
          "simulate"], SIM_FILES,
-        "1c92eaae6fc000249f493a879faa3c7640e629de4ab0c961b6bbb9ac153764e2"),
+        "bd0b7b602666734ebefab15dcd83082020197f005bd17bd520a8b615a4e7c0bf"),
     "simulate_long_horizon": (
         ["--seed", "9", "--set", "total_frames=2000", "--set", "dim=2",
          "--set", "bias=0.01", "--set", "velocity_error=0.5", "--set", "kf_error_cap=0.1",
          "simulate"], SIM_FILES,
-        "f9184da683d05cb28f1470df74d6218235b480456a980d52b63dc1717449e3d7"),
+        "cb687882db8cf1320e214b6c036a740bfbfdead1592e682337d95dbf34f2fa3b"),
     "ablate_grid": (
         ["--seed", "4", "--set", "total_frames=161", "--set", "dim=2",
          "--set", "velocity_error=0.5", "--set", "sigma_int=0.1", "--set", "kf_error_cap=0.05",
          "ablate", "--grid", "4:4,8:8,4:16"], ("ablation.csv",),
-        "06f5e69b6c6725128c4b6c21fbb9945047cbb42b1783f79d65c8b29be9048e19"),
+        "02ae397070c3850c59fe19645245c379bc4b5a60d72678db8ab6e454d32940f9"),
 }
 
 
@@ -144,7 +144,7 @@ def test_cli_long_horizon_op_digest(tmp_path, capsys):
         assert main(argv) == 0, capsys.readouterr().err
     files = ("bounds.csv",) + SIM_FILES
     digest = _digest((name, (tmp_path / name).read_bytes()) for name in files)
-    assert digest == "95dcb5d02436ff2799408aca25711d472ae9aed0bdc5029d4ca6a8c036aec7bf"
+    assert digest == "013d31f4d3575bd889ae367827b13a3b307b1ce09a0923c8a455f0988366b4ba"
 
 
 def _write_pose_pair(directory, n=500, seed=17):
@@ -217,7 +217,7 @@ def test_api_anchored_without_substitution_digest():
                               momentum=momentum, substitution=False, seed=5)
         arrays += [tr.generated.frames, tr.error_norms, tr.bounds, tr.segment_ids]
     assert _arrays_digest(arrays) == (
-        "cc1e5517ac1c6a1f739743aa6e07f142b24ec0fac6436e2e6b7fa620edaa9467")
+        "2143ceb1dcc66f54a0a29b8c50341e0072b4f80bf4f1ea635eaca9800336a3f2")
 
 
 def test_api_compare_both_scenarios_digest():
@@ -234,7 +234,7 @@ def test_api_compare_both_scenarios_digest():
     for rep in reps:
         arrays += [rep.anchored_mean_error, rep.anchored_mse]
     assert _arrays_digest(arrays) == (
-        "fd19665906a9e6fd1086a22b3928265a468a532d3e0995dccdf474b0560a15b0")
+        "59812698e412d7d6dacdd49b494218d1ea3bdfcdd5c53c6d5b97b2ff81b83a75")
 
 
 def test_api_anchored_noiseless_without_substitution_digest():
@@ -251,7 +251,7 @@ def test_api_anchored_noiseless_without_substitution_digest():
                               momentum=momentum, substitution=False, seed=6)
         parts.append((f"frames-{momentum}", tr.generated.frames.tobytes()))
     assert _digest(parts) == (
-        "28d5e9ed0aa159dbcc3c4ce1f785d4a50cc6e17db0d9380c0a6e6564151fd5bd")
+        "03637c0cff98f111fe59b46806b39525294afbcf1544a0b7f90cbfc80ca57c54")
 
 
 def test_api_compare_noiseless_interpolation_digest():
@@ -269,4 +269,4 @@ def test_api_compare_noiseless_interpolation_digest():
         arrays += [rep.anchored_mean_error, rep.anchored_mse, tr.generated.frames,
                    tr.error_norms, tr.bounds]
     assert _arrays_digest(arrays) == (
-        "5bcfe9bacc81f3733808a7ed9f77339f713cb5426d8ddc1d644a6622be27fc94")
+        "52c4ab3ff9744f7b521cad6c7afd95b79f18b8abc7c3a76035fd36a9e66012cb")

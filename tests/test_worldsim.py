@@ -239,16 +239,18 @@ def test_anchor_error_norms_match_per_anchor_loop():
 
 
 def _loop_global_keyframes(gt, idx, error_cap, g):
-    """The global anchors as a loop, anchor by anchor: each draws a
-    direction, normalises it, then draws its radius. The reference the
+    """The global anchors of one trial as a loop, anchor by anchor: the
+    generator draws all K-1 directions, then all K-1 radii; each anchor
+    normalises its direction and scales it by its radius. The reference the
     batched expression must match bit for bit."""
+    directions = g.standard_normal((len(idx) - 1, gt.shape[1]))
+    radii = g.uniform(0.0, error_cap, len(idx) - 1)
     vals = np.empty((len(idx), gt.shape[1]))
     vals[0] = gt[0]
-    for j, k in enumerate(idx[1:], start=1):
-        direction = g.standard_normal(gt.shape[1])
+    for j, (k, direction, radius) in enumerate(zip(idx[1:], directions, radii), start=1):
         norm = float(np.linalg.norm(direction))
         direction = direction / norm if norm > 0.0 else np.zeros(gt.shape[1])
-        vals[j] = gt[k] + g.uniform(0.0, error_cap) * direction
+        vals[j] = gt[k] + radius * direction
     return vals
 
 
@@ -264,6 +266,46 @@ def test_global_keyframes_match_per_anchor_loop():
                                     rng=np.random.default_rng(dim))
             loop = _loop_global_keyframes(gt, idx, cap, np.random.default_rng(dim))
             assert kf.tobytes() == loop.tobytes(), (dim, cap)
+
+
+@pytest.mark.parametrize("trials", [1, 5, 33])
+def test_global_keyframes_columns_match_one_trial_calls(trials):
+    # each column of a trial block's anchors depends on its own generator
+    # alone: it equals the one-trial call on that generator, bit for bit
+    cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01),
+                      control=np.array([0.02, -0.01, 0.03]), seed=53)
+    idx = list(range(0, 97, 8))
+    world = worldsim._World(cfg, idx[-1] + 1)
+    block = world.keyframes(idx, "global", 0.1, None,
+                            [np.random.default_rng(s) for s in range(trials)])
+    assert block.shape == (len(idx), trials, 3)
+    for b in range(trials):
+        one = world.keyframes(idx, "global", 0.1, None, [np.random.default_rng(b)])
+        assert block[:, b].tobytes() == one[:, 0].tobytes(), b
+
+
+def test_global_keyframes_law():
+    # an isotropic direction and a radius uniform on [0, cap]: over 5,120
+    # anchors of a world at rest, each sample moment is within 4 standard
+    # errors of its exact value
+    d, cap, trials, K = 4, 0.2, 128, 41
+    world = worldsim._World(WorldConfig(dim=d), K)
+    kv = world.keyframes(list(range(K)), "global", cap, None,
+                         [derive_rng(54, "law", i) for i in range(trials)])
+    offsets = kv[1:].reshape(-1, d)
+    N = len(offsets)
+    radii = np.linalg.norm(offsets, axis=1)
+    units = offsets / radii[:, None]
+
+    def within(sample, exact, sd):
+        assert abs(sample - exact) <= 4.0 * sd / np.sqrt(N), (sample, exact)
+
+    within(radii.mean(), cap / 2, cap / np.sqrt(12.0))
+    within(radii.var(), cap ** 2 / 12, cap ** 2 / np.sqrt(180.0))
+    fourth = 3.0 / (d * (d + 2))  # E[u_i^4] of a uniform unit vector
+    for u in units.T:
+        within(u.mean(), 0.0, np.sqrt(1.0 / d))
+        within(u.var(), 1.0 / d, np.sqrt(fourth - 1.0 / d ** 2))
 
 
 def test_keyframes_require_zero_start():
@@ -694,6 +736,47 @@ def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch, tmp_path)
                      "--set", "sigma_int=0.05", "--set", "kf_error_cap=0.1",
                      "--set", f"trials={trials}", "simulate"]) == 0
     assert len(labels) <= 3 * trials + 2
+
+
+class _CountingRng:
+    """A generator that counts the calls made to its methods."""
+
+    def __init__(self, g):
+        self.g, self.calls = g, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.g, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("n, stride", [(17, 8), (321, 8)])
+def test_keyframe_draws_per_trial(monkeypatch, n, stride):
+    # global anchors take two draws per trial whatever the anchor count (K =
+    # 3 and 41 here); downsampled-AR anchors derive no stream at all
+    streams = {}
+
+    def spy(seed, label, index=0):
+        g = derive_rng(seed, label, index)
+        if label.startswith("trial-kf-"):
+            g = streams.setdefault((label, index), _CountingRng(g))
+        return g
+
+    monkeypatch.setattr(worldsim, "derive_rng", spy)
+    cfg = linear_world(bias=0.01, seed=55)
+    plan = _plan(n=n, stride=stride)
+    trials = worldsim.TRIAL_BLOCK + 3
+    kw = dict(trials=trials, sigma_int=0.1, kf_error_cap=0.05)
+    compare_pipelines(cfg, plan, "global", **kw)
+    assert len(plan.keyframes) == (n - 1) // stride + 1
+    assert sorted(streams) == [("trial-kf-global", i) for i in range(trials)]
+    assert [g.calls for g in streams.values()] == [2] * trials
+    streams.clear()
+    compare_pipelines(cfg, plan, "downsampled_ar", **kw)
+    assert streams == {}
 
 
 @pytest.mark.parametrize("dim, trials", [(2, 3), (3, worldsim.TRIAL_BLOCK + 1), (4, 5)])
