@@ -4,7 +4,6 @@ a controllable toy world for observing them, and camera-trajectory metrics."""
 from .core import (
     LatentSeq,
     RolloutPlan,
-    Segment,
     Trajectory,
     load_trajectory,
     save_trajectory,
@@ -29,7 +28,6 @@ from .metrics import (
     AlignmentResult,
     align_similarity,
     are,
-    ate,
     psnr,
     slerp,
     smoothness,

@@ -18,8 +18,9 @@ from .core import RolloutPlan, load_trajectory, write_columns_csv
 from .errormodel import ar_upper_curve, jump_anchor_bound, unified_bound
 from .errors import InvalidInput
 from .expconfig import ExperimentConfig, apply_overrides, load_config, save_config
-from .metrics import _rotation_error, are, align_similarity, smoothness, write_metric_report
-from .schedule import build_plan, sample_keyframe_indices, save_plan, segment_context
+from .metrics import align_similarity, are, fit_rotation, smoothness, write_metric_report
+from .schedule import (build_plan, partition_segments, sample_keyframe_indices, save_plan,
+                       segment_context)
 from .seeding import child_seed, derive_rng
 from .worldsim import (
     WorldConfig,
@@ -99,11 +100,12 @@ def cmd_plan(args) -> int:
     path = os.path.join(out, "plan.txt")
     save_plan(plan, path)
     save_config(cfg, os.path.join(out, "config.txt"))
+    starts, _ = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
     print(f"plan: {plan.total_frames} frames, {len(plan.keyframes)} keyframes, "
-          f"{len(plan.segments)} segments, overlap {plan.overlap}")
+          f"{len(starts)} segments, overlap {plan.overlap}")
     print(f"keyframes: {', '.join(str(k) for k in plan.keyframes)}")
-    for i, (seg, history, anchors) in enumerate(segment_context(plan)):
-        print(f"  segment {i}: [{seg.start}..{seg.end}] history {history} anchors {anchors}")
+    for i, (start, end, history, anchors) in enumerate(segment_context(plan)):
+        print(f"  segment {i}: [{start}..{end}] history {history} anchors {anchors}")
     print(f"wrote {path}")
     return 0
 
@@ -151,7 +153,8 @@ def cmd_simulate(args) -> int:
     mean_path = os.path.join(out, "mean_curves.csv")
     dc_mean = report.anchored_mean_error
     ratio = np.full(plan.total_frames, np.inf)
-    np.divide(report.ar_mean_error, dc_mean, out=ratio, where=dc_mean > 0)
+    with np.errstate(invalid="ignore"):  # both means past the float range read nan
+        np.divide(report.ar_mean_error, dc_mean, out=ratio, where=dc_mean > 0)
     # one pass writes the three files, so each distinct column is formatted
     # once: every file's frame column, and with 1 trial the traces' errors
     write_trace_csv(ar_trace, os.path.join(out, "ar_trace.csv"),
@@ -191,14 +194,13 @@ def cmd_eval(args) -> int:
     cfg = _load_experiment(args)
     est = load_trajectory(args.estimated)
     ref = load_trajectory(args.reference)
-    with_scale = args.align == "sim3"
-    result = align_similarity(est, ref, with_scale=with_scale)
+    result = align_similarity(est, ref, with_scale=args.align == "sim3")
     ate_val = result.rmse
     # the "umeyama" convention rotates by the fit just made
-    are_umeyama = _rotation_error(est, ref, result.rotation)
-    are_rotfit = are(est, ref, rotation_alignment="rotfit", with_scale=with_scale)
+    are_umeyama = are(est, ref, result.rotation)
+    are_rotfit = are(est, ref, fit_rotation(est, ref))
     are_val = {"umeyama": are_umeyama, "rotfit": are_rotfit}[args.rot_align]
-    smooth = smoothness(est)
+    smooth = smoothness(est.translations())
     print(f"alignment: scale={result.scale!r} rmse={result.rmse!r} "
           f"degenerate={result.degenerate}")
     print(f"rotation:\n{np.array2string(result.rotation, precision=6)}")
@@ -243,6 +245,7 @@ def cmd_ablate(args) -> int:
     grid = _parse_grid(args.grid)
     world = _world(cfg)
     out = _out_dir(cfg)
+    n_segments = len(partition_segments(cfg.total_frames, cfg.segment_len, cfg.overlap)[0])
     rows = []
     for g_stride, i_stride in grid:
         gen_idx = sample_keyframe_indices(cfg.total_frames, g_stride)
@@ -258,7 +261,7 @@ def cmd_ablate(args) -> int:
                                  seed=child_seed(cfg.seed, f"ablate-{g_stride}-{i_stride}"))
         viol = _bound_violations(trace, cfg.sigma_int)
         bd = trace.breakdown
-        rows.append((g_stride, i_stride, len(plan.keyframes), len(plan.segments),
+        rows.append((g_stride, i_stride, len(plan.keyframes), n_segments,
                      trace.final_error(), bd.total, bd.anchor_term, bd.leakage_term,
                      bd.noise_term, -1 if viol is None else viol))
     path = os.path.join(out, "ablation.csv")

@@ -8,7 +8,8 @@ Conventions used throughout the package:
   * all types are immutable values after construction,
   * a trajectory is three arrays (frame indices, quaternions, translations),
   * a rollout plan is its keyframes, window length and overlap; its
-    generation windows are derived from them, not stored.
+    generation windows are derived from them, not stored, as the
+    (starts, ends) arrays of schedule.partition_segments.
 
 Trajectory files are UTF-8 text, one pose per line:
 
@@ -306,14 +307,12 @@ def load_trajectory(path) -> Trajectory:
 
 @dataclass(frozen=True)
 class LatentSeq:
-    """Dense run of fixed-dimension latent vectors."""
+    """Dense run of fixed-dimension latent vectors, an (n, d) array."""
 
     frames: np.ndarray
 
     def __post_init__(self):
         fr = np.asarray(self.frames, dtype=float)
-        if fr.ndim == 1:
-            fr = fr[:, None]
         if fr.ndim != 2 or fr.shape[1] < 1:
             raise InvalidInput("latent frames must form an (n, d) array with d >= 1")
         if not np.all(np.isfinite(fr)):
@@ -323,23 +322,10 @@ class LatentSeq:
     def __len__(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # Rollout plans
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Segment:
-    """One generation window [start, end] (inclusive). What it conditions on
-    follows from the plan (see schedule.segment_context)."""
-
-    start: int
-    end: int
-
 
 @dataclass(frozen=True)
 class RolloutPlan:
@@ -354,13 +340,6 @@ class RolloutPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "keyframes", tuple(int(k) for k in self.keyframes))
-
-    @property
-    def segments(self) -> list[Segment]:
-        """The generation windows, derived on each access by
-        schedule.partition_segments."""
-        from .schedule import partition_segments  # schedule imports this module
-        return partition_segments(self.total_frames, self.segment_len, self.overlap)
 
 
 def validate_plan(plan: RolloutPlan) -> list[str]:

@@ -39,19 +39,19 @@ DIVERGENCE_CAP = 1e300
 # divergence of pure autoregressive generation
 # ---------------------------------------------------------------------------
 
-def ar_upper_curve(lipschitz: float, step_error: float, n_frames: int,
-                   cap: float = DIVERGENCE_CAP) -> tuple[np.ndarray, np.ndarray]:
+def ar_upper_curve(lipschitz: float, step_error: float,
+                   n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame bound values and diverged flags for frames 0..n_frames-1:
     frame t holds the bound after t steps of e <- L*e + eta, i.e. the
     geometric sum eta*(L**t - 1)/(L - 1). Values from the first one beyond
-    `cap` (or non-finite) on saturate to `cap` and are flagged diverged, so
-    divergence curves stay plottable.
+    DIVERGENCE_CAP (or non-finite) on saturate to DIVERGENCE_CAP and are
+    flagged diverged, so divergence curves stay plottable.
 
     For L = 1, 1.0 * e is e, so the recursion is a running sum of eta: one
     np.add.accumulate, strictly sequential, makes the loop's additions in
-    its order, bit for bit. The sum never falls, so the frames past `cap`
-    or the float range are a suffix, found by one binary search. Every other
-    L runs the loop."""
+    its order, bit for bit. The sum never falls, so the frames past the cap
+    are a suffix, found by one binary search. Every other L runs the
+    loop."""
     if not lipschitz >= 0.0:
         raise InvalidInput("lipschitz constant must be >= 0")
     if not step_error >= 0.0:
@@ -63,15 +63,15 @@ def ar_upper_curve(lipschitz: float, step_error: float, n_frames: int,
         sums[:] = step_error
         with np.errstate(over="ignore"):
             np.add.accumulate(sums, out=sums)
-        first = 1 + int(np.searchsorted(sums, min(cap, np.finfo(float).max), side="right"))
-        values[first:] = cap
+        first = 1 + int(np.searchsorted(sums, DIVERGENCE_CAP, side="right"))
+        values[first:] = DIVERGENCE_CAP
         flags[first:] = True
         return values, flags
     total = 0.0
     for t in range(1, n_frames):
         total = lipschitz * total + step_error
-        if total > cap or not math.isfinite(total):
-            values[t:] = cap
+        if total > DIVERGENCE_CAP or not math.isfinite(total):
+            values[t:] = DIVERGENCE_CAP
             flags[t:] = True
             break
         values[t] = total
@@ -109,6 +109,13 @@ def jump_anchor_bound(lipschitz: float, step_error: float, n_frames: int,
 # velocity-leakage damping
 # ---------------------------------------------------------------------------
 
+def _check_interval(T) -> None:
+    """Reject an anchor interval (each one, for an array) that is not finite
+    and > 0."""
+    if not np.all(np.isfinite(T) & (T > 0.0)):
+        raise InvalidInput("interval must be positive")
+
+
 @dataclass(frozen=True)
 class SplineSolution:
     """Cubic a*tau^3 + b*tau^2 + c*tau + d minimizing integrated squared
@@ -140,8 +147,7 @@ def solve_damping_spline(interval: float, velocity_in: float) -> SplineSolution:
     """Unique accel-minimizing cubic absorbing an incoming boundary velocity
     error between two rigid anchors a distance `interval` apart."""
     T = float(interval)
-    if not np.isfinite(T) or T <= 0.0:
-        raise InvalidInput("interval must be positive")
+    _check_interval(T)
     dv = float(velocity_in)
     a = dv / (2.0 * T * T)
     b = -3.0 * dv / (2.0 * T)
@@ -152,8 +158,7 @@ def leakage_peak(interval: float, velocity_in: float) -> tuple[float, float]:
     """Location and magnitude of the largest excursion of the damped leakage
     curve: tau* = T(1 - sqrt(3)/3), peak = (sqrt(3)/9) * T * |dv|."""
     T = float(interval)
-    if not np.isfinite(T) or T <= 0.0:
-        raise InvalidInput("interval must be positive")
+    _check_interval(T)
     tau_star = T * (1.0 - np.sqrt(3.0) / 3.0)
     peak = LEAKAGE_PEAK_COEFF * T * abs(float(velocity_in))
     return float(tau_star), float(peak)
@@ -164,8 +169,7 @@ def cumulative_leakage_bound(interval: float, velocity0: float) -> float:
     the per-segment peak times the geometric series sum 2, i.e.
     2 * (sqrt(3)/9) * T * |dv0| (~= 0.384 * T * |dv0|)."""
     T = float(interval)
-    if not np.isfinite(T) or T <= 0.0:
-        raise InvalidInput("interval must be positive")
+    _check_interval(T)
     with np.errstate(over="ignore"):  # a cap past the float range reads inf
         return float(LEAKAGE_SERIES_SUM * LEAKAGE_PEAK_COEFF * T * abs(float(velocity0)))
 
@@ -182,8 +186,7 @@ def discrete_spline_minimizer(interval: float, velocity_in: float,
     minimizer within O(1/m^2) of the continuous one. Returns (grid, values).
     """
     T = float(interval)
-    if T <= 0.0:
-        raise InvalidInput("interval must be positive")
+    _check_interval(T)
     m = int(grid_points)
     if m < 6:
         raise InvalidInput("grid_points must be >= 6")
@@ -221,8 +224,7 @@ def discrete_spline_minimizer(interval: float, velocity_in: float,
 def bridge_mean(tau, interval: float, left, right):
     """Convex combination of the two anchors: (1 - tau/T)*left + (tau/T)*right."""
     T = float(interval)
-    if T <= 0.0:
-        raise InvalidInput("interval must be positive")
+    _check_interval(T)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0) or np.any(tau > T):
         raise InvalidInput("tau must lie in [0, interval]")
@@ -241,8 +243,7 @@ def bridge_variance(tau, interval, noise_std: float):
     elementwise over arrays of offsets and intervals. Zero at both anchors,
     maximal (T/4 * sigma^2) at midspan."""
     T = np.asarray(interval, dtype=float)
-    if np.any(T <= 0.0):
-        raise InvalidInput("interval must be positive")
+    _check_interval(T)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0) or np.any(tau > T):
         raise InvalidInput("tau must lie in [0, interval]")
@@ -258,8 +259,9 @@ def simulate_bridge_paths(interval: float, noise_std: float, n_steps: int,
     pinned at both endpoints (standard draped construction, exact in
     distribution at the grid points). Returns (times, paths[n_paths, n_steps+1])."""
     T = float(interval)
-    if T <= 0.0 or n_steps < 1 or n_paths < 1:
-        raise InvalidInput("need interval > 0, n_steps >= 1, n_paths >= 1")
+    _check_interval(T)
+    if n_steps < 1 or n_paths < 1:
+        raise InvalidInput("need n_steps >= 1, n_paths >= 1")
     g = as_rng(rng)
     dt = T / n_steps
     steps = g.normal(0.0, float(noise_std) * np.sqrt(dt), size=(n_paths, n_steps))

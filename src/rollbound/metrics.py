@@ -3,13 +3,14 @@ trajectory errors, PSNR/SSIM, and a second-difference smoothness score.
 
 Alignment is a least-squares similarity fit (Umeyama) on the translation
 points; monocular reconstructions are scale-ambiguous, so the scale is
-estimated by default and can be pinned to 1 for rigid alignment.
+estimated by default and can be pinned to 1 for rigid alignment. The ATE is
+that fit's rmse (align_similarity(...).rmse).
 
-The rotation error supports two alignment conventions (see `are`): applying
-the translation-fit rotation to the orientations (default), or fitting the
-aligning rotation to the orientations themselves. The smoothness score is a
-plain mean squared second difference (lower = smoother), a non-neural stand-in
-for learned motion-smoothness scores.
+The ARE takes its aligning rotation from the caller (see `are`), which gives
+two conventions: the translation fit's rotation, or a rotation fitted to the
+orientations themselves (fit_rotation). The smoothness score is a plain mean
+squared second difference (lower = smoother), a non-neural stand-in for
+learned motion-smoothness scores.
 """
 
 from __future__ import annotations
@@ -111,11 +112,6 @@ def align_similarity(est: Trajectory, ref: Trajectory, with_scale: bool = True) 
     return AlignmentResult(s, R, t, rmse, degenerate)
 
 
-def ate(est: Trajectory, ref: Trajectory, with_scale: bool = True) -> float:
-    """Absolute trajectory error: RMSE of the aligned translations."""
-    return align_similarity(est, ref, with_scale).rmse
-
-
 def fit_rotation(est: Trajectory, ref: Trajectory) -> np.ndarray:
     """Best global rotation G minimizing sum ||G @ R_est - R_ref||_F^2,
     fitted from the orientations themselves. The per-pose products are
@@ -131,32 +127,19 @@ def fit_rotation(est: Trajectory, ref: Trajectory) -> np.ndarray:
     return U @ S @ Vt
 
 
-def are(est: Trajectory, ref: Trajectory, rotation_alignment: str = "umeyama",
-        with_scale: bool = True) -> float:
+def are(est: Trajectory, ref: Trajectory, rotation: np.ndarray | None) -> float:
     """Absolute rotation error: mean geodesic angle in degrees between the
-    aligned estimated orientations and the reference orientations.
+    estimated orientations turned by `rotation` and the reference ones.
 
-    rotation_alignment picks the aligning rotation: "umeyama" reuses the
-    rotation of the translation fit (default); "rotfit" fits it to the
-    orientations, absorbing any constant orientation offset; "none" compares
-    raw orientations. The per-pose angles are summed in pose order.
+    align_similarity(...).rotation reuses the translation fit ("umeyama");
+    fit_rotation(...) is fitted to the orientations, absorbing any constant
+    orientation offset ("rotfit"); None compares raw orientations. The
+    per-pose angles are summed in pose order.
     """
     _check_paired(est, ref)
-    if rotation_alignment == "umeyama":
-        return _rotation_error(est, ref, align_similarity(est, ref, with_scale).rotation)
-    if rotation_alignment == "rotfit":
-        return _rotation_error(est, ref, fit_rotation(est, ref))
-    if rotation_alignment == "none":
-        return _rotation_error(est, ref, None)
-    raise InvalidInput(f"unknown rotation alignment {rotation_alignment!r}")
-
-
-def _rotation_error(est: Trajectory, ref: Trajectory, G: np.ndarray | None) -> float:
-    """are of paired trajectories once the aligning rotation G is known
-    (None: raw orientations)."""
     q = est.quaternions()
-    if G is not None:
-        q = canonicalize_quaternion(quat_multiply(matrix_to_quat(G), q))
+    if rotation is not None:
+        q = canonicalize_quaternion(quat_multiply(matrix_to_quat(rotation), q))
     angles = np.degrees(quat_angle(q, ref.quaternions()))
     return float(np.cumsum(angles)[-1] / len(est))
 
@@ -227,16 +210,12 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray, max_value: float = 255.0,
 # smoothness
 # ---------------------------------------------------------------------------
 
-def smoothness(seq) -> float:
-    """Mean squared second difference of a sequence (lower = smoother).
-    Accepts a Trajectory (translations) or an (n,) / (n, d) array; needs at
-    least 3 samples."""
-    if isinstance(seq, Trajectory):
-        x = seq.translations()
-    else:
-        x = np.asarray(seq, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
+def smoothness(x) -> float:
+    """Mean squared second difference of an (n, d) array of samples, one
+    row per sample (lower = smoother); needs at least 3 samples."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise InvalidInput(f"smoothness needs an (n, d) array, got shape {x.shape}")
     if x.shape[0] < 3:
         raise InvalidInput("smoothness needs at least 3 samples")
     dd = x[2:] - 2.0 * x[1:-1] + x[:-2]

@@ -2,10 +2,11 @@
 and the frames each window conditions on.
 
 A plan stores only its keyframes, window length and overlap. Its windows
-are derived from them (partition_segments), and what a window conditions on
-from those (segment_context): its anchors are the keyframes
-select_keyframes picks for its span (global context), its history is the
-overlap frames it shares with its predecessor (local coherence).
+are derived from them as two arrays, their first and last frames
+(partition_segments), and what a window conditions on from those
+(segment_context): its anchors are the keyframes select_keyframes picks for
+its span (global context), its history is the overlap frames it shares
+with its predecessor (local coherence).
 
 `plan` writes a plan as flat key/value text (keys: total_frames, strides,
 overlap, keyframes, segments as start:end spans).
@@ -17,7 +18,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .core import RolloutPlan, Segment
+from .core import RolloutPlan
 from .errors import InvalidInput
 from .seeding import as_rng
 
@@ -69,12 +70,12 @@ def _check_windows(seg_len: int, overlap: int) -> None:
         raise InvalidInput("segment length must exceed overlap")
 
 
-def window_spans(n_frames: int, seg_len: int, overlap: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last frames of the windows that cut [0, n_frames-1] into
-    seg_len frames advancing by (seg_len - overlap); the last window is
-    truncated at the final frame. Windows start at 0 and at every further
-    multiple of the stride below n_frames - overlap: from there on, the
-    predecessor reaches the final frame."""
+def partition_segments(n_frames: int, seg_len: int, overlap: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last frames, as two arrays, of the windows that cut
+    [0, n_frames-1] into seg_len frames advancing by (seg_len - overlap);
+    the last window is truncated at the final frame. Windows start at 0 and
+    at every further multiple of the stride below n_frames - overlap: from
+    there on, the predecessor reaches the final frame."""
     if n_frames < 1:
         raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
     _check_windows(seg_len, overlap)
@@ -82,22 +83,17 @@ def window_spans(n_frames: int, seg_len: int, overlap: int) -> tuple[np.ndarray,
     return starts, np.minimum(starts + seg_len, n_frames) - 1
 
 
-def partition_segments(n_frames: int, seg_len: int, overlap: int) -> list[Segment]:
-    """The windows of window_spans as Segment values."""
-    starts, ends = window_spans(n_frames, seg_len, overlap)
-    return list(map(Segment, starts.tolist(), ends.tolist()))
-
-
 def segment_context(plan: RolloutPlan):
-    """Each segment with the frames it conditions on: yields (segment,
-    history, anchors). history lists the overlap frames shared with the
-    predecessor (empty for the first segment); anchors are the keyframes
-    select_keyframes picks for the span. The keyframes are sorted once, so
-    a pass over the plan is linear in its size."""
+    """Each window with the frames it conditions on: yields (start, end,
+    history, anchors) as Python ints. history lists the overlap frames
+    shared with the predecessor (empty for the first window); anchors are
+    the keyframes select_keyframes picks for the span. The keyframes are
+    sorted once, so a pass over the plan is linear in its size."""
     kf = _sorted_keyframes(plan.keyframes)
-    for i, seg in enumerate(plan.segments):
-        history = list(range(seg.start, min(seg.start + plan.overlap, seg.end + 1))) if i else []
-        yield seg, history, _select_sorted(kf, seg.start, seg.end)
+    starts, ends = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
+    for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+        history = list(range(start, min(start + plan.overlap, end + 1))) if i else []
+        yield start, end, history, _select_sorted(kf, start, end)
 
 
 def build_plan(n_frames: int, strides, seg_len: int, overlap: int,
@@ -121,12 +117,13 @@ def build_plan(n_frames: int, strides, seg_len: int, overlap: int,
 
 def save_plan(plan: RolloutPlan, path) -> None:
     strides = sorted({b - a for a, b in zip(plan.keyframes, plan.keyframes[1:])}) or [1]
+    starts, ends = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
     lines = [
         f"total_frames = {plan.total_frames}",
         f"strides = {','.join(str(s) for s in strides)}",
         f"overlap = {plan.overlap}",
         f"keyframes = {','.join(str(k) for k in plan.keyframes)}",
-        "segments = " + ",".join(f"{s.start}:{s.end}" for s in plan.segments),
+        "segments = " + ",".join(f"{s}:{e}" for s, e in zip(starts.tolist(), ends.tolist())),
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -45,7 +45,7 @@ from .errormodel import (
     unified_bound,
 )
 from .errors import InvalidInput
-from .schedule import window_spans
+from .schedule import partition_segments
 from .seeding import as_rng, child_seed, derive_rng
 
 SPECTRAL_NORM_TOL = 1e-6
@@ -573,7 +573,7 @@ class _AnchoredLayout:
         # is drawn from the marginal law; every other row continues the
         # bridge recursion w[t] = frac*w[t-1] + scale*eps
         p = plan.overlap
-        starts, ends = window_spans(n, plan.segment_len, p)
+        starts, ends = partition_segments(n, plan.segment_len, p)
         # window i generates gen_from[i]..ends[i]: with substitution its
         # overlap frames are its predecessor's, and the spans cut the plan;
         # a frame's id is the last window that generates it

@@ -16,7 +16,7 @@ from rollbound.errormodel import (
     simulate_bridge_paths,
     solve_damping_spline,
 )
-from rollbound.metrics import align_similarity, are, ate, psnr, slerp, ssim
+from rollbound.metrics import align_similarity, are, psnr, slerp, ssim
 from rollbound.schedule import build_plan, select_keyframes
 from rollbound.worldsim import (
     WorldConfig,
@@ -214,11 +214,12 @@ def test_c09_metrics():
         q = np.array([q / np.linalg.norm(q) for q, _ in draws])
         t = np.array([t for _, t in draws])
         traj = Trajectory(np.arange(40), q, t)
-        ate_zero = ate(traj, traj)
-        are_zero = are(traj, traj)
+        fit = align_similarity(traj, traj)
+        ate_zero = fit.rmse
+        are_zero = are(traj, traj, fit.rotation)
         R = quat_to_matrix(rotation_about_z(0.5))
         warped = Trajectory(np.arange(40), q, t @ (2.0 * R).T + np.array([1.0, 2.0, 3.0]))
-        ate_sim = ate(warped, traj)
+        ate_sim = align_similarity(warped, traj).rmse
         mid = slerp(rotation_about_z(0.0), rotation_about_z(np.pi / 2), 0.5)
         slerp_err = float(np.max(np.abs(mid - rotation_about_z(np.pi / 4))))
         img = g.uniform(0, 255, (32, 32))

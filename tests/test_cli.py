@@ -326,6 +326,18 @@ def test_cmd_simulate_saturated_bound_is_diverged_not_violated(tmp_path, capsys)
     assert [row[header.index("diverged")] for row in rows] == ["0"] * 2 + ["1"] * 18
 
 
+def test_cmd_simulate_ratio_of_two_infinite_means_reads_nan_without_warning(tmp_path, capsys):
+    # both mean errors pass the float range on every row but the anchor rows
+    # 0, 8 and 16, where the anchored mean stays finite: the ratio reads nan
+    # (inf/inf) there, inf on the anchor rows, and nothing reaches stderr
+    assert run("--out", str(tmp_path), "--set", "bias=1e307", "--set", "total_frames=17",
+               "--set", "trials=32", "--set", "velocity_error=1e308", "simulate") == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_rows(tmp_path / "mean_curves.csv")
+    ratio = [row[header.index("ratio")] for row in rows]
+    assert ratio == ["inf" if t in (0, 8, 16) else "nan" for t in range(17)]
+
+
 @pytest.mark.parametrize("scenario", ["global", "downsampled_ar"])
 def test_cmd_simulate_drift_past_1e154(scenario, tmp_path, capsys):
     # the drift norm's square passes the float range, the norm does not:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rollbound.core import InvalidInput
 from rollbound.errormodel import (
     DAMPING_FACTOR,
+    DIVERGENCE_CAP,
     ar_upper_curve,
     bridge_mean,
     bridge_variance,
@@ -21,9 +22,9 @@ from rollbound.errormodel import (
 # step-by-step divergence
 # ---------------------------------------------------------------------------
 
-def _ar_upper(L, eta, n_steps, **kw):
+def _ar_upper(L, eta, n_steps):
     """The step-by-step bound after n_steps: the curve's last value."""
-    return ar_upper_curve(L, eta, n_steps + 1, **kw)[0][-1]
+    return ar_upper_curve(L, eta, n_steps + 1)[0][-1]
 
 
 def test_ar_upper_linear_regime():
@@ -52,48 +53,57 @@ def test_ar_upper_curve_matches_geometric_sum():
         np.testing.assert_allclose(values, eta * (L ** t - 1.0) / (L - 1.0), rtol=1e-12)
 
 
+#: a power of two, so (2^j - 1) * _ETA is exact: it first exceeds
+#: DIVERGENCE_CAP (about 612.5 * _ETA) at j = 10
+_ETA = 2.0 ** 987
+
+
 def test_ar_upper_saturates_with_step():
-    values, flags = ar_upper_curve(2.0, 1.0, 101, cap=1000.0)
+    values, flags = ar_upper_curve(2.0, _ETA, 101)
     assert flags[-1]
-    assert values[-1] == 1000.0
-    # 2^j - 1 first exceeds 1000 at j = 10
+    assert values[-1] == DIVERGENCE_CAP
     assert int(np.argmax(flags)) == 10
 
 
 def test_ar_upper_curve_flags():
-    vals, flags = ar_upper_curve(2.0, 1.0, 15, cap=1000.0)
+    vals, flags = ar_upper_curve(2.0, _ETA, 15)
     assert not flags[9] and flags[10]
-    assert vals[10] == 1000.0
-    assert vals[3] == 7.0
+    assert vals[9] == 511.0 * _ETA
+    assert vals[10] == DIVERGENCE_CAP
+    assert vals[3] == 7.0 * _ETA
 
 
 def _ar_upper_loop(L, eta, n, cap):
-    """The recursion e <- L*e + eta one scalar step at a time, saturating at
-    the first value beyond cap or non-finite."""
+    """The recursion e <- L*e + eta one scalar step at a time, saturating to
+    DIVERGENCE_CAP at the first value beyond cap or non-finite."""
     values, flags = np.zeros(n), np.zeros(n, dtype=bool)
     total = 0.0
     for t in range(1, n):
         total = L * total + eta
         if total > cap or not np.isfinite(total):
-            values[t:], flags[t:] = cap, True
+            values[t:], flags[t:] = DIVERGENCE_CAP, True
             break
         values[t] = total
     return values, flags
 
 
-@pytest.mark.parametrize("eta, cap", [(0.0, 1e300), (0.01, 1e300), (1e300, 1e300),
-                                      (np.inf, 1e300), (np.inf, np.inf),
-                                      (0.01, 0.25), (0.1, 0.5)])
+# the loop's threshold is DIVERGENCE_CAP, as the curve's is; the two largest
+# finite steps reach it mid-horizon, at frames 11 and 51. With no threshold
+# at all (cap = inf) an infinite step still saturates from frame 1, by the
+# non-finite check alone
+@pytest.mark.parametrize("eta, cap", [(eta, DIVERGENCE_CAP)
+                                      for eta in (0.0, 0.01, 1e300, np.inf, 2e298, 1e299)]
+                         + [(np.inf, np.inf)])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 100])
 def test_ar_upper_curve_unit_lipschitz_matches_scalar_loop(eta, cap, n):
     # L = 1 runs as a running sum; it must make the loop's additions bit for
-    # bit, and saturate from the same frame (mid-horizon for the small caps)
-    values, flags = ar_upper_curve(1.0, eta, n, cap=cap)
+    # bit, and saturate from the same frame
+    values, flags = ar_upper_curve(1.0, eta, n)
     loop_values, loop_flags = _ar_upper_loop(1.0, eta, n, cap)
     np.testing.assert_array_equal(values, loop_values)
     np.testing.assert_array_equal(flags, loop_flags)
-    if n == 100 and cap < 1.0:
-        assert 0 < int(np.argmax(flags)) < n - 1
+    if n == 100 and eta in (2e298, 1e299):
+        assert int(np.argmax(flags)) == {2e298: 51, 1e299: 11}[eta]
 
 
 def test_ar_upper_rejects_bad_inputs():
@@ -281,6 +291,27 @@ def test_bridge_monte_carlo_mean_with_anchors():
     expected = float(bridge_mean(T / 4, T, np.array([lo]), np.array([hi]))[0])
     se = quarter.std(ddof=1) / np.sqrt(len(quarter))
     assert abs(quarter.mean() - expected) < 3 * se
+
+
+#: one call of each function taking an anchor interval, at interval T
+_INTERVAL_CALLS = {
+    "solve_damping_spline": lambda T: solve_damping_spline(T, 1.0),
+    "leakage_peak": lambda T: leakage_peak(T, 1.0),
+    "cumulative_leakage_bound": lambda T: cumulative_leakage_bound(T, 1.0),
+    "discrete_spline_minimizer": lambda T: discrete_spline_minimizer(T, 1.0, grid_points=8),
+    "bridge_mean": lambda T: bridge_mean(0.5, T, 0.0, 1.0),
+    # elementwise: one bad interval among good ones
+    "bridge_variance": lambda T: bridge_variance(np.array([0.5, 0.5]), np.array([4.0, T]), 1.0),
+    "simulate_bridge_paths": lambda T: simulate_bridge_paths(T, 1.0, 4, 2,
+                                                             rng=np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("interval", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(_INTERVAL_CALLS))
+def test_interval_must_be_finite_and_positive(name, interval):
+    with pytest.raises(InvalidInput, match="interval must be positive"):
+        _INTERVAL_CALLS[name](interval)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from rollbound.core import (
 from rollbound.metrics import (
     align_similarity,
     are,
-    ate,
     fit_rotation,
     psnr,
     slerp,
@@ -149,7 +148,8 @@ def test_align_validates_input():
         align_similarity(_random_traj(g, 2), _random_traj(g, 2))
 
 
-@pytest.mark.parametrize("fn", [align_similarity, fit_rotation, are])
+@pytest.mark.parametrize("fn", [align_similarity, fit_rotation,
+                                pytest.param(lambda est, ref: are(est, ref, None), id="are")])
 def test_paired_metrics_reject_differing_frame_indices(fn):
     ref = _random_traj(np.random.default_rng(16), n=10)
     shifted = _traj(ref.translations(), ref.quaternions(), start=500)
@@ -175,31 +175,32 @@ def test_batched_rotation_metrics_match_per_pose_loops():
     total = 0.0
     for qe, qr in zip(est.quaternions(), ref.quaternions()):
         total += np.degrees(quat_angle(qe, qr))
-    assert are(est, ref, rotation_alignment="none") == float(total / len(est))
+    assert are(est, ref, None) == float(total / len(est))
 
 
 def test_ate_absorbs_constant_offset():
     g = np.random.default_rng(6)
     ref = _random_traj(g)
     est = _traj(ref.translations() + np.array([5.0, -2.0, 1.0]), ref.quaternions())
-    assert ate(est, ref) < 1e-9
+    assert align_similarity(est, ref).rmse < 1e-9
 
 
 def test_ate_invariant_under_similarity_of_estimate():
     g = np.random.default_rng(7)
     ref = _random_traj(g)
     est = _traj(ref.translations() + g.normal(0, 0.05, size=(50, 3)), ref.quaternions())
-    base = ate(est, ref)
+    base = align_similarity(est, ref).rmse
     R = quat_to_matrix(rotation_about_z(0.8))
     warped = _traj(est.translations() @ R.T * 3.0 + np.array([4.0, 4.0, -1.0]),
                    est.quaternions())
-    assert abs(ate(warped, ref) - base) < 1e-9
+    assert abs(align_similarity(warped, ref).rmse - base) < 1e-9
 
 
 def test_are_identity_zero():
     traj = _random_traj(np.random.default_rng(8))
-    assert are(traj, traj) == pytest.approx(0.0, abs=1e-9)
-    assert ate(traj, traj) == pytest.approx(0.0, abs=1e-12)
+    fit = align_similarity(traj, traj)
+    assert are(traj, traj, fit.rotation) == pytest.approx(0.0, abs=1e-9)
+    assert fit.rmse == pytest.approx(0.0, abs=1e-12)
 
 
 def test_are_rotation_fit_absorbs_constant_offset():
@@ -210,8 +211,8 @@ def test_are_rotation_fit_absorbs_constant_offset():
     from rollbound.core import quat_multiply
     off = rotation_about_z(np.radians(10.0))
     est = _traj(ref.translations(), quat_multiply(off, ref.quaternions()))
-    assert are(est, ref, rotation_alignment="rotfit") < 1e-6
-    assert are(est, ref, rotation_alignment="umeyama") == pytest.approx(10.0, abs=1e-6)
+    assert are(est, ref, fit_rotation(est, ref)) < 1e-6
+    assert are(est, ref, align_similarity(est, ref).rotation) == pytest.approx(10.0, abs=1e-6)
 
 
 def test_are_invariant_under_joint_global_rotation():
@@ -220,11 +221,12 @@ def test_are_invariant_under_joint_global_rotation():
     from rollbound.core import quat_multiply
     est = _traj(ref.translations() + g.normal(0, 0.02, size=(50, 3)),
                 quat_multiply(rotation_about_z(0.05), ref.quaternions()))
-    base = are(est, ref)
+    base = are(est, ref, align_similarity(est, ref).rotation)
     gq = rotation_about_z(1.2)
     G = quat_to_matrix(gq)
     warped = _traj(est.translations() @ G.T, quat_multiply(gq, est.quaternions()))
-    assert are(warped, ref) == pytest.approx(base, abs=1e-9)
+    warped_are = are(warped, ref, align_similarity(warped, ref).rotation)
+    assert warped_are == pytest.approx(base, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +337,14 @@ def test_smoothness_constant_velocity_is_zero():
 
 def test_smoothness_quadratic_sequence():
     t = np.arange(12.0)
-    assert smoothness(t ** 2) == pytest.approx(4.0, abs=1e-12)
+    assert smoothness((t ** 2)[:, None]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_smoothness_single_velocity_jump():
     # linear with one velocity jump of dv at the junction
     n, dv = 20, 0.75
     x = np.concatenate([np.arange(10.0), 9.0 + (1.0 + dv) * np.arange(1.0, 11.0)])
-    assert smoothness(x) == pytest.approx(dv ** 2 / (n - 2), rel=1e-9)
+    assert smoothness(x[:, None]) == pytest.approx(dv ** 2 / (n - 2), rel=1e-9)
 
 
 def test_smoothness_translation_invariant_and_quadratic_scaling():
@@ -354,8 +356,14 @@ def test_smoothness_translation_invariant_and_quadratic_scaling():
 
 
 def test_smoothness_needs_three_samples():
-    with pytest.raises(InvalidInput):
-        smoothness(np.array([1.0, 2.0]))
+    with pytest.raises(InvalidInput, match="at least 3 samples"):
+        smoothness(np.array([[1.0], [2.0]]))
+
+
+@pytest.mark.parametrize("shape", [(12,), (12, 3, 1), ()])
+def test_smoothness_takes_only_an_n_by_d_array(shape):
+    with pytest.raises(InvalidInput, match=r"an \(n, d\) array"):
+        smoothness(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

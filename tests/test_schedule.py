@@ -120,28 +120,29 @@ def test_partition_matches_while_loop_reference():
     for n in range(1, 90):
         for seg_len in range(1, 14):
             for overlap in range(seg_len):
-                got = [(s.start, s.end) for s in partition_segments(n, seg_len, overlap)]
+                got = list(zip(*(a.tolist() for a in partition_segments(n, seg_len, overlap))))
                 assert got == _while_loop_windows(n, seg_len, overlap), (n, seg_len, overlap)
 
 
 def test_partition_stride_enumeration():
-    segs = partition_segments(13, 5, 1)
-    assert [(s.start, s.end) for s in segs] == [(0, 4), (4, 8), (8, 12)]
+    starts, ends = partition_segments(13, 5, 1)
+    assert starts.tolist() == [0, 4, 8] and ends.tolist() == [4, 8, 12]
     plan = RolloutPlan(13, (0, 4, 8, 12), segment_len=5, overlap=1)
-    assert plan.segments == segs
     context = list(segment_context(plan))
-    assert [history for _, history, _ in context] == [[], [4], [8]]
-    assert [anchors for _, _, anchors in context] == [[0, 4, 8], [0, 4, 8, 12], [4, 8, 12]]
+    assert [(start, end) for start, end, _, _ in context] == [(0, 4), (4, 8), (8, 12)]
+    assert all(type(v) is int for start, end, _, _ in context for v in (start, end))
+    assert [history for _, _, history, _ in context] == [[], [4], [8]]
+    assert [anchors for _, _, _, anchors in context] == [[0, 4, 8], [0, 4, 8, 12], [4, 8, 12]]
 
 
 def test_partition_single_segment():
-    segs = partition_segments(5, 5, 1)
-    assert [(s.start, s.end) for s in segs] == [(0, 4)]
+    starts, ends = partition_segments(5, 5, 1)
+    assert starts.tolist() == [0] and ends.tolist() == [4]
 
 
 def test_partition_truncates_last():
-    segs = partition_segments(14, 5, 1)
-    assert [(s.start, s.end) for s in segs] == [(0, 4), (4, 8), (8, 12), (12, 13)]
+    starts, ends = partition_segments(14, 5, 1)
+    assert starts.tolist() == [0, 4, 8, 12] and ends.tolist() == [4, 8, 12, 13]
 
 
 def test_partition_rejects_bad_overlap():
@@ -160,14 +161,14 @@ def test_partition_rejects_bad_overlap():
 def test_build_plan_composition():
     plan = build_plan(33, (8,), 9, 1)
     assert plan.keyframes == (0, 8, 16, 24, 32)
-    assert len(plan.segments) == 4
+    assert len(list(segment_context(plan))) == 4
     assert validate_plan(plan) == []
 
 
 def test_build_plan_single_frame():
     plan = build_plan(1, (8,), 2, 0)
     assert plan.keyframes == (0,)
-    assert len(plan.segments) == 1
+    assert len(list(segment_context(plan))) == 1
     assert validate_plan(plan) == []
 
 
@@ -186,11 +187,11 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
     plan = build_plan(n, (stride,), seg_len, overlap)
     assert validate_plan(plan) == []
     context = list(segment_context(plan))
-    for (a, _, _), (b, history, anchors) in zip(context, context[1:]):
-        shared = set(range(a.start, a.end + 1)) & set(range(b.start, b.end + 1))
+    for (a0, a1, _, _), (b0, b1, history, anchors) in zip(context, context[1:]):
+        shared = set(range(a0, a1 + 1)) & set(range(b0, b1 + 1))
         assert len(shared) == overlap
         assert history == sorted(shared)
-        assert anchors == select_keyframes(plan.keyframes, b.start, b.end)
+        assert anchors == select_keyframes(plan.keyframes, b0, b1)
 
 
 # a plan handed in from outside is checked rule by rule; one malformed plan

@@ -14,7 +14,7 @@ from rollbound.errormodel import (
     solve_damping_spline,
 )
 from rollbound import worldsim
-from rollbound.schedule import build_plan, sample_keyframe_indices
+from rollbound.schedule import build_plan, partition_segments, sample_keyframe_indices
 from rollbound.seeding import child_seed, derive_rng
 from rollbound.worldsim import (
     WorldConfig,
@@ -39,6 +39,12 @@ def anchor_errors(cfg, idx, anchors):
     (K, d) anchors at the sorted frames idx."""
     gt = simulate_ground_truth(cfg, idx[-1] + 1).frames
     return worldsim._anchor_error_norms(anchors, gt, idx)
+
+
+def _windows(plan):
+    """The plan's window starts and ends, as lists of ints."""
+    starts, ends = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
+    return starts.tolist(), ends.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +488,7 @@ def test_anchored_substitution_off_breaks_overlap_identity():
             frames[substitution, name] = tr.generated.frames
     assert frames[True, "windows"].tobytes() == frames[True, "one"].tobytes()
     a, b = frames[False, "windows"], frames[False, "one"]
-    handed = [cur.start for cur in plan.segments[1:] if cur.start not in plan.keyframes]
+    handed = [start for start in _windows(plan)[0][1:] if start not in plan.keyframes]
     assert handed
     assert a[:handed[0]].tobytes() == b[:handed[0]].tobytes()
     diffs = sum(int(not np.array_equal(a[t], b[t])) for t in handed)
@@ -542,13 +548,13 @@ def _loop_layout(plan, dv0, sigma_int, momentum, substitution):
     is_kf[kf] = True
     seg_ids = np.zeros(n, dtype=int)
     frames, redrawn = [], []
-    for si, seg in enumerate(plan.segments):
-        gen_from = min(seg.start + p, seg.end + 1) if si > 0 and substitution else seg.start
-        seg_ids[gen_from:seg.end + 1] = si
-        for f in range(gen_from, seg.end + 1):
+    for si, (start, end) in enumerate(zip(*_windows(plan))):
+        gen_from = min(start + p, end + 1) if si > 0 and substitution else start
+        seg_ids[gen_from:end + 1] = si
+        for f in range(gen_from, end + 1):
             if not is_kf[f]:
                 frames.append(f)
-                redrawn.append(si > 0 and not substitution and f < seg.start + p)
+                redrawn.append(si > 0 and not substitution and f < start + p)
     draw_frames = np.array(frames, dtype=int)
     remaining = kf[j[draw_frames] + 1] - (draw_frames - 1)
     scale = sigma_int * np.sqrt((remaining - 1) / remaining)
@@ -861,8 +867,8 @@ def test_bridge_noise_covariance_is_the_pinned_bridge():
         cov = x[:, :, 0] @ x[:, :, 0].T / trials
         redrawn = np.zeros(n, dtype=bool)
         if not substitution:
-            for seg in plan.segments[1:]:
-                redrawn[seg.start:seg.start + overlap] = True
+            for start in _windows(plan)[0][1:]:
+                redrawn[start:start + overlap] = True
             redrawn[list(plan.keyframes)] = False
             assert redrawn.sum() == 8
         block = np.cumsum(redrawn)
