@@ -17,7 +17,7 @@ import numpy as np
 from .core import RolloutPlan, load_trajectory, write_columns_csv
 from .errormodel import ar_upper_curve, jump_anchor_bound, unified_bound
 from .errors import InvalidInput
-from .expconfig import ExperimentConfig, apply_overrides, load_config, save_config
+from .expconfig import ExperimentConfig, load_config, save_config
 from .metrics import align_similarity, are, fit_rotation, smoothness, write_metric_report
 from .schedule import (build_plan, partition_segments, sample_keyframe_indices, save_plan,
                        segment_context)
@@ -38,15 +38,9 @@ BOUND_TOL = 1e-9
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.set:
-        cfg = apply_overrides(cfg, args.set)
-    overrides = []
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.out is not None:
-        overrides.append(f"out_dir={args.out}")
-    return apply_overrides(cfg, overrides) if overrides else cfg
+    flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("out_dir", args.out))
+             if value is not None]
+    return load_config(args.config or None, args.set + flags)
 
 
 def _out_dir(cfg: ExperimentConfig) -> str:
@@ -114,7 +108,7 @@ def cmd_bounds(args) -> int:
     cfg = _load_experiment(args)
     out = _out_dir(cfg)
     n = cfg.total_frames
-    interval = max(cfg.strides)
+    interval = max(min(max(cfg.strides), n - 1), 1)  # the widest interval a plan can have
     upper, flags = ar_upper_curve(cfg.lipschitz, cfg.bias, n)
     with np.errstate(over="ignore"):  # past the float range reads inf, as upper diverges
         lower = np.arange(n) * cfg.bias

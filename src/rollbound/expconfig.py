@@ -1,9 +1,12 @@
 """Experiment configuration as a flat key/value text file.
 
-Lines are "key = value"; '#' starts a comment. Unknown keys are rejected with
-the offending line number. Values round-trip losslessly (floats are written
-with repr). CLI flags override file values. A config is checked when it is
-built, and one that breaks a rule is rejected naming the key:
+Lines are "key = value"; '#' starts a comment at the start of a line or after
+whitespace. A line without '=', an unknown key or a value that does not parse
+is rejected with its line number. Values round-trip losslessly (floats are
+written with repr), but for a string with surrounding whitespace, a newline,
+or a '#' at its start or after whitespace. Later values beat earlier ones: the
+file's, then --set pairs, then CLI flags. The merged config is checked once,
+when it is built, and one that breaks a rule is rejected naming the key:
   * every float key is finite and non-negative,
   * dynamics and kf_scenario take one of the values listed below,
   * total_frames, dim, trials and every stride are >= 1, and seed is >= 0,
@@ -34,7 +37,8 @@ Keys (defaults in parentheses):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import re
+from dataclasses import dataclass, fields
 
 from .core import read_text
 from .errors import InvalidInput
@@ -93,8 +97,12 @@ class ExperimentConfig:
                                f"got segment_len {self.segment_len} and overlap {self.overlap}")
 
 
-def _parse_value(name: str, kind, raw: str):
-    raw = raw.strip()
+#: each key's type, that of its default, which parses its value (strides and
+#: kf_step_error aside)
+_KINDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+
+
+def _parse_value(name: str, raw: str):
     if name == "strides":
         vals = tuple(int(v) for v in raw.split(",") if v.strip())
         if not vals:
@@ -102,40 +110,33 @@ def _parse_value(name: str, kind, raw: str):
         return vals
     if name == "kf_step_error":
         return None if raw in ("", "none") else float(raw)
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+    return _KINDS[name](raw)
 
 
-def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
+def load_config(path=None, overrides=()) -> ExperimentConfig:
+    """The config of the file at path (None: the defaults), then of the
+    'key=value' override strings, a later value beating an earlier one. An
+    item that does not parse raises InvalidInput naming its source, even if
+    a later item sets its key; the merged config is checked once."""
+    items = []
+    if path is not None:
+        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+            if line:
+                items.append((f"{path}: line {lineno}", line))
+    items += [(f"override {pair!r}", pair) for pair in overrides]
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidInput(f"{source}: line {lineno}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise InvalidInput(f"{source}: line {lineno}: unknown config key {key!r}")
+    for source, item in items:
+        key, sep, val = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise InvalidInput(f"{source}: expected 'key = value'")
+        if key not in _KINDS:
+            raise InvalidInput(f"{source}: unknown config key {key!r}")
         try:
-            values[key] = _parse_value(key, _key_kind(key), val)
+            values[key] = _parse_value(key, val)
         except ValueError as exc:
-            raise InvalidInput(f"{source}: line {lineno}: {exc}") from None
+            raise InvalidInput(f"{source}: {key}: {exc}") from None
     return ExperimentConfig(**values)
-
-
-def _key_kind(key: str):
-    defaults = ExperimentConfig()
-    v = getattr(defaults, key)
-    return type(v) if v is not None else float
-
-
-def load_config(path) -> ExperimentConfig:
-    return parse_config(read_text(path), source=str(path))
 
 
 def format_config(cfg: ExperimentConfig) -> str:
@@ -157,20 +158,3 @@ def format_config(cfg: ExperimentConfig) -> str:
 def save_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_config(cfg))
-
-
-def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
-    """Apply 'key=value' override strings (CLI flags beat file values)."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise InvalidInput(f"override {pair!r} is not key=value")
-        key, val = (part.strip() for part in pair.split("=", 1))
-        if key not in known:
-            raise InvalidInput(f"unknown config key {key!r}")
-        try:
-            updates[key] = _parse_value(key, _key_kind(key), val)
-        except ValueError as exc:
-            raise InvalidInput(f"override {key}: {exc}") from None
-    return replace(cfg, **updates)

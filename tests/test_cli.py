@@ -14,7 +14,7 @@ from rollbound.cli import build_parser, main
 from rollbound.core import Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
 from rollbound.errormodel import cumulative_leakage_bound, unified_bound
-from rollbound.expconfig import ExperimentConfig, load_config, parse_config, save_config
+from rollbound.expconfig import ExperimentConfig, load_config, save_config
 from rollbound.schedule import build_plan
 from rollbound.seeding import derive_rng
 
@@ -67,9 +67,33 @@ def test_removed_svg_flag_is_unknown(capsys):
     assert "unrecognized arguments: --svg" in capsys.readouterr().err
 
 
-def test_config_rejects_unknown_key():
+def test_config_rejects_unknown_key(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("seed = 1\nbogus = 2\n")
     with pytest.raises(Exception, match="line 2"):
-        parse_config("seed = 1\nbogus = 2\n")
+        load_config(path)
+
+
+@pytest.mark.parametrize("key", ["out_dir", "trajectory"])
+@pytest.mark.parametrize("value", ["runs/#3", "a#b#c", "x=#y"])
+def test_config_round_trip_keeps_a_hash_in_a_string(key, value, tmp_path):
+    # '#' starts a comment only at the start of a line or after whitespace
+    cfg = ExperimentConfig(**{key: value})
+    path = tmp_path / "cfg.txt"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+def test_config_comment_after_whitespace(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("# header\nout_dir = runs/#3  # a comment\nseed = 4\t# tab\n  # indented\n")
+    assert load_config(path) == ExperimentConfig(out_dir="runs/#3", seed=4)
+
+
+def test_load_config_without_a_file_reads_the_overrides_in_order():
+    assert load_config() == ExperimentConfig()
+    assert load_config(None, ["seed=3", "total_frames=9", "seed=5"]) == ExperimentConfig(
+        total_frames=9, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +784,69 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "total_frames = 17" in (out / "plan.txt").read_text()
 
 
+def test_file_value_replaced_by_set_is_not_checked_alone(tmp_path, capsys):
+    # the merged config is checked once: overlap 10 needs segment_len 12
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("overlap = 10\n")
+    out = tmp_path / "o"
+    assert run("--config", str(cfg_path), "--out", str(out), "--set", "segment_len=12",
+               "plan") == 0
+    assert capsys.readouterr().out.startswith(
+        "plan: 321 frames, 41 keyframes, 156 segments, overlap 10\n")
+    cfg_path.write_text("total_frames = 0\n")
+    assert run("--config", str(cfg_path), "--out", str(out), "--set", "total_frames=9",
+               "plan") == 0
+    assert load_config(out / "config.txt").total_frames == 9
+
+
+def test_set_value_replaced_by_flag_is_not_checked_alone(tmp_path):
+    out = tmp_path / "o"
+    assert run("--set", "seed=-1", "--seed", "3", "--out", str(out), "plan") == 0
+    assert load_config(out / "config.txt").seed == 3
+
+
+@pytest.mark.parametrize("argv, seed", [([], 1), (["--set", "seed=2"], 2),
+                                        (["--set", "seed=2", "--seed", "3"], 3),
+                                        (["--seed", "3", "--set", "seed=2"], 3)])
+def test_precedence_file_then_set_then_flags(argv, seed, tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("seed = 1\nout_dir = unused\n")
+    out = tmp_path / "o"
+    assert run("--config", str(cfg_path), *argv, "--set", f"out_dir={tmp_path / 'set'}",
+               "--out", str(out), "plan") == 0
+    assert load_config(out / "config.txt").seed == seed
+    assert not (tmp_path / "set").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bogus = 2", "line 2: unknown config key 'bogus'"),
+    ("seed = x", "line 2: seed: invalid literal for int()"),
+    ("strides = ,", "line 2: strides: empty stride list"),
+    ("seed 4", "line 2: expected 'key = value'")])
+def test_bad_file_line_is_fatal_even_if_set_replaces_its_key(line, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"total_frames = 33\n{line}\n")
+    key = line.split()[0]
+    rc = run("--config", str(cfg_path), "--out", str(tmp_path / "o"), "--set", f"{key}=4",
+             "plan")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("nope=1", "unknown config key 'nope'"),
+    ("seed=x", "seed: invalid literal for int()"),
+    ("strides=", "strides: empty stride list"),
+    ("seed", "expected 'key = value'")])
+def test_bad_override_is_fatal_even_if_a_later_one_replaces_it(pair, message, tmp_path,
+                                                               capsys):
+    rc = run("--out", str(tmp_path / "o"), "--set", pair, "--set", "seed=4", "plan")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: override {pair!r}: {message}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_mode_plan_from_config(tmp_path, capsys):
     out = tmp_path / "o"
     rc = run("--out", str(out), "--seed", "3", "--set", "total_frames=65",
@@ -782,6 +869,31 @@ def test_several_strides_run_every_command(command, tmp_path):
         header, rows = _read_rows(out / "bounds.csv")
         assert {float(r[header.index("leakage")]) for r in rows} == {
             unified_bound(0.0, 8, 0.3).leakage_term}
+
+
+def _bound_terms(path):
+    header, rows = _read_rows(path)
+    return tuple({float(r[header.index(name)]) for r in rows} for name in ("leakage", "noise"))
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, 50])
+@pytest.mark.parametrize("strides", ["1", "8", "49", "50", "400", "8,49", "49,400"])
+def test_bounds_interval_is_one_a_plan_can_have(frames, strides, tmp_path):
+    # the a-priori anchor interval is the widest a plan at these strides can
+    # draw: with one stride, bounds' leakage and noise are simulate's; with
+    # several, at least those of the stride each seed's plan drew
+    argv = ["--set", f"total_frames={frames}", "--set", f"strides={strides}",
+            "--set", "velocity_error=0.5", "--set", "sigma_int=0.2"]
+    assert run("--out", str(tmp_path / "b"), *argv, "bounds") == 0
+    leakage, noise = _bound_terms(tmp_path / "b" / "bounds.csv")
+    for seed in range(1 if "," not in strides else 4):
+        out = tmp_path / str(seed)
+        assert run("--out", str(out), "--seed", str(seed), *argv, "simulate") == 0
+        sim_leakage, sim_noise = _bound_terms(out / "anchored_trace.csv")
+        if "," not in strides:
+            assert (leakage, noise) == (sim_leakage, sim_noise)
+        else:
+            assert min(leakage) >= max(sim_leakage) and min(noise) >= max(sim_noise)
 
 
 def test_several_strides_simulate_within_bound(tmp_path, capsys):
