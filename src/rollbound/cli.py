@@ -40,7 +40,7 @@ BOUND_TOL = 1e-9
 def _load_experiment(args) -> ExperimentConfig:
     flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("out_dir", args.out))
              if value is not None]
-    return load_config(args.config or None, args.set + flags)
+    return load_config(args.config, args.set + flags)
 
 
 def _out_dir(cfg: ExperimentConfig) -> str:

@@ -331,7 +331,9 @@ class LatentSeq:
 class RolloutPlan:
     """Full schedule for one run: the global keyframes, and generation
     windows of segment_len frames, each after the first sharing its first
-    `overlap` frames with its predecessor."""
+    `overlap` frames with its predecessor. A plan checks itself when it is
+    made (by dataclasses.replace too): one breaking a rule of validate_plan
+    raises InvalidInput listing every rule it breaks."""
 
     total_frames: int
     keyframes: tuple[int, ...]
@@ -340,12 +342,16 @@ class RolloutPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "keyframes", tuple(int(k) for k in self.keyframes))
+        violations = validate_plan(self)
+        if violations:
+            raise InvalidInput(f"plan fails validation: {violations}")
 
 
 def validate_plan(plan: RolloutPlan) -> list[str]:
-    """Check the plan invariants its fields can break; returns
-    human-readable violation strings (empty list when the plan is
-    well-formed). Violations are data, not errors."""
+    """The rules a plan breaks, as human-readable strings (none when it
+    keeps them all): total_frames >= 1; keyframes nonempty, sorted and
+    duplicate-free, from frame 0 to the final frame (so all inside the
+    plan); 0 <= overlap < segment_len. RolloutPlan runs it on every plan."""
     out: list[str] = []
     n = plan.total_frames
     if n < 1:
@@ -361,8 +367,6 @@ def validate_plan(plan: RolloutPlan) -> list[str]:
             out.append("first keyframe must be frame 0")
         if kf[-1] != n - 1:
             out.append(f"last keyframe must be the final frame {n - 1}, got {kf[-1]}")
-        if any(k < 0 or k >= n for k in kf):
-            out.append("keyframe index outside [0, total_frames)")
     if not 0 <= plan.overlap < plan.segment_len:
         out.append(f"segment length must exceed overlap and overlap must be >= 0, got "
                    f"segment_len {plan.segment_len} and overlap {plan.overlap}")

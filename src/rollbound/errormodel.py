@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .seeding import as_rng
 
 #: boundary velocity errors shrink by this factor from one segment to the next
 DAMPING_FACTOR = -0.5
@@ -253,18 +252,18 @@ def bridge_variance(tau, interval, noise_std: float):
 
 
 def simulate_bridge_paths(interval: float, noise_std: float, n_steps: int,
-                          n_paths: int, rng=None,
+                          n_paths: int, rng: np.random.Generator,
                           anchors: tuple[float, float] = (0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo oracle for the bridge statistics: a Gaussian random walk
     pinned at both endpoints (standard draped construction, exact in
-    distribution at the grid points). Returns (times, paths[n_paths, n_steps+1])."""
+    distribution at the grid points), drawn from the Generator rng. Returns
+    (times, paths[n_paths, n_steps+1])."""
     T = float(interval)
     _check_interval(T)
     if n_steps < 1 or n_paths < 1:
         raise InvalidInput("need n_steps >= 1, n_paths >= 1")
-    g = as_rng(rng)
     dt = T / n_steps
-    steps = g.normal(0.0, float(noise_std) * np.sqrt(dt), size=(n_paths, n_steps))
+    steps = rng.normal(0.0, float(noise_std) * np.sqrt(dt), size=(n_paths, n_steps))
     walk = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(steps, axis=1)], axis=1)
     t = np.linspace(0.0, T, n_steps + 1)
     pinned = walk - (t / T)[None, :] * walk[:, -1:]

@@ -2,15 +2,16 @@
 
 Lines are "key = value"; '#' starts a comment at the start of a line or after
 whitespace. A line without '=', an unknown key or a value that does not parse
-is rejected with its line number. Values round-trip losslessly (floats are
-written with repr), but for a string with surrounding whitespace, a newline,
-or a '#' at its start or after whitespace. Later values beat earlier ones: the
+is rejected with its line number. Every config reads back from its file as
+itself (floats are written with repr). Later values beat earlier ones: the
 file's, then --set pairs, then CLI flags. The merged config is checked once,
 when it is built, and one that breaks a rule is rejected naming the key:
   * every float key is finite and non-negative,
   * dynamics and kf_scenario take one of the values listed below,
   * total_frames, dim, trials and every stride are >= 1, and seed is >= 0,
-  * 0 <= overlap < segment_len.
+  * 0 <= overlap < segment_len,
+  * out_dir and trajectory have no surrounding whitespace, no line break,
+    and no '#' at their start or after whitespace, which a file cannot carry.
 
 Keys (defaults in parentheses):
   total_frames (321)    frames including frame 0
@@ -95,6 +96,11 @@ class ExperimentConfig:
         if not 0 <= self.overlap < self.segment_len:
             raise InvalidInput(f"segment length must exceed overlap and overlap must be >= 0, "
                                f"got segment_len {self.segment_len} and overlap {self.overlap}")
+        for name in ("out_dir", "trajectory"):
+            v = getattr(self, name)
+            if v != v.strip() or len(v.splitlines()) > 1 or re.search(r"(?:^|\s)#", v):
+                raise InvalidInput(f"{name} must have no surrounding whitespace, line break, "
+                                   f"or '#' at its start or after whitespace, got {v!r}")
 
 
 #: each key's type, that of its default, which parses its value (strides and

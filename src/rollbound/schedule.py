@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import RolloutPlan
 from .errors import InvalidInput
-from .seeding import as_rng
 
 
 def sample_keyframe_indices(n_frames: int, stride: int) -> list[int]:
@@ -45,14 +44,10 @@ def select_keyframes(keyframes, seg_start: int, seg_end: int) -> list[int]:
     when no keyframe lies beyond seg_end (tail segment) the look-ahead anchor
     is omitted.
     """
-    return _select_sorted(_sorted_keyframes(keyframes), seg_start, seg_end)
-
-
-def _sorted_keyframes(keyframes) -> list[int]:
     kf = sorted(set(int(k) for k in keyframes))
     if not kf:
         raise InvalidInput("keyframe list is empty")
-    return kf
+    return _select_sorted(kf, seg_start, seg_end)
 
 
 def _select_sorted(kf: list[int], seg_start: int, seg_end: int) -> list[int]:
@@ -63,13 +58,6 @@ def _select_sorted(kf: list[int], seg_start: int, seg_end: int) -> list[int]:
     return kf[max(lo - 1, 0):hi + 1]
 
 
-def _check_windows(seg_len: int, overlap: int) -> None:
-    if overlap < 0:
-        raise InvalidInput("overlap must be >= 0")
-    if seg_len <= overlap:
-        raise InvalidInput("segment length must exceed overlap")
-
-
 def partition_segments(n_frames: int, seg_len: int, overlap: int) -> tuple[np.ndarray, np.ndarray]:
     """First and last frames, as two arrays, of the windows that cut
     [0, n_frames-1] into seg_len frames advancing by (seg_len - overlap);
@@ -78,7 +66,10 @@ def partition_segments(n_frames: int, seg_len: int, overlap: int) -> tuple[np.nd
     there on, the predecessor reaches the final frame."""
     if n_frames < 1:
         raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
-    _check_windows(seg_len, overlap)
+    if overlap < 0:
+        raise InvalidInput("overlap must be >= 0")
+    if seg_len <= overlap:
+        raise InvalidInput("segment length must exceed overlap")
     starts = np.arange(0, max(n_frames - overlap, 1), seg_len - overlap)
     return starts, np.minimum(starts + seg_len, n_frames) - 1
 
@@ -87,9 +78,9 @@ def segment_context(plan: RolloutPlan):
     """Each window with the frames it conditions on: yields (start, end,
     history, anchors) as Python ints. history lists the overlap frames
     shared with the predecessor (empty for the first window); anchors are
-    the keyframes select_keyframes picks for the span. The keyframes are
-    sorted once, so a pass over the plan is linear in its size."""
-    kf = _sorted_keyframes(plan.keyframes)
+    the keyframes select_keyframes picks for the span. A plan's keyframes
+    are sorted, so a pass over the plan is linear in its size."""
+    kf = list(plan.keyframes)
     starts, ends = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
     for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
         history = list(range(start, min(start + plan.overlap, end + 1))) if i else []
@@ -99,16 +90,17 @@ def segment_context(plan: RolloutPlan):
 def build_plan(n_frames: int, strides, seg_len: int, overlap: int,
                rng=None) -> RolloutPlan:
     """Compose keyframe sampling and the window length and overlap into a
-    full plan, valid by construction (validate_plan finds nothing in it).
+    full plan, which RolloutPlan checks.
 
-    One stride is used as given; from several, the plan draws one with rng."""
+    One stride is used as given; from several, the plan draws one with rng,
+    a Generator derived from the seed, which several strides require."""
     strides = tuple(strides)
     if not strides or min(strides) < 1:
         raise InvalidInput(f"strides must be a nonempty list of strides >= 1, got {strides}")
-    stride = strides[0] if len(strides) == 1 else int(as_rng(rng).choice(strides))
-    keyframes = sample_keyframe_indices(n_frames, stride)
-    _check_windows(seg_len, overlap)
-    return RolloutPlan(n_frames, tuple(keyframes), seg_len, overlap)
+    if len(strides) > 1 and rng is None:
+        raise InvalidInput(f"drawing one of the strides {strides} needs rng")
+    stride = strides[0] if len(strides) == 1 else int(rng.choice(strides))
+    return RolloutPlan(n_frames, sample_keyframe_indices(n_frames, stride), seg_len, overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Deterministic RNG derivation.
 
-All randomness in the package flows from a single integer seed. Each stream
-is named by (seed, purpose-label, index): the label is hashed with crc32 so
-the derivation is stable across platforms and Python versions. The stream is
+All randomness in the package flows from a single integer seed: every
+generator is made by derive_rng, none from OS entropy. Each stream is named
+by (seed, purpose-label, index): the label is hashed with crc32 so the
+derivation is stable across platforms and Python versions. The stream is
 PCG64 seeded by numpy's SeedSequence([seed, crc32(label), index]), so
 identical (seed, label, index) always yields an identical generator.
 
@@ -42,12 +43,3 @@ def child_seed(seed: int, label: str, index: int = 0) -> int:
     """An integer seed for one purpose/index pair under a master seed: the
     first uint32 word of its stream's state."""
     return int(_seed_sequence(seed, label, index).generate_state(1)[0])
-
-
-def as_rng(rng_or_seed) -> np.random.Generator:
-    """Accept a Generator, an int seed, or None (fresh entropy)."""
-    from numpy.random import Generator, default_rng
-
-    if isinstance(rng_or_seed, Generator):
-        return rng_or_seed
-    return default_rng(rng_or_seed)

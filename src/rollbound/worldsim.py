@@ -33,7 +33,6 @@ from .core import (
     RolloutPlan,
     Trajectory,
     _row_norm,
-    validate_plan,
     write_columns_csv,
 )
 from .errormodel import (
@@ -46,7 +45,7 @@ from .errormodel import (
 )
 from .errors import InvalidInput
 from .schedule import partition_segments
-from .seeding import as_rng, child_seed, derive_rng
+from .seeding import child_seed, derive_rng
 
 SPECTRAL_NORM_TOL = 1e-6
 
@@ -244,22 +243,31 @@ def _require_finite(x: np.ndarray) -> None:
         raise InvalidInput("latent frames must be finite")
 
 
+def _finite_anchors(kv: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(kv)):
+        raise InvalidInput("keyframe values must be finite")
+    return kv
+
+
 def _safe_norms(rows: np.ndarray, norm) -> np.ndarray:
     """norm(rows), the norm of each row along the last axis; a norm beyond
     the float range reads inf, without a warning.
 
     A plain norm squares the components, so it reads inf from about 1e154
-    on. Only the rows that read inf from finite components are recomputed,
-    scaled by their largest component: every other norm keeps norm's
-    rounding."""
+    on, and below about 1e-154 (the square root of the smallest normal
+    float) its squares lose bits to underflow. Only the rows that read inf
+    from finite components, or under that threshold from nonzero ones, are
+    recomputed, scaled by their largest component: every other norm keeps
+    norm's rounding."""
     with np.errstate(over="ignore"):
         norms = norm(rows)
-        redo = np.isinf(norms)
-        if redo.any():
-            redo &= np.isfinite(rows).all(axis=-1)
-            big = rows[redo]
-            scale = np.abs(big).max(axis=-1, keepdims=True)
-            norms[redo] = scale[:, 0] * norm(big / scale)
+        redo = np.flatnonzero(np.isinf(norms) | (norms < np.sqrt(np.finfo(float).tiny)))
+        if redo.size:
+            odd = rows.reshape(-1, rows.shape[-1])[redo]
+            keep = np.isfinite(odd).all(axis=-1) & (odd != 0.0).any(axis=-1)
+            odd, redo = odd[keep], redo[keep]
+            scale = np.abs(odd).max(axis=-1, keepdims=True)
+            np.put(norms, redo, scale[:, 0] * norm(odd / scale))
     return norms
 
 
@@ -397,7 +405,8 @@ class _World:
         "global" draws from each generator twice: its K-1 directions as one
         (K-1, d) block, then its K-1 radii as one block, so a column depends
         on its own generator alone. "downsampled_ar" draws nothing: every
-        column holds the same anchors, and rngs only sets their number."""
+        column holds the same anchors, and rngs only sets their number.
+        Anchors past the float range raise InvalidInput."""
         cfg = self.cfg
         gt = self.gt.frames
         vals = np.empty((len(idx), len(rngs), cfg.dim))
@@ -422,7 +431,7 @@ class _World:
             step_vec = mu * direction
             err = np.zeros(cfg.dim)
             # an anchor past the float range reads inf or nan, without a
-            # warning: the callers' finite check rejects it
+            # warning: the finite check below rejects it
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(1, len(idx)):
                     for _ in range(idx[j] - idx[j - 1]):
@@ -431,7 +440,7 @@ class _World:
                     vals[j] = gt[idx[j]] + err
         else:
             raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
-        return vals
+        return _finite_anchors(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +457,9 @@ def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
     """Step-by-step generation from the true initial frame with per-step bias
     and noise; the per-frame error satisfies e_{t+1} = A e_t + b + sigma*eps
     exactly. Frame t of the bound column holds the bias-only Lipschitz bound
-    after t steps (attained with equality when noise is off)."""
-    g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "ar-noise"))
+    after t steps (attained with equality when noise is off). rng is a
+    Generator, by default derive_rng(cfg.seed, "ar-noise")."""
+    g = rng if rng is not None else derive_rng(cfg.seed, "ar-noise")
     world = _World(cfg, n_frames, [g])
     x = world.take_rollouts()
     return world.ar_trace(x[:, 0], _error_norms(x, world.gt.frames)[0])
@@ -465,7 +475,8 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
     """Anchor latents under one of two regimes, as a (K, d) array with one
     row per index, in sorted index order. The indices must be unique and
     include 0. These are a trial's anchors in compare_pipelines, on rng as
-    its anchor stream: the one-generator case of _World.keyframes.
+    its anchor stream: the one-generator case of _World.keyframes. rng is a
+    Generator, by default derive_rng(cfg.seed, "keyframes").
 
     "global": every anchor is ground truth plus an independent perturbation
     of norm <= error_cap (frame 0, the given initial frame, stays exact): an
@@ -481,8 +492,8 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
     if not idx or idx[0] != 0 or len(set(idx)) < len(idx):
         raise InvalidInput("keyframe indices must be unique and include 0")
     world = _World(cfg, idx[-1] + 1)
-    g = as_rng(rng if rng is not None else derive_rng(cfg.seed, "keyframes"))
-    return _finite_anchors(world.keyframes(idx, scenario, error_cap, step_error, [g])[:, 0])
+    g = rng if rng is not None else derive_rng(cfg.seed, "keyframes")
+    return world.keyframes(idx, scenario, error_cap, step_error, [g])[:, 0]
 
 
 def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarray:
@@ -521,9 +532,6 @@ class _AnchoredLayout:
 
     def __init__(self, plan: RolloutPlan, d: int, sigma_int: float, velocity_error,
                  momentum: bool = True, substitution: bool = True):
-        violations = validate_plan(plan)
-        if violations:
-            raise InvalidInput(f"plan fails validation: {violations}")
         if not 0.0 <= sigma_int < np.inf:
             raise InvalidInput("sigma_int must be finite and non-negative")
         self.plan = plan
@@ -668,12 +676,6 @@ class _AnchoredLayout:
                             segment_ids=self.seg_ids.copy(), keyframe_indices=tuple(kf_idx))
 
 
-def _finite_anchors(kv: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(kv)):
-        raise InvalidInput("keyframe values must be finite")
-    return kv
-
-
 def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, anchors,
                      sigma_int: float = 0.0, momentum: bool = True,
                      substitution: bool = True, velocity_error=None,
@@ -752,9 +754,9 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     anchors, and its bridge noise, read in generation order as in
     rollout_anchored. So the result depends on the seed alone. The anchors
     of a trial block come from one _World.keyframes call as one (K, B, d)
-    array, checked finite once: "global" takes two draws from each trial's
-    anchor stream, "downsampled_ar" is computed once and derives no anchor
-    stream. Per-frame sums accumulate in trial order."""
+    array, which that call checks finite: "global" takes two draws from each
+    trial's anchor stream, "downsampled_ar" is computed once and derives no
+    anchor stream. Per-frame sums accumulate in trial order."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     base = cfg.seed if seed is None else int(seed)
@@ -767,8 +769,7 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     kf_idx = list(plan.keyframes)
     ar_sums, dc_sums = np.zeros((2, n)), np.zeros((2, n))
     # downsampled-AR anchors draw nothing: every trial gets the same ones
-    shared_kv = (_finite_anchors(world.keyframes(kf_idx, scenario, kf_error_cap,
-                                                 kf_step_error, [None]))
+    shared_kv = (world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error, [None])
                  if scenario == "downsampled_ar" else None)
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
@@ -781,9 +782,8 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
         if shared_kv is not None:
             kv = np.broadcast_to(shared_kv, (len(kf_idx), len(block), cfg.dim))
         else:
-            kv = _finite_anchors(world.keyframes(
-                kf_idx, scenario, kf_error_cap, kf_step_error,
-                [derive_rng(base, f"trial-kf-{scenario}", i) for i in block]))
+            kv = world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
+                                 [derive_rng(base, f"trial-kf-{scenario}", i) for i in block])
         x = layout.run(kv, [child_seed(base, f"trial-anchored-{scenario}", i) for i in block])
         err = _error_norms(x, world.gt.frames)
         _accumulate(dc_sums, err)

@@ -2,14 +2,16 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rollbound import core, expconfig
+from rollbound import cli, core, expconfig
 from rollbound.cli import build_parser, main
 from rollbound.core import Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
@@ -982,3 +984,69 @@ def test_cmd_eval_rejects_a_fractional_index_with_deprecations_ignored(tmp_path)
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {path}: line 2: invalid literal for int()"), proc.stderr
+
+
+def test_empty_config_path_is_a_file_that_cannot_be_opened(tmp_path, capsys):
+    # an unset shell variable in --config "$CFG" must not run the defaults
+    rc = run("--config", "", "--out", str(tmp_path / "o"), "plan")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: : cannot open: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["out_dir", "trajectory"])
+@pytest.mark.parametrize("value", ["runs/a #b", " runs/x", "runs/x ", "#x", "runs/a\tb\n",
+                                   "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+def test_config_rejects_a_string_its_file_cannot_carry(key, value):
+    with pytest.raises(core.InvalidInput, match=f"^{key} must have no surrounding whitespace"):
+        ExperimentConfig(**{key: value})
+
+
+@pytest.mark.parametrize("argv", [["--set", "out_dir={d}/a #b"], ["--out", "{d}/a #b"],
+                                  ["--out", "{d}/a\nb"], ["--set", "trajectory=#x"]],
+                         ids=["set-hash", "flag-hash", "flag-newline", "set-leading-hash"])
+def test_cli_rejects_a_string_its_config_file_cannot_carry(argv, tmp_path, capsys):
+    rc = run(*[arg.format(d=tmp_path) for arg in argv], "plan")
+    assert rc == 2
+    assert re.match(r"error: (out_dir|trajectory) must have no surrounding whitespace",
+                    capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@given(st.text(), st.text())
+@settings(max_examples=300, deadline=None)
+def test_every_config_that_builds_reads_back_as_itself(out_dir, trajectory):
+    try:
+        cfg = ExperimentConfig(out_dir=out_dir, trajectory=trajectory)
+    except core.InvalidInput:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.txt")
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
+
+def test_norms_below_1e_minus_154_keep_their_precision(tmp_path):
+    # one drift step of 1e-160 is an error of exactly 1e-160, as bounds says
+    out = tmp_path / "o"
+    argv = ["--out", str(out), "--set", "bias=1e-160", "--set", "total_frames=50"]
+    assert run(*argv, "simulate") == 0
+    assert run(*argv, "bounds") == 0
+    header, rows = _read_rows(out / "ar_trace.csv")
+    trace = dict(zip(header, rows[1]))
+    header, rows = _read_rows(out / "bounds.csv")
+    assert trace["err_norm"] == trace["bound_total"] == dict(zip(header, rows[1]))["ar_upper"] \
+        == "1e-160"
+
+
+@pytest.mark.parametrize("error, stderr", [
+    (RuntimeError("boom"), "internal error: RuntimeError: boom\n"),
+    (BrokenPipeError(), ""),
+], ids=["internal", "broken-pipe"])
+def test_main_exits_1_on_an_internal_error(error, stderr, monkeypatch, capsys):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_plan", fail)
+    assert run("plan") == 1
+    assert capsys.readouterr().err == stderr

@@ -358,3 +358,15 @@ def test_unified_bound_rejects_bad_arguments():
         0.5 * np.sqrt(8) * 0.2, abs=1e-15)
     # an anchor error norm past the float range reads inf, and so does the bound
     assert unified_bound(np.inf, 8).total == np.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: discrete_spline_minimizer(8.0, 1.0, grid_points=5), "grid_points must be >= 6"),
+    (lambda: simulate_bridge_paths(8.0, 1.0, 0, 4, np.random.default_rng(0)),
+     "need n_steps >= 1, n_paths >= 1"),
+    (lambda: simulate_bridge_paths(8.0, 1.0, 4, 0, np.random.default_rng(0)),
+     "need n_steps >= 1, n_paths >= 1"),
+], ids=["spline-grid", "bridge-steps", "bridge-paths"])
+def test_oracle_bad_input_raises_its_message(call, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        call()

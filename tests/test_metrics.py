@@ -366,6 +366,20 @@ def test_smoothness_takes_only_an_n_by_d_array(shape):
         smoothness(np.zeros(shape))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: align_similarity(_traj(np.zeros((4, 3))), _random_traj(np.random.default_rng(0), 4)),
+     "estimated trajectory has zero spread; scale undefined"),
+    (lambda: psnr(np.zeros((8, 8)), np.ones((8, 8)), max_value=0.0),
+     "max_value must be positive"),
+    (lambda: ssim(np.zeros((8, 8)), np.zeros((8, 9))),
+     r"image shape mismatch: \(8, 8\) vs \(8, 9\)"),
+    (lambda: ssim(np.zeros((2, 8, 8)), np.zeros((2, 8, 8))), "expected 2-D grayscale images"),
+], ids=["align-zero-spread", "psnr-max-value", "ssim-shapes", "ssim-not-2d"])
+def test_metric_bad_input_raises_its_message(call, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # metric report
 # ---------------------------------------------------------------------------

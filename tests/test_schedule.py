@@ -194,8 +194,8 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
         assert anchors == select_keyframes(plan.keyframes, b0, b1)
 
 
-# a plan handed in from outside is checked rule by rule; one malformed plan
-# per rule, each reported with the message naming its fault
+# a plan checks itself when it is made, replace included; one malformed plan
+# per rule, each rejected with the message naming its fault
 @pytest.mark.parametrize("key, value, message", [
     ("keyframes", (0, 8, 4), "keyframes are not sorted"),
     ("keyframes", (1, 4, 8), "first keyframe must be frame 0"),
@@ -208,5 +208,30 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
 def test_load_plan_rejects_malformed(key, value, message):
     plan = RolloutPlan(9, (0, 4, 8), segment_len=5, overlap=1)
     assert validate_plan(plan) == []
-    violations = validate_plan(replace(plan, **{key: value}))
-    assert any(message in v for v in violations), violations
+    with pytest.raises(InvalidInput, match="^plan fails validation: ") as exc:
+        replace(plan, **{key: value})
+    assert message in str(exc.value)
+
+
+def test_plan_checks_itself_when_made():
+    with pytest.raises(InvalidInput, match="^plan fails validation: ") as exc:
+        RolloutPlan(9, (0, 8, 4), 5, 1)
+    assert "keyframes are not sorted" in str(exc.value)
+    assert "last keyframe must be the final frame 8, got 4" in str(exc.value)
+    with pytest.raises(InvalidInput, match=r"^plan fails validation: \['total_frames must be "
+                                           r">= 1, got 0'\]$"):
+        RolloutPlan(0, (), 1, 0)
+    with pytest.raises(InvalidInput, match=r"^plan fails validation: \['segment length must "
+                                           r"exceed overlap .* got segment_len 3 and overlap 4'"):
+        build_plan(10, (3,), 3, 4)
+
+
+def test_build_plan_draws_a_stride_only_from_a_given_generator():
+    with pytest.raises(InvalidInput, match=r"^drawing one of the strides \(4, 8, 16\) needs rng"):
+        build_plan(200, (4, 8, 16), 9, 1)
+    assert build_plan(200, (8,), 9, 1).keyframes[1] == 8
+
+
+def test_partition_rejects_no_frames():
+    with pytest.raises(InvalidInput, match="^n_frames must be >= 1, got 0$"):
+        partition_segments(0, 5, 1)

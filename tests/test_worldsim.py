@@ -900,3 +900,53 @@ def test_running_sums_do_not_depend_on_the_frame_block(monkeypatch):
     monkeypatch.setattr(worldsim, "FRAME_BLOCK", 3)
     frames = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated.frames
     assert frames.tobytes() == default.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# input checks: each bad input raises its own message
+# ---------------------------------------------------------------------------
+
+def _dense_trajectory(n=5):
+    from rollbound.core import Trajectory
+
+    return Trajectory(np.arange(n), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.zeros((n, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WorldConfig(dim=0), "dim must be >= 1"),
+    (lambda: WorldConfig(dim=2, dynamics="shear"), "unknown dynamics kind 'shear'"),
+    (lambda: WorldConfig(dim=2, bias=np.zeros(3)), r"bias must be a \(2,\) vector"),
+    (lambda: WorldConfig(dim=2, x0=np.zeros((2, 1))), r"x0 must be a \(2,\) vector"),
+    (lambda: WorldConfig(dim=2, control=np.zeros(3)),
+     r"constant control must be a \(dim,\) vector"),
+    (lambda: WorldConfig(dim=2, control=np.zeros((4, 3))), r"control schedule must be \(n, dim\)"),
+    (lambda: WorldConfig(dim=2, control=np.zeros((4, 2, 1))),
+     r"control schedule must be \(n, dim\)"),
+    (lambda: worldsim.control_schedule(WorldConfig(dim=2, control=np.zeros((3, 2))), 10),
+     "control schedule has 3 steps, need 9"),
+    (lambda: worldsim.controls_from_trajectory(_dense_trajectory(), dim=2),
+     "need dim >= 3 to embed translation velocity"),
+    (lambda: simulate_ground_truth(linear_world(), 0), "n_frames must be >= 1"),
+    (lambda: generate_keyframes(linear_world(), [0, 4], "local"),
+     "unknown keyframe scenario 'local'"),
+    (lambda: rollout_anchored(linear_world(), _plan(), np.zeros((5, 2)),
+                              velocity_error=np.zeros(3)),
+     r"velocity_error must be scalar or \(2,\)"),
+    (lambda: compare_pipelines(linear_world(), _plan(), trials=0), "trials must be >= 1"),
+], ids=["dim", "dynamics", "bias-shape", "x0-shape", "constant-control-shape",
+        "control-schedule-shape", "control-schedule-ndim", "control-schedule-short",
+        "trajectory-dim", "world-frames", "keyframe-scenario", "velocity-error-shape",
+        "trials"])
+def test_bad_input_raises_its_message(call, message):
+    with pytest.raises(InvalidInput, match=f"^{message}"):
+        call()
+
+
+def test_safe_norms_rescale_underflowing_rows_only():
+    # squares below the smallest normal float lose bits: such rows are
+    # rescaled, a zero row stays 0 and a common row keeps norm's rounding
+    rows = np.array([[3e-160, 4e-160], [1e-170, 0.0], [0.0, 0.0], [0.1, 0.2], [np.nan, 1e-170]])
+    norms = worldsim._safe_norms(rows, worldsim._row_norm)
+    assert norms[:4].tolist() == [5e-160, 1e-170, 0.0, worldsim._row_norm(rows[3])]
+    assert np.isnan(norms[4])
+    assert worldsim._row_norm(rows[1]) == 0.0  # what the plain norm reads
