@@ -18,7 +18,7 @@ from .core import RolloutPlan, load_trajectory, write_columns_csv
 from .errormodel import ar_upper_curve, jump_anchor_bound, unified_bound
 from .errors import InvalidInput
 from .expconfig import ExperimentConfig, load_config, save_config
-from .metrics import align_similarity, are, fit_rotation, smoothness, write_metric_report
+from .metrics import align_similarity, are, fit_rotation, smoothness
 from .schedule import (build_plan, partition_segments, sample_keyframe_indices, save_plan,
                        segment_context)
 from .seeding import child_seed, derive_rng
@@ -38,9 +38,9 @@ BOUND_TOL = 1e-9
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("out_dir", args.out))
-             if value is not None]
-    return load_config(args.config, args.set + flags)
+    flags = {key: value for key, value in (("seed", args.seed), ("out_dir", args.out))
+             if value is not None}
+    return load_config(args.config, args.set, **flags)
 
 
 def _out_dir(cfg: ExperimentConfig) -> str:
@@ -194,7 +194,7 @@ def cmd_eval(args) -> int:
     are_umeyama = are(est, ref, result.rotation)
     are_rotfit = are(est, ref, fit_rotation(est, ref))
     are_val = {"umeyama": are_umeyama, "rotfit": are_rotfit}[args.rot_align]
-    smooth = smoothness(est.translations())
+    smooth = smoothness(est.translations)
     print(f"alignment: scale={result.scale!r} rmse={result.rmse!r} "
           f"degenerate={result.degenerate}")
     print(f"rotation:\n{np.array2string(result.rotation, precision=6)}")
@@ -208,9 +208,9 @@ def cmd_eval(args) -> int:
     print(f"smoothness: {smooth!r}")
     out = _out_dir(cfg)
     path = os.path.join(out, "metrics.csv")
-    write_metric_report([("ate", ate_val, len(est)),
-                         (f"are_{args.rot_align}", are_val, len(est)),
-                         ("smoothness", smooth, len(est))], path)
+    write_columns_csv(path, ("name", "value", "n_items"),
+                      (np.array(["ate", f"are_{args.rot_align}", "smoothness"]),
+                       np.array([ate_val, are_val, smooth]), len(est)))
     print(f"wrote {path}")
     return 0
 

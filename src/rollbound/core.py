@@ -5,7 +5,7 @@ Conventions used throughout the package:
   * quaternion sign is canonicalized (w >= 0; if w == 0 the first nonzero
     component is >= 0) so pose equality and interpolation are deterministic,
   * frame indexing is 0-based and frame 0 is the given initial frame,
-  * all types are immutable values after construction,
+  * the value types are frozen dataclasses, immutable after construction,
   * a trajectory is three arrays (frame indices, quaternions, translations),
   * a rollout plan is its keyframes, window length and overlap; its
     generation windows are derived from them, not stored, as the
@@ -21,6 +21,7 @@ the file order is x,y,z,w while the in-memory order is w,x,y,z).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -158,18 +159,22 @@ def _first_bad_row(idx: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple[int, 
     return r, next(text for text, rows in zip(_ROW_CHECKS, failed) if rows[r])
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Ordered camera poses with strictly increasing frame indices, stored as
     three frozen arrays: frame indices (n,), unit canonical quaternions
-    (n, 4) and translations (n, 3). The quaternions given are normalized and
-    canonicalized; a row failing a check raises naming its position."""
+    (w, x, y, z) (n, 4) and translations (n, 3). The quaternions given are
+    normalized and canonicalized; a row failing a check raises naming its
+    position."""
 
-    __slots__ = ("_frame_indices", "_quaternions", "_translations")
+    frame_indices: np.ndarray
+    quaternions: np.ndarray
+    translations: np.ndarray
 
-    def __init__(self, frame_indices, quaternions, translations):
-        idx = np.asarray(frame_indices, dtype=np.int64)
-        q = np.asarray(quaternions, dtype=float)
-        t = np.asarray(translations, dtype=float)
+    def __post_init__(self):
+        idx = np.asarray(self.frame_indices, dtype=np.int64)
+        q = np.asarray(self.quaternions, dtype=float)
+        t = np.asarray(self.translations, dtype=float)
         if idx.size == 0:
             raise InvalidInput("trajectory must contain at least one pose")
         n = idx.size
@@ -181,32 +186,19 @@ class Trajectory:
             raise InvalidInput(f"pose {bad[0]}: {bad[1]}")
         if np.any(idx[1:] <= idx[:-1]):
             raise InvalidInput("trajectory frame indices must be strictly increasing")
-        object.__setattr__(self, "_frame_indices", _frozen(idx, np.int64))
-        object.__setattr__(self, "_quaternions", _frozen(normalize_quaternion(q)))
-        object.__setattr__(self, "_translations", _frozen(t))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
+        object.__setattr__(self, "frame_indices", _frozen(idx, np.int64))
+        object.__setattr__(self, "quaternions", _frozen(normalize_quaternion(q)))
+        object.__setattr__(self, "translations", _frozen(t))
 
     def __len__(self) -> int:
-        return len(self._frame_indices)
-
-    def frame_indices(self) -> np.ndarray:
-        return self._frame_indices
-
-    def quaternions(self) -> np.ndarray:
-        """(n, 4) unit canonical quaternions (w, x, y, z)."""
-        return self._quaternions
-
-    def translations(self) -> np.ndarray:
-        return self._translations
+        return len(self.frame_indices)
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# index tx ty tz qx qy qz qw\n")
-        rows = zip(traj.frame_indices().tolist(), traj.translations().tolist(),
-                   traj.quaternions().tolist())
+        rows = zip(traj.frame_indices.tolist(), traj.translations.tolist(),
+                   traj.quaternions.tolist())
         for i, (tx, ty, tz), (w, x, y, z) in rows:
             fh.write(f"{i} {tx!r} {ty!r} {tz!r} {x!r} {y!r} {z!r} {w!r}\n")
 
@@ -327,6 +319,16 @@ class LatentSeq:
 # Rollout plans
 # ---------------------------------------------------------------------------
 
+def _as_int(value, name: str) -> int:
+    """value as a Python int, if it is an integer (a Python or numpy one,
+    by operator.index); anything else, a float too, raises InvalidInput
+    naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RolloutPlan:
     """Full schedule for one run: the global keyframes, and generation
@@ -341,7 +343,10 @@ class RolloutPlan:
     overlap: int
 
     def __post_init__(self):
-        object.__setattr__(self, "keyframes", tuple(int(k) for k in self.keyframes))
+        for name in ("total_frames", "segment_len", "overlap"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "keyframes",
+                           tuple(_as_int(k, "each keyframe") for k in self.keyframes))
         violations = validate_plan(self)
         if violations:
             raise InvalidInput(f"plan fails validation: {violations}")
@@ -382,45 +387,42 @@ def validate_plan(plan: RolloutPlan) -> list[str]:
 CSV_ROW_BLOCK = 1024
 
 
-def _format_scalar(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(int(value))
-
-
 def _format_block(values: np.ndarray):
-    if values.dtype.kind == "f":
-        return map(repr, values.tolist())
-    return map(str, values.astype(np.int64).tolist())
+    """Each cell's text, a 0-d array's one cell too (see write_columns_csv)."""
+    values = values.reshape(-1)
+    if values.dtype.kind in "iub":
+        values = values.astype(np.int64)
+    return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
 def _share_columns(columns) -> list:
     """Each column's source of text: a str when every cell reads the same (a
     scalar, or an array whose cells are all equal, a float's compared by its
     bits so that -0.0 and 0.0 differ and NaN equals NaN), else the index of
-    the first array column of its kind (float or int) with the same cells,
-    itself if none."""
+    the first array column of its kind (float, str, or int) with the same
+    cells, itself if none."""
     sources, seen = [], []
     for i, c in enumerate(columns):
         if not isinstance(c, np.ndarray):
-            sources.append(_format_scalar(c))
+            sources.append(next(_format_block(np.asarray(c))))
             continue
-        is_float = c.dtype.kind == "f"
-        key = np.ascontiguousarray(c, dtype=np.float64).view(np.int64) if is_float else c
+        kind = c.dtype.kind if c.dtype.kind in "fU" else "i"
+        key = np.ascontiguousarray(c, dtype=np.float64).view(np.int64) if kind == "f" else c
         if len(key) and np.all(key == key[0]):
             sources.append(next(_format_block(c[:1])))
             continue
-        sources.append(next((j for j, f, other in seen
-                             if f == is_float and np.array_equal(other, key)), i))
-        seen.append((i, is_float, key))
+        sources.append(next((j for j, k, other in seen
+                             if k == kind and np.array_equal(other, key)), i))
+        seen.append((i, kind, key))
     return sources
 
 
 def write_columns_csv(path, header, columns, *tables) -> None:
     """Write equal-length columns as ", "-separated rows under the header
     names. A float array's values are written with repr (the shortest
-    round-tripping form), an int or bool array's as integers; a scalar is
-    the same cell on every row, formatted once by the same rule.
+    round-tripping form), an int or bool array's as integers, a str array's
+    as they are; a scalar is the same cell on every row, formatted once by
+    the same rule.
 
     Each further table is a (path, header, columns) triple of its own file,
     with the same number of rows; all the files are written together, block

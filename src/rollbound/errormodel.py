@@ -118,16 +118,14 @@ def _check_interval(T) -> None:
 @dataclass(frozen=True)
 class SplineSolution:
     """Cubic a*tau^3 + b*tau^2 + c*tau + d minimizing integrated squared
-    acceleration on [0, interval] under the anchored boundary conditions
-    value(0) = value(interval) = 0, slope(0) = input_velocity,
-    curvature(interval) = 0."""
+    acceleration on [0, T], T the anchor interval, under the anchored
+    boundary conditions value(0) = value(T) = 0, slope(0) = c (the incoming
+    velocity error), curvature(T) = 0."""
 
     a: float
     b: float
     c: float
     d: float
-    interval: float
-    input_velocity: float
 
     def value(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -150,7 +148,7 @@ def solve_damping_spline(interval: float, velocity_in: float) -> SplineSolution:
     dv = float(velocity_in)
     a = dv / (2.0 * T * T)
     b = -3.0 * dv / (2.0 * T)
-    return SplineSolution(a, b, dv, 0.0, T, dv)
+    return SplineSolution(a, b, dv, 0.0)
 
 
 def leakage_peak(interval: float, velocity_in: float) -> tuple[float, float]:

@@ -4,8 +4,10 @@ Lines are "key = value"; '#' starts a comment at the start of a line or after
 whitespace. A line without '=', an unknown key or a value that does not parse
 is rejected with its line number. Every config reads back from its file as
 itself (floats are written with repr). Later values beat earlier ones: the
-file's, then --set pairs, then CLI flags. The merged config is checked once,
-when it is built, and one that breaks a rule is rejected naming the key:
+file's, then --set pairs, then CLI flags. A --set pair, like a file line, is
+stripped around its '='; a flag's value is taken as it is. The merged config
+is checked once, when it is built, and one that breaks a rule is rejected
+naming the key:
   * every float key is finite and non-negative,
   * dynamics and kf_scenario take one of the values listed below,
   * total_frames, dim, trials and every stride are >= 1, and seed is >= 0,
@@ -119,11 +121,12 @@ def _parse_value(name: str, raw: str):
     return _KINDS[name](raw)
 
 
-def load_config(path=None, overrides=()) -> ExperimentConfig:
+def load_config(path=None, overrides=(), **values) -> ExperimentConfig:
     """The config of the file at path (None: the defaults), then of the
-    'key=value' override strings, a later value beating an earlier one. An
-    item that does not parse raises InvalidInput naming its source, even if
-    a later item sets its key; the merged config is checked once."""
+    'key=value' override strings, then of the keyword values, taken as they
+    are, a later value beating an earlier one. An item that does not parse
+    raises InvalidInput naming its source, even if a later item sets its
+    key; the merged config is checked once."""
     items = []
     if path is not None:
         for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
@@ -131,7 +134,7 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
             if line:
                 items.append((f"{path}: line {lineno}", line))
     items += [(f"override {pair!r}", pair) for pair in overrides]
-    values = {}
+    parsed = {}
     for source, item in items:
         key, sep, val = (part.strip() for part in item.partition("="))
         if not sep:
@@ -139,10 +142,10 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
         if key not in _KINDS:
             raise InvalidInput(f"{source}: unknown config key {key!r}")
         try:
-            values[key] = _parse_value(key, val)
+            parsed[key] = _parse_value(key, val)
         except ValueError as exc:
             raise InvalidInput(f"{source}: {key}: {exc}") from None
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**{**parsed, **values})
 
 
 def format_config(cfg: ExperimentConfig) -> str:

@@ -73,12 +73,23 @@ def _check_paired(est: Trajectory, ref: Trajectory) -> None:
     """est and ref must pair pose for pose: same length, same frame indices."""
     if len(est) != len(ref):
         raise InvalidInput(f"trajectory length mismatch: {len(est)} vs {len(ref)}")
-    differ = np.flatnonzero(est.frame_indices() != ref.frame_indices())
+    differ = np.flatnonzero(est.frame_indices != ref.frame_indices)
     if differ.size:
         i = int(differ[0])
         raise InvalidInput(f"frame index mismatch at position {i}: estimated frame "
-                           f"{est.frame_indices()[i]} vs reference frame "
-                           f"{ref.frame_indices()[i]}")
+                           f"{est.frame_indices[i]} vs reference frame "
+                           f"{ref.frame_indices[i]}")
+
+
+def _proper_rotation(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rotation R maximizing trace(R^T M) (Kabsch), with M's singular
+    values D and the reflection fix S: R = U S V^T, where S = diag(1, 1, -1)
+    when U V^T would be a reflection and the identity otherwise."""
+    U, D, Vt = np.linalg.svd(M)
+    S = np.eye(3)
+    if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
+        S[2, 2] = -1.0
+    return U @ S @ Vt, D, S
 
 
 def align_similarity(est: Trajectory, ref: Trajectory, with_scale: bool = True) -> AlignmentResult:
@@ -88,16 +99,11 @@ def align_similarity(est: Trajectory, ref: Trajectory, with_scale: bool = True) 
     _check_paired(est, ref)
     if len(est) < 3:
         raise InvalidInput("alignment needs at least 3 poses")
-    P = est.translations()
-    Q = ref.translations()
+    P = est.translations
+    Q = ref.translations
     mp, mq = P.mean(axis=0), Q.mean(axis=0)
     Pc, Qc = P - mp, Q - mq
-    cov = Qc.T @ Pc / len(est)
-    U, D, Vt = np.linalg.svd(cov)
-    S = np.eye(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
-        S[2, 2] = -1.0
-    R = U @ S @ Vt
+    R, D, S = _proper_rotation(Qc.T @ Pc / len(est))
     degenerate = int(np.sum(D > max(D[0], 1e-300) * 1e-9)) < 2
     if with_scale:
         var_p = float((Pc ** 2).sum()) / len(est)
@@ -117,14 +123,9 @@ def fit_rotation(est: Trajectory, ref: Trajectory) -> np.ndarray:
     fitted from the orientations themselves. The per-pose products are
     summed in pose order."""
     _check_paired(est, ref)
-    products = quat_to_matrix(ref.quaternions()) @ np.swapaxes(
-        quat_to_matrix(est.quaternions()), -1, -2)
-    M = np.add.reduce(products, axis=0)
-    U, _, Vt = np.linalg.svd(M)
-    S = np.eye(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
-        S[2, 2] = -1.0
-    return U @ S @ Vt
+    products = quat_to_matrix(ref.quaternions) @ np.swapaxes(
+        quat_to_matrix(est.quaternions), -1, -2)
+    return _proper_rotation(np.add.reduce(products, axis=0))[0]
 
 
 def are(est: Trajectory, ref: Trajectory, rotation: np.ndarray | None) -> float:
@@ -137,10 +138,10 @@ def are(est: Trajectory, ref: Trajectory, rotation: np.ndarray | None) -> float:
     per-pose angles are summed in pose order.
     """
     _check_paired(est, ref)
-    q = est.quaternions()
+    q = est.quaternions
     if rotation is not None:
         q = canonicalize_quaternion(quat_multiply(matrix_to_quat(rotation), q))
-    angles = np.degrees(quat_angle(q, ref.quaternions()))
+    angles = np.degrees(quat_angle(q, ref.quaternions))
     return float(np.cumsum(angles)[-1] / len(est))
 
 
@@ -220,15 +221,3 @@ def smoothness(x) -> float:
         raise InvalidInput("smoothness needs at least 3 samples")
     dd = x[2:] - 2.0 * x[1:-1] + x[:-2]
     return float((dd ** 2).sum(axis=1).mean())
-
-
-# ---------------------------------------------------------------------------
-# metric reports
-# ---------------------------------------------------------------------------
-
-def write_metric_report(rows: list[tuple[str, float, int]], path) -> None:
-    """Metric report CSV: name, value, n_items."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("name, value, n_items\n")
-        for name, value, n in rows:
-            fh.write(f"{name}, {value!r}, {n}\n")

@@ -61,9 +61,9 @@ class WorldConfig:
     dim        -- latent dimension d
     lipschitz  -- spectral norm of the dynamics matrix (state sensitivity)
     dynamics   -- "scaled_identity" or "rotation" (orthogonal mixing, same norm)
-    bias       -- per-step generator drift vector (norm = the drift rate mu)
+    bias       -- per-step generator drift vector (norm = the drift rate mu), or zeros
     noise_std  -- per-step, per-component generator noise sigma
-    x0         -- initial latent state (frame 0, always ground truth)
+    x0         -- initial latent state (frame 0, always ground truth), or zeros
     control    -- None (zero), a (d,) constant, or an (n-1, d) schedule
     seed       -- master seed; all stochastic streams derive from it
     """
@@ -87,11 +87,10 @@ class WorldConfig:
             raise InvalidInput(f"unknown dynamics kind {self.dynamics!r}")
         for name in ("bias", "x0"):
             v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=float)
-                if v.shape != (self.dim,):
-                    raise InvalidInput(f"{name} must be a ({self.dim},) vector")
-                object.__setattr__(self, name, v)
+            v = np.zeros(self.dim) if v is None else np.asarray(v, dtype=float)
+            if v.shape != (self.dim,):
+                raise InvalidInput(f"{name} must be a ({self.dim},) vector")
+            object.__setattr__(self, name, v)
         if self.control is not None:
             c = np.asarray(self.control, dtype=float)
             if c.ndim == 1:
@@ -105,23 +104,16 @@ class WorldConfig:
             if v is not None and not np.all(np.isfinite(v)):
                 raise InvalidInput(f"{name} must be finite")
 
-    def bias_vector(self) -> np.ndarray:
-        return np.zeros(self.dim) if self.bias is None else self.bias
-
     def drift_norm(self) -> float:
         """The drift rate mu, overflow-safe (see _safe_norms)."""
-        return float(_safe_norms(self.bias_vector()[None], _row_norm)[0])
-
-    def initial_state(self) -> np.ndarray:
-        return np.zeros(self.dim) if self.x0 is None else self.x0
+        return float(_safe_norms(self.bias[None], _row_norm)[0])
 
 
-def bias_from_norm(dim: int, norm: float) -> np.ndarray | None:
+def bias_from_norm(dim: int, norm: float) -> np.ndarray:
     """Drift vector of the given norm along the first axis."""
-    if norm == 0.0:
-        return None
     b = np.zeros(dim)
-    b[0] = float(norm)
+    if norm != 0.0:  # a norm of -0.0 leaves the zero vector
+        b[0] = float(norm)
     return b
 
 
@@ -159,12 +151,12 @@ def control_schedule(cfg: WorldConfig, n_frames: int) -> np.ndarray:
 def controls_from_trajectory(traj: Trajectory, dim: int) -> np.ndarray:
     """Control schedule from a dense pose trajectory: per-step translation
     velocity embedded in the first three latent dimensions."""
-    idx = traj.frame_indices()
+    idx = traj.frame_indices
     if not np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
         raise InvalidInput("trajectory must be dense (consecutive frame indices)")
     if dim < 3:
         raise InvalidInput("need dim >= 3 to embed translation velocity")
-    vel = np.diff(traj.translations(), axis=0)
+    vel = np.diff(traj.translations, axis=0)
     out = np.zeros((vel.shape[0], dim))
     out[:, :3] = vel
     return out
@@ -178,7 +170,9 @@ def controls_from_trajectory(traj: Trajectory, dim: int) -> np.ndarray:
 class RolloutTrace:
     """One generated rollout next to its ground truth.
 
-    error_norms[t] is ||generated[t] - ground_truth[t]|| (recomputable);
+    error_norms is np.linalg.norm(generated.frames - ground_truth.frames,
+    axis=-1), bit for bit where no norm overflows or underflows (see
+    _safe_norms; a per-row np.linalg.norm may differ in the last bit);
     bounds[t] carries the per-frame bound curve when one applies, and
     diverged[t] flags a bound frame that saturated (see ar_upper_curve).
     """
@@ -314,8 +308,8 @@ class _World:
         cfg = self.cfg
         n = len(self.u) + 1
         x = np.empty((n, 1 + len(rngs), cfg.dim))
-        x[0] = cfg.initial_state()
-        b = cfg.bias_vector()
+        x[0] = cfg.x0
+        b = cfg.bias
         noise = None
         if rngs and cfg.noise_std > 0.0:
             noise = np.empty((len(rngs), n - 1, cfg.dim))
@@ -427,7 +421,7 @@ class _World:
                 raise InvalidInput("step_error must be finite and non-negative")
             bn = cfg.drift_norm()
             mu = bn if step_error is None else float(step_error)
-            direction = cfg.bias_vector() / bn if bn > 0.0 else np.eye(cfg.dim)[0]
+            direction = cfg.bias / bn if bn > 0.0 else np.eye(cfg.dim)[0]
             step_vec = mu * direction
             err = np.zeros(cfg.dim)
             # an anchor past the float range reads inf or nan, without a

@@ -1013,6 +1013,23 @@ def test_cli_rejects_a_string_its_config_file_cannot_carry(argv, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", [" {d}/zz", "{d}/zz ", "{d}/zz\t"],
+                         ids=["leading-space", "trailing-space", "trailing-tab"])
+def test_out_flag_value_is_taken_as_it_is(out, tmp_path, capsys):
+    # a flag's value is not 'key=value' text: --out keeps its whitespace, so
+    # a value the config file cannot carry is rejected, not stripped
+    rc = run("--out", out.format(d=tmp_path), "plan")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: out_dir must have no surrounding whitespace")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_set_pair_strips_around_its_equals_sign(tmp_path):
+    assert run("--set", f"out_dir= {tmp_path / 'yy'} ", "plan") == 0
+    assert (tmp_path / "yy" / "plan.txt").exists()
+
+
 @given(st.text(), st.text())
 @settings(max_examples=300, deadline=None)
 def test_every_config_that_builds_reads_back_as_itself(out_dir, trajectory):

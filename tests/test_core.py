@@ -26,13 +26,13 @@ from rollbound.core import (
 
 def test_pose_normalizes_and_canonicalizes():
     traj = Trajectory([0, 1], [[-2.0, 0.0, 0.0, 0.0], [0.0, -3.0, 4.0, 0.0]], np.zeros((2, 3)))
-    assert traj.quaternions().tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, -0.8, 0.0]]
+    assert traj.quaternions.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, -0.8, 0.0]]
     # the rows read as normalize_quaternion gives them, bit for bit
     g = np.random.default_rng(4)
     q = g.normal(size=(20, 4))
     q[::3, 0] = 0.0
     built = Trajectory(np.arange(20), q, g.normal(size=(20, 3)))
-    assert np.array_equal(built.quaternions(), normalize_quaternion(q))
+    assert np.array_equal(built.quaternions, normalize_quaternion(q))
 
 
 def test_compose_matches_rotation_matrix_oracle():
@@ -102,9 +102,9 @@ def test_trajectory_file_round_trip(tmp_path):
     path = tmp_path / "traj.txt"
     save_trajectory(traj, path)
     back = load_trajectory(path)
-    assert np.array_equal(back.frame_indices(), traj.frame_indices())
-    assert np.allclose(back.translations(), traj.translations())
-    assert np.allclose(back.quaternions(), traj.quaternions(), atol=1e-12)
+    assert np.array_equal(back.frame_indices, traj.frame_indices)
+    assert np.allclose(back.translations, traj.translations)
+    assert np.allclose(back.quaternions, traj.quaternions, atol=1e-12)
 
 
 def test_trajectory_load_names_bad_line(tmp_path):
@@ -221,7 +221,7 @@ def _outcome(load):
     except InvalidInput as exc:
         return str(exc)
     return [(a.dtype.str, a.shape, a.tobytes())
-            for a in (traj.frame_indices(), traj.quaternions(), traj.translations())]
+            for a in (traj.frame_indices, traj.quaternions, traj.translations)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,18 +268,18 @@ def test_trajectory_arrays_frozen_and_rebuildable(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# c\n3 1 2 3 0 0 0 -2  # flipped, unnormalized\n7 4 5 6 0 1 0 0\n")
     traj = load_trajectory(path)
-    assert traj.frame_indices().tolist() == [3, 7]
-    assert traj.quaternions().tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
-    assert traj.translations().tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-    assert not traj.quaternions().flags.writeable
-    assert not traj.translations().flags.writeable
-    assert not traj.frame_indices().flags.writeable
+    assert traj.frame_indices.tolist() == [3, 7]
+    assert traj.quaternions.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    assert traj.translations.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert not traj.quaternions.flags.writeable
+    assert not traj.translations.flags.writeable
+    assert not traj.frame_indices.flags.writeable
     with pytest.raises(AttributeError):
         traj.extra = 1
-    rebuilt = Trajectory(traj.frame_indices(), traj.quaternions(), traj.translations())
-    for a, b in ((rebuilt.frame_indices(), traj.frame_indices()),
-                 (rebuilt.quaternions(), traj.quaternions()),
-                 (rebuilt.translations(), traj.translations())):
+    rebuilt = Trajectory(traj.frame_indices, traj.quaternions, traj.translations)
+    for a, b in ((rebuilt.frame_indices, traj.frame_indices),
+                 (rebuilt.quaternions, traj.quaternions),
+                 (rebuilt.translations, traj.translations)):
         assert np.array_equal(a, b)
 
 

@@ -247,6 +247,15 @@ def test_bridge_mean_endpoints_and_midpoint():
     assert np.array_equal(bridge_mean(2.0, 4.0, ki, kj), [1.0, 2.0])
 
 
+def test_bridge_mean_of_vector_anchors_at_many_offsets():
+    # one row per offset, one column per component, exact in binary
+    left, right = np.array([0.0, 4.0, -8.0]), np.array([8.0, 0.0, 8.0])
+    got = bridge_mean(np.array([0.0, 1.0, 2.0, 4.0]), 4.0, left, right)
+    assert got.shape == (4, 3)
+    assert np.array_equal(got, [[0.0, 4.0, -8.0], [2.0, 3.0, -4.0], [4.0, 2.0, 0.0],
+                                [8.0, 0.0, 8.0]])
+
+
 def test_bridge_mean_rejects_mismatch():
     with pytest.raises(InvalidInput):
         bridge_mean(1.0, 4.0, np.zeros(2), np.zeros(3))

@@ -9,6 +9,7 @@ from rollbound.core import (
     rotation_about_z,
 )
 from rollbound.metrics import (
+    SLERP_PARALLEL_GUARD,
     align_similarity,
     are,
     fit_rotation,
@@ -16,7 +17,6 @@ from rollbound.metrics import (
     slerp,
     smoothness,
     ssim,
-    write_metric_report,
 )
 
 
@@ -90,6 +90,20 @@ def test_slerp_fraction_matches_matrix_power_oracle():
     assert np.allclose(quat_to_matrix(q), quat_to_matrix(rotation_about_z(np.pi / 8)), atol=1e-9)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
+def test_slerp_nearly_parallel_falls_back_to_a_normalized_lerp(sign):
+    # 1e-5 rad apart, the ends are within SLERP_PARALLEL_GUARD of parallel
+    # (up to sign): the result is a unit quaternion between them
+    q0, q1 = rotation_about_z(0.0), rotation_about_z(1e-5)
+    assert 1.0 - float(np.dot(q0, q1)) < SLERP_PARALLEL_GUARD
+    full = float(quat_angle(q0, q1))
+    for u in (0.25, 0.5, 0.75):
+        q = slerp(q0, sign * q1, u)
+        assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
+        assert float(quat_angle(q0, q)) == pytest.approx(u * full, rel=1e-6)
+        assert float(quat_angle(q, q1)) == pytest.approx((1.0 - u) * full, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # alignment, ATE, ARE
 # ---------------------------------------------------------------------------
@@ -110,9 +124,9 @@ def test_align_recovers_constructed_similarity():
     ref = _random_traj(g)
     Rz = quat_to_matrix(rotation_about_z(np.pi / 6))
     # est = inverse-transformed ref, so aligning est onto ref recovers (2, 30deg, t)
-    est_positions = ref.translations() @ np.linalg.inv(2.0 * Rz).T - \
+    est_positions = ref.translations @ np.linalg.inv(2.0 * Rz).T - \
         np.linalg.inv(2.0 * Rz) @ np.array([1.0, 2.0, 3.0])
-    est = _traj(est_positions, ref.quaternions())
+    est = _traj(est_positions, ref.quaternions)
     res = align_similarity(est, ref)
     assert res.scale == pytest.approx(2.0, rel=1e-9)
     assert np.allclose(res.rotation, Rz, atol=1e-9)
@@ -134,7 +148,7 @@ def test_align_noise_residual_distribution():
 def test_align_se3_mode_pins_scale():
     g = np.random.default_rng(4)
     ref = _random_traj(g)
-    est = _traj(ref.translations() * 2.0, ref.quaternions())
+    est = _traj(ref.translations * 2.0, ref.quaternions)
     res = align_similarity(est, ref, with_scale=False)
     assert res.scale == 1.0
     assert align_similarity(est, ref, with_scale=True).rmse < 1e-9
@@ -152,12 +166,12 @@ def test_align_validates_input():
                                 pytest.param(lambda est, ref: are(est, ref, None), id="are")])
 def test_paired_metrics_reject_differing_frame_indices(fn):
     ref = _random_traj(np.random.default_rng(16), n=10)
-    shifted = _traj(ref.translations(), ref.quaternions(), start=500)
+    shifted = _traj(ref.translations, ref.quaternions, start=500)
     with pytest.raises(InvalidInput, match="position 0: estimated frame 500 vs reference frame 0"):
         fn(shifted, ref)
     # a frame skipped in the middle
     skipped = np.arange(10) + (np.arange(10) >= 6)
-    gap = Trajectory(skipped, ref.quaternions(), ref.translations())
+    gap = Trajectory(skipped, ref.quaternions, ref.translations)
     with pytest.raises(InvalidInput, match="position 6: estimated frame 7 vs reference frame 6"):
         fn(gap, ref)
 
@@ -167,13 +181,13 @@ def test_batched_rotation_metrics_match_per_pose_loops():
     ref = _random_traj(g, n=200)
     est = _random_traj(g, n=200)
     M = np.zeros((3, 3))
-    for qe, qr in zip(est.quaternions(), ref.quaternions()):
+    for qe, qr in zip(est.quaternions, ref.quaternions):
         M += quat_to_matrix(qr) @ quat_to_matrix(qe).T
     U, _, Vt = np.linalg.svd(M)
     S = np.diag([1.0, 1.0, np.sign(np.linalg.det(U) * np.linalg.det(Vt))])
     assert np.array_equal(fit_rotation(est, ref), U @ S @ Vt)
     total = 0.0
-    for qe, qr in zip(est.quaternions(), ref.quaternions()):
+    for qe, qr in zip(est.quaternions, ref.quaternions):
         total += np.degrees(quat_angle(qe, qr))
     assert are(est, ref, None) == float(total / len(est))
 
@@ -181,18 +195,18 @@ def test_batched_rotation_metrics_match_per_pose_loops():
 def test_ate_absorbs_constant_offset():
     g = np.random.default_rng(6)
     ref = _random_traj(g)
-    est = _traj(ref.translations() + np.array([5.0, -2.0, 1.0]), ref.quaternions())
+    est = _traj(ref.translations + np.array([5.0, -2.0, 1.0]), ref.quaternions)
     assert align_similarity(est, ref).rmse < 1e-9
 
 
 def test_ate_invariant_under_similarity_of_estimate():
     g = np.random.default_rng(7)
     ref = _random_traj(g)
-    est = _traj(ref.translations() + g.normal(0, 0.05, size=(50, 3)), ref.quaternions())
+    est = _traj(ref.translations + g.normal(0, 0.05, size=(50, 3)), ref.quaternions)
     base = align_similarity(est, ref).rmse
     R = quat_to_matrix(rotation_about_z(0.8))
-    warped = _traj(est.translations() @ R.T * 3.0 + np.array([4.0, 4.0, -1.0]),
-                   est.quaternions())
+    warped = _traj(est.translations @ R.T * 3.0 + np.array([4.0, 4.0, -1.0]),
+                   est.quaternions)
     assert abs(align_similarity(warped, ref).rmse - base) < 1e-9
 
 
@@ -210,21 +224,40 @@ def test_are_rotation_fit_absorbs_constant_offset():
     ref = _random_traj(g)
     from rollbound.core import quat_multiply
     off = rotation_about_z(np.radians(10.0))
-    est = _traj(ref.translations(), quat_multiply(off, ref.quaternions()))
+    est = _traj(ref.translations, quat_multiply(off, ref.quaternions))
     assert are(est, ref, fit_rotation(est, ref)) < 1e-6
     assert are(est, ref, align_similarity(est, ref).rotation) == pytest.approx(10.0, abs=1e-6)
+
+
+def test_fit_rotation_turns_a_reflection_into_the_best_rotation():
+    # estimated orientations all the identity, reference ones 180 degrees
+    # about x, y and z: the summed product M is diag(-1, -1, -1), whose
+    # nearest orthogonal matrix is a reflection. Over rotations G the largest
+    # trace(G^T M) is 1, and the fit reaches it
+    ref_q = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    est = _traj(np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+    ref = _traj(np.zeros((3, 3)), ref_q)
+    M = quat_to_matrix(ref_q).sum(axis=0)
+    assert np.array_equal(M, -np.eye(3))
+    G = fit_rotation(est, ref)
+    assert np.allclose(G.T @ G, np.eye(3), atol=1e-12)
+    assert np.linalg.det(G) == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(G.T @ M) == pytest.approx(1.0, abs=1e-12)
+    g = np.random.default_rng(11)
+    for q in g.normal(size=(200, 4)):
+        assert np.trace(quat_to_matrix(q / np.linalg.norm(q)).T @ M) <= 1.0 + 1e-12
 
 
 def test_are_invariant_under_joint_global_rotation():
     g = np.random.default_rng(10)
     ref = _random_traj(g)
     from rollbound.core import quat_multiply
-    est = _traj(ref.translations() + g.normal(0, 0.02, size=(50, 3)),
-                quat_multiply(rotation_about_z(0.05), ref.quaternions()))
+    est = _traj(ref.translations + g.normal(0, 0.02, size=(50, 3)),
+                quat_multiply(rotation_about_z(0.05), ref.quaternions))
     base = are(est, ref, align_similarity(est, ref).rotation)
     gq = rotation_about_z(1.2)
     G = quat_to_matrix(gq)
-    warped = _traj(est.translations() @ G.T, quat_multiply(gq, est.quaternions()))
+    warped = _traj(est.translations @ G.T, quat_multiply(gq, est.quaternions))
     warped_are = are(warped, ref, align_similarity(warped, ref).rotation)
     assert warped_are == pytest.approx(base, abs=1e-9)
 
@@ -378,15 +411,3 @@ def test_smoothness_takes_only_an_n_by_d_array(shape):
 def test_metric_bad_input_raises_its_message(call, message):
     with pytest.raises(InvalidInput, match=f"^{message}$"):
         call()
-
-
-# ---------------------------------------------------------------------------
-# metric report
-# ---------------------------------------------------------------------------
-
-def test_metric_report_csv(tmp_path):
-    path = tmp_path / "metrics.csv"
-    write_metric_report([("ate", 0.125, 50), ("are_umeyama", 3.5, 50)], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "name, value, n_items"
-    assert lines[1] == "ate, 0.125, 50"

@@ -226,6 +226,25 @@ def test_plan_checks_itself_when_made():
         build_plan(10, (3,), 3, 4)
 
 
+@pytest.mark.parametrize("fields, name", [
+    ((9, (0, 4.7, 8), 5, 1), "each keyframe"),
+    ((9, (0, "4", 8), 5, 1), "each keyframe"),
+    ((9.0, (0, 4, 8), 5, 1), "total_frames"),
+    ((9, (0, 4, 8), 5.5, 1), "segment_len"),
+    ((9, (0, 4, 8), 5, np.float64(1.0)), "overlap"),
+])
+def test_plan_fields_must_be_integers(fields, name):
+    with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
+        RolloutPlan(*fields)
+
+
+def test_plan_stores_numpy_integers_as_python_ints():
+    plan = RolloutPlan(np.int64(9), np.array([0, 4, 8]), np.int32(5), np.uint8(1))
+    assert plan == RolloutPlan(9, (0, 4, 8), 5, 1)
+    assert all(type(v) is int
+               for v in (plan.total_frames, *plan.keyframes, plan.segment_len, plan.overlap))
+
+
 def test_build_plan_draws_a_stride_only_from_a_given_generator():
     with pytest.raises(InvalidInput, match=r"^drawing one of the strides \(4, 8, 16\) needs rng"):
         build_plan(200, (4, 8, 16), 9, 1)
