@@ -1,4 +1,4 @@
-"""Shared domain types: camera trajectories, latent sequences, rollout plans.
+"""Shared domain types: camera trajectories and rollout plans.
 
 Conventions used throughout the package:
   * quaternions are stored as (w, x, y, z) and kept unit-norm,
@@ -291,28 +291,6 @@ def load_trajectory(path) -> Trajectory:
         return Trajectory(rows["i"], *_quaternions_translations(rows["v"]))
     except ValueError:  # numpy could not read a line, or Trajectory rejected a row
         return _scan_trajectory(text, path)
-
-
-# ---------------------------------------------------------------------------
-# Latent sequences
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatentSeq:
-    """Dense run of fixed-dimension latent vectors, an (n, d) array."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        fr = np.asarray(self.frames, dtype=float)
-        if fr.ndim != 2 or fr.shape[1] < 1:
-            raise InvalidInput("latent frames must form an (n, d) array with d >= 1")
-        if not np.all(np.isfinite(fr)):
-            raise InvalidInput("latent frames must be finite")
-        object.__setattr__(self, "frames", _frozen(fr))
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
 
 
 # ---------------------------------------------------------------------------

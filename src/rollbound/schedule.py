@@ -18,13 +18,14 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .core import RolloutPlan
+from .core import RolloutPlan, _as_int
 from .errors import InvalidInput
 
 
 def sample_keyframe_indices(n_frames: int, stride: int) -> list[int]:
     """Keyframe indices at one stride: its multiples below n_frames, with the
     final frame appended so the last segment has a forward anchor."""
+    n_frames, stride = _as_int(n_frames, "n_frames"), _as_int(stride, "stride")
     if n_frames < 1:
         raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
     if stride < 1:

@@ -14,9 +14,9 @@ Two generation pipelines run against the same ground truth:
     bridge noise), with overlap substitution between generation windows.
 
 Anchors are a (K, d) array, one row per plan keyframe in plan order. Each
-trial reads its bridge noise from one stream in generation order, a block of
+trial reads its bridge noise from one stream in frame order, a block of
 frames at a time; under substitution the windows change no frame, and
-without it each window's overlap frames are redrawn as they come.
+without it the bridge restarts at each later window's first frame.
 
 Both run on one trial engine that simulates a batch of Monte-Carlo trials as
 one array; a standalone rollout is its one-trial case.
@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LatentSeq,
     RolloutPlan,
     Trajectory,
+    _as_int,
+    _frozen,
     _row_norm,
     write_columns_csv,
 )
@@ -168,17 +169,18 @@ def controls_from_trajectory(traj: Trajectory, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RolloutTrace:
-    """One generated rollout next to its ground truth.
+    """One generated rollout next to its ground truth, each a read-only
+    (n, d) array of latent frames.
 
-    error_norms is np.linalg.norm(generated.frames - ground_truth.frames,
-    axis=-1), bit for bit where no norm overflows or underflows (see
-    _safe_norms; a per-row np.linalg.norm may differ in the last bit);
+    error_norms is np.linalg.norm(generated - ground_truth, axis=-1), bit for
+    bit where no norm overflows or underflows (see _safe_norms; a per-row
+    np.linalg.norm may differ in the last bit);
     bounds[t] carries the per-frame bound curve when one applies, and
     diverged[t] flags a bound frame that saturated (see ar_upper_curve).
     """
 
-    generated: LatentSeq
-    ground_truth: LatentSeq
+    generated: np.ndarray
+    ground_truth: np.ndarray
     error_norms: np.ndarray
     bounds: np.ndarray | None = None
     diverged: np.ndarray | None = None
@@ -284,14 +286,16 @@ class _World:
     block, takes one pass, not two."""
 
     def __init__(self, cfg: WorldConfig, n_frames: int, rngs=()):
+        n_frames = _as_int(n_frames, "n_frames")
         if n_frames < 1:
             raise InvalidInput("n_frames must be >= 1")
         self.cfg = cfg
         self.A = dynamics_matrix(cfg)
         self.u = control_schedule(cfg, n_frames)
         x = self._propagate(rngs)
-        # LatentSeq copies a strided column: the truth keeps no rollout alive
-        self.gt = LatentSeq(x[:, 0])
+        # _frozen copies a strided column: the truth keeps no rollout alive
+        self.gt = _frozen(x[:, 0])
+        _require_finite(self.gt)
         self._rollouts = x[:, 1:]
 
     def _propagate(self, rngs) -> np.ndarray:
@@ -389,7 +393,7 @@ class _World:
     def ar_trace(self, x: np.ndarray, err: np.ndarray) -> RolloutTrace:
         bounds, diverged = ar_upper_curve(self.cfg.lipschitz, self.cfg.drift_norm(),
                                           len(self.gt))
-        return RolloutTrace(LatentSeq(x), self.gt, err, bounds=bounds, diverged=diverged)
+        return RolloutTrace(_frozen(x), self.gt, err, bounds=bounds, diverged=diverged)
 
     def keyframes(self, idx: list[int], scenario: str, error_cap: float,
                   step_error: float | None, rngs) -> np.ndarray:
@@ -402,7 +406,7 @@ class _World:
         column holds the same anchors, and rngs only sets their number.
         Anchors past the float range raise InvalidInput."""
         cfg = self.cfg
-        gt = self.gt.frames
+        gt = self.gt
         vals = np.empty((len(idx), len(rngs), cfg.dim))
         vals[0] = gt[0]
         if scenario == "global":
@@ -441,9 +445,9 @@ class _World:
 # ground truth and pure autoregressive rollout
 # ---------------------------------------------------------------------------
 
-def simulate_ground_truth(cfg: WorldConfig, n_frames: int) -> LatentSeq:
-    """Noiseless controlled trajectory x_{t+1} = A x_t + u_t; deterministic,
-    independent of the seed streams."""
+def simulate_ground_truth(cfg: WorldConfig, n_frames: int) -> np.ndarray:
+    """Noiseless controlled trajectory x_{t+1} = A x_t + u_t, as a read-only
+    (n_frames, d) array; deterministic, independent of the seed streams."""
     return _World(cfg, n_frames).gt
 
 
@@ -456,7 +460,7 @@ def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
     g = rng if rng is not None else derive_rng(cfg.seed, "ar-noise")
     world = _World(cfg, n_frames, [g])
     x = world.take_rollouts()
-    return world.ar_trace(x[:, 0], _error_norms(x, world.gt.frames)[0])
+    return world.ar_trace(x[:, 0], _error_norms(x, world.gt)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +486,7 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
     draw nothing, so rng is read only by "global". Anchors past the float
     range are rejected ("keyframe values must be finite").
     """
-    idx = sorted(int(i) for i in indices)
+    idx = sorted(_as_int(i, "each keyframe index") for i in indices)
     if not idx or idx[0] != 0 or len(set(idx)) < len(idx):
         raise InvalidInput("keyframe indices must be unique and include 0")
     world = _World(cfg, idx[-1] + 1)
@@ -521,7 +525,7 @@ def _velocity_vector(velocity_error, d: int) -> np.ndarray:
 class _AnchoredLayout:
     """What every trial of an anchored rollout shares, built once from the
     plan: each frame's anchor interval, interpolation weight and
-    velocity-leakage offset, and the bridge-noise rows in generation order.
+    velocity-leakage offset, and the bridge-noise rows in frame order.
     Only the anchor values and the noise streams differ between trials."""
 
     def __init__(self, plan: RolloutPlan, d: int, sigma_int: float, velocity_error,
@@ -538,7 +542,6 @@ class _AnchoredLayout:
         # frame closes the last interval
         j = np.minimum(np.searchsorted(kf, t, side="right") - 1, max(len(kf) - 2, 0))
         self.left = j
-        self.leak_rows, self.leak = slice(None), None
         if len(kf) == 1:  # single-frame plan
             self.weights = None
             T = tau = np.zeros(n, dtype=int)
@@ -552,55 +555,43 @@ class _AnchoredLayout:
                 for length in np.unique(T).tolist():
                     rows = T == length
                     shape[rows] = solve_damping_spline(length, 1.0).value(tau[rows])
-                # interval i enters with DAMPING_FACTOR times its
-                # predecessor's velocity error, multiplied in interval order
-                # (a repeated product's rounding, subnormals included);
-                # without substitution the hand-off dies
-                dvs = np.zeros((len(kf) - 1, d))
-                dvs[0] = self.dv0
-                if substitution:
-                    dvs[1:] = DAMPING_FACTOR
-                    np.multiply.accumulate(dvs, out=dvs)
-                self.leak = shape[:, None] * dvs[j]
-            elif T[0] > 1:
-                # the generator rides the erroneous velocity through the first
+            else:
+                # the generator rides the erroneous velocity through the
                 # interval and snaps back at its closing anchor
-                first = j == 0
-                ramp = np.where(tau[first] < T[0], tau[first], 0).astype(float)
-                self.leak_rows, self.leak = first, ramp[:, None] * self.dv0
+                shape = np.where(tau < T, tau, 0).astype(float)
+            # interval i enters with DAMPING_FACTOR times its predecessor's
+            # velocity error, multiplied in interval order (a repeated
+            # product's rounding, subnormals included); the hand-off needs
+            # the spline and the substituted clean boundary, so it dies
+            # without either
+            dvs = np.zeros((len(kf) - 1, d))
+            dvs[0] = self.dv0
+            if momentum and substitution:
+                dvs[1:] = DAMPING_FACTOR
+                np.multiply.accumulate(dvs, out=dvs)
+            self.leak = shape[:, None] * dvs[j]
 
         # bridge-noise schedule: each trial reads one row of its stream for
-        # each of draw_frames, in generation order. A redrawn row (an overlap
-        # frame a later window generates again, only without substitution)
-        # is drawn from the marginal law; every other row continues the
-        # bridge recursion w[t] = frac*w[t-1] + scale*eps
-        p = plan.overlap
-        starts, ends = partition_segments(n, plan.segment_len, p)
-        # window i generates gen_from[i]..ends[i]: with substitution its
-        # overlap frames are its predecessor's, and the spans cut the plan;
+        # each non-keyframe frame, in frame order, and every row continues
+        # the bridge recursion w[t] = frac*w[t-1] + scale*eps. Without
+        # substitution each later window generates its frames on its own:
+        # the bridge restarts at its first frame (frac 0) from the marginal
+        # law, unless that frame is a keyframe
+        starts, _ = partition_segments(n, plan.segment_len, plan.overlap)
+        # with substitution a window's overlap frames are its predecessor's;
         # a frame's id is the last window that generates it
-        gen_from = starts + (p if substitution else 0)
+        gen_from = starts + (plan.overlap if substitution else 0)
         gen_from[0] = 0
         self.seg_ids = np.searchsorted(gen_from, t, side="right") - 1
-        # the generated spans one after another: frame span[k] of window win[k]
-        lens = ends - gen_from + 1
-        win = np.repeat(np.arange(len(starts)), lens)
-        span = np.arange(len(win)) + np.repeat(gen_from - (np.cumsum(lens) - lens), lens)
-        is_kf = np.zeros(n, dtype=bool)
-        is_kf[kf] = True
-        drawn = ~is_kf[span]
-        self.draw_frames, win = span[drawn], win[drawn]
-        self.redrawn = (win > 0) & (self.draw_frames < starts[win] + p)
-        # with sigma_int 0 every kick is 0*eps, +0.0 or -0.0, and a bridge row
-        # +0.0*frac + kick is +0.0: only a redrawn row can hold -0.0, so
-        # without such rows the noise is +0.0 throughout and drawing it
-        # changes no bit
-        self.draws = sigma_int > 0.0 or bool(self.redrawn.any())
+        self.draw_frames = np.delete(t, kf)
         remaining = kf[j[self.draw_frames] + 1] - (self.draw_frames - 1)
         self.draw_frac = (remaining - 1) / remaining
         self.draw_scale = sigma_int * np.sqrt(self.draw_frac)
-        f = self.draw_frames[self.redrawn]
-        self.draw_scale[self.redrawn] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
+        if not substitution:
+            restart = np.isin(self.draw_frames, starts[1:])
+            f = self.draw_frames[restart]
+            self.draw_frac[restart] = 0.0
+            self.draw_scale[restart] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
 
     def field(self, kv: np.ndarray) -> np.ndarray:
         """Deterministic part of each trial from its (K, B, d) anchor values:
@@ -613,14 +604,13 @@ class _AnchoredLayout:
         right = kv[self.left + 1]
         right *= w_right
         det += right
-        if self.leak is not None:
-            det[self.leak_rows] += self.leak[:, None]
+        det += self.leak[:, None]
         return det
 
     def run(self, kv: np.ndarray, seeds) -> np.ndarray:
         """Anchored rollouts of a batch from its (K, B, d) anchor values, as
         (n, B, d) frames. Trial b reads its bridge noise from its one stream
-        derive_rng(seeds[b], "interp-noise") in generation order, FRAME_BLOCK
+        derive_rng(seeds[b], "interp-noise") in frame order, FRAME_BLOCK
         rows at a time; one pass over the rows runs the bridge recursion, so
         the frames depend neither on the block size nor, with substitution,
         on the windows."""
@@ -629,14 +619,14 @@ class _AnchoredLayout:
         # noise past the float range reads inf or nan, without a warning:
         # the finite check rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.draws:
+            if self.sigma_int > 0.0:
                 self._bridge_noise(w, [derive_rng(s, "interp-noise") for s in seeds])
             det += w
         _require_finite(det)
         return det
 
     def _bridge_noise(self, w: np.ndarray, rngs) -> None:
-        """Fill the (n, B, d) noise w row by row, in generation order."""
+        """Fill the (n, B, d) noise w row by row, in frame order."""
         rows, (B, d) = len(self.draw_frames), w.shape[1:]
         eps = np.empty((B, min(rows, FRAME_BLOCK), d))
         for lo in range(0, rows, FRAME_BLOCK):
@@ -645,15 +635,10 @@ class _AnchoredLayout:
             for g, draws in zip(rngs, kicks):
                 g.standard_normal(out=draws)
             kicks *= self.draw_scale[lo:hi, None]
-            for t, frac, redraw, kick in zip(self.draw_frames[lo:hi].tolist(),
-                                             self.draw_frac[lo:hi].tolist(),
-                                             self.redrawn[lo:hi].tolist(),
-                                             kicks.transpose(1, 0, 2)):
-                if redraw:
-                    w[t] = kick
-                else:
-                    np.multiply(w[t - 1], frac, out=w[t])
-                    w[t] += kick
+            for t, frac, kick in zip(self.draw_frames[lo:hi].tolist(),
+                                     self.draw_frac[lo:hi].tolist(), kicks.transpose(1, 0, 2)):
+                np.multiply(w[t - 1], frac, out=w[t])
+                w[t] += kick
 
     def trace(self, world: _World, kv: np.ndarray, x: np.ndarray,
               err: np.ndarray) -> RolloutTrace:
@@ -662,10 +647,10 @@ class _AnchoredLayout:
         error."""
         gt, kf_idx = world.gt, self.plan.keyframes
         max_T = max((hi - lo for lo, hi in zip(kf_idx, kf_idx[1:])), default=1)
-        anchor = float(_anchor_error_norms(kv, gt.frames, kf_idx).max())
+        anchor = float(_anchor_error_norms(kv, gt, kf_idx).max())
         dv0 = float(_safe_norms(self.dv0[None], _row_norm)[0])
         breakdown = unified_bound(anchor, max_T, dv0, self.sigma_int)
-        return RolloutTrace(LatentSeq(x), gt, err, bounds=np.full(len(gt), breakdown.total),
+        return RolloutTrace(_frozen(x), gt, err, bounds=np.full(len(gt), breakdown.total),
                             breakdown=breakdown,
                             segment_ids=self.seg_ids.copy(), keyframe_indices=tuple(kf_idx))
 
@@ -687,10 +672,11 @@ def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, anchors,
     velocity and snaps back at the next anchor.
 
     The bridge noise is read from one stream (seed, default cfg.seed) in
-    generation order. With substitution on, each window's first `overlap`
-    frames are its predecessor's and the noise process continues through
-    them, so the windows change no frame; otherwise the window redraws those
-    frames from the marginal noise law (a visible junction discontinuity).
+    frame order. With substitution on, each window's first `overlap` frames
+    are its predecessor's and the noise process continues through them, so
+    the windows change no frame; otherwise each window is generated on its
+    own, its bridge restarting from the marginal noise law at its first frame
+    (a visible junction discontinuity).
 
     The per-frame bound column holds the unified anchored-interpolation bound
     for the damped pipeline (momentum and substitution on), built from the
@@ -704,7 +690,7 @@ def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, anchors,
     _finite_anchors(kv)
     world = _World(cfg, plan.total_frames)
     x = layout.run(kv[:, None], [cfg.seed if seed is None else int(seed)])
-    err = _error_norms(x, world.gt.frames)[0]
+    err = _error_norms(x, world.gt)[0]
     return layout.trace(world, kv, x[:, 0], err)
 
 
@@ -745,13 +731,13 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     Trials run batched, TRIAL_BLOCK at a time. Each trial draws from one
     stream per purpose, derived from the seed, the trial number and (for the
     anchors and the bridge noise) the scenario: its step-by-step noise, its
-    anchors, and its bridge noise, read in generation order as in
+    anchors, and its bridge noise, read in frame order as in
     rollout_anchored. So the result depends on the seed alone. The anchors
     of a trial block come from one _World.keyframes call as one (K, B, d)
     array, which that call checks finite: "global" takes two draws from each
     trial's anchor stream, "downsampled_ar" is computed once and derives no
     anchor stream. Per-frame sums accumulate in trial order."""
-    if trials < 1:
+    if _as_int(trials, "trials") < 1:
         raise InvalidInput("trials must be >= 1")
     base = cfg.seed if seed is None else int(seed)
     n = plan.total_frames
@@ -769,7 +755,7 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
         block = range(first, min(first + TRIAL_BLOCK, trials))
         x = (world.take_rollouts() if first == 0
              else world.ar_rollouts([derive_rng(base, "trial-ar", i) for i in block]))
-        err = _error_norms(x, world.gt.frames)
+        err = _error_norms(x, world.gt)
         _accumulate(ar_sums, err)
         if first == 0:
             first_ar = world.ar_trace(x[:, 0], err[0])
@@ -779,7 +765,7 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
             kv = world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
                                  [derive_rng(base, f"trial-kf-{scenario}", i) for i in block])
         x = layout.run(kv, [child_seed(base, f"trial-anchored-{scenario}", i) for i in block])
-        err = _error_norms(x, world.gt.frames)
+        err = _error_norms(x, world.gt)
         _accumulate(dc_sums, err)
         if first == 0:
             first_anchored = layout.trace(world, kv[:, 0], x[:, 0], err[0])

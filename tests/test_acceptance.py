@@ -125,7 +125,7 @@ def test_c05_ar_divergence():
         finals = np.empty(10 ** 4)
         for i in range(10 ** 4):
             tr = rollout_pure_ar(noise_cfg, 101, rng=np.random.default_rng(200000 + i))
-            finals[i] = tr.generated.frames[-1, 0] - tr.ground_truth.frames[-1, 0]
+            finals[i] = tr.generated[-1, 0] - tr.ground_truth[-1, 0]
         var = finals.var(ddof=1)
         var_ok = abs(var - 100.0) < 5.0
         b.finish(bias_ok and var_ok,
@@ -173,7 +173,7 @@ def test_c07_t_fold_suppression():
 
 
 def _junction_roughness(trace, keyframes):
-    x = trace.generated.frames
+    x = trace.generated
     vals = []
     for k in keyframes[1:-1]:
         for t in (k - 1, k, k + 1):
@@ -192,7 +192,7 @@ def test_c08_boundary_consistency():
                                 rng=np.random.default_rng(108))
         one_window = RolloutPlan(65, plan.keyframes, 65, 0)
         noisy = [rollout_anchored(cfg, p, kf, sigma_int=0.3, velocity_error=1.0,
-                                  seed=42).generated.frames for p in (plan, one_window)]
+                                  seed=42).generated for p in (plan, one_window)]
         identical = noisy[0].tobytes() == noisy[1].tobytes()
 
         perfect = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.0)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from rollbound import core
 from rollbound.core import (
     InvalidInput,
-    LatentSeq,
     RolloutPlan,
     Trajectory,
     canonicalize_quaternion,
@@ -299,14 +298,6 @@ def test_quaternion_helpers_batch_row_by_row():
         assert quat_angle(ua, ub)[i] == quat_angle(ua[i], ub[i])
     with pytest.raises(InvalidInput):
         normalize_quaternion(np.vstack([a, np.zeros(4)]))
-
-
-def test_latent_seq_validation():
-    with pytest.raises(InvalidInput):
-        LatentSeq(np.array([[1.0, np.nan]]))
-    with pytest.raises(InvalidInput, match=r"\(n, d\) array"):
-        LatentSeq(np.array([1.0, 2.0, 3.0]))
-    assert len(LatentSeq(np.array([[1.0], [2.0], [3.0]]))) == 3
 
 
 def test_validate_plan_accepts_well_formed():

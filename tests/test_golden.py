@@ -215,9 +215,9 @@ def test_api_anchored_without_substitution_digest():
     for momentum in (True, False):
         tr = rollout_anchored(cfg, plan, kf, sigma_int=0.3, velocity_error=[0.4, -0.2, 0.1],
                               momentum=momentum, substitution=False, seed=5)
-        arrays += [tr.generated.frames, tr.error_norms, tr.bounds, tr.segment_ids]
+        arrays += [tr.generated, tr.error_norms, tr.bounds, tr.segment_ids]
     assert _arrays_digest(arrays) == (
-        "2143ceb1dcc66f54a0a29b8c50341e0072b4f80bf4f1ea635eaca9800336a3f2")
+        "32790b06e9e588493d1099cfc104fed17d64d65c4742f918656b1e28fce33eea")
 
 
 def test_api_compare_both_scenarios_digest():
@@ -229,7 +229,7 @@ def test_api_compare_both_scenarios_digest():
                               velocity_error=0.3, kf_error_cap=0.05)
             for sc in ("global", "downsampled_ar")]
     ar = rollout_pure_ar(cfg, 81, rng=np.random.default_rng(3))
-    arrays = [reps[0].ar_mean_error, reps[0].ar_mse, ar.generated.frames, ar.error_norms,
+    arrays = [reps[0].ar_mean_error, reps[0].ar_mse, ar.generated, ar.error_norms,
               ar.bounds]
     for rep in reps:
         arrays += [rep.anchored_mean_error, rep.anchored_mse]
@@ -238,8 +238,8 @@ def test_api_compare_both_scenarios_digest():
 
 
 def test_api_anchored_noiseless_without_substitution_digest():
-    """sigma_int = 0 with substitution off: the marginal redraw rows hold
-    0 * eps, so the frames are hashed as raw bytes, sign of zero included."""
+    """sigma_int = 0 with substitution off: no bridge noise is drawn, and
+    the frames are hashed as raw bytes, sign of zero included."""
     cfg = WorldConfig(dim=3, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(3, 0.02), seed=22)
     plan = build_plan(70, (6,), 10, 2)
@@ -249,7 +249,7 @@ def test_api_anchored_noiseless_without_substitution_digest():
     for momentum in (True, False):
         tr = rollout_anchored(cfg, plan, kf, sigma_int=0.0, velocity_error=[0.4, -0.2, 0.1],
                               momentum=momentum, substitution=False, seed=6)
-        parts.append((f"frames-{momentum}", tr.generated.frames.tobytes()))
+        parts.append((f"frames-{momentum}", tr.generated.tobytes()))
     assert _digest(parts) == (
         "03637c0cff98f111fe59b46806b39525294afbcf1544a0b7f90cbfc80ca57c54")
 
@@ -262,11 +262,11 @@ def test_api_compare_noiseless_interpolation_digest():
     reps = [compare_pipelines(cfg, plan, sc, trials=TRIAL_BLOCK + 3, seed=9, sigma_int=0.0,
                               velocity_error=0.3, kf_error_cap=0.05)
             for sc in ("global", "downsampled_ar")]
-    arrays = [reps[0].ar_mean_error, reps[0].ar_mse, reps[0].trial0_ar.generated.frames,
+    arrays = [reps[0].ar_mean_error, reps[0].ar_mse, reps[0].trial0_ar.generated,
               reps[0].trial0_ar.error_norms]
     for rep in reps:
         tr = rep.trial0_anchored
-        arrays += [rep.anchored_mean_error, rep.anchored_mse, tr.generated.frames,
+        arrays += [rep.anchored_mean_error, rep.anchored_mse, tr.generated,
                    tr.error_norms, tr.bounds]
     assert _arrays_digest(arrays) == (
         "52c4ab3ff9744f7b521cad6c7afd95b79f18b8abc7c3a76035fd36a9e66012cb")

@@ -37,7 +37,7 @@ def linear_world(dim=2, bias=0.0, noise=0.0, seed=0, control=None):
 def anchor_errors(cfg, idx, anchors):
     """Each anchor's error norm against the world's ground truth, for the
     (K, d) anchors at the sorted frames idx."""
-    gt = simulate_ground_truth(cfg, idx[-1] + 1).frames
+    gt = simulate_ground_truth(cfg, idx[-1] + 1)
     return worldsim._anchor_error_norms(anchors, gt, idx)
 
 
@@ -54,20 +54,20 @@ def _windows(plan):
 def test_ground_truth_fixed_point():
     cfg = WorldConfig(dim=3, x0=np.array([1.0, -2.0, 0.5]))
     gt = simulate_ground_truth(cfg, 10)
-    assert np.allclose(gt.frames, np.tile([1.0, -2.0, 0.5], (10, 1)))
+    assert np.allclose(gt, np.tile([1.0, -2.0, 0.5], (10, 1)))
 
 
 def test_ground_truth_integrator():
     cfg = WorldConfig(dim=2, control=np.array([1.0, 0.0]))
     gt = simulate_ground_truth(cfg, 6)
-    assert np.allclose(gt.frames[:, 0], np.arange(6))
-    assert np.allclose(gt.frames[:, 1], 0.0)
+    assert np.allclose(gt[:, 0], np.arange(6))
+    assert np.allclose(gt[:, 1], 0.0)
 
 
 def test_ground_truth_geometric_decay():
     cfg = WorldConfig(dim=1, lipschitz=0.5, x0=np.array([1.0]))
     gt = simulate_ground_truth(cfg, 8)
-    assert np.allclose(gt.frames[:, 0], 0.5 ** np.arange(8))
+    assert np.allclose(gt[:, 0], 0.5 ** np.arange(8))
 
 
 def test_dynamics_spectral_norm_matches_lipschitz():
@@ -129,7 +129,7 @@ def test_world_propagation_matches_frame_loop_bit_for_bit(dynamics, lipschitz, n
     rollouts = np.concatenate(blocks, axis=1)
 
     truth = _propagate_loop(A, cfg.x0, control, None, None)
-    assert world.gt.frames.tobytes() == truth.tobytes()  # the sign of zero too
+    assert world.gt.tobytes() == truth.tobytes()  # the sign of zero too
     for i, rng in enumerate(streams()):
         eps = rng.standard_normal((n - 1, d)) * noise if noise > 0.0 else None
         expect = _propagate_loop(A, cfg.x0, control, cfg.bias, eps)
@@ -171,7 +171,7 @@ def test_pure_ar_satisfies_exact_error_recursion():
     n = 60
     trace = rollout_pure_ar(cfg, n)
     A = dynamics_matrix(cfg)
-    err = trace.generated.frames - trace.ground_truth.frames
+    err = trace.generated - trace.ground_truth
     # reconstruct the injected noise from consecutive errors; it must be
     # i.i.d.-sized, and the recursion residual must vanish
     assert np.allclose(err[0], 0.0)
@@ -238,7 +238,7 @@ def test_anchor_error_norms_match_per_anchor_loop():
     plan = build_plan(97, (4,), 9, 1)
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
                             rng=np.random.default_rng(51))
-    gt = simulate_ground_truth(cfg, plan.total_frames).frames
+    gt = simulate_ground_truth(cfg, plan.total_frames)
     loop = [np.linalg.norm(v - gt[k]) for k, v in zip(plan.keyframes, kf)]
     assert np.array_equal(anchor_errors(cfg, plan.keyframes, kf), loop)
     assert rollout_anchored(cfg, plan, kf).breakdown.anchor_term == max(loop)
@@ -267,7 +267,7 @@ def test_global_keyframes_match_per_anchor_loop():
                           control=g.normal(size=dim), seed=dim)
         for cap in (0.0, 0.1, 3.0):
             idx = sorted({0, *g.choice(300, 40).tolist()})
-            gt = simulate_ground_truth(cfg, idx[-1] + 1).frames
+            gt = simulate_ground_truth(cfg, idx[-1] + 1)
             kf = generate_keyframes(cfg, idx, "global", error_cap=cap,
                                     rng=np.random.default_rng(dim))
             loop = _loop_global_keyframes(gt, idx, cap, np.random.default_rng(dim))
@@ -394,7 +394,7 @@ def test_anchored_leakage_peaks_match_spline_and_halve():
     plan = _plan(n=65, stride=8, seg_len=9, overlap=1)
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.0)
     trace = rollout_anchored(cfg, plan, kf, velocity_error=1.0)
-    dev = trace.generated.frames[:, 0] - trace.ground_truth.frames[:, 0]
+    dev = trace.generated[:, 0] - trace.ground_truth[:, 0]
     intervals = list(zip(plan.keyframes, plan.keyframes[1:]))
     unit = solve_damping_spline(8.0, 1.0)
     dv = 1.0
@@ -417,8 +417,8 @@ def test_anchored_error_decomposition_round_trip():
                             rng=np.random.default_rng(12))
     dv0 = np.array([0.6, -0.3])
     trace = rollout_anchored(cfg, plan, kf, velocity_error=dv0)
-    gt = trace.ground_truth.frames
-    gen = trace.generated.frames
+    gt = trace.ground_truth
+    gen = trace.generated
     lookup = dict(zip(plan.keyframes, kf))
     intervals = list(zip(plan.keyframes, plan.keyframes[1:]))
     for j, (lo, hi) in enumerate(intervals):
@@ -466,15 +466,16 @@ def test_anchored_frames_do_not_depend_on_the_windows(n, stride, dim, momentum, 
         tr = rollout_anchored(cfg, plan, anchors, momentum=momentum, seed=seed, **kw)
         rep = compare_pipelines(cfg, plan, "global", trials=3, seed=seed, kf_error_cap=0.1,
                                 **kw)
-        runs.append([tr.generated.frames.tobytes(), rep.anchored_mean_error.tobytes(),
+        runs.append([tr.generated.tobytes(), rep.anchored_mean_error.tobytes(),
                      rep.anchored_mse.tobytes()])
     assert all(run == runs[0] for run in runs[1:])
 
 
 def test_anchored_substitution_off_breaks_overlap_identity():
-    # without substitution a window generates its overlap frame again, from
-    # the marginal law: up to the first handed-over frame the rollout is the
-    # one-window rollout bit for bit, and from there the frames differ
+    # without substitution a window generates its overlap frame again, its
+    # bridge restarting from the marginal law: up to the first handed-over
+    # frame the rollout is the one-window rollout bit for bit, and from there
+    # the frames differ
     cfg = linear_world(control=np.array([0.3, 0.1]), seed=10)
     plan = _plan(n=33, stride=8, seg_len=6, overlap=1)
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
@@ -485,7 +486,7 @@ def test_anchored_substitution_off_breaks_overlap_identity():
     for substitution in (True, False):
         for name, p in (("windows", plan), ("one", one_window)):
             tr = rollout_anchored(cfg, p, kf, substitution=substitution, **kw)
-            frames[substitution, name] = tr.generated.frames
+            frames[substitution, name] = tr.generated
     assert frames[True, "windows"].tobytes() == frames[True, "one"].tobytes()
     a, b = frames[False, "windows"], frames[False, "one"]
     handed = [start for start in _windows(plan)[0][1:] if start not in plan.keyframes]
@@ -497,7 +498,7 @@ def test_anchored_substitution_off_breaks_overlap_identity():
 
 
 def _boundary_second_differences(trace, keyframes):
-    x = trace.generated.frames
+    x = trace.generated
     out = []
     for k in keyframes[1:-1]:
         dd = x[k + 1] - 2.0 * x[k] + x[k - 1]
@@ -523,46 +524,48 @@ def test_momentum_off_does_not_reduce_boundary_discontinuity():
 
 
 def _loop_layout(plan, dv0, sigma_int, momentum, substitution):
-    """The anchored layout as loops, window by window and interval by
-    interval: segment ids, the drawn frames in generation order with their
-    redraw flags and draw scales, and the velocity hand-off rows with the
-    leakage they give. The reference _AnchoredLayout must match bit for
-    bit."""
-    n, p = plan.total_frames, plan.overlap
-    kf = np.array(plan.keyframes)
-    t = np.arange(n)
-    j = np.minimum(np.searchsorted(kf, t, side="right") - 1, max(len(kf) - 2, 0))
-    T, tau = (kf[j + 1] - kf[j], t - kf[j]) if len(kf) > 1 else (np.zeros(n, int),) * 2
-    dvs, leak = np.empty((max(len(kf) - 1, 0), len(dv0))), None
-    dv = dv0
-    for i in range(len(dvs)):
-        dvs[i] = dv
-        dv = DAMPING_FACTOR * dv if substitution else np.zeros(len(dv0))
-    if momentum and len(kf) > 1:
-        shape = np.empty(n)
-        for length in np.unique(T).tolist():
-            rows = T == length
-            shape[rows] = solve_damping_spline(length, 1.0).value(tau[rows])
-        leak = shape[:, None] * dvs[j]
-    is_kf = np.zeros(n, dtype=bool)
-    is_kf[kf] = True
+    """The anchored layout as one loop over frames: each frame's segment id
+    and leakage, and for each frame that is not a keyframe, in frame order,
+    its bridge row's restart flag, draw_frac and draw_scale; then the
+    velocity hand-off of each anchor interval. _AnchoredLayout must match it
+    bit for bit."""
+    n, p, kf = plan.total_frames, plan.overlap, list(plan.keyframes)
+    starts = _windows(plan)[0]
     seg_ids = np.zeros(n, dtype=int)
-    frames, redrawn = [], []
-    for si, (start, end) in enumerate(zip(*_windows(plan))):
-        gen_from = min(start + p, end + 1) if si > 0 and substitution else start
-        seg_ids[gen_from:end + 1] = si
-        for f in range(gen_from, end + 1):
-            if not is_kf[f]:
-                frames.append(f)
-                redrawn.append(si > 0 and not substitution and f < start + p)
-    draw_frames = np.array(frames, dtype=int)
-    remaining = kf[j[draw_frames] + 1] - (draw_frames - 1)
-    scale = sigma_int * np.sqrt((remaining - 1) / remaining)
-    for r, f in enumerate(frames):
-        if redrawn[r]:
-            scale[r] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
-    return dict(seg_ids=seg_ids, draw_frames=draw_frames, redrawn=np.array(redrawn, dtype=bool),
-                draw_scale=scale, leak=leak), dvs
+    frames, restarts, fracs, scales = [], [], [], []
+    leak = np.zeros((n, len(dv0)))
+    dvs, j = [dv0], 0
+    for f in range(n):
+        # a frame's id is the last window that generates it: with
+        # substitution a later window takes its overlap frames from its
+        # predecessor
+        seg_ids[f] = max(i for i, s in enumerate(starts)
+                         if s + (p if i and substitution else 0) <= f)
+        if len(kf) == 1:
+            continue
+        if j + 2 < len(kf) and f >= kf[j + 1]:
+            j += 1
+            # the hand-off needs the spline and the substituted clean boundary
+            dvs.append(DAMPING_FACTOR * dvs[-1] if momentum and substitution
+                       else np.zeros(len(dv0)))
+        T, tau = kf[j + 1] - kf[j], f - kf[j]
+        if momentum:
+            shape = solve_damping_spline(T, 1.0).value(tau)
+        else:
+            shape = float(tau if tau < T else 0)
+        leak[f] = shape * dvs[j]
+        if f in kf:
+            continue
+        restart = not substitution and f in starts[1:]
+        frac = 0.0 if restart else (kf[j + 1] - f) / (kf[j + 1] - f + 1)
+        frames.append(f)
+        restarts.append(restart)
+        fracs.append(frac)
+        scales.append(np.sqrt(bridge_variance(tau, T, sigma_int)) if restart
+                      else sigma_int * np.sqrt(frac))
+    return dict(seg_ids=seg_ids, draw_frames=np.array(frames, dtype=int),
+                draw_frac=np.array(fracs, dtype=float),
+                draw_scale=np.array(scales, dtype=float)), leak, restarts, dvs
 
 
 def test_anchored_layout_matches_loop_reference():
@@ -583,18 +586,38 @@ def test_anchored_layout_matches_loop_reference():
                 sigma_int = 0.0 if i % 3 == 0 else 0.3
                 layout = worldsim._AnchoredLayout(plan, len(dv0), sigma_int, dv0,
                                                   momentum, substitution)
-                expected, dvs = _loop_layout(plan, dv0, sigma_int, momentum, substitution)
-                leak = expected.pop("leak")
-                if momentum:
-                    assert (layout.leak is None) == (leak is None)
-                    assert leak is None or layout.leak.tobytes() == leak.tobytes()
+                expected, leak, restarts, dvs = _loop_layout(plan, dv0, sigma_int, momentum,
+                                                             substitution)
+                case = (plan, momentum, substitution)
                 for name, want in expected.items():
                     got = getattr(layout, name)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
-                        (name, plan, momentum, substitution)
-                if i == 0 and substitution:
+                        (name, case)
+                assert (layout.draw_frac == 0.0).tolist() == restarts, case
+                if len(plan.keyframes) > 1:
+                    assert layout.leak.tobytes() == leak.tobytes(), case
+                if i == 0 and momentum and substitution:
                     # the hand-off halves the velocity error and flips its sign
-                    assert dvs[:3].tolist() == [[2.0, -4.0], [-1.0, 2.0], [0.5, -1.0]]
+                    assert np.array(dvs[:3]).tolist() == [[2.0, -4.0], [-1.0, 2.0], [0.5, -1.0]]
+
+
+@given(st.integers(1, 120), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_bridge_rows_run_in_frame_order_and_restart_at_windows(n, substitution, data):
+    # one bridge row per frame that is not a keyframe, in ascending order.
+    # Without substitution the rows that restart the bridge (draw_frac 0)
+    # are exactly the first frames of the later windows that are not
+    # keyframes; with it no row restarts. A continuing row has r >= 2
+    # frames to its closing anchor, so frac = (r - 1)/r >= 1/2
+    kf = tuple(sorted({0, n - 1, *data.draw(st.lists(st.integers(0, n - 1), max_size=n))}))
+    seg_len = data.draw(st.integers(1, 15))
+    plan = RolloutPlan(n, kf, seg_len, data.draw(st.integers(0, seg_len - 1)))
+    layout = worldsim._AnchoredLayout(plan, 2, 0.3, None, substitution=substitution)
+    assert layout.draw_frames.tolist() == [f for f in range(n) if f not in kf]
+    restart = layout.draw_frac == 0.0
+    later = [s for s in _windows(plan)[0][1:] if s not in kf]
+    assert layout.draw_frames[restart].tolist() == ([] if substitution else later)
+    assert np.all(layout.draw_frac[~restart] >= 0.5)
 
 
 def test_anchored_rejects_missing_anchors():
@@ -624,7 +647,7 @@ def test_anchored_rejects_non_finite_inputs(name, value):
 
 
 def test_anchored_huge_sigma_int_without_substitution_is_invalid_input():
-    # the overlap redraws' variance sigma_int**2 exceeds the float range: it
+    # the restart rows' variance sigma_int**2 exceeds the float range: it
     # reads inf, and the rollout rejects its non-finite frames without an
     # OverflowError or a numpy warning
     assert bridge_variance(2.0, 4.0, 1e200) == np.inf
@@ -710,9 +733,9 @@ def test_error_norm_past_1e154_stays_finite_and_within_bound(dim):
 
 
 def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch, tmp_path):
-    # with sigma_int = 0 each bridge kick is 0 * eps: no stream is derived,
-    # except for substitution off, whose marginal redraw rows keep the sign
-    # of eps in 0 * eps; otherwise each trial derives one bridge stream
+    # with sigma_int = 0 each bridge kick is 0 * eps: no rollout derives a
+    # stream, with substitution or without; otherwise each trial derives one
+    # bridge stream
     labels = []
 
     def spy(seed, label, index=0):
@@ -729,7 +752,10 @@ def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch, tmp_path)
     assert labels.count("interp-noise") == 3
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.05)
     labels.clear()
-    rollout_anchored(cfg, plan, kf, substitution=False)
+    for substitution in (True, False):
+        rollout_anchored(cfg, plan, kf, substitution=substitution)
+    assert "interp-noise" not in labels
+    rollout_anchored(cfg, plan, kf, sigma_int=0.1, substitution=False)
     assert labels.count("interp-noise") == 1
 
     # a simulate derives a few streams per trial, not one per window
@@ -811,7 +837,7 @@ def test_batched_engine_matches_standalone_rollouts(dim, trials):
             first = {"ar": reps["global"].trial0_ar,
                      **{sc: rep.trial0_anchored for sc, rep in reps.items()}}
             for key, tr in traces.items():
-                assert np.array_equal(first[key].generated.frames, tr.generated.frames)
+                assert np.array_equal(first[key].generated, tr.generated)
                 assert np.array_equal(first[key].error_norms, tr.error_norms)
                 assert np.array_equal(first[key].bounds, tr.bounds)
     for sc, rep in reps.items():
@@ -851,44 +877,44 @@ def test_anchored_mse_matches_bridge_variance():
 def test_bridge_noise_covariance_is_the_pinned_bridge():
     # zero anchors: the frames are the noise itself; one component's
     # covariance is sigma^2 min(tau)(T - max tau)/T inside an anchor
-    # interval and 0 across intervals. Without substitution each redrawn
-    # overlap frame starts a new block of its interval: the formula holds on
-    # the same side of the redraw, and the covariance across it is 0
+    # interval and 0 across intervals. Without substitution each later
+    # window is one bridge path of its own from its first frame, its overlap
+    # frames included: a new block of its interval starts there, the
+    # formula holds inside a block, and the covariance across blocks is 0
     d, sigma, trials, n, T = 2, 0.5, 4000, 49, 16
     t = np.arange(n)
     j = np.minimum(t // T, n // T - 1)
     tau = t - T * j
     bridge = sigma ** 2 * np.minimum.outer(tau, tau) * (T - np.maximum.outer(tau, tau)) / T
-    for substitution, overlap in ((True, 1), (False, 2)):
+    for substitution, overlap, restarts in ((True, 1, 0), (False, 2, 4), (False, 3, 5)):
         plan = build_plan(n, (T,), 12, overlap)
         layout = worldsim._AnchoredLayout(plan, d, sigma, None, substitution=substitution)
         kv = np.zeros((len(plan.keyframes), trials, d))
         x = layout.run(kv, range(trials))
         cov = x[:, :, 0] @ x[:, :, 0].T / trials
-        redrawn = np.zeros(n, dtype=bool)
+        restart = np.zeros(n, dtype=bool)
         if not substitution:
-            for start in _windows(plan)[0][1:]:
-                redrawn[start:start + overlap] = True
-            redrawn[list(plan.keyframes)] = False
-            assert redrawn.sum() == 8
-        block = np.cumsum(redrawn)
+            restart[_windows(plan)[0][1:]] = True
+            restart[list(plan.keyframes)] = False
+        assert restart.sum() == restarts
+        block = np.cumsum(restart)
         same = (j[:, None] == j[None, :]) & (block[:, None] == block[None, :])
         expected = np.where(same, bridge, 0.0)
-        assert np.max(np.abs(cov - expected)) <= 0.1 * sigma ** 2 * T / 4, substitution
+        assert np.max(np.abs(cov - expected)) <= 0.1 * sigma ** 2 * T / 4, (substitution, overlap)
 
 
 @pytest.mark.parametrize("substitution", [True, False], ids=["anchored", "anchored-redraws"])
 def test_anchored_frames_do_not_depend_on_the_noise_block(monkeypatch, substitution):
     # the bridge noise is read FRAME_BLOCK rows at a time: blocks of 3 rows
-    # split windows, intervals and redraw runs, and give the same bits
+    # split windows, intervals and bridge restarts, and give the same bits
     cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=61)
     plan = build_plan(70, (6,), 10, 2)
     kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
                             rng=np.random.default_rng(61))
     kw = dict(sigma_int=0.3, velocity_error=0.4, substitution=substitution, seed=8)
-    default = rollout_anchored(cfg, plan, kf, **kw).generated.frames
+    default = rollout_anchored(cfg, plan, kf, **kw).generated
     monkeypatch.setattr(worldsim, "FRAME_BLOCK", 3)
-    assert rollout_anchored(cfg, plan, kf, **kw).generated.frames.tobytes() == default.tobytes()
+    assert rollout_anchored(cfg, plan, kf, **kw).generated.tobytes() == default.tobytes()
 
 
 def test_running_sums_do_not_depend_on_the_frame_block(monkeypatch):
@@ -896,9 +922,9 @@ def test_running_sums_do_not_depend_on_the_frame_block(monkeypatch):
     # the next: blocks of 3 frames give the same bits
     cfg = WorldConfig(dim=2, bias=bias_from_norm(2, 0.01), noise_std=0.05,
                       control=np.array([0.1, -0.2]), seed=62)
-    default = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated.frames
+    default = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated
     monkeypatch.setattr(worldsim, "FRAME_BLOCK", 3)
-    frames = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated.frames
+    frames = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated
     assert frames.tobytes() == default.tobytes()
 
 
@@ -933,10 +959,21 @@ def _dense_trajectory(n=5):
                               velocity_error=np.zeros(3)),
      r"velocity_error must be scalar or \(2,\)"),
     (lambda: compare_pipelines(linear_world(), _plan(), trials=0), "trials must be >= 1"),
+    # a count or frame index must be an integer: a float is neither
+    # truncated nor left to fail inside numpy
+    (lambda: generate_keyframes(linear_world(), [0, 4.7, 8], "global"),
+     "each keyframe index must be an integer, got 4.7"),
+    (lambda: rollout_pure_ar(linear_world(), 5.5), "n_frames must be an integer, got 5.5"),
+    (lambda: simulate_ground_truth(linear_world(), 4.0), "n_frames must be an integer, got 4.0"),
+    (lambda: compare_pipelines(linear_world(), _plan(), trials=2.5),
+     "trials must be an integer, got 2.5"),
+    (lambda: sample_keyframe_indices(10, 2.5), "stride must be an integer, got 2.5"),
+    (lambda: sample_keyframe_indices(10.0, 2), "n_frames must be an integer, got 10.0"),
 ], ids=["dim", "dynamics", "bias-shape", "x0-shape", "constant-control-shape",
         "control-schedule-shape", "control-schedule-ndim", "control-schedule-short",
         "trajectory-dim", "world-frames", "keyframe-scenario", "velocity-error-shape",
-        "trials"])
+        "trials", "keyframe-index-float", "ar-frames-float", "truth-frames-float",
+        "trials-float", "stride-float", "sampled-frames-float"])
 def test_bad_input_raises_its_message(call, message):
     with pytest.raises(InvalidInput, match=f"^{message}"):
         call()
