@@ -19,8 +19,7 @@ from .errormodel import ar_upper_curve, jump_anchor_bound, unified_bound
 from .errors import InvalidInput
 from .expconfig import ExperimentConfig, load_config, save_config
 from .metrics import align_similarity, are, fit_rotation, smoothness
-from .schedule import (build_plan, partition_segments, sample_keyframe_indices, save_plan,
-                       segment_context)
+from .schedule import build_plan, partition_segments, save_plan, segment_context
 from .seeding import child_seed, derive_rng
 from .worldsim import (
     WorldConfig,
@@ -94,7 +93,7 @@ def cmd_plan(args) -> int:
     path = os.path.join(out, "plan.txt")
     save_plan(plan, path)
     save_config(cfg, os.path.join(out, "config.txt"))
-    starts, _ = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
+    starts, _ = partition_segments(plan)
     print(f"plan: {plan.total_frames} frames, {len(plan.keyframes)} keyframes, "
           f"{len(starts)} segments, overlap {plan.overlap}")
     print(f"keyframes: {', '.join(str(k) for k in plan.keyframes)}")
@@ -239,24 +238,23 @@ def cmd_ablate(args) -> int:
     grid = _parse_grid(args.grid)
     world = _world(cfg)
     out = _out_dir(cfg)
-    n_segments = len(partition_segments(cfg.total_frames, cfg.segment_len, cfg.overlap)[0])
     rows = []
     for g_stride, i_stride in grid:
-        gen_idx = sample_keyframe_indices(cfg.total_frames, g_stride)
-        kfs = generate_keyframes(world, gen_idx, cfg.kf_scenario,
+        gen_plan = build_plan(cfg.total_frames, (g_stride,), cfg.segment_len, cfg.overlap)
+        kfs = generate_keyframes(world, gen_plan, cfg.kf_scenario,
                                  error_cap=cfg.kf_error_cap, step_error=cfg.kf_step_error,
                                  rng=derive_rng(cfg.seed, f"ablate-kf-{g_stride}-{i_stride}"))
         # the interpolation anchors are the generated ones at multiples of
         # i_stride (and the final frame), since g_stride divides i_stride
         plan = build_plan(cfg.total_frames, (i_stride,), cfg.segment_len, cfg.overlap)
-        anchors = kfs[np.searchsorted(gen_idx, plan.keyframes)]
+        anchors = kfs[np.searchsorted(gen_plan.keyframes, plan.keyframes)]
         trace = rollout_anchored(world, plan, anchors, sigma_int=cfg.sigma_int,
                                  velocity_error=cfg.velocity_error,
                                  seed=child_seed(cfg.seed, f"ablate-{g_stride}-{i_stride}"))
         viol = _bound_violations(trace, cfg.sigma_int)
         bd = trace.breakdown
-        rows.append((g_stride, i_stride, len(plan.keyframes), n_segments,
-                     trace.final_error(), bd.total, bd.anchor_term, bd.leakage_term,
+        rows.append((g_stride, i_stride, len(plan.keyframes), len(partition_segments(plan)[0]),
+                     float(trace.error_norms[-1]), bd.total, bd.anchor_term, bd.leakage_term,
                      bd.noise_term, -1 if viol is None else viol))
     path = os.path.join(out, "ablation.csv")
     # each column is all ints or all floats, and np.array keeps it so

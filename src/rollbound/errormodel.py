@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _as_int
 from .errors import InvalidInput
 
 #: boundary velocity errors shrink by this factor from one segment to the next
@@ -184,7 +185,7 @@ def discrete_spline_minimizer(interval: float, velocity_in: float,
     """
     T = float(interval)
     _check_interval(T)
-    m = int(grid_points)
+    m = _as_int(grid_points, "grid_points")
     if m < 6:
         raise InvalidInput("grid_points must be >= 6")
     h = T / (m - 1)

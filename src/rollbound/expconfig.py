@@ -8,6 +8,7 @@ file's, then --set pairs, then CLI flags. A --set pair, like a file line, is
 stripped around its '='; a flag's value is taken as it is. The merged config
 is checked once, when it is built, and one that breaks a rule is rejected
 naming the key:
+  * every count, segment_len, overlap, seed and each stride is an integer,
   * every float key is finite and non-negative,
   * dynamics and kf_scenario take one of the values listed below,
   * total_frames, dim, trials and every stride are >= 1, and seed is >= 0,
@@ -43,7 +44,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-from .core import read_text
+from .core import _as_int, read_text
 from .errors import InvalidInput
 
 #: keys holding a float (kf_step_error also None): each must be finite and >= 0
@@ -56,6 +57,9 @@ _CHOICE_KEYS = {"dynamics": ("scaled_identity", "rotation"),
 
 #: keys holding a count: each must be >= 1
 _COUNT_KEYS = ("total_frames", "dim", "trials")
+
+#: keys holding an integer, the strides aside
+_INT_KEYS = _COUNT_KEYS + ("segment_len", "overlap", "seed")
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,9 @@ class ExperimentConfig:
     trajectory: str = ""
 
     def __post_init__(self):
+        for name in _INT_KEYS:
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "strides", tuple(_as_int(s, "each stride") for s in self.strides))
         for name in _FLOAT_KEYS:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v >= 0.0):

@@ -1,12 +1,13 @@
 """Rollout planning: keyframe sampling, overlapping generation windows,
 and the frames each window conditions on.
 
-A plan stores only its keyframes, window length and overlap. Its windows
-are derived from them as two arrays, their first and last frames
-(partition_segments), and what a window conditions on from those
-(segment_context): its anchors are the keyframes select_keyframes picks for
-its span (global context), its history is the overlap frames it shares
-with its predecessor (local coherence).
+A plan stores only its keyframes, window length and overlap, and checks
+them when it is made. Its windows are derived from a plan as two arrays,
+their first and last frames (partition_segments), and what a window
+conditions on from those (segment_context): its anchors are the keyframes
+select_keyframes picks for its span (global context), its history is the
+overlap frames it shares with its predecessor (local coherence). Neither
+checks the plan again.
 
 `plan` writes a plan as flat key/value text (keys: total_frames, strides,
 overlap, keyframes, segments as start:end spans).
@@ -40,39 +41,31 @@ def select_keyframes(keyframes, seg_start: int, seg_end: int) -> list[int]:
     """Keyframes conditioning a segment: every keyframe inside [seg_start,
     seg_end] plus the nearest keyframe before the span and the nearest after.
 
+    The keyframes must be sorted and duplicate-free, as a plan's are; like
+    bisect, it does not check that. It takes O(log K) plus the answer's size.
+
     When the segment starts at a keyframe-0 boundary (no keyframe strictly
     before), the span's own first keyframe doubles as the look-back anchor;
     when no keyframe lies beyond seg_end (tail segment) the look-ahead anchor
     is omitted.
     """
-    kf = sorted(set(int(k) for k in keyframes))
-    if not kf:
+    if len(keyframes) == 0:
         raise InvalidInput("keyframe list is empty")
-    return _select_sorted(kf, seg_start, seg_end)
+    lo = bisect_left(keyframes, seg_start)   # keyframes[lo - 1] is the last one before the span
+    hi = bisect_right(keyframes, seg_end)    # keyframes[hi] is the first one after it
+    return list(keyframes[max(lo - 1, 0):hi + 1])
 
 
-def _select_sorted(kf: list[int], seg_start: int, seg_end: int) -> list[int]:
-    """select_keyframes on sorted, duplicate-free keyframes, in O(log K) plus
-    the size of the answer."""
-    lo = bisect_left(kf, seg_start)   # kf[lo - 1] is the last keyframe before the span
-    hi = bisect_right(kf, seg_end)    # kf[hi] is the first keyframe after it
-    return kf[max(lo - 1, 0):hi + 1]
-
-
-def partition_segments(n_frames: int, seg_len: int, overlap: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last frames, as two arrays, of the windows that cut
-    [0, n_frames-1] into seg_len frames advancing by (seg_len - overlap);
-    the last window is truncated at the final frame. Windows start at 0 and
-    at every further multiple of the stride below n_frames - overlap: from
-    there on, the predecessor reaches the final frame."""
-    if n_frames < 1:
-        raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
-    if overlap < 0:
-        raise InvalidInput("overlap must be >= 0")
-    if seg_len <= overlap:
-        raise InvalidInput("segment length must exceed overlap")
-    starts = np.arange(0, max(n_frames - overlap, 1), seg_len - overlap)
-    return starts, np.minimum(starts + seg_len, n_frames) - 1
+def partition_segments(plan: RolloutPlan) -> tuple[np.ndarray, np.ndarray]:
+    """First and last frames, as two arrays, of the plan's windows: they cut
+    [0, total_frames-1] into segment_len frames advancing by
+    (segment_len - overlap); the last window is truncated at the final
+    frame. Windows start at 0 and at every further multiple of the stride
+    below total_frames - overlap: from there on, the predecessor reaches the
+    final frame."""
+    n, seg_len, overlap = plan.total_frames, plan.segment_len, plan.overlap
+    starts = np.arange(0, max(n - overlap, 1), seg_len - overlap)
+    return starts, np.minimum(starts + seg_len, n) - 1
 
 
 def segment_context(plan: RolloutPlan):
@@ -81,11 +74,10 @@ def segment_context(plan: RolloutPlan):
     shared with the predecessor (empty for the first window); anchors are
     the keyframes select_keyframes picks for the span. A plan's keyframes
     are sorted, so a pass over the plan is linear in its size."""
-    kf = list(plan.keyframes)
-    starts, ends = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
+    starts, ends = partition_segments(plan)
     for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
         history = list(range(start, min(start + plan.overlap, end + 1))) if i else []
-        yield start, end, history, _select_sorted(kf, start, end)
+        yield start, end, history, select_keyframes(plan.keyframes, start, end)
 
 
 def build_plan(n_frames: int, strides, seg_len: int, overlap: int,
@@ -110,7 +102,7 @@ def build_plan(n_frames: int, strides, seg_len: int, overlap: int,
 
 def save_plan(plan: RolloutPlan, path) -> None:
     strides = sorted({b - a for a, b in zip(plan.keyframes, plan.keyframes[1:])}) or [1]
-    starts, ends = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
+    starts, ends = partition_segments(plan)
     lines = [
         f"total_frames = {plan.total_frames}",
         f"strides = {','.join(str(s) for s in strides)}",

@@ -14,18 +14,18 @@ run that draws nothing does not pay for its import.
 
 from __future__ import annotations
 
-import operator
 import zlib
 
 import numpy as np
 
+from .core import _as_int
 from .errors import InvalidInput
 
 
 def _seed_sequence(seed: int, label: str, index: int):
     from numpy.random import SeedSequence
 
-    seed, index = operator.index(seed), operator.index(index)
+    seed, index = _as_int(seed, "seed"), _as_int(index, "index")
     if seed < 0 or index < 0:
         raise InvalidInput(f"seeds and stream indices must be non-negative, "
                            f"got seed {seed}, index {index}")

@@ -79,6 +79,8 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.dim < 1:
             raise InvalidInput("dim must be >= 1")
         for name in ("lipschitz", "noise_std"):
@@ -187,9 +189,6 @@ class RolloutTrace:
     breakdown: BoundBreakdown | None = None
     segment_ids: np.ndarray | None = None
     keyframe_indices: tuple[int, ...] = ()
-
-    def final_error(self) -> float:
-        return float(self.error_norms[-1])
 
 
 def trace_table(trace: RolloutTrace, path) -> tuple:
@@ -467,14 +466,14 @@ def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
 # keyframe generation
 # ---------------------------------------------------------------------------
 
-def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
+def generate_keyframes(cfg: WorldConfig, plan: RolloutPlan, scenario: str,
                        error_cap: float = 0.0, step_error: float | None = None,
                        rng=None) -> np.ndarray:
-    """Anchor latents under one of two regimes, as a (K, d) array with one
-    row per index, in sorted index order. The indices must be unique and
-    include 0. These are a trial's anchors in compare_pipelines, on rng as
-    its anchor stream: the one-generator case of _World.keyframes. rng is a
-    Generator, by default derive_rng(cfg.seed, "keyframes").
+    """Anchor latents at a plan's keyframes under one of two regimes, as a
+    (K, d) array with one row per keyframe, in plan order. These are a
+    trial's anchors in compare_pipelines, on rng as its anchor stream: the
+    one-generator case of _World.keyframes. rng is a Generator, by default
+    derive_rng(cfg.seed, "keyframes").
 
     "global": every anchor is ground truth plus an independent perturbation
     of norm <= error_cap (frame 0, the given initial frame, stays exact): an
@@ -486,12 +485,9 @@ def generate_keyframes(cfg: WorldConfig, indices, scenario: str,
     draw nothing, so rng is read only by "global". Anchors past the float
     range are rejected ("keyframe values must be finite").
     """
-    idx = sorted(_as_int(i, "each keyframe index") for i in indices)
-    if not idx or idx[0] != 0 or len(set(idx)) < len(idx):
-        raise InvalidInput("keyframe indices must be unique and include 0")
-    world = _World(cfg, idx[-1] + 1)
+    world = _World(cfg, plan.total_frames)
     g = rng if rng is not None else derive_rng(cfg.seed, "keyframes")
-    return world.keyframes(idx, scenario, error_cap, step_error, [g])[:, 0]
+    return world.keyframes(list(plan.keyframes), scenario, error_cap, step_error, [g])[:, 0]
 
 
 def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarray:
@@ -577,7 +573,7 @@ class _AnchoredLayout:
         # substitution each later window generates its frames on its own:
         # the bridge restarts at its first frame (frac 0) from the marginal
         # law, unless that frame is a keyframe
-        starts, _ = partition_segments(n, plan.segment_len, plan.overlap)
+        starts, _ = partition_segments(plan)
         # with substitution a window's overlap frames are its predecessor's;
         # a frame's id is the last window that generates it
         gen_from = starts + (plan.overlap if substitution else 0)
@@ -640,12 +636,12 @@ class _AnchoredLayout:
                 np.multiply(w[t - 1], frac, out=w[t])
                 w[t] += kick
 
-    def trace(self, world: _World, kv: np.ndarray, x: np.ndarray,
+    def trace(self, gt: np.ndarray, kv: np.ndarray, x: np.ndarray,
               err: np.ndarray) -> RolloutTrace:
-        """One trial's trace from its (K, d) anchors and (n, d) frames; the
-        bound column holds the unified bound built from its largest anchor
-        error."""
-        gt, kf_idx = world.gt, self.plan.keyframes
+        """One trial's trace from the (n, d) ground truth, its (K, d) anchors
+        and its (n, d) frames; the bound column holds the unified bound built
+        from its largest anchor error."""
+        kf_idx = self.plan.keyframes
         max_T = max((hi - lo for lo, hi in zip(kf_idx, kf_idx[1:])), default=1)
         anchor = float(_anchor_error_norms(kv, gt, kf_idx).max())
         dv0 = float(_safe_norms(self.dv0[None], _row_norm)[0])
@@ -688,10 +684,9 @@ def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, anchors,
         raise InvalidInput(f"anchors must be a ({len(plan.keyframes)}, {cfg.dim}) array, "
                            f"one row per plan keyframe, not {kv.shape}")
     _finite_anchors(kv)
-    world = _World(cfg, plan.total_frames)
-    x = layout.run(kv[:, None], [cfg.seed if seed is None else int(seed)])
-    err = _error_norms(x, world.gt)[0]
-    return layout.trace(world, kv, x[:, 0], err)
+    gt = simulate_ground_truth(cfg, plan.total_frames)
+    x = layout.run(kv[:, None], [cfg.seed if seed is None else _as_int(seed, "seed")])
+    return layout.trace(gt, kv, x[:, 0], _error_norms(x, gt)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +734,7 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     anchor stream. Per-frame sums accumulate in trial order."""
     if _as_int(trials, "trials") < 1:
         raise InvalidInput("trials must be >= 1")
-    base = cfg.seed if seed is None else int(seed)
+    base = cfg.seed if seed is None else _as_int(seed, "seed")
     n = plan.total_frames
 
     # trial block 0 runs in the ground truth's own pass
@@ -768,7 +763,7 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
         err = _error_norms(x, world.gt)
         _accumulate(dc_sums, err)
         if first == 0:
-            first_anchored = layout.trace(world, kv[:, 0], x[:, 0], err[0])
+            first_anchored = layout.trace(world.gt, kv[:, 0], x[:, 0], err[0])
     return ComparisonReport(
         ar_mean_error=ar_sums[0] / trials,
         ar_mse=ar_sums[1] / trials,

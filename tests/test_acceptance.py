@@ -149,7 +149,7 @@ def test_c06_bound_dominance():
                               control=g.normal(0, 0.3, size=dim), seed=int(g.integers(1 << 30)))
             plan = build_plan(n, (stride,), seg_len, overlap)
             scenario = "global" if g.uniform() < 0.5 else "downsampled_ar"
-            kf = generate_keyframes(cfg, plan.keyframes, scenario,
+            kf = generate_keyframes(cfg, plan, scenario,
                                     error_cap=float(g.uniform(0.0, 0.5)),
                                     rng=np.random.default_rng(3000 + trial))
             dv0 = g.normal(0, 0.7, size=dim)
@@ -188,14 +188,14 @@ def test_c08_boundary_consistency():
                  5.0) as b:
         cfg = WorldConfig(dim=2, lipschitz=1.0, control=np.array([0.2, -0.1]), seed=108)
         plan = build_plan(65, (8,), 9, 1)
-        kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.05,
+        kf = generate_keyframes(cfg, plan, "global", error_cap=0.05,
                                 rng=np.random.default_rng(108))
         one_window = RolloutPlan(65, plan.keyframes, 65, 0)
         noisy = [rollout_anchored(cfg, p, kf, sigma_int=0.3, velocity_error=1.0,
                                   seed=42).generated for p in (plan, one_window)]
         identical = noisy[0].tobytes() == noisy[1].tobytes()
 
-        perfect = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.0)
+        perfect = generate_keyframes(cfg, plan, "global", error_cap=0.0)
         on = rollout_anchored(cfg, plan, perfect, sigma_int=0.0, velocity_error=1.0,
                           substitution=True)
         off = rollout_anchored(cfg, plan, perfect, sigma_int=0.0, velocity_error=1.0,

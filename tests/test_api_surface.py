@@ -25,10 +25,6 @@ ALLOWED_UNCALLED = {
     "simulate_bridge_paths": "the Monte-Carlo oracle of the bridge statistics",
     "rollout_pure_ar": "a bench tracer target; goes with the single-trial wrappers once "
                        "ablate runs on the Monte-Carlo engine",
-    "simulate_ground_truth": "a bench tracer target; goes with the single-trial wrappers "
-                             "once ablate runs on the Monte-Carlo engine",
-    "select_keyframes": "a bench tracer target, until the tracer drops the targets that "
-                        "read 0 calls",
 }
 
 

@@ -1002,6 +1002,22 @@ def test_config_rejects_a_string_its_file_cannot_carry(key, value):
         ExperimentConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("total_frames", 9.5, "total_frames must be an integer, got 9.5"),
+    ("segment_len", 5.5, "segment_len must be an integer, got 5.5"),
+    ("overlap", 1.0, "overlap must be an integer, got 1.0"),
+    ("strides", (8, 2.5), "each stride must be an integer, got 2.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("trials", 2.5, "trials must be an integer, got 2.5"),
+    ("dim", 2.0, "dim must be an integer, got 2.0"),
+], ids=["total_frames", "segment_len", "overlap", "strides", "seed", "trials", "dim"])
+def test_config_rejects_a_float_count_naming_the_key(key, value, message):
+    # a config built from values, not parsed from text, is checked as well:
+    # a float count is neither truncated nor left to fail later
+    with pytest.raises(core.InvalidInput, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**{key: value})
+
+
 @pytest.mark.parametrize("argv", [["--set", "out_dir={d}/a #b"], ["--out", "{d}/a #b"],
                                   ["--out", "{d}/a\nb"], ["--set", "trajectory=#x"]],
                          ids=["set-hash", "flag-hash", "flag-newline", "set-leading-hash"])

@@ -371,11 +371,13 @@ def test_unified_bound_rejects_bad_arguments():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: discrete_spline_minimizer(8.0, 1.0, grid_points=5), "grid_points must be >= 6"),
+    (lambda: discrete_spline_minimizer(8.0, 1.0, grid_points=6.9),
+     "grid_points must be an integer, got 6.9"),
     (lambda: simulate_bridge_paths(8.0, 1.0, 0, 4, np.random.default_rng(0)),
      "need n_steps >= 1, n_paths >= 1"),
     (lambda: simulate_bridge_paths(8.0, 1.0, 4, 0, np.random.default_rng(0)),
      "need n_steps >= 1, n_paths >= 1"),
-], ids=["spline-grid", "bridge-steps", "bridge-paths"])
+], ids=["spline-grid", "spline-grid-float", "bridge-steps", "bridge-paths"])
 def test_oracle_bad_input_raises_its_message(call, message):
     with pytest.raises(InvalidInput, match=f"^{message}$"):
         call()

@@ -209,7 +209,7 @@ def test_api_anchored_without_substitution_digest():
     cfg = WorldConfig(dim=3, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(3, 0.02), seed=21)
     plan = build_plan(70, (6,), 10, 2)
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(21))
     arrays = []
     for momentum in (True, False):
@@ -243,7 +243,7 @@ def test_api_anchored_noiseless_without_substitution_digest():
     cfg = WorldConfig(dim=3, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(3, 0.02), seed=22)
     plan = build_plan(70, (6,), 10, 2)
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(22))
     parts = []
     for momentum in (True, False):

@@ -93,16 +93,24 @@ def _brute_force_selection(keyframes, s, e):
        st.integers(0, 200), st.integers(0, 60))
 @settings(max_examples=300)
 def test_select_keyframes_matches_enumeration(kfset, start, length):
+    # a list, or a tuple as a plan stores its keyframes: a list comes back
     kf = sorted(kfset)
     end = start + length
     got = select_keyframes(kf, start, end)
     assert got == _brute_force_selection(kf, start, end)
     assert got == sorted(set(got))
+    from_tuple = select_keyframes(tuple(kf), start, end)
+    assert type(from_tuple) is list and from_tuple == got
 
 
 # ---------------------------------------------------------------------------
 # segment partitioning
 # ---------------------------------------------------------------------------
+
+def _partition(n_frames, seg_len, overlap):
+    """partition_segments of a plan with those frames and windows."""
+    return partition_segments(build_plan(n_frames, (n_frames,), seg_len, overlap))
+
 
 def _while_loop_windows(n_frames, seg_len, overlap):
     """The window rule as a loop, window by window: the reference the
@@ -120,14 +128,14 @@ def test_partition_matches_while_loop_reference():
     for n in range(1, 90):
         for seg_len in range(1, 14):
             for overlap in range(seg_len):
-                got = list(zip(*(a.tolist() for a in partition_segments(n, seg_len, overlap))))
+                got = list(zip(*(a.tolist() for a in _partition(n, seg_len, overlap))))
                 assert got == _while_loop_windows(n, seg_len, overlap), (n, seg_len, overlap)
 
 
 def test_partition_stride_enumeration():
-    starts, ends = partition_segments(13, 5, 1)
-    assert starts.tolist() == [0, 4, 8] and ends.tolist() == [4, 8, 12]
     plan = RolloutPlan(13, (0, 4, 8, 12), segment_len=5, overlap=1)
+    starts, ends = partition_segments(plan)
+    assert starts.tolist() == [0, 4, 8] and ends.tolist() == [4, 8, 12]
     context = list(segment_context(plan))
     assert [(start, end) for start, end, _, _ in context] == [(0, 4), (4, 8), (8, 12)]
     assert all(type(v) is int for start, end, _, _ in context for v in (start, end))
@@ -136,20 +144,17 @@ def test_partition_stride_enumeration():
 
 
 def test_partition_single_segment():
-    starts, ends = partition_segments(5, 5, 1)
+    starts, ends = _partition(5, 5, 1)
     assert starts.tolist() == [0] and ends.tolist() == [4]
 
 
 def test_partition_truncates_last():
-    starts, ends = partition_segments(14, 5, 1)
+    starts, ends = _partition(14, 5, 1)
     assert starts.tolist() == [0, 4, 8, 12] and ends.tolist() == [4, 8, 12, 13]
 
 
 def test_partition_rejects_bad_overlap():
-    with pytest.raises(InvalidInput, match="segment length must exceed overlap"):
-        partition_segments(10, 3, 3)
-    with pytest.raises(InvalidInput, match="overlap must be >= 0"):
-        partition_segments(10, 3, -1)
+    # partition_segments takes a plan, which has already checked its windows
     with pytest.raises(InvalidInput, match="segment length must exceed overlap"):
         build_plan(10, (3,), 3, 3)
 
@@ -204,7 +209,9 @@ def test_random_plans_validate_clean(n, stride, seg_len, overlap):
                    "segment_len 5 and overlap 5"),
     ("overlap", -1, "got segment_len 5 and overlap -1"),
     ("keyframes", (), "keyframe list is empty"),
-], ids=["unsorted", "first", "last", "overlap", "negative_overlap", "no_keyframes"])
+    ("keyframes", (0, 4, 4, 8), "keyframes are not sorted and duplicate-free"),
+], ids=["unsorted", "first", "last", "overlap", "negative_overlap", "no_keyframes",
+        "duplicate"])
 def test_load_plan_rejects_malformed(key, value, message):
     plan = RolloutPlan(9, (0, 4, 8), segment_len=5, overlap=1)
     assert validate_plan(plan) == []
@@ -250,7 +257,3 @@ def test_build_plan_draws_a_stride_only_from_a_given_generator():
         build_plan(200, (4, 8, 16), 9, 1)
     assert build_plan(200, (8,), 9, 1).keyframes[1] == 8
 
-
-def test_partition_rejects_no_frames():
-    with pytest.raises(InvalidInput, match="^n_frames must be >= 1, got 0$"):
-        partition_segments(0, 5, 1)

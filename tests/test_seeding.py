@@ -53,9 +53,11 @@ def test_child_seeds_are_pinned():
     assert [child_seed(s, "trial-ar", 2**32 + 3) for s in seeds] == pinned
 
 
-@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1)])
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (2.5, 0), (0, 2.5)])
 def test_negative_seed_or_index_is_invalid_input(seed, index):
-    with pytest.raises(InvalidInput, match="non-negative"):
+    # a float is rejected naming its argument, not truncated or left to numpy
+    message = "non-negative|(seed|index) must be an integer, got 2.5"
+    with pytest.raises(InvalidInput, match=message):
         derive_rng(seed, "plan", index)
-    with pytest.raises(InvalidInput, match="non-negative"):
+    with pytest.raises(InvalidInput, match=message):
         child_seed(seed, "plan", index)

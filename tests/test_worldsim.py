@@ -41,9 +41,15 @@ def anchor_errors(cfg, idx, anchors):
     return worldsim._anchor_error_norms(anchors, gt, idx)
 
 
+def _keyframe_plan(idx):
+    """A one-window plan with keyframes idx, sorted from frame 0 to its final
+    frame."""
+    return RolloutPlan(idx[-1] + 1, idx, idx[-1] + 1, 0)
+
+
 def _windows(plan):
     """The plan's window starts and ends, as lists of ints."""
-    starts, ends = partition_segments(plan.total_frames, plan.segment_len, plan.overlap)
+    starts, ends = partition_segments(plan)
     return starts.tolist(), ends.tolist()
 
 
@@ -199,14 +205,14 @@ def test_pure_ar_deterministic_error_norms_match_recursion_exactly():
 
 def test_keyframes_exact_when_cap_zero():
     cfg = linear_world(bias=0.05)
-    kf = generate_keyframes(cfg, [0, 8, 16], "global", error_cap=0.0)
+    kf = generate_keyframes(cfg, _keyframe_plan([0, 8, 16]), "global", error_cap=0.0)
     assert np.all(anchor_errors(cfg, [0, 8, 16], kf) == 0.0)
 
 
 def test_keyframes_downsampled_accumulation():
     cfg = linear_world(bias=0.01)
     idx = list(range(0, 321, 8))
-    kf = generate_keyframes(cfg, idx, "downsampled_ar")
+    kf = generate_keyframes(cfg, _keyframe_plan(idx), "downsampled_ar")
     errs = anchor_errors(cfg, idx, kf)
     assert errs[0] == 0.0
     assert errs[-1] == pytest.approx(0.4, abs=1e-9)
@@ -218,7 +224,7 @@ def test_keyframes_global_cap_respected_over_seeds():
     idx = [0, 8, 16, 24]
     worst = 0.0
     for seed in range(1000):
-        kf = generate_keyframes(cfg, idx, "global", error_cap=0.1,
+        kf = generate_keyframes(cfg, _keyframe_plan(idx), "global", error_cap=0.1,
                                 rng=np.random.default_rng(seed))
         worst = max(worst, float(anchor_errors(cfg, idx, kf).max()))
     assert worst <= 0.1 + 1e-12
@@ -236,7 +242,7 @@ def test_anchor_error_norms_match_per_anchor_loop():
         assert np.array_equal(worldsim._anchor_error_norms(values, gt, idx), loop)
     cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=51)
     plan = build_plan(97, (4,), 9, 1)
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(51))
     gt = simulate_ground_truth(cfg, plan.total_frames)
     loop = [np.linalg.norm(v - gt[k]) for k, v in zip(plan.keyframes, kf)]
@@ -268,7 +274,7 @@ def test_global_keyframes_match_per_anchor_loop():
         for cap in (0.0, 0.1, 3.0):
             idx = sorted({0, *g.choice(300, 40).tolist()})
             gt = simulate_ground_truth(cfg, idx[-1] + 1)
-            kf = generate_keyframes(cfg, idx, "global", error_cap=cap,
+            kf = generate_keyframes(cfg, _keyframe_plan(idx), "global", error_cap=cap,
                                     rng=np.random.default_rng(dim))
             loop = _loop_global_keyframes(gt, idx, cap, np.random.default_rng(dim))
             assert kf.tobytes() == loop.tobytes(), (dim, cap)
@@ -314,20 +320,6 @@ def test_global_keyframes_law():
         within(u.var(), 1.0 / d, np.sqrt(fourth - 1.0 / d ** 2))
 
 
-def test_keyframes_require_zero_start():
-    with pytest.raises(InvalidInput):
-        generate_keyframes(linear_world(), [8, 16], "global")
-
-
-def test_keyframes_sorted_and_repeats_rejected():
-    # one row per index, in sorted index order; a repeated index is invalid
-    cfg = WorldConfig(dim=2, control=np.array([1.0, 0.0]))
-    kf = generate_keyframes(cfg, [16, 0, 8], "global", error_cap=0.0)
-    assert kf[:, 0].tolist() == [0.0, 8.0, 16.0]
-    with pytest.raises(InvalidInput, match="unique and include 0"):
-        generate_keyframes(cfg, [0, 8, 8, 16], "global")
-
-
 def test_keyframes_reject_anchors_past_the_float_range():
     # 3**700 is past the float range: the downsampled anchors are rejected,
     # and numpy's overflow warnings stay inside
@@ -335,19 +327,20 @@ def test_keyframes_reject_anchors_past_the_float_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput, match="keyframe values must be finite"):
-            generate_keyframes(cfg, [0, 1, 701], "downsampled_ar")
+            generate_keyframes(cfg, _keyframe_plan([0, 1, 701]), "downsampled_ar")
 
 
 @pytest.mark.parametrize("cap", [-0.1, np.nan, np.inf])
 def test_keyframes_reject_bad_error_cap(cap):
     with pytest.raises(InvalidInput, match="error_cap must be finite and non-negative"):
-        generate_keyframes(linear_world(), [0, 8, 16], "global", error_cap=cap)
+        generate_keyframes(linear_world(), _keyframe_plan([0, 8, 16]), "global", error_cap=cap)
 
 
 @pytest.mark.parametrize("step_error", [-1.0, np.nan, np.inf])
 def test_keyframes_reject_bad_step_error(step_error):
     with pytest.raises(InvalidInput, match="step_error must be finite and non-negative"):
-        generate_keyframes(linear_world(), [0, 8, 16], "downsampled_ar", step_error=step_error)
+        generate_keyframes(linear_world(), _keyframe_plan([0, 8, 16]), "downsampled_ar",
+                           step_error=step_error)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -374,7 +367,7 @@ def test_anchored_linear_truth_reproduced_exactly():
     # linear-in-time ground truth is recovered by anchor interpolation
     cfg = linear_world(control=np.array([0.3, -0.2]), seed=5)
     plan = _plan()
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.0)
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.0)
     trace = rollout_anchored(cfg, plan, kf)
     assert np.max(trace.error_norms) < 1e-12
 
@@ -382,7 +375,7 @@ def test_anchored_linear_truth_reproduced_exactly():
 def test_anchored_anchoring_invariant():
     cfg = linear_world(bias=0.01, control=np.array([0.1, 0.0]), seed=6)
     plan = _plan()
-    kf = generate_keyframes(cfg, plan.keyframes, "downsampled_ar")
+    kf = generate_keyframes(cfg, plan, "downsampled_ar")
     kf_err = anchor_errors(cfg, plan.keyframes, kf)
     trace = rollout_anchored(cfg, plan, kf, sigma_int=0.4, velocity_error=0.7, seed=123)
     for j, k in enumerate(plan.keyframes):
@@ -392,7 +385,7 @@ def test_anchored_anchoring_invariant():
 def test_anchored_leakage_peaks_match_spline_and_halve():
     cfg = linear_world(control=np.array([0.25, 0.0]), seed=7)
     plan = _plan(n=65, stride=8, seg_len=9, overlap=1)
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.0)
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.0)
     trace = rollout_anchored(cfg, plan, kf, velocity_error=1.0)
     dev = trace.generated[:, 0] - trace.ground_truth[:, 0]
     intervals = list(zip(plan.keyframes, plan.keyframes[1:]))
@@ -413,7 +406,7 @@ def test_anchored_leakage_peaks_match_spline_and_halve():
 def test_anchored_error_decomposition_round_trip():
     cfg = linear_world(control=np.array([0.2, -0.1]), seed=8)
     plan = _plan()
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.2,
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.2,
                             rng=np.random.default_rng(12))
     dv0 = np.array([0.6, -0.3])
     trace = rollout_anchored(cfg, plan, kf, velocity_error=dv0)
@@ -437,7 +430,7 @@ def test_anchored_error_decomposition_round_trip():
 def test_anchored_bound_dominates_deterministic_runs():
     cfg = linear_world(bias=0.02, control=np.array([0.15, 0.05]), seed=9)
     plan = build_plan(321, (8,), 9, 1)
-    kf = generate_keyframes(cfg, plan.keyframes, "downsampled_ar")
+    kf = generate_keyframes(cfg, plan, "downsampled_ar")
     trace = rollout_anchored(cfg, plan, kf, velocity_error=0.5)
     assert np.all(trace.error_norms <= trace.bounds + 1e-9)
     assert trace.breakdown.total == pytest.approx(trace.bounds[0])
@@ -457,7 +450,7 @@ def test_anchored_frames_do_not_depend_on_the_windows(n, stride, dim, momentum, 
     cfg = WorldConfig(dim=dim, dynamics="rotation", bias=bias_from_norm(dim, 0.01),
                       control=np.full(dim, 0.1), seed=seed % 97)
     kf = tuple(sample_keyframe_indices(n, stride))
-    anchors = generate_keyframes(cfg, kf, "global", error_cap=0.1,
+    anchors = generate_keyframes(cfg, _keyframe_plan(kf), "global", error_cap=0.1,
                                  rng=np.random.default_rng(seed))
     kw = dict(sigma_int=0.3, velocity_error=0.4)
     runs = []
@@ -478,7 +471,7 @@ def test_anchored_substitution_off_breaks_overlap_identity():
     # the frames differ
     cfg = linear_world(control=np.array([0.3, 0.1]), seed=10)
     plan = _plan(n=33, stride=8, seg_len=6, overlap=1)
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(2))
     one_window = RolloutPlan(plan.total_frames, plan.keyframes, plan.total_frames, 0)
     kw = dict(sigma_int=0.5, velocity_error=0.4, seed=77)
@@ -514,7 +507,7 @@ def test_momentum_off_does_not_reduce_boundary_discontinuity():
     # trivially smooth in the off mode)
     cfg = linear_world(control=np.array([0.2, 0.0]), seed=11)
     plan = _plan(n=33, stride=8, seg_len=9, overlap=1)
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.0)
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.0)
     on = rollout_anchored(cfg, plan, kf, velocity_error=1.0, momentum=True)
     off = rollout_anchored(cfg, plan, kf, velocity_error=1.0, momentum=False)
     dd_on = _boundary_second_differences(on, plan.keyframes)
@@ -641,7 +634,7 @@ def test_anchored_rejects_missing_anchors():
 def test_anchored_rejects_non_finite_inputs(name, value):
     cfg = linear_world()
     plan = _plan()
-    kf = generate_keyframes(cfg, plan.keyframes, "global")
+    kf = generate_keyframes(cfg, plan, "global")
     with pytest.raises(InvalidInput, match=f"^{name} must be finite"):
         rollout_anchored(cfg, plan, kf, **{name: value})
 
@@ -653,7 +646,7 @@ def test_anchored_huge_sigma_int_without_substitution_is_invalid_input():
     assert bridge_variance(2.0, 4.0, 1e200) == np.inf
     cfg = linear_world()
     plan = _plan(n=33, stride=8, seg_len=6, overlap=1)
-    kf = generate_keyframes(cfg, plan.keyframes, "global")
+    kf = generate_keyframes(cfg, plan, "global")
     with pytest.raises(InvalidInput, match="latent frames must be finite"):
         rollout_anchored(cfg, plan, kf, sigma_int=1e200, substitution=False)
 
@@ -661,7 +654,7 @@ def test_anchored_huge_sigma_int_without_substitution_is_invalid_input():
 def test_trace_csv_schema(tmp_path):
     cfg = linear_world(bias=0.01, seed=12)
     plan = _plan()
-    kf = generate_keyframes(cfg, plan.keyframes, "downsampled_ar")
+    kf = generate_keyframes(cfg, plan, "downsampled_ar")
     trace = rollout_anchored(cfg, plan, kf)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
@@ -750,7 +743,7 @@ def test_noiseless_interpolation_derives_no_noise_streams(monkeypatch, tmp_path)
     assert "interp-noise" not in labels
     compare_pipelines(cfg, plan, sigma_int=0.1, **kw)
     assert labels.count("interp-noise") == 3
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.05)
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.05)
     labels.clear()
     for substitution in (True, False):
         rollout_anchored(cfg, plan, kf, substitution=substitution)
@@ -826,7 +819,7 @@ def test_batched_engine_matches_standalone_rollouts(dim, trials):
     for i in range(trials):
         traces = {"ar": rollout_pure_ar(cfg, n, rng=derive_rng(base, "trial-ar", i))}
         for sc in scenarios:
-            kf = generate_keyframes(cfg, plan.keyframes, sc, error_cap=0.05,
+            kf = generate_keyframes(cfg, plan, sc, error_cap=0.05,
                                     rng=derive_rng(base, f"trial-kf-{sc}", i))
             child = child_seed(base, f"trial-anchored-{sc}", i)
             traces[sc] = rollout_anchored(cfg, plan, kf, seed=child, **kw)
@@ -909,7 +902,7 @@ def test_anchored_frames_do_not_depend_on_the_noise_block(monkeypatch, substitut
     # split windows, intervals and bridge restarts, and give the same bits
     cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=61)
     plan = build_plan(70, (6,), 10, 2)
-    kf = generate_keyframes(cfg, plan.keyframes, "global", error_cap=0.1,
+    kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(61))
     kw = dict(sigma_int=0.3, velocity_error=0.4, substitution=substitution, seed=8)
     default = rollout_anchored(cfg, plan, kf, **kw).generated
@@ -953,7 +946,7 @@ def _dense_trajectory(n=5):
     (lambda: worldsim.controls_from_trajectory(_dense_trajectory(), dim=2),
      "need dim >= 3 to embed translation velocity"),
     (lambda: simulate_ground_truth(linear_world(), 0), "n_frames must be >= 1"),
-    (lambda: generate_keyframes(linear_world(), [0, 4], "local"),
+    (lambda: generate_keyframes(linear_world(), _keyframe_plan([0, 4]), "local"),
      "unknown keyframe scenario 'local'"),
     (lambda: rollout_anchored(linear_world(), _plan(), np.zeros((5, 2)),
                               velocity_error=np.zeros(3)),
@@ -961,19 +954,24 @@ def _dense_trajectory(n=5):
     (lambda: compare_pipelines(linear_world(), _plan(), trials=0), "trials must be >= 1"),
     # a count or frame index must be an integer: a float is neither
     # truncated nor left to fail inside numpy
-    (lambda: generate_keyframes(linear_world(), [0, 4.7, 8], "global"),
-     "each keyframe index must be an integer, got 4.7"),
     (lambda: rollout_pure_ar(linear_world(), 5.5), "n_frames must be an integer, got 5.5"),
     (lambda: simulate_ground_truth(linear_world(), 4.0), "n_frames must be an integer, got 4.0"),
     (lambda: compare_pipelines(linear_world(), _plan(), trials=2.5),
      "trials must be an integer, got 2.5"),
     (lambda: sample_keyframe_indices(10, 2.5), "stride must be an integer, got 2.5"),
     (lambda: sample_keyframe_indices(10.0, 2), "n_frames must be an integer, got 10.0"),
+    (lambda: WorldConfig(dim=2.5), "dim must be an integer, got 2.5"),
+    (lambda: WorldConfig(dim=2, seed=2.5), "seed must be an integer, got 2.5"),
+    (lambda: rollout_anchored(linear_world(), _plan(), np.zeros((5, 2)), seed=4.7),
+     "seed must be an integer, got 4.7"),
+    (lambda: compare_pipelines(linear_world(), _plan(), seed=4.7),
+     "seed must be an integer, got 4.7"),
 ], ids=["dim", "dynamics", "bias-shape", "x0-shape", "constant-control-shape",
         "control-schedule-shape", "control-schedule-ndim", "control-schedule-short",
         "trajectory-dim", "world-frames", "keyframe-scenario", "velocity-error-shape",
-        "trials", "keyframe-index-float", "ar-frames-float", "truth-frames-float",
-        "trials-float", "stride-float", "sampled-frames-float"])
+        "trials", "ar-frames-float", "truth-frames-float",
+        "trials-float", "stride-float", "sampled-frames-float", "dim-float",
+        "world-seed-float", "anchored-seed-float", "compare-seed-float"])
 def test_bad_input_raises_its_message(call, message):
     with pytest.raises(InvalidInput, match=f"^{message}"):
         call()
