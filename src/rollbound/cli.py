@@ -64,8 +64,11 @@ def _world(cfg: ExperimentConfig) -> WorldConfig:
 
 
 def _plan(cfg: ExperimentConfig) -> RolloutPlan:
-    return build_plan(cfg.total_frames, cfg.strides, cfg.segment_len,
-                      cfg.overlap, rng=derive_rng(cfg.seed, "plan"))
+    """The run's plan; the "plan" stream is derived only to draw one of
+    several strides, so a run that draws nothing does not import
+    numpy.random."""
+    rng = derive_rng(cfg.seed, "plan") if len(cfg.strides) > 1 else None
+    return build_plan(cfg.total_frames, cfg.strides, cfg.segment_len, cfg.overlap, rng=rng)
 
 
 def _bound_violations(trace: RolloutTrace, noise: float) -> int | None:

@@ -21,6 +21,7 @@ the file order is x,y,z,w while the in-memory order is w,x,y,z).
 
 from __future__ import annotations
 
+import numbers
 import operator
 import warnings
 from contextlib import ExitStack
@@ -305,6 +306,15 @@ def _as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_float(value, name: str) -> float:
+    """value as a Python float, if it is a real number (a Python or numpy
+    int or float, by numbers.Real); anything else, a string or None too,
+    raises InvalidInput naming the field."""
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise InvalidInput(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

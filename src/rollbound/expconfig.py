@@ -9,7 +9,8 @@ stripped around its '='; a flag's value is taken as it is. The merged config
 is checked once, when it is built, and one that breaks a rule is rejected
 naming the key:
   * every count, segment_len, overlap, seed and each stride is an integer,
-  * every float key is finite and non-negative,
+  * every float key is a real number (kf_step_error also None), finite and
+    non-negative,
   * dynamics and kf_scenario take one of the values listed below,
   * total_frames, dim, trials and every stride are >= 1, and seed is >= 0,
   * 0 <= overlap < segment_len,
@@ -44,7 +45,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-from .core import _as_int, read_text
+from .core import _as_float, _as_int, read_text
 from .errors import InvalidInput
 
 #: keys holding a float (kf_step_error also None): each must be finite and >= 0
@@ -88,9 +89,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         object.__setattr__(self, "strides", tuple(_as_int(s, "each stride") for s in self.strides))
         for name in _FLOAT_KEYS:
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0.0):
+            if name == "kf_step_error" and self.kf_step_error is None:
+                continue
+            v = _as_float(getattr(self, name), name)
+            if not (math.isfinite(v) and v >= 0.0):
                 raise InvalidInput(f"{name} must be finite and non-negative")
+            object.__setattr__(self, name, v)
         for name, choices in _CHOICE_KEYS.items():
             if getattr(self, name) not in choices:
                 raise InvalidInput(f"{name} must be {' or '.join(map(repr, choices))}, "

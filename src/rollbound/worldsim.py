@@ -19,7 +19,10 @@ frames at a time; under substitution the windows change no frame, and
 without it the bridge restarts at each later window's first frame.
 
 Both run on one trial engine that simulates a batch of Monte-Carlo trials as
-one array; a standalone rollout is its one-trial case.
+one array; a standalone rollout is its one-trial case. Its frame loops are
+batched without changing a bit: a step-by-step frame is one matmul and one
+ordered sum of its terms, and the bridge noise advances every anchor
+interval at once, one step per offset into the intervals.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from .core import (
     RolloutPlan,
     Trajectory,
+    _as_float,
     _as_int,
     _frozen,
     _row_norm,
@@ -84,8 +88,10 @@ class WorldConfig:
         if self.dim < 1:
             raise InvalidInput("dim must be >= 1")
         for name in ("lipschitz", "noise_std"):
-            if not 0.0 <= getattr(self, name) < np.inf:
+            v = _as_float(getattr(self, name), name)
+            if not 0.0 <= v < np.inf:
                 raise InvalidInput(f"{name} must be finite and non-negative")
+            object.__setattr__(self, name, v)
         if self.dynamics not in ("scaled_identity", "rotation"):
             raise InvalidInput(f"unknown dynamics kind {self.dynamics!r}")
         for name in ("bias", "x0"):
@@ -227,9 +233,9 @@ def write_trace_csv(trace: RolloutTrace, path, *tables) -> None:
 #: floats whatever the trial count
 TRIAL_BLOCK = 32
 
-#: frames per pass of the identity dynamics' running sums, and bridge-noise
-#: rows per draw: a pass holds O(FRAME_BLOCK * TRIAL_BLOCK * d) floats
-#: whatever the horizon
+#: frames per pass of the identity dynamics' running sums and of the step
+#: loop's terms stack, and bridge-noise rows per draw: a pass holds
+#: O(FRAME_BLOCK * TRIAL_BLOCK * d) floats whatever the horizon
 FRAME_BLOCK = 1024
 
 
@@ -362,18 +368,32 @@ class _World:
             sums[0] = part[-1]
 
     def _matmul_steps(self, x: np.ndarray, b: np.ndarray, noise) -> None:
-        """Frames 1.. of the batch for any A, one matmul over the batch per
-        step, bit-identical to the per-row A @ x[t]."""
-        stacked = x[..., None]
-        rollouts = x.shape[1] > 1
-        steps = zip(stacked[:-1], stacked[1:], x[1:], x[1:, 1:], self.u)
-        for t, (prev, nxt, row, generated, u) in enumerate(steps):
-            np.matmul(self.A, prev, out=nxt)
-            row += u
-            if rollouts:
-                generated += b
-                if noise is not None:
-                    generated += noise[:, t]
+        """Frames 1.. of the batch for any A: per step, one matmul over the
+        batch (bit-identical to the per-row A @ x[t]) and one ordered sum.
+
+        A C-ordered terms stack holds each step's addends [A x[t], u[t], b,
+        eps[t]] (b and eps for rollouts only; the truth row holds -0.0
+        there, which adds nothing), FRAME_BLOCK steps at a time. The matmul
+        writes slot 0, and np.add.reduce over the outermost slot axis adds
+        the slots one after another, from a -0.0 start that adds nothing
+        (numpy's default start, +0.0, would turn a -0.0 sum into +0.0): the
+        frame loop's additions, in its order."""
+        n, rows, d = x.shape
+        slots = 2 if rows == 1 else 3 if noise is None else 4
+        terms = np.empty((min(n - 1, FRAME_BLOCK), slots, rows, d))
+        terms[:, 2:, 0] = -0.0
+        if slots > 2:
+            terms[:, 2, 1:] = b
+        for lo in range(0, n - 1, FRAME_BLOCK):
+            hi = min(lo + FRAME_BLOCK, n - 1)
+            block = terms[:hi - lo]
+            block[:, 1] = self.u[lo:hi, None]
+            if noise is not None:
+                block[:, 3, 1:] = noise[:, lo:hi].transpose(1, 0, 2)
+            for prev, product, step, nxt in zip(x[lo:hi, ..., None], block[:, 0, ..., None],
+                                                block, x[lo + 1:hi + 1]):
+                np.matmul(self.A, prev, out=product)
+                np.add.reduce(step, axis=0, initial=-0.0, out=nxt)
 
     def take_rollouts(self) -> np.ndarray:
         """The (n, B, d) rollouts of the generators given at construction,
@@ -485,6 +505,9 @@ def generate_keyframes(cfg: WorldConfig, plan: RolloutPlan, scenario: str,
     draw nothing, so rng is read only by "global". Anchors past the float
     range are rejected ("keyframe values must be finite").
     """
+    error_cap = _as_float(error_cap, "error_cap")
+    if step_error is not None:
+        step_error = _as_float(step_error, "step_error")
     world = _World(cfg, plan.total_frames)
     g = rng if rng is not None else derive_rng(cfg.seed, "keyframes")
     return world.keyframes(list(plan.keyframes), scenario, error_cap, step_error, [g])[:, 0]
@@ -508,7 +531,7 @@ def _velocity_vector(velocity_error, d: int) -> np.ndarray:
         return np.zeros(d)
     if np.isscalar(velocity_error):
         dv0 = np.zeros(d)
-        dv0[0] = float(velocity_error)
+        dv0[0] = _as_float(velocity_error, "velocity_error")
     else:
         dv0 = np.asarray(velocity_error, dtype=float)
         if dv0.shape != (d,):
@@ -526,6 +549,7 @@ class _AnchoredLayout:
 
     def __init__(self, plan: RolloutPlan, d: int, sigma_int: float, velocity_error,
                  momentum: bool = True, substitution: bool = True):
+        sigma_int = _as_float(sigma_int, "sigma_int")
         if not 0.0 <= sigma_int < np.inf:
             raise InvalidInput("sigma_int must be finite and non-negative")
         self.plan = plan
@@ -588,6 +612,39 @@ class _AnchoredLayout:
             f = self.draw_frames[restart]
             self.draw_frac[restart] = 0.0
             self.draw_scale[restart] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
+        self.runs = []
+        if sigma_int > 0.0 and len(self.draw_frames):
+            self._offset_major_rows(kf, j, tau)
+
+    def _offset_major_rows(self, kf: np.ndarray, j: np.ndarray, tau: np.ndarray) -> None:
+        """The bridge's n - 1 rows in offset-major order: the rows at offset
+        tau hold frame kf[i] + tau of each interval i longer than tau,
+        longest interval first (ties in plan order), so they are a prefix of
+        the rows at tau - 1, in the same order. Offset 0 holds the K - 1
+        opening keyframes.
+
+        frame_rows maps each frame to its row (the final frame to a row at
+        offset 0), draw_rows each bridge row of draw_frames to its row, and
+        row_frac holds each row's draw_frac. Each entry of runs is one run
+        of offsets tau >= 1 with the same row count c: (first row of the
+        offset before the run, first row, end row, c)."""
+        lengths = np.diff(kf)
+        rank = np.empty(len(lengths), dtype=int)
+        rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
+        # counts[tau]: the intervals longer than tau
+        counts = len(lengths) - np.searchsorted(np.sort(lengths), np.arange(lengths.max()),
+                                                side="right")
+        starts = np.cumsum(counts) - counts
+        at = tau.copy()
+        at[-1] = 0
+        self.frame_rows = starts[at] + rank[j]
+        self.draw_rows = self.frame_rows[self.draw_frames]
+        self.row_frac = np.zeros(len(tau) - 1)
+        self.row_frac[self.draw_rows] = self.draw_frac
+        first = [1, *(np.flatnonzero(np.diff(counts[1:])) + 2).tolist()]
+        last = [f - 1 for f in first[1:]] + [len(counts) - 1]
+        self.runs = [(int(starts[a - 1]), int(starts[a]), int(starts[b] + counts[b]),
+                      int(counts[a])) for a, b in zip(first, last)]
 
     def field(self, kv: np.ndarray) -> np.ndarray:
         """Deterministic part of each trial from its (K, B, d) anchor values:
@@ -607,23 +664,36 @@ class _AnchoredLayout:
         """Anchored rollouts of a batch from its (K, B, d) anchor values, as
         (n, B, d) frames. Trial b reads its bridge noise from its one stream
         derive_rng(seeds[b], "interp-noise") in frame order, FRAME_BLOCK
-        rows at a time; one pass over the rows runs the bridge recursion, so
-        the frames depend neither on the block size nor, with substitution,
-        on the windows."""
+        rows at a time; then the bridge recursion advances every anchor
+        interval at once, so the frames depend neither on the block size
+        nor, with substitution, on the windows."""
         det = self.field(kv)
-        w = np.zeros_like(det)
         # noise past the float range reads inf or nan, without a warning:
         # the finite check rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.sigma_int > 0.0:
-                self._bridge_noise(w, [derive_rng(s, "interp-noise") for s in seeds])
-            det += w
+            if self.runs:
+                w = self._bridge_noise(kv.shape[1], [derive_rng(s, "interp-noise")
+                                                     for s in seeds])
+                det += w[self.frame_rows]
+            else:
+                det += 0.0  # as the noise's +0.0 rows do: a -0.0 frame reads +0.0
         _require_finite(det)
         return det
 
-    def _bridge_noise(self, w: np.ndarray, rngs) -> None:
-        """Fill the (n, B, d) noise w row by row, in frame order."""
-        rows, (B, d) = len(self.draw_frames), w.shape[1:]
+    def _bridge_noise(self, B: int, rngs) -> np.ndarray:
+        """The (n-1, B, d) bridge noise in offset-major rows (see
+        _offset_major_rows), +0.0 at the keyframes.
+
+        Each trial's kicks scale*eps are read from its stream in frame
+        order, FRAME_BLOCK rows at a time, into their rows of w. Then one
+        step per offset tau advances every interval longer than tau at once,
+        as basic slices: w[tau] = frac*w[tau-1] + kick, a product and then a
+        sum, rounded as a frame loop rounds them (the product is added to
+        the kick, and addition is commutative bit for bit). A restart row
+        is a frac-0 row."""
+        rows, d = len(self.draw_frames), len(self.dv0)
+        w = np.empty((len(self.row_frac), B, d))
+        w[:len(self.plan.keyframes) - 1] = 0.0  # offset 0
         eps = np.empty((B, min(rows, FRAME_BLOCK), d))
         for lo in range(0, rows, FRAME_BLOCK):
             hi = min(lo + FRAME_BLOCK, rows)
@@ -631,10 +701,16 @@ class _AnchoredLayout:
             for g, draws in zip(rngs, kicks):
                 g.standard_normal(out=draws)
             kicks *= self.draw_scale[lo:hi, None]
-            for t, frac, kick in zip(self.draw_frames[lo:hi].tolist(),
-                                     self.draw_frac[lo:hi].tolist(), kicks.transpose(1, 0, 2)):
-                np.multiply(w[t - 1], frac, out=w[t])
-                w[t] += kick
+            w[self.draw_rows[lo:hi]] = kicks.transpose(1, 0, 2)
+        product = np.empty((self.runs[0][3], B, d))  # offset 1 has the most rows
+        for before, first, end, c in self.runs:
+            prev, prod = w[before:before + c], product[:c]
+            for cur, frac in zip(w[first:end].reshape(-1, c, B, d),
+                                 self.row_frac[first:end].reshape(-1, c, 1, 1)):
+                np.multiply(prev, frac, out=prod)
+                cur += prod
+                prev = cur
+        return w
 
     def trace(self, gt: np.ndarray, kv: np.ndarray, x: np.ndarray,
               err: np.ndarray) -> RolloutTrace:
@@ -735,6 +811,9 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     if _as_int(trials, "trials") < 1:
         raise InvalidInput("trials must be >= 1")
     base = cfg.seed if seed is None else _as_int(seed, "seed")
+    kf_error_cap = _as_float(kf_error_cap, "kf_error_cap")
+    if kf_step_error is not None:
+        kf_step_error = _as_float(kf_step_error, "kf_step_error")
     n = plan.total_frames
 
     # trial block 0 runs in the ground truth's own pass

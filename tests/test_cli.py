@@ -730,14 +730,22 @@ def test_negative_seed_flag_exits_2_naming_the_key(command, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_import_does_not_load_numpy_random():
+def test_cli_import_does_not_load_numpy_random(tmp_path):
     # numpy.random is imported on the first draw only: a command that draws
-    # nothing, or the import itself, does not pay for it
-    code = "import sys, rollbound.cli; print('numpy.random' in sys.modules)"
+    # nothing (plan and bounds with one stride), or the import itself, does
+    # not pay for it
+    code = ("import sys, rollbound.cli as cli\n"
+            "loaded = ['numpy.random' in sys.modules]\n"
+            "for command in ('plan', 'bounds'):\n"
+            "    assert cli.main(['--out', sys.argv[1], command]) == 0\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "print(loaded)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[False, False, False]"
+    assert (tmp_path / "out" / "plan.txt").is_file()
+    assert (tmp_path / "out" / "bounds.csv").is_file()
 
 
 @pytest.mark.parametrize("out", [["--out", ""], ["--set", "out_dir="],
@@ -1016,6 +1024,23 @@ def test_config_rejects_a_float_count_naming_the_key(key, value, message):
     # a float count is neither truncated nor left to fail later
     with pytest.raises(core.InvalidInput, match=f"^{re.escape(message)}$"):
         ExperimentConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [("bias", "0.1"), ("lipschitz", None),
+                                        ("sigma_int", 1j), ("kf_step_error", "none")])
+def test_config_rejects_a_float_key_of_another_type_naming_the_key(key, value):
+    # a float key takes a real number: a string, None (kf_step_error aside)
+    # or a complex number fails as InvalidInput naming the key, not as a
+    # TypeError inside the check
+    with pytest.raises(core.InvalidInput, match=f"^{key} must be a real number, got "):
+        ExperimentConfig(**{key: value})
+
+
+def test_config_float_keys_hold_python_floats():
+    cfg = ExperimentConfig(bias=1, noise_std=np.float32(0.5), kf_step_error=np.int64(2))
+    assert [type(v) for v in (cfg.bias, cfg.noise_std, cfg.kf_step_error)] == [float] * 3
+    assert (cfg.bias, cfg.noise_std, cfg.kf_step_error) == (1.0, 0.5, 2.0)
+    assert ExperimentConfig().kf_step_error is None
 
 
 @pytest.mark.parametrize("argv", [["--set", "out_dir={d}/a #b"], ["--out", "{d}/a #b"],

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,6 +142,55 @@ def test_world_propagation_matches_frame_loop_bit_for_bit(dynamics, lipschitz, n
         expect = _propagate_loop(A, cfg.x0, control, cfg.bias, eps)
         np.testing.assert_array_equal(rollouts[:, i], expect)
         assert rollouts[:, i].tobytes() == expect.tobytes()
+
+
+def _matmul_steps_loop(A, x, u, b, noise):
+    """The step loop as one batched matmul and three adds a frame: + u[t]
+    on every row, then + b and + eps[t] on the rollout rows (rows 1..)."""
+    x = x.copy()
+    for t in range(len(x) - 1):
+        x[t + 1] = np.matmul(A, x[t][..., None])[..., 0]
+        x[t + 1] += u[t]
+        if x.shape[1] > 1:
+            x[t + 1, 1:] += b
+            if noise is not None:
+                x[t + 1, 1:] += noise[:, t]
+    return x
+
+
+@pytest.mark.parametrize("rows, noisy", [(1, False), (4, False), (4, True)],
+                         ids=["truth-only", "noiseless", "noisy"])
+@pytest.mark.parametrize("case", ["rotation", "zero-matrix", "signed-zeros", "overflow"])
+@pytest.mark.parametrize("frame_block", [3, worldsim.FRAME_BLOCK])
+def test_matmul_steps_match_matmul_and_three_adds(monkeypatch, rows, noisy, case,
+                                                   frame_block):
+    # one matmul and one ordered sum of the stacked terms a frame give the
+    # frame loop's bits: the sign of zero, infinities and NaNs included, in
+    # blocks of 3 frames too
+    monkeypatch.setattr(worldsim, "FRAME_BLOCK", frame_block)
+    n, d = 80, 3
+    g = np.random.default_rng(81)
+    lipschitz = {"zero-matrix": 0.0, "overflow": 1.05}.get(case, 0.97)
+    A = dynamics_matrix(WorldConfig(dim=d, lipschitz=lipschitz, dynamics="rotation", seed=82))
+    x = np.empty((n, rows, d))
+    x[0] = g.normal(size=(rows, d))
+    u, b = g.normal(scale=0.1, size=(n - 1, d)), g.normal(scale=0.01, size=d)
+    noise = g.normal(scale=0.05, size=(rows - 1, n - 1, d)) if noisy else None
+    if case in ("zero-matrix", "signed-zeros"):
+        u[::2], b[1] = -0.0, -0.0
+        if noise is not None:
+            noise[:, 1::3] = -0.0
+    if case == "signed-zeros":
+        x[0], u[:] = -0.0, -0.0
+    if case == "overflow":
+        x[0] = 1e307
+    world = SimpleNamespace(A=A, u=u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = _matmul_steps_loop(A, x, u, b, noise)
+        worldsim._World._matmul_steps(world, x, b, noise)
+    if case == "overflow":
+        assert not np.isfinite(x[-1]).any()
+    assert x.tobytes() == expect.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +663,53 @@ def test_bridge_rows_run_in_frame_order_and_restart_at_windows(n, substitution, 
     assert np.all(layout.draw_frac[~restart] >= 0.5)
 
 
+def _bridge_loop_frames(layout, kv, seeds):
+    """Anchored frames with the bridge run one frame at a time: each trial
+    reads one kick scale*eps per bridge row from its stream, in frame
+    order; then w[t] = frac*w[t-1] + kick, product first, row by row; the
+    frames are the field plus w, whose keyframe rows are +0.0."""
+    det = layout.field(kv)
+    w = np.zeros_like(det)
+    if layout.sigma_int > 0.0:
+        rows, d = len(layout.draw_frames), det.shape[2]
+        eps = np.stack([derive_rng(s, "interp-noise").standard_normal((rows, d))
+                        for s in seeds], axis=1)
+        for t, frac, scale, e in zip(layout.draw_frames, layout.draw_frac,
+                                     layout.draw_scale, eps):
+            np.multiply(w[t - 1], frac, out=w[t])
+            w[t] += e * scale
+    det += w
+    return det
+
+
+def test_bridge_matches_frame_loop_bit_for_bit():
+    # every anchor interval's bridge advances at once, one offset at a time:
+    # the frame loop's bits on irregular keyframes, restarts, a one-interval
+    # plan, one- and two-frame plans and -0.0 anchors
+    g = np.random.default_rng(83)
+    plans = [RolloutPlan(1, (0,), 1, 0), RolloutPlan(2, (0, 1), 2, 0),
+             RolloutPlan(40, (0, 39), 40, 0), RolloutPlan(40, (0, 39), 6, 2),
+             RolloutPlan(33, (0, 8, 16, 24, 32), 9, 1)]
+    for _ in range(120):
+        n = int(g.integers(1, 90))
+        kf = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n // 3 + 1))).tolist()})
+        seg_len = int(g.integers(1, 15))
+        plans.append(RolloutPlan(n, tuple(kf), seg_len, int(g.integers(0, seg_len))))
+    for i, plan in enumerate(plans):
+        trials, d = (1, 2) if i % 2 else (3, 3)
+        kv = g.normal(size=(len(plan.keyframes), trials, d))
+        kv[:, 0, :2] = -0.0
+        seeds = [int(s) for s in g.integers(0, 2**31, trials)]
+        for substitution in (True, False):
+            for sigma_int in (0.0, 0.3):
+                layout = worldsim._AnchoredLayout(plan, d, sigma_int, g.normal(size=d),
+                                                  momentum=i % 3 > 0,
+                                                  substitution=substitution)
+                got = layout.run(kv, seeds)
+                expect = _bridge_loop_frames(layout, kv, seeds)
+                assert got.tobytes() == expect.tobytes(), (plan, substitution, sigma_int)
+
+
 def test_anchored_rejects_missing_anchors():
     # one row per plan keyframe: too few rows, or rows of the wrong width,
     # are invalid input, and so is a non-finite anchor
@@ -966,12 +1063,28 @@ def _dense_trajectory(n=5):
      "seed must be an integer, got 4.7"),
     (lambda: compare_pipelines(linear_world(), _plan(), seed=4.7),
      "seed must be an integer, got 4.7"),
+    # a float input must be a real number: a string or None fails as
+    # InvalidInput naming it, not as a TypeError inside a comparison
+    (lambda: WorldConfig(dim=2, lipschitz="1"), "lipschitz must be a real number, got '1'"),
+    (lambda: WorldConfig(dim=2, noise_std=None), "noise_std must be a real number, got None"),
+    (lambda: compare_pipelines(linear_world(), _plan(), sigma_int="0.1"),
+     "sigma_int must be a real number, got '0.1'"),
+    (lambda: compare_pipelines(linear_world(), _plan(), kf_error_cap="0.1"),
+     "kf_error_cap must be a real number, got '0.1'"),
+    (lambda: compare_pipelines(linear_world(), _plan(), "downsampled_ar", kf_step_error="0"),
+     "kf_step_error must be a real number, got '0'"),
+    (lambda: generate_keyframes(linear_world(), _plan(), "global", error_cap=None),
+     "error_cap must be a real number, got None"),
+    (lambda: rollout_anchored(linear_world(), _plan(), np.zeros((5, 2)), velocity_error="1"),
+     "velocity_error must be a real number, got '1'"),
 ], ids=["dim", "dynamics", "bias-shape", "x0-shape", "constant-control-shape",
         "control-schedule-shape", "control-schedule-ndim", "control-schedule-short",
         "trajectory-dim", "world-frames", "keyframe-scenario", "velocity-error-shape",
         "trials", "ar-frames-float", "truth-frames-float",
         "trials-float", "stride-float", "sampled-frames-float", "dim-float",
-        "world-seed-float", "anchored-seed-float", "compare-seed-float"])
+        "world-seed-float", "anchored-seed-float", "compare-seed-float",
+        "lipschitz-str", "noise_std-none", "sigma_int-str", "kf_error_cap-str",
+        "kf_step_error-str", "error_cap-none", "velocity_error-str"])
 def test_bad_input_raises_its_message(call, message):
     with pytest.raises(InvalidInput, match=f"^{message}"):
         call()
