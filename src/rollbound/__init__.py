@@ -35,7 +35,6 @@ from .metrics import (
 from .schedule import (
     build_plan,
     partition_segments,
-    sample_keyframe_indices,
     save_plan,
     segment_context,
     select_keyframes,

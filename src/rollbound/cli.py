@@ -64,11 +64,7 @@ def _world(cfg: ExperimentConfig) -> WorldConfig:
 
 
 def _plan(cfg: ExperimentConfig) -> RolloutPlan:
-    """The run's plan; the "plan" stream is derived only to draw one of
-    several strides, so a run that draws nothing does not import
-    numpy.random."""
-    rng = derive_rng(cfg.seed, "plan") if len(cfg.strides) > 1 else None
-    return build_plan(cfg.total_frames, cfg.strides, cfg.segment_len, cfg.overlap, rng=rng)
+    return build_plan(cfg.total_frames, cfg.stride, cfg.segment_len, cfg.overlap)
 
 
 def _bound_violations(trace: RolloutTrace, noise: float) -> int | None:
@@ -110,7 +106,7 @@ def cmd_bounds(args) -> int:
     cfg = _load_experiment(args)
     out = _out_dir(cfg)
     n = cfg.total_frames
-    interval = max(min(max(cfg.strides), n - 1), 1)  # the widest interval a plan can have
+    interval = max(min(cfg.stride, n - 1), 1)  # the plan's widest interval
     upper, flags = ar_upper_curve(cfg.lipschitz, cfg.bias, n)
     with np.errstate(over="ignore"):  # past the float range reads inf, as upper diverges
         lower = np.arange(n) * cfg.bias
@@ -120,9 +116,9 @@ def cmd_bounds(args) -> int:
         variance = np.where(np.arange(n) > 0, np.inf, 0.0)
     if cfg.kf_scenario == "global":
         anchor = cfg.kf_error_cap
-    else:  # downsampled_ar: one step error per anchor jump, at the worst stride
+    else:  # downsampled_ar: one step error per anchor jump
         mu = cfg.bias if cfg.kf_step_error is None else cfg.kf_step_error
-        anchor = max(jump_anchor_bound(cfg.lipschitz, mu, n, s) for s in cfg.strides)
+        anchor = jump_anchor_bound(cfg.lipschitz, mu, n, cfg.stride)
     bd = unified_bound(anchor, interval, cfg.velocity_error, cfg.sigma_int)
     path = os.path.join(out, "bounds.csv")
     write_columns_csv(path, ("frame", "ar_upper", "ar_lower", "ar_variance", "dcar_bound",
@@ -243,13 +239,13 @@ def cmd_ablate(args) -> int:
     out = _out_dir(cfg)
     rows = []
     for g_stride, i_stride in grid:
-        gen_plan = build_plan(cfg.total_frames, (g_stride,), cfg.segment_len, cfg.overlap)
+        gen_plan = build_plan(cfg.total_frames, g_stride, cfg.segment_len, cfg.overlap)
         kfs = generate_keyframes(world, gen_plan, cfg.kf_scenario,
                                  error_cap=cfg.kf_error_cap, step_error=cfg.kf_step_error,
                                  rng=derive_rng(cfg.seed, f"ablate-kf-{g_stride}-{i_stride}"))
         # the interpolation anchors are the generated ones at multiples of
         # i_stride (and the final frame), since g_stride divides i_stride
-        plan = build_plan(cfg.total_frames, (i_stride,), cfg.segment_len, cfg.overlap)
+        plan = build_plan(cfg.total_frames, i_stride, cfg.segment_len, cfg.overlap)
         anchors = kfs[np.searchsorted(gen_plan.keyframes, plan.keyframes)]
         trace = rollout_anchored(world, plan, anchors, sigma_int=cfg.sigma_int,
                                  velocity_error=cfg.velocity_error,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_int
+from .core import _as_float, _as_int
 from .errors import InvalidInput
 
 #: boundary velocity errors shrink by this factor from one segment to the next
@@ -39,6 +39,16 @@ DIVERGENCE_CAP = 1e300
 # divergence of pure autoregressive generation
 # ---------------------------------------------------------------------------
 
+def _recursion_rates(lipschitz, step_error) -> tuple[float, float]:
+    """The rates of e <- L*e + eta as floats, each real and >= 0."""
+    lipschitz, step_error = _as_float(lipschitz, "lipschitz"), _as_float(step_error, "step_error")
+    if not lipschitz >= 0.0:
+        raise InvalidInput("lipschitz constant must be >= 0")
+    if not step_error >= 0.0:
+        raise InvalidInput("step error must be >= 0")
+    return lipschitz, step_error
+
+
 def ar_upper_curve(lipschitz: float, step_error: float,
                    n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame bound values and diverged flags for frames 0..n_frames-1:
@@ -52,10 +62,10 @@ def ar_upper_curve(lipschitz: float, step_error: float,
     its order, bit for bit. The sum never falls, so the frames past the cap
     are a suffix, found by one binary search. Every other L runs the
     loop."""
-    if not lipschitz >= 0.0:
-        raise InvalidInput("lipschitz constant must be >= 0")
-    if not step_error >= 0.0:
-        raise InvalidInput("step error must be >= 0")
+    lipschitz, step_error = _recursion_rates(lipschitz, step_error)
+    n_frames = _as_int(n_frames, "n_frames")
+    if n_frames < 0:
+        raise InvalidInput(f"n_frames must be >= 0, got {n_frames}")
     values = np.zeros(n_frames)
     flags = np.zeros(n_frames, dtype=bool)
     if lipschitz == 1.0:
@@ -91,6 +101,12 @@ def jump_anchor_bound(lipschitz: float, step_error: float, n_frames: int,
     rounded up by 4 ulps a step to stay at or above their measured error;
     it saturates to DIVERGENCE_CAP as ar_upper_curve's does, and so does a
     jump factor past the float range."""
+    lipschitz, step_error = _recursion_rates(lipschitz, step_error)
+    n_frames, stride = _as_int(n_frames, "n_frames"), _as_int(stride, "stride")
+    if n_frames < 1:
+        raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
+    if stride < 1:
+        raise InvalidInput(f"stride must be >= 1, got {stride}")
     full, last = divmod(n_frames - 1, stride)
     with np.errstate(over="ignore"):
         factor = float(np.float64(lipschitz) ** stride)
@@ -301,10 +317,11 @@ def unified_bound(anchor_error: float, interval: int, velocity_error: float = 0.
     non-negative and all but anchor_error finite; an anchor error norm past
     the float range reads inf, and so does the bound.
     """
+    anchor_error = _as_float(anchor_error, "anchor_error")
     if not anchor_error >= 0.0:
         raise InvalidInput("anchor_error must be non-negative")
     for name, value in (("velocity_error", velocity_error), ("interp_noise", interp_noise)):
-        if not 0.0 <= value < np.inf:
+        if not 0.0 <= _as_float(value, name) < np.inf:
             raise InvalidInput(f"{name} must be finite and non-negative")
     if not isinstance(interval, (int, np.integer)) or interval < 1:
         raise InvalidInput("interval must be an integer >= 1")

@@ -8,19 +8,18 @@ file's, then --set pairs, then CLI flags. A --set pair, like a file line, is
 stripped around its '='; a flag's value is taken as it is. The merged config
 is checked once, when it is built, and one that breaks a rule is rejected
 naming the key:
-  * every count, segment_len, overlap, seed and each stride is an integer,
+  * every count, segment_len, overlap and seed is an integer,
   * every float key is a real number (kf_step_error also None), finite and
     non-negative,
   * dynamics and kf_scenario take one of the values listed below,
-  * total_frames, dim, trials and every stride are >= 1, and seed is >= 0,
+  * total_frames, stride, dim and trials are >= 1, and seed is >= 0,
   * 0 <= overlap < segment_len,
   * out_dir and trajectory have no surrounding whitespace, no line break,
     and no '#' at their start or after whitespace, which a file cannot carry.
 
 Keys (defaults in parentheses):
   total_frames (321)    frames including frame 0
-  strides (8)           comma list of keyframe strides; with several, each
-                        plan draws one from the seed's "plan" stream
+  stride (8)            keyframe stride: frames between consecutive anchors
   segment_len (9)       generation window length B
   overlap (1)           shared frames p between consecutive windows
   dim (1)               latent dimension
@@ -57,16 +56,16 @@ _CHOICE_KEYS = {"dynamics": ("scaled_identity", "rotation"),
                 "kf_scenario": ("global", "downsampled_ar")}
 
 #: keys holding a count: each must be >= 1
-_COUNT_KEYS = ("total_frames", "dim", "trials")
+_COUNT_KEYS = ("total_frames", "stride", "dim", "trials")
 
-#: keys holding an integer, the strides aside
+#: keys holding an integer
 _INT_KEYS = _COUNT_KEYS + ("segment_len", "overlap", "seed")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     total_frames: int = 321
-    strides: tuple[int, ...] = (8,)
+    stride: int = 8
     segment_len: int = 9
     overlap: int = 1
     dim: int = 1
@@ -87,7 +86,6 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in _INT_KEYS:
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        object.__setattr__(self, "strides", tuple(_as_int(s, "each stride") for s in self.strides))
         for name in _FLOAT_KEYS:
             if name == "kf_step_error" and self.kf_step_error is None:
                 continue
@@ -104,8 +102,6 @@ class ExperimentConfig:
                 raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
-        if any(s < 1 for s in self.strides):
-            raise InvalidInput(f"strides must each be >= 1, got {self.strides}")
         if not 0 <= self.overlap < self.segment_len:
             raise InvalidInput(f"segment length must exceed overlap and overlap must be >= 0, "
                                f"got segment_len {self.segment_len} and overlap {self.overlap}")
@@ -116,17 +112,12 @@ class ExperimentConfig:
                                    f"or '#' at its start or after whitespace, got {v!r}")
 
 
-#: each key's type, that of its default, which parses its value (strides and
-#: kf_step_error aside)
+#: each key's type, that of its default, which parses its value (kf_step_error
+#: aside)
 _KINDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def _parse_value(name: str, raw: str):
-    if name == "strides":
-        vals = tuple(int(v) for v in raw.split(",") if v.strip())
-        if not vals:
-            raise ValueError("empty stride list")
-        return vals
     if name == "kf_step_error":
         return None if raw in ("", "none") else float(raw)
     return _KINDS[name](raw)
@@ -163,9 +154,7 @@ def format_config(cfg: ExperimentConfig) -> str:
     lines = []
     for f in fields(ExperimentConfig):
         v = getattr(cfg, f.name)
-        if f.name == "strides":
-            out = ",".join(str(s) for s in v)
-        elif v is None:
+        if v is None:
             out = ""
         elif isinstance(v, float):
             out = repr(v)

@@ -9,8 +9,9 @@ select_keyframes picks for its span (global context), its history is the
 overlap frames it shares with its predecessor (local coherence). Neither
 checks the plan again.
 
-`plan` writes a plan as flat key/value text (keys: total_frames, strides,
-overlap, keyframes, segments as start:end spans).
+`plan` writes a plan as flat key/value text (keys: total_frames, strides as
+the distinct keyframe gaps, overlap, keyframes, segments as start:end
+spans).
 """
 
 from __future__ import annotations
@@ -21,20 +22,6 @@ import numpy as np
 
 from .core import RolloutPlan, _as_int
 from .errors import InvalidInput
-
-
-def sample_keyframe_indices(n_frames: int, stride: int) -> list[int]:
-    """Keyframe indices at one stride: its multiples below n_frames, with the
-    final frame appended so the last segment has a forward anchor."""
-    n_frames, stride = _as_int(n_frames, "n_frames"), _as_int(stride, "stride")
-    if n_frames < 1:
-        raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
-    if stride < 1:
-        raise InvalidInput(f"stride must be >= 1, got {stride}")
-    idx = list(range(0, n_frames, stride))
-    if idx[-1] != n_frames - 1:
-        idx.append(n_frames - 1)
-    return idx
 
 
 def select_keyframes(keyframes, seg_start: int, seg_end: int) -> list[int]:
@@ -80,20 +67,20 @@ def segment_context(plan: RolloutPlan):
         yield start, end, history, select_keyframes(plan.keyframes, start, end)
 
 
-def build_plan(n_frames: int, strides, seg_len: int, overlap: int,
-               rng=None) -> RolloutPlan:
-    """Compose keyframe sampling and the window length and overlap into a
-    full plan, which RolloutPlan checks.
-
-    One stride is used as given; from several, the plan draws one with rng,
-    a Generator derived from the seed, which several strides require."""
-    strides = tuple(strides)
-    if not strides or min(strides) < 1:
-        raise InvalidInput(f"strides must be a nonempty list of strides >= 1, got {strides}")
-    if len(strides) > 1 and rng is None:
-        raise InvalidInput(f"drawing one of the strides {strides} needs rng")
-    stride = strides[0] if len(strides) == 1 else int(rng.choice(strides))
-    return RolloutPlan(n_frames, sample_keyframe_indices(n_frames, stride), seg_len, overlap)
+def build_plan(n_frames: int, stride: int, seg_len: int, overlap: int) -> RolloutPlan:
+    """The plan of n_frames frames with keyframes at one stride, its
+    multiples below n_frames and the final frame, so the last window has a
+    forward anchor; with the window length and overlap, which RolloutPlan
+    checks."""
+    n_frames, stride = _as_int(n_frames, "n_frames"), _as_int(stride, "stride")
+    if n_frames < 1:
+        raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
+    if stride < 1:
+        raise InvalidInput(f"stride must be >= 1, got {stride}")
+    keyframes = list(range(0, n_frames, stride))
+    if keyframes[-1] != n_frames - 1:
+        keyframes.append(n_frames - 1)
+    return RolloutPlan(n_frames, keyframes, seg_len, overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +88,11 @@ def build_plan(n_frames: int, strides, seg_len: int, overlap: int,
 # ---------------------------------------------------------------------------
 
 def save_plan(plan: RolloutPlan, path) -> None:
-    strides = sorted({b - a for a, b in zip(plan.keyframes, plan.keyframes[1:])}) or [1]
+    gaps = sorted({b - a for a, b in zip(plan.keyframes, plan.keyframes[1:])}) or [1]
     starts, ends = partition_segments(plan)
     lines = [
         f"total_frames = {plan.total_frames}",
-        f"strides = {','.join(str(s) for s in strides)}",
+        f"strides = {','.join(str(g) for g in gaps)}",
         f"overlap = {plan.overlap}",
         f"keyframes = {','.join(str(k) for k in plan.keyframes)}",
         "segments = " + ",".join(f"{s}:{e}" for s, e in zip(starts.tolist(), ends.tolist())),

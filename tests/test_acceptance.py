@@ -147,7 +147,7 @@ def test_c06_bound_dominance():
             cfg = WorldConfig(dim=dim, lipschitz=1.0,
                               bias=bias_from_norm(dim, float(g.uniform(0, 0.05))),
                               control=g.normal(0, 0.3, size=dim), seed=int(g.integers(1 << 30)))
-            plan = build_plan(n, (stride,), seg_len, overlap)
+            plan = build_plan(n, stride, seg_len, overlap)
             scenario = "global" if g.uniform() < 0.5 else "downsampled_ar"
             kf = generate_keyframes(cfg, plan, scenario,
                                     error_cap=float(g.uniform(0.0, 0.5)),
@@ -166,7 +166,7 @@ def test_c07_t_fold_suppression():
     with _Budget(7, "anchors at stride 8 suppress the final error 8-fold "
                     "(within 20%)", 10.0) as b:
         cfg = WorldConfig(dim=2, lipschitz=1.0, bias=bias_from_norm(2, 0.01), seed=107)
-        plan = build_plan(321, (8,), 9, 1)
+        plan = build_plan(321, 8, 9, 1)
         rep = compare_pipelines(cfg, plan, "downsampled_ar", trials=1)
         ratio = rep.ar_mean_error[-1] / rep.anchored_mean_error[-1]
         b.finish(6.4 <= ratio <= 9.6, f"final-frame error ratio {ratio:.3f}")
@@ -187,7 +187,7 @@ def test_c08_boundary_consistency():
                     "to one window); disabling it strictly roughens the junctions",
                  5.0) as b:
         cfg = WorldConfig(dim=2, lipschitz=1.0, control=np.array([0.2, -0.1]), seed=108)
-        plan = build_plan(65, (8,), 9, 1)
+        plan = build_plan(65, 8, 9, 1)
         kf = generate_keyframes(cfg, plan, "global", error_cap=0.05,
                                 rng=np.random.default_rng(108))
         one_window = RolloutPlan(65, plan.keyframes, 65, 0)
@@ -256,7 +256,7 @@ def test_c10_scheduler():
             overlap = int(g.integers(0, seg_len))
             if overlap >= seg_len:
                 overlap = seg_len - 1
-            plan = build_plan(n, (stride,), seg_len, overlap)
+            plan = build_plan(n, stride, seg_len, overlap)
             plans_ok = plans_ok and validate_plan(plan) == []
         b.finish(select_ok and plans_ok,
                  f"selection match={select_ok}, plans clean={plans_ok}")

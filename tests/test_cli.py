@@ -15,10 +15,8 @@ from rollbound import cli, core, expconfig
 from rollbound.cli import build_parser, main
 from rollbound.core import Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
-from rollbound.errormodel import cumulative_leakage_bound, unified_bound
+from rollbound.errormodel import cumulative_leakage_bound
 from rollbound.expconfig import ExperimentConfig, load_config, save_config
-from rollbound.schedule import build_plan
-from rollbound.seeding import derive_rng
 
 
 def run(*argv):
@@ -37,7 +35,7 @@ def _read_rows(path):
 # ---------------------------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
-    cfg = ExperimentConfig(total_frames=77, strides=(4, 8), bias=0.0125, sigma_int=0.3,
+    cfg = ExperimentConfig(total_frames=77, stride=4, bias=0.0125, sigma_int=0.3,
                            kf_scenario="downsampled_ar", kf_step_error=0.02, trials=3, seed=99,
                            out_dir="artifacts")
     path = tmp_path / "cfg.txt"
@@ -134,7 +132,7 @@ def test_cmd_plan_rejects_overlap_geq_segment(tmp_path, capsys):
 def test_cmd_bounds_linear_and_anchored(tmp_path):
     out = tmp_path / "o"
     rc = run("--out", str(out), "--set", "total_frames=51", "--set", "bias=0.1",
-             "--set", "strides=4", "--set", "velocity_error=0.5",
+             "--set", "stride=4", "--set", "velocity_error=0.5",
              "--set", "sigma_int=0.2", "--set", "kf_error_cap=0.1",
              "--set", "noise_std=0.5", "bounds")
     assert rc == 0
@@ -162,7 +160,7 @@ def test_cmd_bounds_downsampled_anchor_term(tmp_path):
     # final frame
     out = tmp_path / "o"
     assert run("--out", str(out), "--set", "total_frames=321", "--set", "bias=0.01",
-               "--set", "strides=8", "--set", "kf_scenario=downsampled_ar", "bounds") == 0
+               "--set", "stride=8", "--set", "kf_scenario=downsampled_ar", "bounds") == 0
     header, rows = _read_rows(out / "bounds.csv")
     anchor = {float(r[header.index("anchor")]) for r in rows}
     assert len(anchor) == 1
@@ -181,22 +179,21 @@ def _anchor_column(path):
 @pytest.mark.parametrize("dynamics", ["scaled_identity", "rotation"])
 def test_cmd_bounds_downsampled_anchor_term_covers_simulate(dynamics, tmp_path):
     # the a-priori anchor term of bounds is at least the largest anchor error
-    # simulate measures, whichever stride the plan draws: one jump per anchor
-    # interval, the short last one included, at kf_step_error or else bias
-    # per jump. 51 frames leave a last interval of 2 frames at stride 8 and
-    # of 1 at stride 5
+    # simulate measures: one jump per anchor interval, the short last one
+    # included, at kf_step_error or else bias per jump. 51 frames leave a last
+    # interval of 2 frames at strides 8 and 4, and none at stride 5
     cases = 0
     for lipschitz in ("0.9", "1", "1.05"):
         for step in ((), ("kf_step_error=0.3",)):
-            for strides in ("8", "4,8", "5,8,16"):
+            for stride in ("8", "4", "5"):
                 for seed in ("1", "2", "3"):
                     argv = ["--seed", seed]
                     for setting in (f"dynamics={dynamics}", f"lipschitz={lipschitz}",
                                     "bias=0.1", "dim=2", "total_frames=51",
-                                    f"strides={strides}", "kf_scenario=downsampled_ar",
+                                    f"stride={stride}", "kf_scenario=downsampled_ar",
                                     "velocity_error=0.2", *step):
                         argv += ["--set", setting]
-                    out = tmp_path / f"{lipschitz}-{len(step)}-{strides}-{seed}"
+                    out = tmp_path / f"{lipschitz}-{len(step)}-{stride}-{seed}"
                     assert run("--out", str(out), *argv, "bounds") == 0
                     assert run("--out", str(out), *argv, "simulate") == 0
                     (printed,), (measured,) = (_anchor_column(out / name) for name in
@@ -218,11 +215,11 @@ def test_cmd_bounds_downsampled_anchor_term_covers_simulate(dynamics, tmp_path):
 
 def test_cmd_bounds_downsampled_anchor_term_short_last_interval(tmp_path):
     # 51 frames at stride 8: six full jumps and a short one, 7 * bias, as
-    # simulate measures; kf_step_error replaces bias per jump; with strides
-    # 4 and 8 the term is that of stride 4, 13 jumps
-    for settings, expected in ((("strides=8",), 0.7),
-                               (("strides=8", "kf_step_error=0.3"), 2.1),
-                               (("strides=4,8",), 1.3)):
+    # simulate measures; kf_step_error replaces bias per jump; at stride 4
+    # the term is 13 jumps
+    for settings, expected in ((("stride=8",), 0.7),
+                               (("stride=8", "kf_step_error=0.3"), 2.1),
+                               (("stride=4",), 1.3)):
         argv = ["--out", str(tmp_path), "--set", "total_frames=51", "--set", "bias=0.1",
                 "--set", "kf_scenario=downsampled_ar"]
         for setting in settings:
@@ -711,7 +708,7 @@ def test_invalid_float_key_is_invalid_input_naming_the_key(key, value, command, 
 @pytest.mark.parametrize("command", ["plan", "bounds", "simulate"])
 @pytest.mark.parametrize("key, value", [
     ("kf_scenario", "nope"), ("dynamics", "nope"),
-    ("total_frames", "0"), ("strides", "0"), ("strides", "8,-4"), ("overlap", "-1"),
+    ("total_frames", "0"), ("stride", "0"), ("stride", "-4"), ("overlap", "-1"),
     ("overlap", "9"), ("segment_len", "1"), ("dim", "0"), ("trials", "0"), ("seed", "-1")])
 def test_invalid_key_value_exits_2_naming_the_key(key, value, command, tmp_path, capsys):
     rc = run("--out", str(tmp_path / "o"), "--set", f"{key}={value}", command)
@@ -732,7 +729,7 @@ def test_negative_seed_flag_exits_2_naming_the_key(command, tmp_path, capsys):
 
 def test_cli_import_does_not_load_numpy_random(tmp_path):
     # numpy.random is imported on the first draw only: a command that draws
-    # nothing (plan and bounds with one stride), or the import itself, does
+    # nothing (plan and bounds), or the import itself, does
     # not pay for it
     code = ("import sys, rollbound.cli as cli\n"
             "loaded = ['numpy.random' in sys.modules]\n"
@@ -773,20 +770,21 @@ def test_removed_conditioning_keys_are_unknown(tmp_path, capsys):
     rc = run("--config", str(cfg_path), "--out", str(tmp_path / "o"), "plan")
     assert rc == 2
     assert "line 2: unknown config key 'sigma_c'" in capsys.readouterr().err
-    # the stride list alone sets the stride: stride_mode is gone too
-    rc = run("--out", str(tmp_path / "o"), "--set", "stride_mode=train", "plan")
-    assert rc == 2
-    assert "unknown config key 'stride_mode'" in capsys.readouterr().err
-    cfg_path.write_text("strides = 4,8\nstride_mode = train\n")
-    rc = run("--config", str(cfg_path), "--out", str(tmp_path / "o"), "plan")
-    assert rc == 2
-    assert "line 2: unknown config key 'stride_mode'" in capsys.readouterr().err
+    # one stride per run: the stride list and stride_mode are gone
+    for key in ("stride_mode", "strides"):
+        rc = run("--out", str(tmp_path / "o"), "--set", f"{key}=8", "plan")
+        assert rc == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        cfg_path.write_text(f"stride = 4\n{key} = 8\n")
+        rc = run("--config", str(cfg_path), "--out", str(tmp_path / "o"), "plan")
+        assert rc == 2
+        assert f"line 2: unknown config key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text("total_frames = 33\nstrides = 8\nsegment_len = 9\n")
+    cfg_path.write_text("total_frames = 33\nstride = 8\nsegment_len = 9\n")
     out = tmp_path / "o"
     rc = run("--config", str(cfg_path), "--out", str(out), "--set",
              "total_frames=17", "plan")
@@ -831,7 +829,6 @@ def test_precedence_file_then_set_then_flags(argv, seed, tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("bogus = 2", "line 2: unknown config key 'bogus'"),
     ("seed = x", "line 2: seed: invalid literal for int()"),
-    ("strides = ,", "line 2: strides: empty stride list"),
     ("seed 4", "line 2: expected 'key = value'")])
 def test_bad_file_line_is_fatal_even_if_set_replaces_its_key(line, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
@@ -847,7 +844,6 @@ def test_bad_file_line_is_fatal_even_if_set_replaces_its_key(line, message, tmp_
 @pytest.mark.parametrize("pair, message", [
     ("nope=1", "unknown config key 'nope'"),
     ("seed=x", "seed: invalid literal for int()"),
-    ("strides=", "strides: empty stride list"),
     ("seed", "expected 'key = value'")])
 def test_bad_override_is_fatal_even_if_a_later_one_replaces_it(pair, message, tmp_path,
                                                                capsys):
@@ -857,72 +853,22 @@ def test_bad_override_is_fatal_even_if_a_later_one_replaces_it(pair, message, tm
     assert not (tmp_path / "o").exists()
 
 
-def test_train_mode_plan_from_config(tmp_path, capsys):
-    out = tmp_path / "o"
-    rc = run("--out", str(out), "--seed", "3", "--set", "total_frames=65",
-             "--set", "strides=4,8,16", "plan")
-    assert rc == 0
-    text = (out / "plan.txt").read_text()
-    kf_line = [l for l in text.splitlines() if l.startswith("keyframes")][0]
-    kfs = [int(v) for v in kf_line.split("=")[1].split(",")]
-    assert kfs[1] - kfs[0] in (4, 8, 16)
-
-
-@pytest.mark.parametrize("command", ["plan", "bounds", "simulate"])
-def test_several_strides_run_every_command(command, tmp_path):
-    out = tmp_path / "o"
-    rc = run("--out", str(out), "--set", "total_frames=65", "--set", "strides=4,8",
-             "--set", "velocity_error=0.3", command)
-    assert rc == 0
-    if command == "bounds":
-        # the a-priori leakage takes the widest anchor interval a plan can draw
-        header, rows = _read_rows(out / "bounds.csv")
-        assert {float(r[header.index("leakage")]) for r in rows} == {
-            unified_bound(0.0, 8, 0.3).leakage_term}
-
-
 def _bound_terms(path):
     header, rows = _read_rows(path)
     return tuple({float(r[header.index(name)]) for r in rows} for name in ("leakage", "noise"))
 
 
 @pytest.mark.parametrize("frames", [1, 2, 3, 50])
-@pytest.mark.parametrize("strides", ["1", "8", "49", "50", "400", "8,49", "49,400"])
-def test_bounds_interval_is_one_a_plan_can_have(frames, strides, tmp_path):
-    # the a-priori anchor interval is the widest a plan at these strides can
-    # draw: with one stride, bounds' leakage and noise are simulate's; with
-    # several, at least those of the stride each seed's plan drew
-    argv = ["--set", f"total_frames={frames}", "--set", f"strides={strides}",
+@pytest.mark.parametrize("stride", ["1", "8", "49", "50", "400"])
+def test_bounds_interval_is_one_a_plan_can_have(frames, stride, tmp_path):
+    # the a-priori anchor interval is the plan's widest: bounds' leakage and
+    # noise are simulate's
+    argv = ["--set", f"total_frames={frames}", "--set", f"stride={stride}",
             "--set", "velocity_error=0.5", "--set", "sigma_int=0.2"]
     assert run("--out", str(tmp_path / "b"), *argv, "bounds") == 0
-    leakage, noise = _bound_terms(tmp_path / "b" / "bounds.csv")
-    for seed in range(1 if "," not in strides else 4):
-        out = tmp_path / str(seed)
-        assert run("--out", str(out), "--seed", str(seed), *argv, "simulate") == 0
-        sim_leakage, sim_noise = _bound_terms(out / "anchored_trace.csv")
-        if "," not in strides:
-            assert (leakage, noise) == (sim_leakage, sim_noise)
-        else:
-            assert min(leakage) >= max(sim_leakage) and min(noise) >= max(sim_noise)
-
-
-def test_several_strides_simulate_within_bound(tmp_path, capsys):
-    # each seed's plan draws its own stride; a deterministic run stays
-    # within the bound of the stride it drew
-    strides = (4, 8, 16)
-    drawn = set()
-    for seed in range(6):
-        kf = build_plan(97, strides, 9, 1, rng=derive_rng(seed, "plan")).keyframes
-        drawn.add(kf[1] - kf[0])
-        rc = run("--out", str(tmp_path / str(seed)), "--seed", str(seed),
-                 "--set", "total_frames=97", "--set", "strides=4,8,16",
-                 "--set", "bias=0.01", "--set", "kf_error_cap=0.05",
-                 "--set", "velocity_error=0.3", "simulate")
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "bound violations (step-by-step): 0" in text
-        assert "bound violations (anchored): 0" in text
-    assert len(drawn) > 1
+    assert run("--out", str(tmp_path / "s"), *argv, "simulate") == 0
+    assert (_bound_terms(tmp_path / "b" / "bounds.csv")
+            == _bound_terms(tmp_path / "s" / "anchored_trace.csv"))
 
 
 def test_simulate_with_trajectory_controls(tmp_path):
@@ -1014,11 +960,11 @@ def test_config_rejects_a_string_its_file_cannot_carry(key, value):
     ("total_frames", 9.5, "total_frames must be an integer, got 9.5"),
     ("segment_len", 5.5, "segment_len must be an integer, got 5.5"),
     ("overlap", 1.0, "overlap must be an integer, got 1.0"),
-    ("strides", (8, 2.5), "each stride must be an integer, got 2.5"),
+    ("stride", 2.5, "stride must be an integer, got 2.5"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("trials", 2.5, "trials must be an integer, got 2.5"),
     ("dim", 2.0, "dim must be an integer, got 2.0"),
-], ids=["total_frames", "segment_len", "overlap", "strides", "seed", "trials", "dim"])
+], ids=["total_frames", "segment_len", "overlap", "stride", "seed", "trials", "dim"])
 def test_config_rejects_a_float_count_naming_the_key(key, value, message):
     # a config built from values, not parsed from text, is checked as well:
     # a float count is neither truncated nor left to fail later

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from rollbound.errormodel import (
     bridge_variance,
     cumulative_leakage_bound,
     discrete_spline_minimizer,
+    jump_anchor_bound,
     leakage_peak,
     simulate_bridge_paths,
     solve_damping_spline,
@@ -380,4 +383,31 @@ def test_unified_bound_rejects_bad_arguments():
 ], ids=["spline-grid", "spline-grid-float", "bridge-steps", "bridge-paths"])
 def test_oracle_bad_input_raises_its_message(call, message):
     with pytest.raises(InvalidInput, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: unified_bound("1", 8), "anchor_error must be a real number, got '1'"),
+    (lambda: unified_bound(0.1, 8, "0.2"), "velocity_error must be a real number, got '0.2'"),
+    (lambda: unified_bound(0.1, 8, None), "velocity_error must be a real number, got None"),
+    (lambda: unified_bound(0.1, 8, 0.0, "0"), "interp_noise must be a real number, got '0'"),
+    (lambda: ar_upper_curve("1", 0.0, 5), "lipschitz must be a real number, got '1'"),
+    (lambda: ar_upper_curve(1.0, None, 5), "step_error must be a real number, got None"),
+    (lambda: ar_upper_curve(1.0, 0.1, 2.5), "n_frames must be an integer, got 2.5"),
+    (lambda: ar_upper_curve(1.0, 0.1, -1), "n_frames must be >= 0, got -1"),
+    (lambda: jump_anchor_bound(1.0, "0.1", 10, 2), "step_error must be a real number, got '0.1'"),
+    (lambda: jump_anchor_bound(None, 0.1, 10, 2), "lipschitz must be a real number, got None"),
+    (lambda: jump_anchor_bound(-1.0, 0.1, 10, 2), "lipschitz constant must be >= 0"),
+    (lambda: jump_anchor_bound(1.0, 0.1, 10.0, 2), "n_frames must be an integer, got 10.0"),
+    (lambda: jump_anchor_bound(1.0, 0.1, 0, 2), "n_frames must be >= 1, got 0"),
+    (lambda: jump_anchor_bound(1.0, 0.1, 10, 2.0), "stride must be an integer, got 2.0"),
+    (lambda: jump_anchor_bound(1.0, 0.1, 10, 0), "stride must be >= 1, got 0"),
+], ids=["unified-anchor-str", "unified-velocity-str", "unified-velocity-none",
+        "unified-noise-str", "ar-lipschitz-str", "ar-step-none", "ar-frames-float",
+        "ar-frames-negative", "jump-step-str", "jump-lipschitz-none", "jump-lipschitz-negative",
+        "jump-frames-float", "jump-frames-zero", "jump-stride-float", "jump-stride-zero"])
+def test_bound_bad_argument_raises_invalid_input_naming_it(call, message):
+    # every argument is checked on entry: none fails later as a TypeError or
+    # a ZeroDivisionError
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         call()

@@ -31,15 +31,11 @@ CLI_CASES = {
     "plan_default": (
         ["--seed", "3", "plan"], ("plan.txt",),
         "26141ade839c973fa15c503c6db77f6007ee4a81f5f322d5d9b521a7cfa51a67"),
-    "plan_train_strides": (
-        ["--seed", "5", "--set", "total_frames=203", "--set", "strides=4,8,16",
-         "--set", "segment_len=12", "--set", "overlap=2", "plan"], ("plan.txt",),
-        "eeabd851c379bcb5e4be6bb9b6753b066516ff86a698a15010f3d0cee5980626"),
     "plan_single_frame": (
         ["--seed", "6", "--set", "total_frames=1", "plan"], ("plan.txt",),
         "eeba7b8f119eadf56b78cb9a3bbc6bfce428e640e70a665b19dbbed0a9fc9d14"),
     "plan_overlap3": (
-        ["--seed", "8", "--set", "total_frames=150", "--set", "strides=4",
+        ["--seed", "8", "--set", "total_frames=150", "--set", "stride=4",
          "--set", "segment_len=12", "--set", "overlap=3", "plan"], ("plan.txt",),
         "bc551c67d8543b38b3ec0f09a71e0899bc8bc2dfb5c402cd0c904d17b1b3f197"),
     "bounds_linear": (
@@ -81,7 +77,7 @@ CLI_CASES = {
         "ac492c8d7defb7ca715c3026ead7ee3f22cb04abb80dd1a11be7c19eb5301f92"),
     "simulate_overlap_deterministic": (
         ["--seed", "2", "--set", "total_frames=150", "--set", "dim=3",
-         "--set", "strides=4", "--set", "segment_len=12", "--set", "overlap=3",
+         "--set", "stride=4", "--set", "segment_len=12", "--set", "overlap=3",
          "--set", "bias=0.01", "--set", "velocity_error=0.5", "--set", "kf_error_cap=0.02",
          "simulate"], SIM_FILES,
         "bd0b7b602666734ebefab15dcd83082020197f005bd17bd520a8b615a4e7c0bf"),
@@ -118,7 +114,6 @@ PLAN_STDOUT = {
     "plan_default": "1e0a8fec5f7f9ce9f90b0b0c5e5f605c4c934f067383bcf19baa478de3670afb",
     "plan_overlap3": "e51534fa2c827a49041d81ef5d84bfab00651d3458a5038c9db373327f88e8d1",
     "plan_single_frame": "beef082e616e954a2f0be12ea8716c1ce37e556a083cfc98d3993d1e109c1fb0",
-    "plan_train_strides": "e098f18edd47e92d4e83c14061ca3829cead9e9bcb38e8d74008ecaa07646290",
 }
 
 
@@ -208,7 +203,7 @@ def _arrays_digest(arrays) -> str:
 def test_api_anchored_without_substitution_digest():
     cfg = WorldConfig(dim=3, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(3, 0.02), seed=21)
-    plan = build_plan(70, (6,), 10, 2)
+    plan = build_plan(70, 6, 10, 2)
     kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(21))
     arrays = []
@@ -224,7 +219,7 @@ def test_api_compare_both_scenarios_digest():
     cfg = WorldConfig(dim=2, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(2, 0.01), noise_std=0.02,
                       control=np.array([0.05, -0.02]), seed=31)
-    plan = build_plan(81, (8,), 9, 1)
+    plan = build_plan(81, 8, 9, 1)
     reps = [compare_pipelines(cfg, plan, sc, trials=6, seed=8, sigma_int=0.1,
                               velocity_error=0.3, kf_error_cap=0.05)
             for sc in ("global", "downsampled_ar")]
@@ -242,7 +237,7 @@ def test_api_anchored_noiseless_without_substitution_digest():
     the frames are hashed as raw bytes, sign of zero included."""
     cfg = WorldConfig(dim=3, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(3, 0.02), seed=22)
-    plan = build_plan(70, (6,), 10, 2)
+    plan = build_plan(70, 6, 10, 2)
     kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(22))
     parts = []
@@ -258,7 +253,7 @@ def test_api_compare_noiseless_interpolation_digest():
     """sigma_int = 0 over more trials than one block, both scenarios."""
     cfg = WorldConfig(dim=2, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(2, 0.01), noise_std=0.02, seed=33)
-    plan = build_plan(81, (8,), 9, 1)
+    plan = build_plan(81, 8, 9, 1)
     reps = [compare_pipelines(cfg, plan, sc, trials=TRIAL_BLOCK + 3, seed=9, sigma_int=0.0,
                               velocity_error=0.3, kf_error_cap=0.05)
             for sc in ("global", "downsampled_ar")]

@@ -8,7 +8,6 @@ from rollbound.core import InvalidInput, RolloutPlan, validate_plan
 from rollbound.schedule import (
     build_plan,
     partition_segments,
-    sample_keyframe_indices,
     segment_context,
     select_keyframes,
 )
@@ -18,45 +17,34 @@ from rollbound.schedule import (
 # keyframe sampling
 # ---------------------------------------------------------------------------
 
+def _keyframes(n_frames, stride):
+    """The keyframes of a plan of n_frames frames at one stride."""
+    return build_plan(n_frames, stride, 9, 1).keyframes
+
+
 def test_sample_keyframes_exact_multiples():
-    assert sample_keyframe_indices(33, 8) == [0, 8, 16, 24, 32]
+    assert _keyframes(33, 8) == (0, 8, 16, 24, 32)
 
 
 def test_sample_keyframes_appends_final_frame():
     # enumeration oracle: stride multiples below N, then the last index
-    expected = [k for k in range(0, 21, 8)] + [20]
-    assert sample_keyframe_indices(21, 8) == expected == [0, 8, 16, 20]
+    expected = tuple(range(0, 21, 8)) + (20,)
+    assert _keyframes(21, 8) == expected == (0, 8, 16, 20)
 
 
 def test_sample_keyframes_single_frame():
-    assert sample_keyframe_indices(1, 5) == [0]
+    assert _keyframes(1, 5) == (0,)
 
 
 def test_sample_keyframes_rejects_empty_sequence():
-    with pytest.raises(InvalidInput):
-        sample_keyframe_indices(0, 4)
-
-
-def test_sample_keyframes_train_mode_draws_from_candidates():
-    seen = set()
-    for seed in range(30):
-        kf = build_plan(64, (4, 8, 16), 9, 1, rng=np.random.default_rng(seed)).keyframes
-        stride = kf[1] - kf[0]
-        assert stride in {4, 8, 16}
-        assert list(kf) == sample_keyframe_indices(64, stride)
-        seen.add(stride)
-    assert len(seen) > 1  # actually random
-    a = build_plan(64, (4, 8, 16), 9, 1, rng=np.random.default_rng(7))
-    b = build_plan(64, (4, 8, 16), 9, 1, rng=np.random.default_rng(7))
-    assert a == b
+    with pytest.raises(InvalidInput, match=r"^n_frames must be >= 1, got 0$"):
+        _keyframes(0, 4)
 
 
 def test_stride_policy_validation():
-    with pytest.raises(InvalidInput, match="stride must be >= 1"):
-        sample_keyframe_indices(10, 0)
-    for strides in ((), (0,), (4, -8)):
-        with pytest.raises(InvalidInput, match="strides must be a nonempty list"):
-            build_plan(10, strides, 3, 1)
+    for stride in (0, -8):
+        with pytest.raises(InvalidInput, match=f"^stride must be >= 1, got {stride}$"):
+            build_plan(10, stride, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +97,7 @@ def test_select_keyframes_matches_enumeration(kfset, start, length):
 
 def _partition(n_frames, seg_len, overlap):
     """partition_segments of a plan with those frames and windows."""
-    return partition_segments(build_plan(n_frames, (n_frames,), seg_len, overlap))
+    return partition_segments(build_plan(n_frames, n_frames, seg_len, overlap))
 
 
 def _while_loop_windows(n_frames, seg_len, overlap):
@@ -156,7 +144,7 @@ def test_partition_truncates_last():
 def test_partition_rejects_bad_overlap():
     # partition_segments takes a plan, which has already checked its windows
     with pytest.raises(InvalidInput, match="segment length must exceed overlap"):
-        build_plan(10, (3,), 3, 3)
+        build_plan(10, 3, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +152,21 @@ def test_partition_rejects_bad_overlap():
 # ---------------------------------------------------------------------------
 
 def test_build_plan_composition():
-    plan = build_plan(33, (8,), 9, 1)
+    plan = build_plan(33, 8, 9, 1)
     assert plan.keyframes == (0, 8, 16, 24, 32)
     assert len(list(segment_context(plan))) == 4
     assert validate_plan(plan) == []
 
 
 def test_build_plan_single_frame():
-    plan = build_plan(1, (8,), 2, 0)
+    plan = build_plan(1, 8, 2, 0)
     assert plan.keyframes == (0,)
     assert len(list(segment_context(plan))) == 1
     assert validate_plan(plan) == []
 
 
 def test_build_plan_inference_defaults():
-    plan = build_plan(321, (8,), 9, 1)
+    plan = build_plan(321, 8, 9, 1)
     assert validate_plan(plan) == []
     assert len(plan.keyframes) == 41
     assert plan.keyframes[-1] == 320
@@ -189,7 +177,7 @@ def test_build_plan_inference_defaults():
 def test_random_plans_validate_clean(n, stride, seg_len, overlap):
     if seg_len <= overlap:
         overlap = seg_len - 1
-    plan = build_plan(n, (stride,), seg_len, overlap)
+    plan = build_plan(n, stride, seg_len, overlap)
     assert validate_plan(plan) == []
     context = list(segment_context(plan))
     for (a0, a1, _, _), (b0, b1, history, anchors) in zip(context, context[1:]):
@@ -230,7 +218,7 @@ def test_plan_checks_itself_when_made():
         RolloutPlan(0, (), 1, 0)
     with pytest.raises(InvalidInput, match=r"^plan fails validation: \['segment length must "
                                            r"exceed overlap .* got segment_len 3 and overlap 4'"):
-        build_plan(10, (3,), 3, 4)
+        build_plan(10, 3, 3, 4)
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -250,10 +238,4 @@ def test_plan_stores_numpy_integers_as_python_ints():
     assert plan == RolloutPlan(9, (0, 4, 8), 5, 1)
     assert all(type(v) is int
                for v in (plan.total_frames, *plan.keyframes, plan.segment_len, plan.overlap))
-
-
-def test_build_plan_draws_a_stride_only_from_a_given_generator():
-    with pytest.raises(InvalidInput, match=r"^drawing one of the strides \(4, 8, 16\) needs rng"):
-        build_plan(200, (4, 8, 16), 9, 1)
-    assert build_plan(200, (8,), 9, 1).keyframes[1] == 8
 

@@ -15,7 +15,7 @@ from rollbound.errormodel import (
     solve_damping_spline,
 )
 from rollbound import worldsim
-from rollbound.schedule import build_plan, partition_segments, sample_keyframe_indices
+from rollbound.schedule import build_plan, partition_segments
 from rollbound.seeding import child_seed, derive_rng
 from rollbound.worldsim import (
     WorldConfig,
@@ -291,7 +291,7 @@ def test_anchor_error_norms_match_per_anchor_loop():
         loop = [np.linalg.norm(v - gt[k]) for k, v in zip(idx, values)]
         assert np.array_equal(worldsim._anchor_error_norms(values, gt, idx), loop)
     cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=51)
-    plan = build_plan(97, (4,), 9, 1)
+    plan = build_plan(97, 4, 9, 1)
     kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(51))
     gt = simulate_ground_truth(cfg, plan.total_frames)
@@ -410,7 +410,7 @@ def test_world_config_rejects_bad_inputs_naming_the_field(field, value):
 # ---------------------------------------------------------------------------
 
 def _plan(n=33, stride=8, seg_len=9, overlap=1):
-    return build_plan(n, (stride,), seg_len, overlap)
+    return build_plan(n, stride, seg_len, overlap)
 
 
 def test_anchored_linear_truth_reproduced_exactly():
@@ -479,7 +479,7 @@ def test_anchored_error_decomposition_round_trip():
 
 def test_anchored_bound_dominates_deterministic_runs():
     cfg = linear_world(bias=0.02, control=np.array([0.15, 0.05]), seed=9)
-    plan = build_plan(321, (8,), 9, 1)
+    plan = build_plan(321, 8, 9, 1)
     kf = generate_keyframes(cfg, plan, "downsampled_ar")
     trace = rollout_anchored(cfg, plan, kf, velocity_error=0.5)
     assert np.all(trace.error_norms <= trace.bounds + 1e-9)
@@ -499,7 +499,7 @@ def test_anchored_frames_do_not_depend_on_the_windows(n, stride, dim, momentum, 
     # horizon included
     cfg = WorldConfig(dim=dim, dynamics="rotation", bias=bias_from_norm(dim, 0.01),
                       control=np.full(dim, 0.1), seed=seed % 97)
-    kf = tuple(sample_keyframe_indices(n, stride))
+    kf = build_plan(n, stride, 9, 1).keyframes
     anchors = generate_keyframes(cfg, _keyframe_plan(kf), "global", error_cap=0.1,
                                  rng=np.random.default_rng(seed))
     kw = dict(sigma_int=0.3, velocity_error=0.4)
@@ -768,7 +768,7 @@ def test_trace_csv_schema(tmp_path):
 
 def test_compare_bounded_vs_linear_growth():
     cfg = linear_world(bias=0.01, seed=13)
-    plan = build_plan(161, (8,), 9, 1)
+    plan = build_plan(161, 8, 9, 1)
     rep = compare_pipelines(cfg, plan, "global", trials=1, kf_error_cap=0.05)
     ar = rep.ar_mean_error
     dc = rep.anchored_mean_error
@@ -778,7 +778,7 @@ def test_compare_bounded_vs_linear_growth():
 
 def test_compare_t_fold_suppression():
     cfg = linear_world(bias=0.01, seed=14)
-    plan = build_plan(321, (8,), 9, 1)
+    plan = build_plan(321, 8, 9, 1)
     rep = compare_pipelines(cfg, plan, "downsampled_ar", trials=1)
     ratio = rep.ar_mean_error[-1] / rep.anchored_mean_error[-1]
     assert 6.4 <= ratio <= 9.6
@@ -907,7 +907,7 @@ def test_batched_engine_matches_standalone_rollouts(dim, trials):
     # trial's derived streams, so the trial-order sums agree bit for bit
     cfg = WorldConfig(dim=dim, lipschitz=1.0, dynamics="rotation",
                       bias=bias_from_norm(dim, 0.01), noise_std=0.05, seed=40 + dim)
-    plan = build_plan(41, (8,), 9, 1)
+    plan = build_plan(41, 8, 9, 1)
     n, base, scenarios = plan.total_frames, 17, ("global", "downsampled_ar")
     kw = dict(sigma_int=0.1, velocity_error=0.3)
     reps = {sc: compare_pipelines(cfg, plan, sc, trials=trials, seed=base, kf_error_cap=0.05,
@@ -951,7 +951,7 @@ def test_anchored_mse_matches_bridge_variance():
     # summed over d components, frame by frame
     d, sigma, trials = 4, 0.05, 2000
     cfg = WorldConfig(dim=d, seed=3)
-    plan = build_plan(161, (16,), 12, 1)
+    plan = build_plan(161, 16, 12, 1)
     rep = compare_pipelines(cfg, plan, "global", trials=trials, seed=29, sigma_int=sigma)
     kf = np.array(plan.keyframes)
     t = np.arange(plan.total_frames)
@@ -977,7 +977,7 @@ def test_bridge_noise_covariance_is_the_pinned_bridge():
     tau = t - T * j
     bridge = sigma ** 2 * np.minimum.outer(tau, tau) * (T - np.maximum.outer(tau, tau)) / T
     for substitution, overlap, restarts in ((True, 1, 0), (False, 2, 4), (False, 3, 5)):
-        plan = build_plan(n, (T,), 12, overlap)
+        plan = build_plan(n, T, 12, overlap)
         layout = worldsim._AnchoredLayout(plan, d, sigma, None, substitution=substitution)
         kv = np.zeros((len(plan.keyframes), trials, d))
         x = layout.run(kv, range(trials))
@@ -998,7 +998,7 @@ def test_anchored_frames_do_not_depend_on_the_noise_block(monkeypatch, substitut
     # the bridge noise is read FRAME_BLOCK rows at a time: blocks of 3 rows
     # split windows, intervals and bridge restarts, and give the same bits
     cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=61)
-    plan = build_plan(70, (6,), 10, 2)
+    plan = build_plan(70, 6, 10, 2)
     kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(61))
     kw = dict(sigma_int=0.3, velocity_error=0.4, substitution=substitution, seed=8)
@@ -1055,8 +1055,8 @@ def _dense_trajectory(n=5):
     (lambda: simulate_ground_truth(linear_world(), 4.0), "n_frames must be an integer, got 4.0"),
     (lambda: compare_pipelines(linear_world(), _plan(), trials=2.5),
      "trials must be an integer, got 2.5"),
-    (lambda: sample_keyframe_indices(10, 2.5), "stride must be an integer, got 2.5"),
-    (lambda: sample_keyframe_indices(10.0, 2), "n_frames must be an integer, got 10.0"),
+    (lambda: build_plan(10, 2.5, 9, 1), "stride must be an integer, got 2.5"),
+    (lambda: build_plan(10.0, 2, 9, 1), "n_frames must be an integer, got 10.0"),
     (lambda: WorldConfig(dim=2.5), "dim must be an integer, got 2.5"),
     (lambda: WorldConfig(dim=2, seed=2.5), "seed must be an integer, got 2.5"),
     (lambda: rollout_anchored(linear_world(), _plan(), np.zeros((5, 2)), seed=4.7),
