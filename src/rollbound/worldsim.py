@@ -20,9 +20,10 @@ without it the bridge restarts at each later window's first frame.
 
 Both run on one trial engine that simulates a batch of Monte-Carlo trials as
 one array; a standalone rollout is its one-trial case. Its frame loops are
-batched without changing a bit: a step-by-step frame is one matmul and one
-ordered sum of its terms, and the bridge noise advances every anchor
-interval at once, one step per offset into the intervals.
+batched without changing a bit: the step-by-step frames are one terms stack
+per block of steps, reduced frame by frame after one matmul (running sums
+for the identity), and the bridge noise advances every anchor interval at
+once, one step per offset into the intervals.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ def write_trace_csv(trace: RolloutTrace, path, *tables) -> None:
 #: floats whatever the trial count
 TRIAL_BLOCK = 32
 
-#: frames per pass of the identity dynamics' running sums and of the step
-#: loop's terms stack, and bridge-noise rows per draw: a pass holds
-#: O(FRAME_BLOCK * TRIAL_BLOCK * d) floats whatever the horizon
+#: steps per block of the step loop's terms stack and of its noise draws,
+#: and bridge-noise rows per draw: a pass holds O(FRAME_BLOCK * TRIAL_BLOCK
+#: * d) floats beyond its frames, whatever the horizon
 FRAME_BLOCK = 1024
 
 
@@ -248,6 +249,17 @@ def _finite_anchors(kv: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(kv)):
         raise InvalidInput("keyframe values must be finite")
     return kv
+
+
+def _normal_rows(rngs, buf: np.ndarray, scale) -> np.ndarray:
+    """Fill a (B, rows, d) buffer with each trial's next rows of standard
+    normals, trial b from rngs[b], scale them, and return the (rows, B, d)
+    view. A generator read a block at a time gives the bits of one whole
+    draw: this is how every engine pass reads its noise."""
+    for g, draws in zip(rngs, buf):
+        g.standard_normal(out=draws)
+    buf *= scale
+    return buf.transpose(1, 0, 2)
 
 
 def _safe_norms(rows: np.ndarray, norm) -> np.ndarray:
@@ -284,11 +296,12 @@ class _World:
     """What every trial of a run shares: the dynamics matrix (its
     spectral-norm check runs here, once), the controls and the ground truth.
 
-    The ground truth is row 0 of each step-by-step batch: the same recursion
-    x[t+1] = A x[t] + u[t], without the generator's drift and noise. The
-    rollouts of the generators given here run in the ground truth's own pass
-    (`take_rollouts`), so a standalone rollout, or a comparison's first trial
-    block, takes one pass, not two."""
+    The ground truth is row 0 of each step-by-step batch (`_propagate`):
+    the same recursion x[t+1] = A x[t] + u[t], without the generator's drift
+    and noise. The rollouts of the generators given here run in the ground
+    truth's own pass (`take_rollouts`), so a standalone rollout, or a
+    comparison's first trial block, takes one pass, not two. A pass holds
+    its (n, 1+B, d) frames and one block of steps' terms and noise."""
 
     def __init__(self, cfg: WorldConfig, n_frames: int, rngs=()):
         n_frames = _as_int(n_frames, "n_frames")
@@ -306,94 +319,64 @@ class _World:
     def _propagate(self, rngs) -> np.ndarray:
         """Time-major (n, 1+B, d) batch: row 0 the ground truth, row 1+b the
         step-by-step rollout of generator b, which adds the drift and its
-        noise, drawn as one (n-1, d) block (bit-identical to n-1 draws of d).
-        Step t is ((A x[t] + u[t]) + b) + eps[t], added left to right.
+        noise. Step t is ((A x[t] + u[t]) + b) + eps[t], added left to right.
 
-        For A = I the frames are running sums (_running_sums): the identity's
-        matmul returns x itself (a -0.0 read as +0.0), so np.add.accumulate
-        over the addends interleaved in step order makes the same additions
-        in the same order, bit for bit. Every other A takes the matmul loop
-        (_matmul_steps)."""
+        A C-ordered terms stack holds the addends [A x[t], u[t], b, eps[t]]
+        of FRAME_BLOCK steps (b and eps for rollouts only; the truth row
+        holds -0.0 there, which adds nothing), with each generator's noise
+        drawn for those steps alone (see _normal_rows). Two reductions of the
+        stack make the frame loop's additions in its order, bit for bit:
+
+          * any A: per step, one matmul over the batch (bit-identical to the
+            per-row A @ x[t]) writes slot 0, and np.add.reduce over the slot
+            axis adds the slots one after another, from a -0.0 start that
+            adds nothing (numpy's default start, +0.0, would turn a -0.0 sum
+            into +0.0);
+          * A = I: the matmul adds 1 * x_i and 0 * x_j terms to a +0.0
+            start, which for finite x is x_i with a -0.0 read as +0.0, and a
+            sum that starts from A x[0] never reads -0.0. So slot 0 holds
+            A x[0], or the carried frame, at a block's first step and -0.0
+            after it, and one strictly sequential np.add.accumulate runs over
+            the flattened block. The carry is no matmul: past the float range
+            the identity's 0 * inf reads nan where the sum keeps inf."""
         cfg = self.cfg
         n = len(self.u) + 1
-        x = np.empty((n, 1 + len(rngs), cfg.dim))
+        rows, d = 1 + len(rngs), cfg.dim
+        x = np.empty((n, rows, d))
         x[0] = cfg.x0
-        b = cfg.bias
-        noise = None
-        if rngs and cfg.noise_std > 0.0:
-            noise = np.empty((len(rngs), n - 1, cfg.dim))
-            for g, block in zip(rngs, noise):
-                g.standard_normal(out=block)
-            noise *= cfg.noise_std
+        noisy = rows > 1 and cfg.noise_std > 0.0
+        slots = 2 if rows == 1 else 4 if noisy else 3
+        terms = np.empty((min(n - 1, FRAME_BLOCK), slots, rows, d))
+        eps = np.empty((rows - 1, len(terms), d)) if noisy else None
+        identity = np.array_equal(self.A, np.eye(d))
         # a frame past the float range reads inf or nan, without a warning:
         # the callers' finite check rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            if n > 1 and np.array_equal(self.A, np.eye(cfg.dim)):
-                self._running_sums(x, b, noise)
-            else:
-                self._matmul_steps(x, b, noise)
+            for lo in range(0, n - 1, FRAME_BLOCK):
+                hi = min(lo + FRAME_BLOCK, n - 1)
+                block = terms[:hi - lo]
+                block[:, 1] = self.u[lo:hi, None]
+                block[:, 2:, 0] = -0.0
+                if slots > 2:
+                    block[:, 2, 1:] = cfg.bias
+                if noisy:
+                    block[:, 3, 1:] = _normal_rows(rngs, eps[:, :hi - lo], cfg.noise_std)
+                if identity:
+                    if lo == 0:
+                        np.matmul(self.A, x[0, ..., None], out=block[0, 0, ..., None])
+                    else:
+                        block[0, 0] = x[lo]
+                    block[1:, 0] = -0.0
+                    sums = block.reshape(-1, rows, d)
+                    np.add.accumulate(sums, axis=0, out=sums)
+                    x[lo + 1:hi + 1] = block[:, -1]
+                else:
+                    for prev, product, step, nxt in zip(x[lo:hi, ..., None],
+                                                        block[:, 0, ..., None],
+                                                        block, x[lo + 1:hi + 1]):
+                        np.matmul(self.A, prev, out=product)
+                        np.add.reduce(step, axis=0, initial=-0.0, out=nxt)
         return x
-
-    def _running_sums(self, x: np.ndarray, b: np.ndarray, noise) -> None:
-        """Frames 1.. of the batch for A = I, as running sums, bit for bit.
-
-        The matmul adds 1 * x_i and 0 * x_j terms to a +0.0 start: for
-        finite x that is x_i with a -0.0 read as +0.0, and a sum of addends
-        that starts from A x[0] never reads -0.0. So np.add.accumulate,
-        strictly sequential, over the addends interleaved as
-        [A x[0], u0, b, eps0, u1, b, eps1, ...] makes the loop's additions
-        in its order. Each pass sums FRAME_BLOCK frames, from the last frame
-        of the previous one."""
-        n, rows, d = x.shape
-        start = np.matmul(self.A, x[0, :, :, None])[..., 0]
-        truth = x[1:, 0]
-        truth[:] = self.u
-        truth[0] += start[0]
-        np.add.accumulate(truth, axis=0, out=truth)
-        if rows == 1:
-            return
-        k = 2 if noise is None else 3
-        sums = np.empty((1 + k * FRAME_BLOCK, rows - 1, d))
-        sums[0] = start[1:]
-        for lo in range(0, n - 1, FRAME_BLOCK):
-            hi = min(lo + FRAME_BLOCK, n - 1)
-            part = sums[:1 + k * (hi - lo)]
-            addends = part[1:].reshape(hi - lo, k, rows - 1, d)
-            addends[:, 0] = self.u[lo:hi, None]
-            addends[:, 1] = b
-            if noise is not None:
-                addends[:, 2] = noise[:, lo:hi].transpose(1, 0, 2)
-            np.add.accumulate(part, axis=0, out=part)
-            x[lo + 1:hi + 1, 1:] = part[k::k]
-            sums[0] = part[-1]
-
-    def _matmul_steps(self, x: np.ndarray, b: np.ndarray, noise) -> None:
-        """Frames 1.. of the batch for any A: per step, one matmul over the
-        batch (bit-identical to the per-row A @ x[t]) and one ordered sum.
-
-        A C-ordered terms stack holds each step's addends [A x[t], u[t], b,
-        eps[t]] (b and eps for rollouts only; the truth row holds -0.0
-        there, which adds nothing), FRAME_BLOCK steps at a time. The matmul
-        writes slot 0, and np.add.reduce over the outermost slot axis adds
-        the slots one after another, from a -0.0 start that adds nothing
-        (numpy's default start, +0.0, would turn a -0.0 sum into +0.0): the
-        frame loop's additions, in its order."""
-        n, rows, d = x.shape
-        slots = 2 if rows == 1 else 3 if noise is None else 4
-        terms = np.empty((min(n - 1, FRAME_BLOCK), slots, rows, d))
-        terms[:, 2:, 0] = -0.0
-        if slots > 2:
-            terms[:, 2, 1:] = b
-        for lo in range(0, n - 1, FRAME_BLOCK):
-            hi = min(lo + FRAME_BLOCK, n - 1)
-            block = terms[:hi - lo]
-            block[:, 1] = self.u[lo:hi, None]
-            if noise is not None:
-                block[:, 3, 1:] = noise[:, lo:hi].transpose(1, 0, 2)
-            for prev, product, step, nxt in zip(x[lo:hi, ..., None], block[:, 0, ..., None],
-                                                block, x[lo + 1:hi + 1]):
-                np.matmul(self.A, prev, out=product)
-                np.add.reduce(step, axis=0, initial=-0.0, out=nxt)
 
     def take_rollouts(self) -> np.ndarray:
         """The (n, B, d) rollouts of the generators given at construction,
@@ -589,7 +572,10 @@ class _AnchoredLayout:
             if momentum and substitution:
                 dvs[1:] = DAMPING_FACTOR
                 np.multiply.accumulate(dvs, out=dvs)
-            self.leak = shape[:, None] * dvs[j]
+            # leakage past the float range reads inf, without a warning: the
+            # finite check rejects the run
+            with np.errstate(over="ignore"):
+                self.leak = shape[:, None] * dvs[j]
 
         # bridge-noise schedule: each trial reads one row of its stream for
         # each non-keyframe frame, in frame order, and every row continues
@@ -697,11 +683,8 @@ class _AnchoredLayout:
         eps = np.empty((B, min(rows, FRAME_BLOCK), d))
         for lo in range(0, rows, FRAME_BLOCK):
             hi = min(lo + FRAME_BLOCK, rows)
-            kicks = eps[:, :hi - lo]
-            for g, draws in zip(rngs, kicks):
-                g.standard_normal(out=draws)
-            kicks *= self.draw_scale[lo:hi, None]
-            w[self.draw_rows[lo:hi]] = kicks.transpose(1, 0, 2)
+            w[self.draw_rows[lo:hi]] = _normal_rows(rngs, eps[:, :hi - lo],
+                                                    self.draw_scale[lo:hi, None])
         product = np.empty((self.runs[0][3], B, d))  # offset 1 has the most rows
         for before, first, end, c in self.runs:
             prev, prod = w[before:before + c], product[:c]

@@ -246,22 +246,23 @@ def test_cmd_leakage_past_the_float_range_reads_inf_without_warning(command, csv
 
 @pytest.mark.parametrize("settings, command, message", [
     (("sigma_int=1e308",), "simulate", "latent frames must be finite"),
-    (("sigma_int=1e308",), "ablate", "latent frames must be finite"),
+    (("sigma_int=1e308",), "ablate --grid 4:4", "latent frames must be finite"),
     (("kf_scenario=downsampled_ar", "lipschitz=3", "bias=0.01", "total_frames=2000"),
      "simulate", "keyframe values must be finite"),
-], ids=["bridge-noise-simulate", "bridge-noise-ablate", "downsampled-anchors"])
+    (("velocity_error=1e308", "stride=16"), "simulate", "latent frames must be finite"),
+    (("velocity_error=1e308",), "ablate --grid 16:16", "latent frames must be finite"),
+], ids=["bridge-noise-simulate", "bridge-noise-ablate", "downsampled-anchors",
+        "leakage-simulate", "leakage-ablate"])
 def test_cmd_overflow_prints_only_the_error_line(settings, command, message, tmp_path,
                                                  capsys):
-    # bridge noise or anchors past the float range: the finite check rejects
-    # the run, and numpy's overflow warnings stay inside
+    # bridge noise, leakage or anchors past the float range: the finite check
+    # rejects the run, and numpy's overflow warnings stay inside
     argv = ["--out", str(tmp_path)]
     for setting in settings:
         argv += ["--set", setting]
-    if command == "ablate":
-        argv += ["--set", "total_frames=33", command, "--grid", "4:4"]
-    else:
-        argv += [command]
-    assert run(*argv) == 2
+    if command.startswith("ablate"):
+        argv += ["--set", "total_frames=33"]
+    assert run(*argv, *command.split()) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

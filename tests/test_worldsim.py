@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -144,7 +145,7 @@ def test_world_propagation_matches_frame_loop_bit_for_bit(dynamics, lipschitz, n
         assert rollouts[:, i].tobytes() == expect.tobytes()
 
 
-def _matmul_steps_loop(A, x, u, b, noise):
+def _matmul_and_adds_loop(A, x, u, b, noise):
     """The step loop as one batched matmul and three adds a frame: + u[t]
     on every row, then + b and + eps[t] on the rollout rows (rows 1..)."""
     x = x.copy()
@@ -158,39 +159,70 @@ def _matmul_steps_loop(A, x, u, b, noise):
     return x
 
 
+class _FixedRows:
+    """A stand-in generator: standard_normal(out=...) hands out the rows of a
+    fixed array in order, -0.0 entries included."""
+
+    def __init__(self, rows):
+        self.rows, self.at = rows, 0
+
+    def standard_normal(self, out):
+        out[:] = self.rows[self.at:self.at + len(out)]
+        self.at += len(out)
+
+
 @pytest.mark.parametrize("rows, noisy", [(1, False), (4, False), (4, True)],
                          ids=["truth-only", "noiseless", "noisy"])
-@pytest.mark.parametrize("case", ["rotation", "zero-matrix", "signed-zeros", "overflow"])
+@pytest.mark.parametrize("case", ["rotation", "identity", "zero-matrix", "signed-zeros",
+                                  "signed-zeros-identity", "overflow", "overflow-identity"])
 @pytest.mark.parametrize("frame_block", [3, worldsim.FRAME_BLOCK])
 def test_matmul_steps_match_matmul_and_three_adds(monkeypatch, rows, noisy, case,
                                                    frame_block):
-    # one matmul and one ordered sum of the stacked terms a frame give the
-    # frame loop's bits: the sign of zero, infinities and NaNs included, in
-    # blocks of 3 frames too
+    # both reductions of the engine's terms stack, one matmul and one ordered
+    # sum a frame for any A and running sums for A = I, give the frame loop's
+    # bits: the sign of zero, infinities and NaNs included, in blocks of 3
+    # frames too
     monkeypatch.setattr(worldsim, "FRAME_BLOCK", frame_block)
     n, d = 80, 3
     g = np.random.default_rng(81)
-    lipschitz = {"zero-matrix": 0.0, "overflow": 1.05}.get(case, 0.97)
-    A = dynamics_matrix(WorldConfig(dim=d, lipschitz=lipschitz, dynamics="rotation", seed=82))
-    x = np.empty((n, rows, d))
-    x[0] = g.normal(size=(rows, d))
+    if case.endswith("identity"):
+        A = np.eye(d)
+    else:
+        lipschitz = {"zero-matrix": 0.0, "overflow": 1.05}.get(case, 0.97)
+        A = dynamics_matrix(WorldConfig(dim=d, lipschitz=lipschitz, dynamics="rotation",
+                                        seed=82))
+    x0 = g.normal(size=d)
     u, b = g.normal(scale=0.1, size=(n - 1, d)), g.normal(scale=0.01, size=d)
-    noise = g.normal(scale=0.05, size=(rows - 1, n - 1, d)) if noisy else None
-    if case in ("zero-matrix", "signed-zeros"):
+    draws = g.normal(size=(rows - 1, n - 1, d))
+    if case.startswith(("zero-matrix", "signed-zeros")):
         u[::2], b[1] = -0.0, -0.0
-        if noise is not None:
-            noise[:, 1::3] = -0.0
-    if case == "signed-zeros":
-        x[0], u[:] = -0.0, -0.0
-    if case == "overflow":
-        x[0] = 1e307
-    world = SimpleNamespace(A=A, u=u)
+        draws[:, 1::3] = -0.0
+    if case.startswith("signed-zeros"):
+        x0[:], u[:] = -0.0, -0.0
+    if case.startswith("overflow"):
+        x0[:] = 1e307
+    if case == "overflow-identity":
+        u += 3e306  # the identity keeps x0: the controls carry it past the float range
+    cfg = WorldConfig(dim=d, bias=b, noise_std=0.05 if noisy else 0.0, x0=x0)
+    x = np.empty((n, rows, d))
+    x[0] = x0
+    world = SimpleNamespace(A=A, u=u, cfg=cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        expect = _matmul_steps_loop(A, x, u, b, noise)
-        worldsim._World._matmul_steps(world, x, b, noise)
+        expect = _matmul_and_adds_loop(A, x, u, b, draws * cfg.noise_std if noisy else None)
+        x = worldsim._World._propagate(world, [_FixedRows(r) for r in draws])
     if case == "overflow":
         assert not np.isfinite(x[-1]).any()
-    assert x.tobytes() == expect.tobytes()
+    if case != "overflow-identity":
+        assert x.tobytes() == expect.tobytes()
+        return
+    # past the float range the identity's matmul reads 0 * inf as nan where
+    # the running sum keeps inf: each row agrees with the loop up to its
+    # first frame that is not finite, and no frame after it is finite
+    bad = ~np.isfinite(x).all(axis=-1)
+    assert bad[-1].all() and not np.isnan(x).any()
+    for row, first in enumerate(bad.argmax(axis=0)):
+        assert x[:first + 1, row].tobytes() == expect[:first + 1, row].tobytes()
+        assert bad[first:, row].all()
 
 
 # ---------------------------------------------------------------------------
@@ -1007,15 +1039,31 @@ def test_anchored_frames_do_not_depend_on_the_noise_block(monkeypatch, substitut
     assert rollout_anchored(cfg, plan, kf, **kw).generated.tobytes() == default.tobytes()
 
 
-def test_running_sums_do_not_depend_on_the_frame_block(monkeypatch):
-    # the identity dynamics' running sums carry each block's last frame into
-    # the next: blocks of 3 frames give the same bits
-    cfg = WorldConfig(dim=2, bias=bias_from_norm(2, 0.01), noise_std=0.05,
+@pytest.mark.parametrize("dynamics", ["scaled_identity", "rotation"])
+def test_step_frames_do_not_depend_on_the_frame_block(monkeypatch, dynamics):
+    # the step loop carries each block's last frame into the next and reads
+    # each block's noise on its own: blocks of 3 frames give the same bits
+    cfg = WorldConfig(dim=2, dynamics=dynamics, bias=bias_from_norm(2, 0.01), noise_std=0.05,
                       control=np.array([0.1, -0.2]), seed=62)
     default = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated
     monkeypatch.setattr(worldsim, "FRAME_BLOCK", 3)
     frames = rollout_pure_ar(cfg, 50, rng=np.random.default_rng(62)).generated
     assert frames.tobytes() == default.tobytes()
+
+
+def test_step_loop_memory_does_not_grow_with_its_noise():
+    # each block of steps reads its own noise: a noisy 32-trial world at
+    # 30,000 frames holds little beyond its frames' own bytes
+    n, d = 30_000, 4
+    cfg = WorldConfig(dim=d, bias=bias_from_norm(d, 0.01), noise_std=0.05, seed=63)
+    rngs = [np.random.default_rng(s) for s in range(worldsim.TRIAL_BLOCK)]
+    tracemalloc.start()
+    try:
+        worldsim._World(cfg, n, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * (1 + len(rngs)) * d * 8
 
 
 # ---------------------------------------------------------------------------
