@@ -193,6 +193,7 @@ def cmd_eval(args) -> int:
     are_rotfit = are(est, ref, fit_rotation(est, ref))
     are_val = {"umeyama": are_umeyama, "rotfit": are_rotfit}[args.rot_align]
     smooth = smoothness(est.translations)
+    out = _out_dir(cfg)
     print(f"alignment: scale={result.scale!r} rmse={result.rmse!r} "
           f"degenerate={result.degenerate}")
     print(f"rotation:\n{np.array2string(result.rotation, precision=6)}")
@@ -204,7 +205,6 @@ def cmd_eval(args) -> int:
               f"{abs(are_umeyama - are_rotfit):.3f} deg "
               f"(umeyama {are_umeyama:.3f}, rotfit {are_rotfit:.3f})")
     print(f"smoothness: {smooth!r}")
-    out = _out_dir(cfg)
     path = os.path.join(out, "metrics.csv")
     write_columns_csv(path, ("name", "value", "n_items"),
                       (np.array(["ate", f"are_{args.rot_align}", "smoothness"]),

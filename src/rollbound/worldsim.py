@@ -22,8 +22,9 @@ Both run on one trial engine that simulates a batch of Monte-Carlo trials as
 one array; a standalone rollout is its one-trial case. Its frame loops are
 batched without changing a bit: the step-by-step frames are one terms stack
 per block of steps, reduced frame by frame after one matmul (running sums
-for the identity), and the bridge noise advances every anchor interval at
-once, one step per offset into the intervals.
+for the identity), and the bridge noise, kept in frame order, advances each
+run of adjacent equal-length anchor intervals at once, one step per offset
+into them.
 """
 
 from __future__ import annotations
@@ -184,14 +185,14 @@ class RolloutTrace:
     error_norms is np.linalg.norm(generated - ground_truth, axis=-1), bit for
     bit where no norm overflows or underflows (see _safe_norms; a per-row
     np.linalg.norm may differ in the last bit);
-    bounds[t] carries the per-frame bound curve when one applies, and
+    bounds[t] carries the per-frame bound curve of the trace's pipeline, and
     diverged[t] flags a bound frame that saturated (see ar_upper_curve).
     """
 
     generated: np.ndarray
     ground_truth: np.ndarray
     error_norms: np.ndarray
-    bounds: np.ndarray | None = None
+    bounds: np.ndarray
     diverged: np.ndarray | None = None
     breakdown: BoundBreakdown | None = None
     segment_ids: np.ndarray | None = None
@@ -207,8 +208,7 @@ def trace_table(trace: RolloutTrace, path) -> tuple:
     is_kf[list(trace.keyframe_indices)] = True
     return (path, ("frame", "err_norm", "bound_total", "anchor", "leakage", "noise",
                    "is_keyframe", "segment_id"),
-            (np.arange(n), trace.error_norms,
-             trace.bounds if trace.bounds is not None else 0.0,
+            (np.arange(n), trace.error_norms, trace.bounds,
              bd.anchor_term if bd else 0.0, bd.leakage_term if bd else 0.0,
              bd.noise_term if bd else 0.0, is_kf,
              trace.segment_ids if trace.segment_ids is not None else 0))
@@ -527,7 +527,8 @@ def _velocity_vector(velocity_error, d: int) -> np.ndarray:
 class _AnchoredLayout:
     """What every trial of an anchored rollout shares, built once from the
     plan: each frame's anchor interval, interpolation weight and
-    velocity-leakage offset, and the bridge-noise rows in frame order.
+    velocity-leakage offset, the bridge-noise rows in frame order, and the
+    runs of equal-length anchor intervals the bridge advances at once.
     Only the anchor values and the noise streams differ between trials."""
 
     def __init__(self, plan: RolloutPlan, d: int, sigma_int: float, velocity_error,
@@ -598,39 +599,17 @@ class _AnchoredLayout:
             f = self.draw_frames[restart]
             self.draw_frac[restart] = 0.0
             self.draw_scale[restart] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
+        # a run is a stretch of c adjacent anchor intervals of one length
+        # L > 1: (its first frame, its frames' draw_frac as a (c, L, 1, 1) grid)
         self.runs = []
         if sigma_int > 0.0 and len(self.draw_frames):
-            self._offset_major_rows(kf, j, tau)
-
-    def _offset_major_rows(self, kf: np.ndarray, j: np.ndarray, tau: np.ndarray) -> None:
-        """The bridge's n - 1 rows in offset-major order: the rows at offset
-        tau hold frame kf[i] + tau of each interval i longer than tau,
-        longest interval first (ties in plan order), so they are a prefix of
-        the rows at tau - 1, in the same order. Offset 0 holds the K - 1
-        opening keyframes.
-
-        frame_rows maps each frame to its row (the final frame to a row at
-        offset 0), draw_rows each bridge row of draw_frames to its row, and
-        row_frac holds each row's draw_frac. Each entry of runs is one run
-        of offsets tau >= 1 with the same row count c: (first row of the
-        offset before the run, first row, end row, c)."""
-        lengths = np.diff(kf)
-        rank = np.empty(len(lengths), dtype=int)
-        rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
-        # counts[tau]: the intervals longer than tau
-        counts = len(lengths) - np.searchsorted(np.sort(lengths), np.arange(lengths.max()),
-                                                side="right")
-        starts = np.cumsum(counts) - counts
-        at = tau.copy()
-        at[-1] = 0
-        self.frame_rows = starts[at] + rank[j]
-        self.draw_rows = self.frame_rows[self.draw_frames]
-        self.row_frac = np.zeros(len(tau) - 1)
-        self.row_frac[self.draw_rows] = self.draw_frac
-        first = [1, *(np.flatnonzero(np.diff(counts[1:])) + 2).tolist()]
-        last = [f - 1 for f in first[1:]] + [len(counts) - 1]
-        self.runs = [(int(starts[a - 1]), int(starts[a]), int(starts[b] + counts[b]),
-                      int(counts[a])) for a, b in zip(first, last)]
+            frac = np.zeros(n)
+            frac[self.draw_frames] = self.draw_frac
+            lengths = np.diff(kf)
+            edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
+            for a, b in zip(edges, edges[1:]):
+                if lengths[a] > 1:
+                    self.runs.append((kf[a], frac[kf[a]:kf[b]].reshape(-1, lengths[a], 1, 1)))
 
     def field(self, kv: np.ndarray) -> np.ndarray:
         """Deterministic part of each trial from its (K, B, d) anchor values:
@@ -658,41 +637,39 @@ class _AnchoredLayout:
         # the finite check rejects it
         with np.errstate(over="ignore", invalid="ignore"):
             if self.runs:
-                w = self._bridge_noise(kv.shape[1], [derive_rng(s, "interp-noise")
-                                                     for s in seeds])
-                det += w[self.frame_rows]
+                det += self._bridge_noise(kv.shape[1], [derive_rng(s, "interp-noise")
+                                                        for s in seeds])
             else:
                 det += 0.0  # as the noise's +0.0 rows do: a -0.0 frame reads +0.0
         _require_finite(det)
         return det
 
     def _bridge_noise(self, B: int, rngs) -> np.ndarray:
-        """The (n-1, B, d) bridge noise in offset-major rows (see
-        _offset_major_rows), +0.0 at the keyframes.
+        """The (n, B, d) bridge noise in frame order, +0.0 at the keyframes.
 
         Each trial's kicks scale*eps are read from its stream in frame
-        order, FRAME_BLOCK rows at a time, into their rows of w. Then one
-        step per offset tau advances every interval longer than tau at once,
-        as basic slices: w[tau] = frac*w[tau-1] + kick, a product and then a
-        sum, rounded as a frame loop rounds them (the product is added to
-        the kick, and addition is commutative bit for bit). A restart row
-        is a frac-0 row."""
+        order, FRAME_BLOCK rows at a time, into their frames of w. Then each
+        run of c intervals of length L is a (c, L, B, d) view of w, and one
+        step per offset tau advances its c intervals at once: w[tau] =
+        frac*w[tau-1] + kick, a product and then a sum, rounded as a frame
+        loop rounds them (the product is added to the kick, and addition is
+        commutative bit for bit). At tau = 1 the product is +0.0, so a -0.0
+        kick reads +0.0; a restart frame is a frac-0 frame."""
         rows, d = len(self.draw_frames), len(self.dv0)
-        w = np.empty((len(self.row_frac), B, d))
-        w[:len(self.plan.keyframes) - 1] = 0.0  # offset 0
+        w = np.empty((self.plan.total_frames, B, d))
+        w[list(self.plan.keyframes)] = 0.0
         eps = np.empty((B, min(rows, FRAME_BLOCK), d))
         for lo in range(0, rows, FRAME_BLOCK):
             hi = min(lo + FRAME_BLOCK, rows)
-            w[self.draw_rows[lo:hi]] = _normal_rows(rngs, eps[:, :hi - lo],
-                                                    self.draw_scale[lo:hi, None])
-        product = np.empty((self.runs[0][3], B, d))  # offset 1 has the most rows
-        for before, first, end, c in self.runs:
-            prev, prod = w[before:before + c], product[:c]
-            for cur, frac in zip(w[first:end].reshape(-1, c, B, d),
-                                 self.row_frac[first:end].reshape(-1, c, 1, 1)):
-                np.multiply(prev, frac, out=prod)
-                cur += prod
-                prev = cur
+            w[self.draw_frames[lo:hi]] = _normal_rows(rngs, eps[:, :hi - lo],
+                                                      self.draw_scale[lo:hi, None])
+        product = np.empty((max(len(frac) for _, frac in self.runs), B, d))
+        for first, frac in self.runs:
+            c, L = frac.shape[:2]
+            grid, prod = w[first:first + c * L].reshape(c, L, B, d), product[:c]
+            for tau in range(1, L):
+                np.multiply(grid[:, tau - 1], frac[:, tau], out=prod)
+                grid[:, tau] += prod
         return w
 
     def trace(self, gt: np.ndarray, kv: np.ndarray, x: np.ndarray,

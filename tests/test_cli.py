@@ -604,7 +604,7 @@ def test_cmd_eval_rejects_differing_frame_indices(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "position 0: estimated frame 0 vs reference frame 500" in err
-    assert not (tmp_path / "o" / "metrics.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -746,15 +746,27 @@ def test_cli_import_does_not_load_numpy_random(tmp_path):
     assert (tmp_path / "out" / "bounds.csv").is_file()
 
 
-@pytest.mark.parametrize("out", [["--out", ""], ["--set", "out_dir="],
-                                 ["--out", "{file}"], ["--out", "{file}/sub"]],
-                         ids=["empty-flag", "empty-key", "file", "under-file"])
-def test_out_that_cannot_be_a_directory_is_invalid_input(out, tmp_path, capsys):
+_UNMAKEABLE_OUT = {"empty-flag": ["--out", ""], "empty-key": ["--set", "out_dir="],
+                   "file": ["--out", "{file}"], "under-file": ["--out", "{file}/sub"]}
+
+
+@pytest.mark.parametrize("out, command", [
+    pytest.param(out, command, id=case if command == "plan" else f"{case}-{command}")
+    for command in ("plan", "bounds", "simulate", "eval", "ablate")
+    for case, out in _UNMAKEABLE_OUT.items()])
+def test_out_that_cannot_be_a_directory_is_invalid_input(out, command, tmp_path, capsys):
+    # every subcommand rejects the --out before it prints a result
     file = tmp_path / "taken"
     file.write_text("x")
-    rc = run(*[arg.format(file=file) for arg in out], "plan")
+    poses = tmp_path / "poses.txt"
+    _write_traj(poses)
+    argv = {"eval": ["eval", str(poses), str(poses)],
+            "ablate": ["ablate", "--grid", "4:4"]}.get(command, [command])
+    rc = run(*[arg.format(file=file) for arg in out], *argv)
+    captured = capsys.readouterr()
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: out_dir ")
+    assert captured.err.startswith("error: out_dir ")
+    assert captured.out == ""
 
 
 def test_unknown_config_key_via_set(tmp_path, capsys):

@@ -715,13 +715,20 @@ def _bridge_loop_frames(layout, kv, seeds):
 
 
 def test_bridge_matches_frame_loop_bit_for_bit():
-    # every anchor interval's bridge advances at once, one offset at a time:
-    # the frame loop's bits on irregular keyframes, restarts, a one-interval
-    # plan, one- and two-frame plans and -0.0 anchors
+    # each run of equal-length anchor intervals advances at once, one offset
+    # at a time: the frame loop's bits on irregular keyframes, several runs,
+    # a short (or one-frame) last interval, restarts, a one-interval plan,
+    # one- and two-frame plans, and -0.0 anchors under a zero velocity
+    # error and a subnormal sigma_int, whose kicks round to +-0.0: at
+    # offset 1 the loop adds them to a +0.0 product, so a -0.0 kick reads
+    # +0.0, and so does a -0.0 field frame plus that kick
     g = np.random.default_rng(83)
     plans = [RolloutPlan(1, (0,), 1, 0), RolloutPlan(2, (0, 1), 2, 0),
              RolloutPlan(40, (0, 39), 40, 0), RolloutPlan(40, (0, 39), 6, 2),
-             RolloutPlan(33, (0, 8, 16, 24, 32), 9, 1)]
+             RolloutPlan(33, (0, 8, 16, 24, 32), 9, 1),
+             RolloutPlan(33, (0, 4, 8, 15, 22, 29, 32), 9, 1),
+             RolloutPlan(33, (0, 4, 8, 15, 22, 29, 32), 5, 0),
+             build_plan(30, 8, 9, 1), build_plan(47, 7, 10, 3), build_plan(20, 6, 5, 2)]
     for _ in range(120):
         n = int(g.integers(1, 90))
         kf = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n // 3 + 1))).tolist()})
@@ -733,13 +740,15 @@ def test_bridge_matches_frame_loop_bit_for_bit():
         kv[:, 0, :2] = -0.0
         seeds = [int(s) for s in g.integers(0, 2**31, trials)]
         for substitution in (True, False):
-            for sigma_int in (0.0, 0.3):
-                layout = worldsim._AnchoredLayout(plan, d, sigma_int, g.normal(size=d),
-                                                  momentum=i % 3 > 0,
-                                                  substitution=substitution)
-                got = layout.run(kv, seeds)
-                expect = _bridge_loop_frames(layout, kv, seeds)
-                assert got.tobytes() == expect.tobytes(), (plan, substitution, sigma_int)
+            for sigma_int in (0.0, 0.3, 5e-324):
+                for dv0 in (g.normal(size=d), np.zeros(d)):
+                    layout = worldsim._AnchoredLayout(plan, d, sigma_int, dv0,
+                                                      momentum=i % 3 > 0,
+                                                      substitution=substitution)
+                    got = layout.run(kv, seeds)
+                    expect = _bridge_loop_frames(layout, kv, seeds)
+                    assert got.tobytes() == expect.tobytes(), \
+                        (plan, substitution, sigma_int, dv0)
 
 
 def test_anchored_rejects_missing_anchors():
@@ -1064,6 +1073,21 @@ def test_step_loop_memory_does_not_grow_with_its_noise():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * n * (1 + len(rngs)) * d * 8
+
+
+def test_anchored_pass_memory_holds_frames_and_bridge_noise():
+    # a 32-trial anchored pass at 30,000 frames holds its frames, the bridge
+    # noise in frame order and one block of draws: no copy of either
+    n, trials, d = 30_000, 32, 4
+    layout = worldsim._AnchoredLayout(build_plan(n, 8, 9, 1), d, 0.05, 0.1)
+    kv = np.zeros((len(layout.plan.keyframes), trials, d))
+    tracemalloc.start()
+    try:
+        layout.run(kv, range(trials))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * trials * d * 8, peak / (n * trials * d * 8)
 
 
 # ---------------------------------------------------------------------------
