@@ -26,6 +26,7 @@ from .worldsim import (
     RolloutTrace,
     bias_from_norm,
     compare_pipelines,
+    control_schedule,
     controls_from_trajectory,
     generate_keyframes,
     rollout_anchored,
@@ -58,9 +59,12 @@ def _world(cfg: ExperimentConfig) -> WorldConfig:
     control = None
     if cfg.trajectory:
         control = controls_from_trajectory(load_trajectory(cfg.trajectory), cfg.dim)
-    return WorldConfig(dim=cfg.dim, lipschitz=cfg.lipschitz, dynamics=cfg.dynamics,
-                       bias=bias_from_norm(cfg.dim, cfg.bias), noise_std=cfg.noise_std,
-                       control=control, seed=cfg.seed)
+    world = WorldConfig(dim=cfg.dim, lipschitz=cfg.lipschitz, dynamics=cfg.dynamics,
+                        bias=bias_from_norm(cfg.dim, cfg.bias), noise_std=cfg.noise_std,
+                        control=control, seed=cfg.seed)
+    if control is not None:  # a trajectory too short for the run fails before --out is made
+        control_schedule(world, cfg.total_frames)
+    return world
 
 
 def _plan(cfg: ExperimentConfig) -> RolloutPlan:
@@ -104,9 +108,11 @@ def cmd_plan(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_experiment(args)
+    _world(cfg)  # the input simulate would read, checked as simulate checks it
+    plan = _plan(cfg)
     out = _out_dir(cfg)
     n = cfg.total_frames
-    interval = max(min(cfg.stride, n - 1), 1)  # the plan's widest interval
+    intervals = np.diff(plan.keyframes)
     upper, flags = ar_upper_curve(cfg.lipschitz, cfg.bias, n)
     with np.errstate(over="ignore"):  # past the float range reads inf, as upper diverges
         lower = np.arange(n) * cfg.bias
@@ -118,8 +124,8 @@ def cmd_bounds(args) -> int:
         anchor = cfg.kf_error_cap
     else:  # downsampled_ar: one step error per anchor jump
         mu = cfg.bias if cfg.kf_step_error is None else cfg.kf_step_error
-        anchor = jump_anchor_bound(cfg.lipschitz, mu, n, cfg.stride)
-    bd = unified_bound(anchor, interval, cfg.velocity_error, cfg.sigma_int)
+        anchor = jump_anchor_bound(cfg.lipschitz, mu, intervals)
+    bd = unified_bound(anchor, int(intervals.max(initial=1)), cfg.velocity_error, cfg.sigma_int)
     path = os.path.join(out, "bounds.csv")
     write_columns_csv(path, ("frame", "ar_upper", "ar_lower", "ar_variance", "dcar_bound",
                              "anchor", "leakage", "noise", "diverged"),

@@ -88,37 +88,30 @@ def ar_upper_curve(lipschitz: float, step_error: float,
     return values, flags
 
 
-def jump_anchor_bound(lipschitz: float, step_error: float, n_frames: int,
-                      stride: int) -> float:
+def jump_anchor_bound(lipschitz: float, step_error: float, intervals) -> float:
     """A-priori cap on the anchor error of keyframes generated step by step
-    at one stride (the "downsampled_ar" anchors): one jump per anchor
-    interval D, e <- L**D * e + step_error, over the intervals of a plan at
-    that stride, (n_frames-1)//stride of length stride and then the shorter
-    remainder, if any. From e = 0 the error never falls along the jumps, so
-    the last anchor carries the largest. The full intervals run on
-    ar_upper_curve with L**stride. The anchors round at each of their
-    n_frames-1 steps where the jumps round once a jump, so the result is
-    rounded up by 4 ulps a step to stay at or above their measured error;
-    it saturates to DIVERGENCE_CAP as ar_upper_curve's does, and so does a
-    jump factor past the float range."""
+    (the "downsampled_ar" anchors): from e = 0, one jump e <- L**D * e +
+    step_error per anchor interval D, integers >= 1 in plan order, and the
+    largest e over the anchors (at one stride the last, as e never falls
+    there; not so on every plan). The anchors round at each of their sum(D)
+    steps where the jumps round once a jump, so the result is rounded up by
+    4 ulps a step to stay at or above their measured error; it saturates to
+    DIVERGENCE_CAP as ar_upper_curve's does, and so does a jump factor past
+    the float range."""
     lipschitz, step_error = _recursion_rates(lipschitz, step_error)
-    n_frames, stride = _as_int(n_frames, "n_frames"), _as_int(stride, "stride")
-    if n_frames < 1:
-        raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
-    if stride < 1:
-        raise InvalidInput(f"stride must be >= 1, got {stride}")
-    full, last = divmod(n_frames - 1, stride)
+    intervals = [_as_int(length, "each interval") for length in intervals]
+    if min(intervals, default=1) < 1:
+        raise InvalidInput(f"each interval must be >= 1, got {min(intervals)}")
     with np.errstate(over="ignore"):
-        factor = float(np.float64(lipschitz) ** stride)
-    values, flags = ar_upper_curve(factor, step_error, full + 1)
-    error = float(values[-1])
-    if flags[-1]:
-        return error
-    if last:
-        with np.errstate(over="ignore", invalid="ignore"):
-            error = float(np.float64(lipschitz) ** last * error + step_error)
-    error *= 1.0 + 4.0 * (n_frames - 1) * math.ulp(1.0)
-    return error if error <= DIVERGENCE_CAP else DIVERGENCE_CAP
+        factors = {length: float(np.float64(lipschitz) ** length) for length in set(intervals)}
+    error = largest = 0.0
+    for length in intervals:
+        error = factors[length] * error + step_error
+        if error > DIVERGENCE_CAP or not math.isfinite(error):
+            return DIVERGENCE_CAP
+        largest = max(largest, error)
+    largest *= 1.0 + 4.0 * sum(intervals) * math.ulp(1.0)
+    return min(largest, DIVERGENCE_CAP)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -923,6 +924,27 @@ def test_unreadable_input_file_exits_2_naming_the_path(entry, kind, tmp_path, ca
     reason = ("not UTF-8 text (invalid start byte at byte 0)\n" if kind == "not_utf8"
               else "cannot open: ")
     assert err.startswith(f"error: {bad}: {reason}"), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "ablate"])
+@pytest.mark.parametrize("case", ["missing", "dim-2", "too-short"])
+def test_trajectory_the_world_cannot_take_exits_2_before_out(case, command, tmp_path, capsys):
+    # bounds, simulate and ablate read the trajectory key alike, and reject
+    # it before the output directory is made: a file that cannot be opened,
+    # a dim it cannot embed in, or fewer steps than the run takes
+    path = tmp_path / "traj.txt"
+    if case != "missing":
+        _write_traj(path, n=4)
+    frames, dim = {"missing": (4, 3), "dim-2": (4, 2), "too-short": (10, 3)}[case]
+    extra = ["--grid", "4:4"] if command == "ablate" else []
+    rc = run("--out", str(tmp_path / "o"), "--set", f"trajectory={path}",
+             "--set", f"dim={dim}", "--set", f"total_frames={frames}", command, *extra)
+    assert rc == 2
+    assert capsys.readouterr().err == {
+        "missing": f"error: {path}: cannot open: {os.strerror(errno.ENOENT)}\n",
+        "dim-2": "error: need dim >= 3 to embed translation velocity\n",
+        "too-short": "error: control schedule has 3 steps, need 9\n"}[case]
     assert not (tmp_path / "o").exists()
 
 

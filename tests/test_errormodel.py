@@ -1,10 +1,11 @@
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollbound.core import InvalidInput
+from rollbound.core import InvalidInput, RolloutPlan
 from rollbound.errormodel import (
     DAMPING_FACTOR,
     DIVERGENCE_CAP,
@@ -19,6 +20,8 @@ from rollbound.errormodel import (
     solve_damping_spline,
     unified_bound,
 )
+from rollbound.schedule import build_plan
+from rollbound.worldsim import WorldConfig, generate_keyframes
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +116,75 @@ def test_ar_upper_rejects_bad_inputs():
     for L, eta in ((-1.0, 0.1), (np.nan, 0.1), (1.0, -0.1), (1.0, np.nan)):
         with pytest.raises(InvalidInput):
             ar_upper_curve(L, eta, 5)
+
+
+# ---------------------------------------------------------------------------
+# anchor jumps
+# ---------------------------------------------------------------------------
+
+def _stride_jump_bound(lipschitz, step_error, n_frames, stride):
+    """The jump bound in closed form for a plan at one stride: the
+    (n_frames-1)//stride full intervals on ar_upper_curve with L**stride,
+    then the shorter remainder as one more jump. The reference that the
+    bound on the plan's intervals must match bit for bit."""
+    full, last = divmod(n_frames - 1, stride)
+    with np.errstate(over="ignore"):
+        factor = float(np.float64(lipschitz) ** stride)
+    values, flags = ar_upper_curve(factor, step_error, full + 1)
+    error = float(values[-1])
+    if flags[-1]:
+        return error
+    if last:
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = float(np.float64(lipschitz) ** last * error + step_error)
+    error *= 1.0 + 4.0 * (n_frames - 1) * math.ulp(1.0)
+    return error if error <= DIVERGENCE_CAP else DIVERGENCE_CAP
+
+
+def test_jump_bound_on_a_stride_plan_is_the_stride_formula_bit_for_bit():
+    # 5,000 random one-stride plans, L from 0 to 1e200 and mu from 0 to
+    # 1e300: the plan's intervals give the stride formula's float, whether
+    # it saturates or not
+    g = np.random.default_rng(29)
+    cases = [(L, mu, n, stride) for L in (0.0, 1.0) for mu in (0.0, 0.3, 1e300)
+             for n in (1, 2, 51) for stride in (1, 8, 50, 55)]
+    while len(cases) < 5000:
+        L = g.choice([0.0, 1.0, g.uniform(0.0, 1.0), g.uniform(1.0, 1.3),
+                      10.0 ** g.uniform(-3.0, 200.0)])
+        mu = g.choice([0.0, g.uniform(0.0, 1.0), 10.0 ** g.uniform(-300.0, 300.0)])
+        n = int(np.exp(g.uniform(0.0, np.log(3000.0))))
+        stride = int(g.integers(1, n + 5))
+        cases.append((float(L), float(mu), n, stride))
+    saturated = 0
+    for L, mu, n, stride in cases:
+        bound = jump_anchor_bound(L, mu, np.diff(build_plan(n, stride, 9, 1).keyframes))
+        expected = _stride_jump_bound(L, mu, n, stride)
+        assert bound.hex() == expected.hex(), (L, mu, n, stride, bound, expected)
+        saturated += bound == DIVERGENCE_CAP
+    assert 0 < saturated < len(cases)
+
+
+@st.composite
+def _irregular_plans(draw):
+    """An API plan with keyframes at random frames, 0 and the final one
+    included."""
+    n = draw(st.integers(1, 60))
+    inner = draw(st.sets(st.integers(1, max(n - 2, 1)), max_size=12)) if n > 2 else set()
+    return RolloutPlan(n, sorted({0, n - 1} | inner), 9, 1)
+
+
+@given(_irregular_plans(), st.sampled_from(["scaled_identity", "rotation"]),
+       st.floats(0.0, 1.3), st.floats(0.0, 100.0), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_jump_bound_covers_the_anchor_errors_of_any_plan(plan, dynamics, L, mu, d):
+    # on an irregular plan the error may fall from one anchor to the next
+    # (a long interval after a short one, L < 1): the bound is the largest
+    # over the anchors, not the last one's. A zero truth leaves the
+    # anchors' own error, with no rounding of gt + e
+    world = WorldConfig(dim=d, lipschitz=L, dynamics=dynamics)
+    anchors = generate_keyframes(world, plan, "downsampled_ar", step_error=mu)
+    measured = np.linalg.norm(anchors, axis=1).max()
+    assert jump_anchor_bound(L, mu, np.diff(plan.keyframes)) >= measured
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +467,15 @@ def test_oracle_bad_input_raises_its_message(call, message):
     (lambda: ar_upper_curve(1.0, None, 5), "step_error must be a real number, got None"),
     (lambda: ar_upper_curve(1.0, 0.1, 2.5), "n_frames must be an integer, got 2.5"),
     (lambda: ar_upper_curve(1.0, 0.1, -1), "n_frames must be >= 0, got -1"),
-    (lambda: jump_anchor_bound(1.0, "0.1", 10, 2), "step_error must be a real number, got '0.1'"),
-    (lambda: jump_anchor_bound(None, 0.1, 10, 2), "lipschitz must be a real number, got None"),
-    (lambda: jump_anchor_bound(-1.0, 0.1, 10, 2), "lipschitz constant must be >= 0"),
-    (lambda: jump_anchor_bound(1.0, 0.1, 10.0, 2), "n_frames must be an integer, got 10.0"),
-    (lambda: jump_anchor_bound(1.0, 0.1, 0, 2), "n_frames must be >= 1, got 0"),
-    (lambda: jump_anchor_bound(1.0, 0.1, 10, 2.0), "stride must be an integer, got 2.0"),
-    (lambda: jump_anchor_bound(1.0, 0.1, 10, 0), "stride must be >= 1, got 0"),
+    (lambda: jump_anchor_bound(1.0, "0.1", [2, 1]), "step_error must be a real number, got '0.1'"),
+    (lambda: jump_anchor_bound(None, 0.1, [2, 1]), "lipschitz must be a real number, got None"),
+    (lambda: jump_anchor_bound(-1.0, 0.1, [2, 1]), "lipschitz constant must be >= 0"),
+    (lambda: jump_anchor_bound(1.0, 0.1, [2, 1.0]), "each interval must be an integer, got 1.0"),
+    (lambda: jump_anchor_bound(1.0, 0.1, [2, 0]), "each interval must be >= 1, got 0"),
 ], ids=["unified-anchor-str", "unified-velocity-str", "unified-velocity-none",
         "unified-noise-str", "ar-lipschitz-str", "ar-step-none", "ar-frames-float",
         "ar-frames-negative", "jump-step-str", "jump-lipschitz-none", "jump-lipschitz-negative",
-        "jump-frames-float", "jump-frames-zero", "jump-stride-float", "jump-stride-zero"])
+        "jump-interval-float", "jump-interval-zero"])
 def test_bound_bad_argument_raises_invalid_input_naming_it(call, message):
     # every argument is checked on entry: none fails later as a TypeError or
     # a ZeroDivisionError
