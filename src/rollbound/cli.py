@@ -49,7 +49,7 @@ def _out_dir(cfg: ExperimentConfig) -> str:
     made fails before the computation."""
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    except (FileExistsError, FileNotFoundError, NotADirectoryError) as exc:
+    except OSError as exc:
         raise InvalidInput(f"out_dir {cfg.out_dir!r} cannot be made a directory: "
                            f"{exc.strerror}") from None
     return cfg.out_dir

@@ -21,6 +21,7 @@ the file order is x,y,z,w while the in-memory order is w,x,y,z).
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import warnings
@@ -315,6 +316,22 @@ def _as_float(value, name: str) -> float:
     if isinstance(value, numbers.Real):
         return float(value)
     raise InvalidInput(f"{name} must be a real number, got {value!r}")
+
+
+def _as_count(value, name: str, least: int = 1) -> int:
+    """value as _as_int reads it, if it is >= least; else InvalidInput."""
+    value = _as_int(value, name)
+    if value < least:
+        raise InvalidInput(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _as_rate(value, name: str) -> float:
+    """value as _as_float reads it, if finite and >= 0; else InvalidInput."""
+    value = _as_float(value, name)
+    if not 0.0 <= value < math.inf:
+        raise InvalidInput(f"{name} must be finite and non-negative")
+    return value
 
 
 @dataclass(frozen=True)

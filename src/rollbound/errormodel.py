@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_float, _as_int
+from .core import _as_count, _as_float, _as_rate
 from .errors import InvalidInput
 
 #: boundary velocity errors shrink by this factor from one segment to the next
@@ -60,12 +60,10 @@ def ar_upper_curve(lipschitz: float, step_error: float,
     For L = 1, 1.0 * e is e, so the recursion is a running sum of eta: one
     np.add.accumulate, strictly sequential, makes the loop's additions in
     its order, bit for bit. The sum never falls, so the frames past the cap
-    are a suffix, found by one binary search. Every other L runs the
-    loop."""
+    are a suffix, found by one binary search. Every other L runs the loop,
+    where a step from e = 0 gives eta whatever L is (inf*0 would read nan)."""
     lipschitz, step_error = _recursion_rates(lipschitz, step_error)
-    n_frames = _as_int(n_frames, "n_frames")
-    if n_frames < 0:
-        raise InvalidInput(f"n_frames must be >= 0, got {n_frames}")
+    n_frames = _as_count(n_frames, "n_frames", 0)
     values = np.zeros(n_frames)
     flags = np.zeros(n_frames, dtype=bool)
     if lipschitz == 1.0:
@@ -79,7 +77,7 @@ def ar_upper_curve(lipschitz: float, step_error: float,
         return values, flags
     total = 0.0
     for t in range(1, n_frames):
-        total = lipschitz * total + step_error
+        total = lipschitz * total + step_error if total else step_error
         if total > DIVERGENCE_CAP or not math.isfinite(total):
             values[t:] = DIVERGENCE_CAP
             flags[t:] = True
@@ -96,17 +94,15 @@ def jump_anchor_bound(lipschitz: float, step_error: float, intervals) -> float:
     there; not so on every plan). The anchors round at each of their sum(D)
     steps where the jumps round once a jump, so the result is rounded up by
     4 ulps a step to stay at or above their measured error; it saturates to
-    DIVERGENCE_CAP as ar_upper_curve's does, and so does a jump factor past
-    the float range."""
+    DIVERGENCE_CAP as ar_upper_curve's does, and so does a nonzero e times a
+    jump factor past the float range (from e = 0, a jump gives step_error)."""
     lipschitz, step_error = _recursion_rates(lipschitz, step_error)
-    intervals = [_as_int(length, "each interval") for length in intervals]
-    if min(intervals, default=1) < 1:
-        raise InvalidInput(f"each interval must be >= 1, got {min(intervals)}")
+    intervals = [_as_count(length, "each interval") for length in intervals]
     with np.errstate(over="ignore"):
         factors = {length: float(np.float64(lipschitz) ** length) for length in set(intervals)}
     error = largest = 0.0
     for length in intervals:
-        error = factors[length] * error + step_error
+        error = factors[length] * error + step_error if error else step_error
         if error > DIVERGENCE_CAP or not math.isfinite(error):
             return DIVERGENCE_CAP
         largest = max(largest, error)
@@ -118,11 +114,16 @@ def jump_anchor_bound(lipschitz: float, step_error: float, intervals) -> float:
 # velocity-leakage damping
 # ---------------------------------------------------------------------------
 
-def _check_interval(T) -> None:
-    """Reject an anchor interval (each one, for an array) that is not finite
-    and > 0."""
+def _check_interval(T):
+    """T, an anchor interval (each one, for an array), if finite and > 0."""
     if not np.all(np.isfinite(T) & (T > 0.0)):
         raise InvalidInput("interval must be positive")
+    return T
+
+
+def _as_interval(value) -> float:
+    """A scalar anchor interval as a Python float (see _check_interval)."""
+    return _check_interval(_as_float(value, "interval"))
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,8 @@ class SplineSolution:
 def solve_damping_spline(interval: float, velocity_in: float) -> SplineSolution:
     """Unique accel-minimizing cubic absorbing an incoming boundary velocity
     error between two rigid anchors a distance `interval` apart."""
-    T = float(interval)
-    _check_interval(T)
-    dv = float(velocity_in)
+    T = _as_interval(interval)
+    dv = _as_float(velocity_in, "velocity_in")
     a = dv / (2.0 * T * T)
     b = -3.0 * dv / (2.0 * T)
     return SplineSolution(a, b, dv, 0.0)
@@ -164,10 +164,9 @@ def solve_damping_spline(interval: float, velocity_in: float) -> SplineSolution:
 def leakage_peak(interval: float, velocity_in: float) -> tuple[float, float]:
     """Location and magnitude of the largest excursion of the damped leakage
     curve: tau* = T(1 - sqrt(3)/3), peak = (sqrt(3)/9) * T * |dv|."""
-    T = float(interval)
-    _check_interval(T)
+    T = _as_interval(interval)
     tau_star = T * (1.0 - np.sqrt(3.0) / 3.0)
-    peak = LEAKAGE_PEAK_COEFF * T * abs(float(velocity_in))
+    peak = LEAKAGE_PEAK_COEFF * T * abs(_as_float(velocity_in, "velocity_in"))
     return float(tau_star), float(peak)
 
 
@@ -175,10 +174,10 @@ def cumulative_leakage_bound(interval: float, velocity0: float) -> float:
     """Horizon-independent cap on the leakage excursion over all segments:
     the per-segment peak times the geometric series sum 2, i.e.
     2 * (sqrt(3)/9) * T * |dv0| (~= 0.384 * T * |dv0|)."""
-    T = float(interval)
-    _check_interval(T)
+    T = _as_interval(interval)
+    dv0 = _as_float(velocity0, "velocity0")
     with np.errstate(over="ignore"):  # a cap past the float range reads inf
-        return float(LEAKAGE_SERIES_SUM * LEAKAGE_PEAK_COEFF * T * abs(float(velocity0)))
+        return float(LEAKAGE_SERIES_SUM * LEAKAGE_PEAK_COEFF * T * abs(dv0))
 
 
 def discrete_spline_minimizer(interval: float, velocity_in: float,
@@ -192,11 +191,9 @@ def discrete_spline_minimizer(interval: float, velocity_in: float,
     curvature terms get trapezoidal half-weight, which keeps the discrete
     minimizer within O(1/m^2) of the continuous one. Returns (grid, values).
     """
-    T = float(interval)
-    _check_interval(T)
-    m = _as_int(grid_points, "grid_points")
-    if m < 6:
-        raise InvalidInput("grid_points must be >= 6")
+    T = _as_interval(interval)
+    dv = _as_float(velocity_in, "velocity_in")
+    m = _as_count(grid_points, "grid_points", 6)
     h = T / (m - 1)
     n = m + 2  # unknowns: ghost, x_0..x_{m-1}, ghost
     w = np.ones(m)
@@ -212,7 +209,7 @@ def discrete_spline_minimizer(interval: float, velocity_in: float,
     C[0, 1] = 1.0                                    # value at 0
     C[1, m] = 1.0                                    # value at T
     C[2, 2], C[2, 0] = 1.0, -1.0                     # central slope at 0
-    rhs_c[2] = 2.0 * h * float(velocity_in)
+    rhs_c[2] = 2.0 * h * dv
     C[3, m + 1], C[3, m], C[3, m - 1] = 1.0, -2.0, 1.0  # central curvature at T
     K = np.zeros((n + 4, n + 4))
     K[:n, :n] = 2.0 * (A.T @ A)
@@ -230,8 +227,7 @@ def discrete_spline_minimizer(interval: float, velocity_in: float,
 
 def bridge_mean(tau, interval: float, left, right):
     """Convex combination of the two anchors: (1 - tau/T)*left + (tau/T)*right."""
-    T = float(interval)
-    _check_interval(T)
+    T = _as_interval(interval)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0) or np.any(tau > T):
         raise InvalidInput("tau must lie in [0, interval]")
@@ -254,8 +250,9 @@ def bridge_variance(tau, interval, noise_std: float):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0) or np.any(tau > T):
         raise InvalidInput("tau must lie in [0, interval]")
+    sigma = _as_rate(noise_std, "noise_std")
     with np.errstate(over="ignore"):  # a variance past the float range reads inf
-        out = tau * (T - tau) / T * np.square(np.float64(noise_std))
+        out = tau * (T - tau) / T * np.square(np.float64(sigma))
     return float(out) if out.ndim == 0 else out
 
 
@@ -266,12 +263,11 @@ def simulate_bridge_paths(interval: float, noise_std: float, n_steps: int,
     pinned at both endpoints (standard draped construction, exact in
     distribution at the grid points), drawn from the Generator rng. Returns
     (times, paths[n_paths, n_steps+1])."""
-    T = float(interval)
-    _check_interval(T)
-    if n_steps < 1 or n_paths < 1:
-        raise InvalidInput("need n_steps >= 1, n_paths >= 1")
+    T = _as_interval(interval)
+    sigma = _as_rate(noise_std, "noise_std")
+    n_steps, n_paths = _as_count(n_steps, "n_steps"), _as_count(n_paths, "n_paths")
     dt = T / n_steps
-    steps = rng.normal(0.0, float(noise_std) * np.sqrt(dt), size=(n_paths, n_steps))
+    steps = rng.normal(0.0, sigma * np.sqrt(dt), size=(n_paths, n_steps))
     walk = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(steps, axis=1)], axis=1)
     t = np.linspace(0.0, T, n_steps + 1)
     pinned = walk - (t / T)[None, :] * walk[:, -1:]
@@ -313,11 +309,9 @@ def unified_bound(anchor_error: float, interval: int, velocity_error: float = 0.
     anchor_error = _as_float(anchor_error, "anchor_error")
     if not anchor_error >= 0.0:
         raise InvalidInput("anchor_error must be non-negative")
-    for name, value in (("velocity_error", velocity_error), ("interp_noise", interp_noise)):
-        if not 0.0 <= _as_float(value, name) < np.inf:
-            raise InvalidInput(f"{name} must be finite and non-negative")
-    if not isinstance(interval, (int, np.integer)) or interval < 1:
-        raise InvalidInput("interval must be an integer >= 1")
+    velocity_error = _as_rate(velocity_error, "velocity_error")
+    interp_noise = _as_rate(interp_noise, "interp_noise")
+    interval = _as_count(interval, "interval")
     leakage = cumulative_leakage_bound(interval, velocity_error)
     noise = 0.5 * np.sqrt(interval) * interp_noise
-    return BoundBreakdown(float(anchor_error), float(leakage), float(noise))
+    return BoundBreakdown(anchor_error, leakage, float(noise))

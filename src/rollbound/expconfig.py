@@ -40,11 +40,10 @@ Keys (defaults in parentheses):
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, fields
 
-from .core import _as_float, _as_int, read_text
+from .core import _as_count, _as_int, _as_rate, read_text
 from .errors import InvalidInput
 
 #: keys holding a float (kf_step_error also None): each must be finite and >= 0
@@ -89,19 +88,14 @@ class ExperimentConfig:
         for name in _FLOAT_KEYS:
             if name == "kf_step_error" and self.kf_step_error is None:
                 continue
-            v = _as_float(getattr(self, name), name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise InvalidInput(f"{name} must be finite and non-negative")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _as_rate(getattr(self, name), name))
         for name, choices in _CHOICE_KEYS.items():
             if getattr(self, name) not in choices:
                 raise InvalidInput(f"{name} must be {' or '.join(map(repr, choices))}, "
                                    f"got {getattr(self, name)!r}")
         for name in _COUNT_KEYS:
-            if getattr(self, name) < 1:
-                raise InvalidInput(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+            _as_count(getattr(self, name), name)
+        _as_count(self.seed, "seed", 0)
         if not 0 <= self.overlap < self.segment_len:
             raise InvalidInput(f"segment length must exceed overlap and overlap must be >= 0, "
                                f"got segment_len {self.segment_len} and overlap {self.overlap}")

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .core import RolloutPlan, _as_int
+from .core import RolloutPlan, _as_count
 from .errors import InvalidInput
 
 
@@ -72,11 +72,7 @@ def build_plan(n_frames: int, stride: int, seg_len: int, overlap: int) -> Rollou
     multiples below n_frames and the final frame, so the last window has a
     forward anchor; with the window length and overlap, which RolloutPlan
     checks."""
-    n_frames, stride = _as_int(n_frames, "n_frames"), _as_int(stride, "stride")
-    if n_frames < 1:
-        raise InvalidInput(f"n_frames must be >= 1, got {n_frames}")
-    if stride < 1:
-        raise InvalidInput(f"stride must be >= 1, got {stride}")
+    n_frames, stride = _as_count(n_frames, "n_frames"), _as_count(stride, "stride")
     keyframes = list(range(0, n_frames, stride))
     if keyframes[-1] != n_frames - 1:
         keyframes.append(n_frames - 1)

@@ -36,8 +36,10 @@ import numpy as np
 from .core import (
     RolloutPlan,
     Trajectory,
+    _as_count,
     _as_float,
     _as_int,
+    _as_rate,
     _frozen,
     _row_norm,
     write_columns_csv,
@@ -85,15 +87,10 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if self.dim < 1:
-            raise InvalidInput("dim must be >= 1")
+        object.__setattr__(self, "dim", _as_count(self.dim, "dim"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         for name in ("lipschitz", "noise_std"):
-            v = _as_float(getattr(self, name), name)
-            if not 0.0 <= v < np.inf:
-                raise InvalidInput(f"{name} must be finite and non-negative")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _as_rate(getattr(self, name), name))
         if self.dynamics not in ("scaled_identity", "rotation"):
             raise InvalidInput(f"unknown dynamics kind {self.dynamics!r}")
         for name in ("bias", "x0"):
@@ -304,9 +301,7 @@ class _World:
     its (n, 1+B, d) frames and one block of steps' terms and noise."""
 
     def __init__(self, cfg: WorldConfig, n_frames: int, rngs=()):
-        n_frames = _as_int(n_frames, "n_frames")
-        if n_frames < 1:
-            raise InvalidInput("n_frames must be >= 1")
+        n_frames = _as_count(n_frames, "n_frames")
         self.cfg = cfg
         self.A = dynamics_matrix(cfg)
         self.u = control_schedule(cfg, n_frames)
@@ -405,15 +400,14 @@ class _World:
         "global" draws from each generator twice: its K-1 directions as one
         (K-1, d) block, then its K-1 radii as one block, so a column depends
         on its own generator alone. "downsampled_ar" draws nothing: every
-        column holds the same anchors, and rngs only sets their number.
-        Anchors past the float range raise InvalidInput."""
+        column holds the same anchors, and rngs only sets their number. Its
+        inputs come checked (_anchor_inputs); anchors past the float range
+        raise InvalidInput."""
         cfg = self.cfg
         gt = self.gt
         vals = np.empty((len(idx), len(rngs), cfg.dim))
         vals[0] = gt[0]
         if scenario == "global":
-            if not 0.0 <= error_cap < np.inf:
-                raise InvalidInput("error_cap must be finite and non-negative")
             draws = np.empty((len(rngs), len(idx) - 1, cfg.dim))
             radii = np.empty((len(rngs), len(idx) - 1, 1))
             for g, directions, radius in zip(rngs, draws, radii):
@@ -422,11 +416,9 @@ class _World:
             norms = _row_norm(draws)[..., None]
             unit = np.divide(draws, norms, out=np.zeros_like(draws), where=norms > 0.0)
             vals[1:] = gt[idx[1:], None] + (radii * unit).transpose(1, 0, 2)
-        elif scenario == "downsampled_ar":
-            if step_error is not None and not 0.0 <= step_error < np.inf:
-                raise InvalidInput("step_error must be finite and non-negative")
+        else:  # downsampled_ar
             bn = cfg.drift_norm()
-            mu = bn if step_error is None else float(step_error)
+            mu = bn if step_error is None else step_error
             direction = cfg.bias / bn if bn > 0.0 else np.eye(cfg.dim)[0]
             step_vec = mu * direction
             err = np.zeros(cfg.dim)
@@ -438,8 +430,6 @@ class _World:
                         err = self.A @ err
                     err = err + step_vec
                     vals[j] = gt[idx[j]] + err
-        else:
-            raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
         return _finite_anchors(vals)
 
 
@@ -469,6 +459,16 @@ def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
 # keyframe generation
 # ---------------------------------------------------------------------------
 
+def _anchor_inputs(scenario: str, error_cap, step_error, prefix: str = ""):
+    """error_cap and step_error (None stays None) as rates, checked with the
+    scenario whatever it is; InvalidInput puts prefix before their names."""
+    error_cap = _as_rate(error_cap, prefix + "error_cap")
+    step_error = None if step_error is None else _as_rate(step_error, prefix + "step_error")
+    if scenario not in ("global", "downsampled_ar"):
+        raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
+    return error_cap, step_error
+
+
 def generate_keyframes(cfg: WorldConfig, plan: RolloutPlan, scenario: str,
                        error_cap: float = 0.0, step_error: float | None = None,
                        rng=None) -> np.ndarray:
@@ -486,11 +486,10 @@ def generate_keyframes(cfg: WorldConfig, plan: RolloutPlan, scenario: str,
     per keyframe jump, so their error accumulates across anchors at one
     step_error per jump (default step_error: the world's drift norm); they
     draw nothing, so rng is read only by "global". Anchors past the float
-    range are rejected ("keyframe values must be finite").
+    range are rejected ("keyframe values must be finite"). The scenario and
+    both anchor inputs are checked before the ground truth is computed.
     """
-    error_cap = _as_float(error_cap, "error_cap")
-    if step_error is not None:
-        step_error = _as_float(step_error, "step_error")
+    error_cap, step_error = _anchor_inputs(scenario, error_cap, step_error)
     world = _World(cfg, plan.total_frames)
     g = rng if rng is not None else derive_rng(cfg.seed, "keyframes")
     return world.keyframes(list(plan.keyframes), scenario, error_cap, step_error, [g])[:, 0]
@@ -533,11 +532,8 @@ class _AnchoredLayout:
 
     def __init__(self, plan: RolloutPlan, d: int, sigma_int: float, velocity_error,
                  momentum: bool = True, substitution: bool = True):
-        sigma_int = _as_float(sigma_int, "sigma_int")
-        if not 0.0 <= sigma_int < np.inf:
-            raise InvalidInput("sigma_int must be finite and non-negative")
         self.plan = plan
-        self.sigma_int = sigma_int
+        self.sigma_int = _as_rate(sigma_int, "sigma_int")
         self.dv0 = _velocity_vector(velocity_error, d)
         n = plan.total_frames
         kf = np.array(plan.keyframes)
@@ -720,8 +716,9 @@ def rollout_anchored(cfg: WorldConfig, plan: RolloutPlan, anchors,
         raise InvalidInput(f"anchors must be a ({len(plan.keyframes)}, {cfg.dim}) array, "
                            f"one row per plan keyframe, not {kv.shape}")
     _finite_anchors(kv)
+    seed = cfg.seed if seed is None else _as_int(seed, "seed")
     gt = simulate_ground_truth(cfg, plan.total_frames)
-    x = layout.run(kv[:, None], [cfg.seed if seed is None else _as_int(seed, "seed")])
+    x = layout.run(kv[:, None], [seed])
     return layout.trace(gt, kv, x[:, 0], _error_norms(x, gt)[0])
 
 
@@ -767,19 +764,17 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     of a trial block come from one _World.keyframes call as one (K, B, d)
     array, which that call checks finite: "global" takes two draws from each
     trial's anchor stream, "downsampled_ar" is computed once and derives no
-    anchor stream. Per-frame sums accumulate in trial order."""
-    if _as_int(trials, "trials") < 1:
-        raise InvalidInput("trials must be >= 1")
+    anchor stream. Per-frame sums accumulate in trial order. Every argument
+    is checked before the ground truth's pass."""
+    trials = _as_count(trials, "trials")
     base = cfg.seed if seed is None else _as_int(seed, "seed")
-    kf_error_cap = _as_float(kf_error_cap, "kf_error_cap")
-    if kf_step_error is not None:
-        kf_step_error = _as_float(kf_step_error, "kf_step_error")
+    kf_error_cap, kf_step_error = _anchor_inputs(scenario, kf_error_cap, kf_step_error, "kf_")
+    layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error)
     n = plan.total_frames
 
     # trial block 0 runs in the ground truth's own pass
     world = _World(cfg, n, [derive_rng(base, "trial-ar", i)
                             for i in range(min(TRIAL_BLOCK, trials))])
-    layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error)
     kf_idx = list(plan.keyframes)
     ar_sums, dc_sums = np.zeros((2, n)), np.zeros((2, n))
     # downsampled-AR anchors draw nothing: every trial gets the same ones

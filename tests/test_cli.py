@@ -230,6 +230,20 @@ def test_cmd_bounds_downsampled_anchor_term_short_last_interval(tmp_path):
         assert anchor == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("bias, frames", [("0.01", "3"), ("0", "51")])
+def test_cmd_bounds_anchor_term_from_a_zero_error_is_the_step_error(bias, frames, tmp_path):
+    # L**D overflows at L = 1e200, but the first jump starts from e = 0, and
+    # with bias 0 every jump does: the anchor term is the step error, as
+    # simulate measures, not the saturated 1e300
+    argv = ["--out", str(tmp_path), "--set", "lipschitz=1e200", "--set", f"bias={bias}",
+            "--set", "kf_scenario=downsampled_ar", "--set", f"total_frames={frames}"]
+    assert run(*argv, "bounds") == 0
+    assert run(*argv, "simulate") == 0
+    (printed,), (measured,) = (_anchor_column(tmp_path / name) for name in
+                               ("bounds.csv", "anchored_trace.csv"))
+    assert measured <= printed < 1.0
+
+
 @pytest.mark.parametrize("command, csv", [("bounds", "bounds.csv"),
                                           ("simulate", "anchored_trace.csv"),
                                           ("ablate", "ablation.csv")])
@@ -748,7 +762,8 @@ def test_cli_import_does_not_load_numpy_random(tmp_path):
 
 
 _UNMAKEABLE_OUT = {"empty-flag": ["--out", ""], "empty-key": ["--set", "out_dir="],
-                   "file": ["--out", "{file}"], "under-file": ["--out", "{file}/sub"]}
+                   "file": ["--out", "{file}"], "under-file": ["--out", "{file}/sub"],
+                   "overlong-name": ["--out", "a" * 300]}
 
 
 @pytest.mark.parametrize("out, command", [

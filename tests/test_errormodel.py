@@ -134,7 +134,9 @@ def _stride_jump_bound(lipschitz, step_error, n_frames, stride):
     error = float(values[-1])
     if flags[-1]:
         return error
-    if last:
+    if last and not error:  # a jump from e = 0 gives step_error, whatever its factor
+        error = step_error
+    elif last:
         with np.errstate(over="ignore", invalid="ignore"):
             error = float(np.float64(lipschitz) ** last * error + step_error)
     error *= 1.0 + 4.0 * (n_frames - 1) * math.ulp(1.0)
@@ -435,8 +437,11 @@ def test_unified_bound_rejects_bad_arguments():
         unified_bound(0.0, 8, velocity_error=np.inf)
     with pytest.raises(InvalidInput, match="velocity_error"):
         unified_bound(0.0, 8, velocity_error=-1.0)
-    for interval in (0, -8, 8.0, 2.5):
-        with pytest.raises(InvalidInput, match="interval must be an integer >= 1"):
+    for interval in (0, -8):
+        with pytest.raises(InvalidInput, match=f"^interval must be >= 1, got {interval}$"):
+            unified_bound(0.0, interval)
+    for interval in (8.0, 2.5):
+        with pytest.raises(InvalidInput, match=f"^interval must be an integer, got {interval}$"):
             unified_bound(0.0, interval)
     assert unified_bound(0.0, np.int64(8), interp_noise=0.2).noise_term == pytest.approx(
         0.5 * np.sqrt(8) * 0.2, abs=1e-15)
@@ -445,13 +450,14 @@ def test_unified_bound_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: discrete_spline_minimizer(8.0, 1.0, grid_points=5), "grid_points must be >= 6"),
+    (lambda: discrete_spline_minimizer(8.0, 1.0, grid_points=5),
+     "grid_points must be >= 6, got 5"),
     (lambda: discrete_spline_minimizer(8.0, 1.0, grid_points=6.9),
      "grid_points must be an integer, got 6.9"),
     (lambda: simulate_bridge_paths(8.0, 1.0, 0, 4, np.random.default_rng(0)),
-     "need n_steps >= 1, n_paths >= 1"),
+     "n_steps must be >= 1, got 0"),
     (lambda: simulate_bridge_paths(8.0, 1.0, 4, 0, np.random.default_rng(0)),
-     "need n_steps >= 1, n_paths >= 1"),
+     "n_paths must be >= 1, got 0"),
 ], ids=["spline-grid", "spline-grid-float", "bridge-steps", "bridge-paths"])
 def test_oracle_bad_input_raises_its_message(call, message):
     with pytest.raises(InvalidInput, match=f"^{message}$"):
