@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 internal error, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -46,10 +47,18 @@ def _load_experiment(args) -> ExperimentConfig:
 def _out_dir(cfg: ExperimentConfig) -> str:
     """The output directory, made once the run's input is read: a run
     rejected by its input leaves none behind, and an --out that cannot be
-    made fails before the computation."""
+    made fails before the computation, leaving none of the directories it
+    made on the way."""
+    missing, head = [], cfg.out_dir
+    while head and not os.path.isdir(head):
+        missing.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
+        for path in missing:  # deepest first; rmdir removes no file
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise InvalidInput(f"out_dir {cfg.out_dir!r} cannot be made a directory: "
                            f"{exc.strerror}") from None
     return cfg.out_dir

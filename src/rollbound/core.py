@@ -45,21 +45,6 @@ def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
 # the one-row case
 # ---------------------------------------------------------------------------
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the last axes as one batched matmul of contiguous
-    rows; each row's bits match np.dot on that row (a plain sum, einsum or
-    strided rows may not)."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _row_norm(q: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit-identical to np.linalg.norm of that
-    row."""
-    q = np.asarray(q, dtype=float)
-    return np.sqrt(_row_dot(q, q))
-
-
 def canonicalize_quaternion(q: np.ndarray) -> np.ndarray:
     """Resolve the double cover: flip sign so w >= 0 (ties broken by the
     first nonzero of x, y, z). Idempotent."""
@@ -71,7 +56,7 @@ def canonicalize_quaternion(q: np.ndarray) -> np.ndarray:
 
 def normalize_quaternion(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = _row_norm(q)
+    n = np.linalg.norm(q, axis=-1)
     if not np.all((n != 0.0) & np.isfinite(n)):
         raise InvalidInput("quaternion has zero or non-finite norm")
     return canonicalize_quaternion(q / np.expand_dims(n, -1))
@@ -127,8 +112,8 @@ def quat_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     alignment), which stays accurate near zero where acos degrades."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    b = np.where(np.expand_dims(_row_dot(a, b) < 0.0, -1), -b, b)
-    return 4.0 * np.arctan2(_row_norm(a - b), _row_norm(a + b))
+    b = np.where(np.expand_dims(np.add.reduce(a * b, axis=-1) < 0.0, -1), -b, b)
+    return 4.0 * np.arctan2(np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1))
 
 
 def rotation_about_z(angle_rad: float) -> np.ndarray:
@@ -151,7 +136,7 @@ def _first_bad_row(idx: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple[int, 
     """The first pose row failing a check of _ROW_CHECKS, with that check's
     message; None when every row passes."""
     with np.errstate(over="ignore"):  # an overflowing norm fails its check
-        norms = _row_norm(q)
+        norms = np.linalg.norm(q, axis=-1)
     failed = (~(np.isfinite(q).all(axis=1) & np.isfinite(t).all(axis=1)),
               (norms == 0.0) | ~np.isfinite(norms), idx < 0)
     bad = np.logical_or.reduce(failed)

@@ -94,15 +94,27 @@ def jump_anchor_bound(lipschitz: float, step_error: float, intervals) -> float:
     there; not so on every plan). The anchors round at each of their sum(D)
     steps where the jumps round once a jump, so the result is rounded up by
     4 ulps a step to stay at or above their measured error; it saturates to
-    DIVERGENCE_CAP as ar_upper_curve's does, and so does a nonzero e times a
-    jump factor past the float range (from e = 0, a jump gives step_error)."""
+    DIVERGENCE_CAP as ar_upper_curve's does. From e = 0 a jump gives
+    step_error; from any other e, a jump whose factor L**D passes the float
+    range steps its D frames one at a time (e <- L*e), as the anchors do,
+    until e passes the cap. Every finite factor makes its jump in one
+    product."""
     lipschitz, step_error = _recursion_rates(lipschitz, step_error)
     intervals = [_as_count(length, "each interval") for length in intervals]
     with np.errstate(over="ignore"):
         factors = {length: float(np.float64(lipschitz) ** length) for length in set(intervals)}
     error = largest = 0.0
     for length in intervals:
-        error = factors[length] * error + step_error if error else step_error
+        if not error:
+            error = step_error
+        elif math.isinf(factors[length]):
+            for _ in range(length):
+                error *= lipschitz
+                if error > DIVERGENCE_CAP:
+                    break
+            error += step_error
+        else:
+            error = factors[length] * error + step_error
         if error > DIVERGENCE_CAP or not math.isfinite(error):
             return DIVERGENCE_CAP
         largest = max(largest, error)

@@ -43,7 +43,7 @@ def slerp(q0: np.ndarray, q1: np.ndarray, u: float) -> np.ndarray:
     interpolation when the quaternions are nearly parallel."""
     q0 = normalize_quaternion(q0)
     q1 = normalize_quaternion(q1)
-    dot = float(np.dot(q0, q1))
+    dot = float(np.add.reduce(q0 * q1, axis=-1))
     if dot < 0.0:
         q1, dot = -q1, -dot
     if dot > 1.0 - SLERP_PARALLEL_GUARD:

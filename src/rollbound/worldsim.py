@@ -41,7 +41,6 @@ from .core import (
     _as_int,
     _as_rate,
     _frozen,
-    _row_norm,
     write_columns_csv,
 )
 from .errormodel import (
@@ -114,7 +113,7 @@ class WorldConfig:
 
     def drift_norm(self) -> float:
         """The drift rate mu, overflow-safe (see _safe_norms)."""
-        return float(_safe_norms(self.bias[None], _row_norm)[0])
+        return float(_safe_norms(self.bias[None])[0])
 
 
 def bias_from_norm(dim: int, norm: float) -> np.ndarray:
@@ -180,8 +179,7 @@ class RolloutTrace:
     (n, d) array of latent frames.
 
     error_norms is np.linalg.norm(generated - ground_truth, axis=-1), bit for
-    bit where no norm overflows or underflows (see _safe_norms; a per-row
-    np.linalg.norm may differ in the last bit);
+    bit where no norm overflows or underflows (see _safe_norms);
     bounds[t] carries the per-frame bound curve of the trace's pipeline, and
     diverged[t] flags a bound frame that saturated (see ar_upper_curve).
     """
@@ -259,25 +257,25 @@ def _normal_rows(rngs, buf: np.ndarray, scale) -> np.ndarray:
     return buf.transpose(1, 0, 2)
 
 
-def _safe_norms(rows: np.ndarray, norm) -> np.ndarray:
-    """norm(rows), the norm of each row along the last axis; a norm beyond
-    the float range reads inf, without a warning.
+def _safe_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=-1), the program's one row norm: an ordered
+    sum of squares along the last axis, whose bits follow no BLAS kernel. A
+    norm beyond the float range reads inf, without a warning.
 
-    A plain norm squares the components, so it reads inf from about 1e154
-    on, and below about 1e-154 (the square root of the smallest normal
-    float) its squares lose bits to underflow. Only the rows that read inf
-    from finite components, or under that threshold from nonzero ones, are
-    recomputed, scaled by their largest component: every other norm keeps
-    norm's rounding."""
+    The squares read inf from about 1e154 on, and below about 1e-154 (the
+    square root of the smallest normal float) they lose bits to underflow.
+    Only the rows that read inf from finite components, or under that
+    threshold from nonzero ones, are recomputed, scaled by their largest
+    component: every other norm keeps the plain norm's rounding."""
     with np.errstate(over="ignore"):
-        norms = norm(rows)
+        norms = np.linalg.norm(rows, axis=-1)
         redo = np.flatnonzero(np.isinf(norms) | (norms < np.sqrt(np.finfo(float).tiny)))
         if redo.size:
             odd = rows.reshape(-1, rows.shape[-1])[redo]
             keep = np.isfinite(odd).all(axis=-1) & (odd != 0.0).any(axis=-1)
             odd, redo = odd[keep], redo[keep]
             scale = np.abs(odd).max(axis=-1, keepdims=True)
-            np.put(norms, redo, scale[:, 0] * norm(odd / scale))
+            np.put(norms, redo, scale[:, 0] * np.linalg.norm(odd / scale, axis=-1))
     return norms
 
 
@@ -286,7 +284,7 @@ def _error_norms(x: np.ndarray, gt: np.ndarray) -> np.ndarray:
     overflow-safe (see _safe_norms)."""
     with np.errstate(over="ignore"):
         diff = x - gt[:, None]
-    return _safe_norms(diff, lambda rows: np.linalg.norm(rows, axis=-1)).T
+    return _safe_norms(diff).T
 
 
 class _World:
@@ -413,7 +411,7 @@ class _World:
             for g, directions, radius in zip(rngs, draws, radii):
                 g.standard_normal(out=directions)
                 radius[:, 0] = g.uniform(0.0, error_cap, len(idx) - 1)
-            norms = _row_norm(draws)[..., None]
+            norms = np.linalg.norm(draws, axis=-1)[..., None]
             unit = np.divide(draws, norms, out=np.zeros_like(draws), where=norms > 0.0)
             vals[1:] = gt[idx[1:], None] + (radii * unit).transpose(1, 0, 2)
         else:  # downsampled_ar
@@ -493,15 +491,6 @@ def generate_keyframes(cfg: WorldConfig, plan: RolloutPlan, scenario: str,
     world = _World(cfg, plan.total_frames)
     g = rng if rng is not None else derive_rng(cfg.seed, "keyframes")
     return world.keyframes(list(plan.keyframes), scenario, error_cap, step_error, [g])[:, 0]
-
-
-def _anchor_error_norms(values: np.ndarray, gt: np.ndarray, indices) -> np.ndarray:
-    """Error norm of each (K, d) anchor row against the ground truth at its
-    frame: one batched expression, bit-identical to np.linalg.norm of each
-    row, overflow-safe (see _safe_norms)."""
-    with np.errstate(over="ignore"):
-        diff = values - gt[list(indices)]
-    return _safe_norms(diff, _row_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -672,11 +661,11 @@ class _AnchoredLayout:
               err: np.ndarray) -> RolloutTrace:
         """One trial's trace from the (n, d) ground truth, its (K, d) anchors
         and its (n, d) frames; the bound column holds the unified bound built
-        from its largest anchor error."""
+        from its largest anchor error, measured as the error columns are."""
         kf_idx = self.plan.keyframes
         max_T = max((hi - lo for lo, hi in zip(kf_idx, kf_idx[1:])), default=1)
-        anchor = float(_anchor_error_norms(kv, gt, kf_idx).max())
-        dv0 = float(_safe_norms(self.dv0[None], _row_norm)[0])
+        anchor = float(_error_norms(kv[:, None], gt[list(kf_idx)]).max())
+        dv0 = float(_safe_norms(self.dv0[None])[0])
         breakdown = unified_bound(anchor, max_T, dv0, self.sigma_int)
         return RolloutTrace(_frozen(x), gt, err, bounds=np.full(len(gt), breakdown.total),
                             breakdown=breakdown,

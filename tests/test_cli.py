@@ -244,6 +244,21 @@ def test_cmd_bounds_anchor_term_from_a_zero_error_is_the_step_error(bias, frames
     assert measured <= printed < 1.0
 
 
+def test_cmd_bounds_anchor_term_past_an_overflowing_jump_factor_stays_finite(tmp_path):
+    # L**2 overflows at L = 1e200, but the anchors' second jump goes from
+    # 1e-300 to 1e100 frame by frame: the anchor term follows them, not the
+    # saturated 1e300
+    argv = ["--out", str(tmp_path), "--set", "lipschitz=1e200", "--set", "bias=1e-300",
+            "--set", "kf_scenario=downsampled_ar", "--set", "total_frames=5",
+            "--set", "stride=2"]
+    assert run(*argv, "bounds") == 0
+    assert run(*argv, "simulate") == 0
+    (printed,), (measured,) = (_anchor_column(tmp_path / name) for name in
+                               ("bounds.csv", "anchored_trace.csv"))
+    assert measured <= printed <= measured * (1.0 + 1e-12)
+    assert measured == 1e100
+
+
 @pytest.mark.parametrize("command, csv", [("bounds", "bounds.csv"),
                                           ("simulate", "anchored_trace.csv"),
                                           ("ablate", "ablation.csv")])
@@ -763,7 +778,8 @@ def test_cli_import_does_not_load_numpy_random(tmp_path):
 
 _UNMAKEABLE_OUT = {"empty-flag": ["--out", ""], "empty-key": ["--set", "out_dir="],
                    "file": ["--out", "{file}"], "under-file": ["--out", "{file}/sub"],
-                   "overlong-name": ["--out", "a" * 300]}
+                   "overlong-name": ["--out", "a" * 300],
+                   "overlong-under-new": ["--out", "{dir}/sub/" + "a" * 300 + "/x"]}
 
 
 @pytest.mark.parametrize("out, command", [
@@ -771,18 +787,20 @@ _UNMAKEABLE_OUT = {"empty-flag": ["--out", ""], "empty-key": ["--set", "out_dir=
     for command in ("plan", "bounds", "simulate", "eval", "ablate")
     for case, out in _UNMAKEABLE_OUT.items()])
 def test_out_that_cannot_be_a_directory_is_invalid_input(out, command, tmp_path, capsys):
-    # every subcommand rejects the --out before it prints a result
+    # every subcommand rejects the --out before it prints a result, and
+    # leaves none of the directories it made on the way
     file = tmp_path / "taken"
     file.write_text("x")
     poses = tmp_path / "poses.txt"
     _write_traj(poses)
     argv = {"eval": ["eval", str(poses), str(poses)],
             "ablate": ["ablate", "--grid", "4:4"]}.get(command, [command])
-    rc = run(*[arg.format(file=file) for arg in out], *argv)
+    rc = run(*[arg.format(file=file, dir=tmp_path) for arg in out], *argv)
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: out_dir ")
     assert captured.out == ""
+    assert not (tmp_path / "sub").exists()
 
 
 def test_unknown_config_key_via_set(tmp_path, capsys):

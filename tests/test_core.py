@@ -291,7 +291,7 @@ def test_quaternion_helpers_batch_row_by_row():
     ua, ub = normalize_quaternion(a), normalize_quaternion(b)
     for i in range(40):
         assert np.array_equal(ua[i], normalize_quaternion(a[i]))
-        assert np.array_equal(ua[i], a[i] / np.linalg.norm(a[i]) * np.sign(
+        assert np.array_equal(ua[i], a[i] / np.linalg.norm(a[i], axis=-1) * np.sign(
             a[i][np.flatnonzero(a[i])[0]]))
         assert np.array_equal(quat_multiply(a, b)[i], quat_multiply(a[i], b[i]))
         assert np.array_equal(quat_to_matrix(ua)[i], quat_to_matrix(ua[i]))

@@ -38,9 +38,10 @@ def linear_world(dim=2, bias=0.0, noise=0.0, seed=0, control=None):
 
 def anchor_errors(cfg, idx, anchors):
     """Each anchor's error norm against the world's ground truth, for the
-    (K, d) anchors at the sorted frames idx."""
+    (K, d) anchors at the sorted frames idx, measured as the error columns
+    are."""
     gt = simulate_ground_truth(cfg, idx[-1] + 1)
-    return worldsim._anchor_error_norms(anchors, gt, idx)
+    return worldsim._error_norms(anchors[:, None], gt[list(idx)])[0]
 
 
 def _keyframe_plan(idx):
@@ -313,23 +314,54 @@ def test_keyframes_global_cap_respected_over_seeds():
 
 
 def test_anchor_error_norms_match_per_anchor_loop():
-    # one batched expression, bit-identical to np.linalg.norm of each anchor's
-    # row (a row sum or norm(axis=1) differs from it in some rows)
+    # the error columns' norm, bit-identical to the ordered norm of each
+    # anchor's row (np.linalg.norm of a 1-d row is a BLAS dot, which may
+    # differ from it in the last bit)
     g = np.random.default_rng(50)
     for d in (1, 2, 3, 4, 7):
         gt = g.normal(size=(400, d))
         idx = np.sort(g.choice(400, 300, replace=False))
         values = gt[idx] + g.normal(scale=g.uniform(1e-3, 10.0), size=(300, d))
-        loop = [np.linalg.norm(v - gt[k]) for k, v in zip(idx, values)]
-        assert np.array_equal(worldsim._anchor_error_norms(values, gt, idx), loop)
+        loop = [np.linalg.norm(v - gt[k], axis=-1) for k, v in zip(idx, values)]
+        assert np.array_equal(worldsim._error_norms(values[:, None], gt[idx])[0], loop)
     cfg = WorldConfig(dim=3, dynamics="rotation", bias=bias_from_norm(3, 0.01), seed=51)
     plan = build_plan(97, 4, 9, 1)
     kf = generate_keyframes(cfg, plan, "global", error_cap=0.1,
                             rng=np.random.default_rng(51))
     gt = simulate_ground_truth(cfg, plan.total_frames)
-    loop = [np.linalg.norm(v - gt[k]) for k, v in zip(plan.keyframes, kf)]
+    loop = [np.linalg.norm(v - gt[k], axis=-1) for k, v in zip(plan.keyframes, kf)]
     assert np.array_equal(anchor_errors(cfg, plan.keyframes, kf), loop)
     assert rollout_anchored(cfg, plan, kf).breakdown.anchor_term == max(loop)
+
+
+def test_printed_bound_holds_at_every_keyframe_without_a_tolerance():
+    # a deterministic anchored run's keyframe frames are its anchors, so its
+    # keyframe errors are the anchor term's own norms: none exceeds the
+    # printed bound, and with no velocity error the largest equals the anchor
+    # term, bit for bit, over 400 seeded worlds of either dynamics and either
+    # scenario (a norm other than the error columns' misses both in some)
+    g = np.random.default_rng(0)
+    above, unequal = [], []
+    for world in range(400):
+        d = int(g.integers(1, 8))
+        cfg = WorldConfig(dim=d, lipschitz=float(g.uniform(0.5, 1.2)),
+                          dynamics=str(g.choice(["scaled_identity", "rotation"])),
+                          bias=g.normal(size=d) * g.uniform(0.0, 0.1),
+                          x0=g.uniform(-1e3, 1e3, d), control=g.normal(size=d),
+                          seed=int(g.integers(2 ** 31)))
+        seg_len = int(g.integers(2, 41))
+        plan = build_plan(int(g.integers(2, 301)), int(g.integers(1, 41)), seg_len,
+                          int(g.integers(0, seg_len)))
+        velocity_error = 0.0 if g.random() < 0.5 else float(g.uniform(0.0, 1.0))
+        tr = compare_pipelines(cfg, plan, str(g.choice(["global", "downsampled_ar"])),
+                               velocity_error=velocity_error,
+                               kf_error_cap=float(g.uniform(0.0, 1.0))).trial0_anchored
+        kf = list(plan.keyframes)
+        if np.any(tr.error_norms[kf] > tr.bounds[kf]):
+            above.append(world)
+        if velocity_error == 0.0 and tr.error_norms[kf].max() != tr.breakdown.anchor_term:
+            unequal.append(world)
+    assert above == [] and unequal == []
 
 
 def _loop_global_keyframes(gt, idx, error_cap, g):
@@ -342,7 +374,7 @@ def _loop_global_keyframes(gt, idx, error_cap, g):
     vals = np.empty((len(idx), gt.shape[1]))
     vals[0] = gt[0]
     for j, (k, direction, radius) in enumerate(zip(idx[1:], directions, radii), start=1):
-        norm = float(np.linalg.norm(direction))
+        norm = float(np.linalg.norm(direction, axis=-1))
         direction = direction / norm if norm > 0.0 else np.zeros(gt.shape[1])
         vals[j] = gt[k] + radius * direction
     return vals
@@ -1164,9 +1196,10 @@ def test_bad_input_raises_its_message(call, message):
 
 def test_safe_norms_rescale_underflowing_rows_only():
     # squares below the smallest normal float lose bits: such rows are
-    # rescaled, a zero row stays 0 and a common row keeps norm's rounding
+    # rescaled, a zero row stays 0 and a common row keeps the plain norm's
+    # rounding
     rows = np.array([[3e-160, 4e-160], [1e-170, 0.0], [0.0, 0.0], [0.1, 0.2], [np.nan, 1e-170]])
-    norms = worldsim._safe_norms(rows, worldsim._row_norm)
-    assert norms[:4].tolist() == [5e-160, 1e-170, 0.0, worldsim._row_norm(rows[3])]
+    norms = worldsim._safe_norms(rows)
+    assert norms[:4].tolist() == [5e-160, 1e-170, 0.0, np.linalg.norm(rows[3], axis=-1)]
     assert np.isnan(norms[4])
-    assert worldsim._row_norm(rows[1]) == 0.0  # what the plain norm reads
+    assert np.linalg.norm(rows[1], axis=-1) == 0.0  # what the plain norm reads
