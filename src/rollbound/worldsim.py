@@ -19,12 +19,12 @@ frames at a time; under substitution the windows change no frame, and
 without it the bridge restarts at each later window's first frame.
 
 Both run on one trial engine that simulates a batch of Monte-Carlo trials as
-one array; a standalone rollout is its one-trial case. Its frame loops are
-batched without changing a bit: the step-by-step frames are one terms stack
-per block of steps, reduced frame by frame after one matmul (running sums
-for the identity), and the bridge noise, kept in frame order, advances each
-run of adjacent equal-length anchor intervals at once, one step per offset
-into them.
+one array; a standalone rollout is its one-trial case, and the error of the
+downsampled-AR anchors is one more row of the truth's pass. Its loops keep
+every bit: the step-by-step frames are one terms stack per block of steps,
+reduced frame by frame after one matmul (running sums for the identity),
+and the bridge noise, kept in frame order, advances each run of adjacent
+equal-length anchor intervals at once, one step per offset into them.
 """
 
 from __future__ import annotations
@@ -293,32 +293,39 @@ class _World:
 
     The ground truth is row 0 of each step-by-step batch (`_propagate`):
     the same recursion x[t+1] = A x[t] + u[t], without the generator's drift
-    and noise. The rollouts of the generators given here run in the ground
-    truth's own pass (`take_rollouts`), so a standalone rollout, or a
-    comparison's first trial block, takes one pass, not two. A pass holds
-    its (n, 1+B, d) frames and one block of steps' terms and noise."""
+    and noise. The rollouts of the generators given here (`take_rollouts`)
+    and the error of the downsampled-AR anchors of the jumps given
+    (`jump_anchors`) are rows of the ground truth's own pass, so a
+    comparison's first trial block and its anchors take one pass, not two.
+    A pass holds its frames and one block of steps' terms and noise."""
 
-    def __init__(self, cfg: WorldConfig, n_frames: int, rngs=()):
+    def __init__(self, cfg: WorldConfig, n_frames: int, rngs=(), jumps=None):
         n_frames = _as_count(n_frames, "n_frames")
         self.cfg = cfg
         self.A = dynamics_matrix(cfg)
         self.u = control_schedule(cfg, n_frames)
-        x = self._propagate(rngs)
+        x = self._propagate(rngs, jumps)
         # _frozen copies a strided column: the truth keeps no rollout alive
         self.gt = _frozen(x[:, 0])
         _require_finite(self.gt)
-        self._rollouts = x[:, 1:]
+        self._rollouts = x[:, 1:1 + len(rngs)]
+        if jumps is not None:
+            self.jump_anchors = _finite_anchors(self.gt[jumps[0]] + x[jumps[0], -1])
+            self.jump_anchors[0] = self.gt[0]
 
-    def _propagate(self, rngs) -> np.ndarray:
+    def _propagate(self, rngs, jumps=None) -> np.ndarray:
         """Time-major (n, 1+B, d) batch: row 0 the ground truth, row 1+b the
         step-by-step rollout of generator b, which adds the drift and its
         noise. Step t is ((A x[t] + u[t]) + b) + eps[t], added left to right.
+        Given jumps (sorted keyframes, a step vector s), a last row from +0.0
+        adds s alone, on each step into a keyframe: the anchors' error.
 
         A C-ordered terms stack holds the addends [A x[t], u[t], b, eps[t]]
-        of FRAME_BLOCK steps (b and eps for rollouts only; the truth row
-        holds -0.0 there, which adds nothing), with each generator's noise
-        drawn for those steps alone (see _normal_rows). Two reductions of the
-        stack make the frame loop's additions in its order, bit for bit:
+        of FRAME_BLOCK steps (b and eps for rollouts only, s for the jump
+        row; -0.0, which adds nothing, fills the slots a row does not add),
+        with each generator's noise drawn for those steps alone (see
+        _normal_rows). Two reductions of the stack make the frame loop's
+        additions in its order, bit for bit:
 
           * any A: per step, one matmul over the batch (bit-identical to the
             per-row A @ x[t]) writes slot 0, and np.add.reduce over the slot
@@ -334,13 +341,14 @@ class _World:
             the identity's 0 * inf reads nan where the sum keeps inf."""
         cfg = self.cfg
         n = len(self.u) + 1
-        rows, d = 1 + len(rngs), cfg.dim
+        rows, d = 1 + len(rngs) + (jumps is not None), cfg.dim
         x = np.empty((n, rows, d))
         x[0] = cfg.x0
-        noisy = rows > 1 and cfg.noise_std > 0.0
+        x[0, 1 + len(rngs):] = 0.0  # the jump row, if any
+        noisy = len(rngs) > 0 and cfg.noise_std > 0.0
         slots = 2 if rows == 1 else 4 if noisy else 3
         terms = np.empty((min(n - 1, FRAME_BLOCK), slots, rows, d))
-        eps = np.empty((rows - 1, len(terms), d)) if noisy else None
+        eps = np.empty((len(rngs), len(terms), d)) if noisy else None
         identity = np.array_equal(self.A, np.eye(d))
         # a frame past the float range reads inf or nan, without a warning:
         # the callers' finite check rejects it
@@ -353,7 +361,12 @@ class _World:
                 if slots > 2:
                     block[:, 2, 1:] = cfg.bias
                 if noisy:
-                    block[:, 3, 1:] = _normal_rows(rngs, eps[:, :hi - lo], cfg.noise_std)
+                    block[:, 3, 1:1 + len(eps)] = _normal_rows(rngs, eps[:, :hi - lo],
+                                                               cfg.noise_std)
+                if jumps is not None:
+                    block[:, 1:, -1] = -0.0
+                    first, last = np.searchsorted(jumps[0], (lo + 1, hi + 1))
+                    block[jumps[0][first:last] - (lo + 1), 2, -1] = jumps[1]
                 if identity:
                     if lo == 0:
                         np.matmul(self.A, x[0, ..., None], out=block[0, 0, ..., None])
@@ -390,44 +403,26 @@ class _World:
                                           len(self.gt))
         return RolloutTrace(_frozen(x), self.gt, err, bounds=bounds, diverged=diverged)
 
-    def keyframes(self, idx: list[int], scenario: str, error_cap: float,
-                  step_error: float | None, rngs) -> np.ndarray:
-        """(K, B, d) anchor latents at the sorted frames idx, one row per
-        frame and one column per generator of rngs (see generate_keyframes).
-
-        "global" draws from each generator twice: its K-1 directions as one
-        (K-1, d) block, then its K-1 radii as one block, so a column depends
-        on its own generator alone. "downsampled_ar" draws nothing: every
-        column holds the same anchors, and rngs only sets their number. Its
-        inputs come checked (_anchor_inputs); anchors past the float range
-        raise InvalidInput."""
-        cfg = self.cfg
+    def keyframes(self, idx: list[int], error_cap: float, rngs) -> np.ndarray:
+        """(K, B, d) "global" anchor latents at the sorted frames idx, one
+        row per frame and one column per generator of rngs (see
+        generate_keyframes). Each generator is drawn from twice: its K-1
+        directions as one (K-1, d) block, then its K-1 radii as one block,
+        so a column depends on its own generator alone. The "downsampled_ar"
+        anchors are jump_anchors, made in the truth's pass. error_cap comes
+        checked (_anchor_inputs); anchors past the float range raise
+        InvalidInput."""
         gt = self.gt
-        vals = np.empty((len(idx), len(rngs), cfg.dim))
+        vals = np.empty((len(idx), len(rngs), self.cfg.dim))
         vals[0] = gt[0]
-        if scenario == "global":
-            draws = np.empty((len(rngs), len(idx) - 1, cfg.dim))
-            radii = np.empty((len(rngs), len(idx) - 1, 1))
-            for g, directions, radius in zip(rngs, draws, radii):
-                g.standard_normal(out=directions)
-                radius[:, 0] = g.uniform(0.0, error_cap, len(idx) - 1)
-            norms = np.linalg.norm(draws, axis=-1)[..., None]
-            unit = np.divide(draws, norms, out=np.zeros_like(draws), where=norms > 0.0)
-            vals[1:] = gt[idx[1:], None] + (radii * unit).transpose(1, 0, 2)
-        else:  # downsampled_ar
-            bn = cfg.drift_norm()
-            mu = bn if step_error is None else step_error
-            direction = cfg.bias / bn if bn > 0.0 else np.eye(cfg.dim)[0]
-            step_vec = mu * direction
-            err = np.zeros(cfg.dim)
-            # an anchor past the float range reads inf or nan, without a
-            # warning: the finite check below rejects it
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(1, len(idx)):
-                    for _ in range(idx[j] - idx[j - 1]):
-                        err = self.A @ err
-                    err = err + step_vec
-                    vals[j] = gt[idx[j]] + err
+        draws = np.empty((len(rngs), len(idx) - 1, self.cfg.dim))
+        radii = np.empty((len(rngs), len(idx) - 1, 1))
+        for g, directions, radius in zip(rngs, draws, radii):
+            g.standard_normal(out=directions)
+            radius[:, 0] = g.uniform(0.0, error_cap, len(idx) - 1)
+        norms = np.linalg.norm(draws, axis=-1)[..., None]
+        unit = np.divide(draws, norms, out=np.zeros_like(draws), where=norms > 0.0)
+        vals[1:] = gt[idx[1:], None] + (radii * unit).transpose(1, 0, 2)
         return _finite_anchors(vals)
 
 
@@ -457,14 +452,22 @@ def rollout_pure_ar(cfg: WorldConfig, n_frames: int, rng=None) -> RolloutTrace:
 # keyframe generation
 # ---------------------------------------------------------------------------
 
-def _anchor_inputs(scenario: str, error_cap, step_error, prefix: str = ""):
-    """error_cap and step_error (None stays None) as rates, checked with the
-    scenario whatever it is; InvalidInput puts prefix before their names."""
+def _anchor_inputs(cfg: WorldConfig, plan: RolloutPlan, scenario: str, error_cap, step_error,
+                   prefix: str = ""):
+    """error_cap as a rate, and the _World jumps of "downsampled_ar" anchors
+    (None for "global"): the plan's keyframes and a step vector of norm
+    step_error (default: the drift norm) along the drift, or the first axis.
+    Both are checked with the scenario; InvalidInput prefixes their names."""
     error_cap = _as_rate(error_cap, prefix + "error_cap")
     step_error = None if step_error is None else _as_rate(step_error, prefix + "step_error")
     if scenario not in ("global", "downsampled_ar"):
         raise InvalidInput(f"unknown keyframe scenario {scenario!r}")
-    return error_cap, step_error
+    if scenario == "global":
+        return error_cap, None
+    bn = cfg.drift_norm()
+    mu = bn if step_error is None else step_error
+    return error_cap, (np.array(plan.keyframes),
+                       mu * (cfg.bias / bn if bn > 0.0 else np.eye(cfg.dim)[0]))
 
 
 def generate_keyframes(cfg: WorldConfig, plan: RolloutPlan, scenario: str,
@@ -473,8 +476,8 @@ def generate_keyframes(cfg: WorldConfig, plan: RolloutPlan, scenario: str,
     """Anchor latents at a plan's keyframes under one of two regimes, as a
     (K, d) array with one row per keyframe, in plan order. These are a
     trial's anchors in compare_pipelines, on rng as its anchor stream: the
-    one-generator case of _World.keyframes. rng is a Generator, by default
-    derive_rng(cfg.seed, "keyframes").
+    one-generator case of _World.keyframes, or _World.jump_anchors. rng is
+    a Generator, by default derive_rng(cfg.seed, "keyframes").
 
     "global": every anchor is ground truth plus an independent perturbation
     of norm <= error_cap (frame 0, the given initial frame, stays exact): an
@@ -482,15 +485,18 @@ def generate_keyframes(cfg: WorldConfig, plan: RolloutPlan, scenario: str,
     all K-1 directions as one (K-1, d) block, then all K-1 radii as one block.
     "downsampled_ar": anchors follow the step-by-step recursion applied once
     per keyframe jump, so their error accumulates across anchors at one
-    step_error per jump (default step_error: the world's drift norm); they
-    draw nothing, so rng is read only by "global". Anchors past the float
-    range are rejected ("keyframe values must be finite"). The scenario and
-    both anchor inputs are checked before the ground truth is computed.
+    step_error per jump (default step_error: the world's drift norm); their
+    error is one row of the ground truth's pass, and they draw nothing, so
+    rng is read only by "global". Anchors past the float range are rejected
+    ("keyframe values must be finite"). The scenario and both anchor inputs
+    are checked before the ground truth is computed.
     """
-    error_cap, step_error = _anchor_inputs(scenario, error_cap, step_error)
-    world = _World(cfg, plan.total_frames)
+    error_cap, jumps = _anchor_inputs(cfg, plan, scenario, error_cap, step_error)
+    world = _World(cfg, plan.total_frames, jumps=jumps)
+    if jumps is not None:
+        return world.jump_anchors
     g = rng if rng is not None else derive_rng(cfg.seed, "keyframes")
-    return world.keyframes(list(plan.keyframes), scenario, error_cap, step_error, [g])[:, 0]
+    return world.keyframes(list(plan.keyframes), error_cap, [g])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +591,8 @@ class _AnchoredLayout:
             self.draw_frac[restart] = 0.0
             self.draw_scale[restart] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
         # a run is a stretch of c adjacent anchor intervals of one length
-        # L > 1: (its first frame, its frames' draw_frac as a (c, L, 1, 1) grid)
+        # L > 1, at most FRAME_BLOCK frames long (or one interval): (its
+        # first frame, its frames' draw_frac as a (c, L, 1, 1) grid)
         self.runs = []
         if sigma_int > 0.0 and len(self.draw_frames):
             frac = np.zeros(n)
@@ -594,7 +601,10 @@ class _AnchoredLayout:
             edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
             for a, b in zip(edges, edges[1:]):
                 if lengths[a] > 1:
-                    self.runs.append((kf[a], frac[kf[a]:kf[b]].reshape(-1, lengths[a], 1, 1)))
+                    c = max(FRAME_BLOCK // lengths[a], 1)
+                    for lo in range(a, b, c):
+                        grid = frac[kf[lo]:kf[min(lo + c, b)]].reshape(-1, lengths[a], 1, 1)
+                        self.runs.append((kf[lo], grid))
 
     def field(self, kv: np.ndarray) -> np.ndarray:
         """Deterministic part of each trial from its (K, B, d) anchor values:
@@ -750,25 +760,22 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
     anchors and the bridge noise) the scenario: its step-by-step noise, its
     anchors, and its bridge noise, read in frame order as in
     rollout_anchored. So the result depends on the seed alone. The anchors
-    of a trial block come from one _World.keyframes call as one (K, B, d)
-    array, which that call checks finite: "global" takes two draws from each
-    trial's anchor stream, "downsampled_ar" is computed once and derives no
+    of a trial block are one (K, B, d) array, checked finite: "global" takes
+    two draws from each trial's anchor stream in one _World.keyframes call,
+    "downsampled_ar" is one row of the ground truth's pass and derives no
     anchor stream. Per-frame sums accumulate in trial order. Every argument
     is checked before the ground truth's pass."""
     trials = _as_count(trials, "trials")
     base = cfg.seed if seed is None else _as_int(seed, "seed")
-    kf_error_cap, kf_step_error = _anchor_inputs(scenario, kf_error_cap, kf_step_error, "kf_")
+    kf_error_cap, jumps = _anchor_inputs(cfg, plan, scenario, kf_error_cap, kf_step_error, "kf_")
     layout = _AnchoredLayout(plan, cfg.dim, sigma_int, velocity_error)
     n = plan.total_frames
 
-    # trial block 0 runs in the ground truth's own pass
+    # trial block 0 and the downsampled-AR anchors run in the truth's own pass
     world = _World(cfg, n, [derive_rng(base, "trial-ar", i)
-                            for i in range(min(TRIAL_BLOCK, trials))])
+                            for i in range(min(TRIAL_BLOCK, trials))], jumps)
     kf_idx = list(plan.keyframes)
     ar_sums, dc_sums = np.zeros((2, n)), np.zeros((2, n))
-    # downsampled-AR anchors draw nothing: every trial gets the same ones
-    shared_kv = (world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error, [None])
-                 if scenario == "downsampled_ar" else None)
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
         x = (world.take_rollouts() if first == 0
@@ -777,10 +784,10 @@ def compare_pipelines(cfg: WorldConfig, plan: RolloutPlan, scenario: str = "glob
         _accumulate(ar_sums, err)
         if first == 0:
             first_ar = world.ar_trace(x[:, 0], err[0])
-        if shared_kv is not None:
-            kv = np.broadcast_to(shared_kv, (len(kf_idx), len(block), cfg.dim))
+        if jumps is not None:  # they draw nothing: every trial gets the same ones
+            kv = np.broadcast_to(world.jump_anchors[:, None], (len(kf_idx), len(block), cfg.dim))
         else:
-            kv = world.keyframes(kf_idx, scenario, kf_error_cap, kf_step_error,
+            kv = world.keyframes(kf_idx, kf_error_cap,
                                  [derive_rng(base, f"trial-kf-{scenario}", i) for i in block])
         x = layout.run(kv, [child_seed(base, f"trial-anchored-{scenario}", i) for i in block])
         err = _error_norms(x, world.gt)

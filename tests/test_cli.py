@@ -214,6 +214,33 @@ def test_cmd_bounds_downsampled_anchor_term_covers_simulate(dynamics, tmp_path):
     assert measured <= printed <= measured * (1 + 1e-12)
 
 
+def _csv_column(path, name):
+    header = [h.strip() for h in path.open().readline().split(",")]
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=header.index(name), ndmin=1)
+
+
+@pytest.mark.parametrize("frames, dynamics, lipschitz", [
+    (100_000, "scaled_identity", "1"),
+    pytest.param(1_000_000, "scaled_identity", "1", marks=pytest.mark.slow),
+    pytest.param(1_000_000, "scaled_identity", "0.999", marks=pytest.mark.slow),
+    pytest.param(1_000_000, "rotation", "1", marks=pytest.mark.slow)])
+def test_cmd_bounds_anchor_term_covers_simulate_at_long_horizons(frames, dynamics, lipschitz,
+                                                                 tmp_path):
+    # the a-priori anchor term holds over 10^4 to 10^5 jumps: on a
+    # deterministic downsampled run every row of bounds' anchor column is at
+    # least every row of the anchor column simulate measures (at 10^6 frames
+    # both are about 1,250 on the identity, 1.254 at L = 0.999)
+    argv = ["--out", str(tmp_path), "--set", f"total_frames={frames}", "--set", "dim=2",
+            "--set", f"dynamics={dynamics}", "--set", f"lipschitz={lipschitz}",
+            "--set", "bias=0.01", "--set", "kf_scenario=downsampled_ar"]
+    assert run(*argv, "bounds") == 0
+    assert run(*argv, "simulate") == 0
+    printed = _csv_column(tmp_path / "bounds.csv", "anchor")
+    measured = _csv_column(tmp_path / "anchored_trace.csv", "anchor")
+    assert len(printed) == len(measured) == frames
+    assert printed.min() >= measured.max() > 0.0
+
+
 def test_cmd_bounds_downsampled_anchor_term_short_last_interval(tmp_path):
     # 51 frames at stride 8: six full jumps and a short one, 7 * bias, as
     # simulate measures; kf_step_error replaces bias per jump; at stride 4

@@ -9,10 +9,12 @@ regenerate the digests in the same change.
 The cases marked kernel_free give the same bytes on every BLAS kernel: no
 rounding of theirs is the kernel's choice. Their values pass through
 elementwise arithmetic, ordered np.add.reduce sums and np.linalg.norm along
-an axis (and identity matmuls, whose products are exact), through no QR, SVD,
-general matmul or SIMD-dispatched transcendental. Select them with
--m kernel_free and rerun them under OPENBLAS_CORETYPE=Haswell and
-=Sandybridge; the other cases hold only on the kernel they were made on.
+an axis (and scaled-identity matmuls, whose one nonzero product a row is
+rounded once), through no QR, SVD, general matmul or SIMD-dispatched
+transcendental. Select them with -m kernel_free and rerun them under
+OPENBLAS_CORETYPE=Haswell and =Sandybridge, and with numpy's AVX-512 and
+AVX2 paths off (NPY_DISABLE_CPU_FEATURES); the other cases hold only on the
+kernel they were made on.
 """
 
 import hashlib
@@ -99,14 +101,31 @@ CLI_CASES = {
          "--set", "velocity_error=0.5", "--set", "sigma_int=0.1", "--set", "kf_error_cap=0.05",
          "ablate", "--grid", "4:4,8:8,4:16"], ("ablation.csv",),
         "e88d4002e5919deaf06739d86256bbc77621cd74a88397615e355125abce0574"),
+    # downsampled anchors on identity dynamics: the 1,020 -> 1,032 jump
+    # crosses the step loop's first block edge, and a second trial block
+    # runs after the truth's pass
+    "simulate_downsampled_identity": (
+        ["--seed", "13", "--set", "total_frames=1300", "--set", "dim=3", "--set", "stride=12",
+         "--set", "bias=0.01", "--set", "noise_std=0.02", "--set", "sigma_int=0.05",
+         "--set", "velocity_error=0.3", "--set", "kf_scenario=downsampled_ar",
+         "--set", "kf_step_error=0.013", "--set", "trials=33", "simulate"], SIM_FILES,
+        "f6b6b22fb39077c71b49e8919d5bf06042ab6fc2ffc980d6e1cf7fa011f59e21"),
+    # downsampled anchors through generate_keyframes, on a scaled identity
+    "ablate_downsampled_ar": (
+        ["--seed", "5", "--set", "total_frames=1100", "--set", "dim=2",
+         "--set", "lipschitz=0.995", "--set", "bias=0.01", "--set", "velocity_error=0.3",
+         "--set", "sigma_int=0.05", "--set", "kf_scenario=downsampled_ar",
+         "ablate", "--grid", "4:4,4:12,10:20"], ("ablation.csv",),
+        "c6c2aa8ee575a16e03dce941fc7a142e3de393fe9770fdb21354d0250f5a633b"),
 }
 
 
 #: the CLI_CASES whose bytes hold on every BLAS kernel: the plans, the
-#: bounds, and simulate and ablate on identity dynamics
+#: bounds, and simulate and ablate on identity dynamics, scaled or not
 KERNEL_FREE_CASES = {"plan_default", "plan_single_frame", "plan_overlap3", "bounds_linear",
                      "bounds_diverging", "simulate_identity_noisy",
-                     "simulate_overlap_deterministic", "simulate_long_horizon", "ablate_grid"}
+                     "simulate_overlap_deterministic", "simulate_long_horizon", "ablate_grid",
+                     "simulate_downsampled_identity", "ablate_downsampled_ar"}
 
 
 def _digest(parts) -> str:

@@ -380,6 +380,30 @@ def _loop_global_keyframes(gt, idx, error_cap, g):
     return vals
 
 
+def _loop_downsampled_keyframes(cfg, gt, idx, step_error):
+    """The downsampled-AR anchors as a loop, frame by frame: the anchor error
+    starts at zero, steps as A @ err on every frame and gains the step
+    vector (step_error, by default the drift norm, along the drift, or
+    along the first axis for no drift) on each frame that closes a jump.
+    The reference the truth's pass must match bit for bit; past the float
+    range it reads inf or nan."""
+    A = dynamics_matrix(cfg)
+    bn = cfg.drift_norm()
+    mu = bn if step_error is None else step_error
+    direction = cfg.bias / bn if bn > 0.0 else np.eye(cfg.dim)[0]
+    step_vec = mu * direction
+    vals = np.empty((len(idx), cfg.dim))
+    vals[0] = gt[0]
+    err = np.zeros(cfg.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, len(idx)):
+            for _ in range(idx[j] - idx[j - 1]):
+                err = A @ err
+            err = err + step_vec
+            vals[j] = gt[idx[j]] + err
+    return vals
+
+
 def test_global_keyframes_match_per_anchor_loop():
     g = np.random.default_rng(52)
     for dim in (1, 2, 3, 4):
@@ -394,6 +418,61 @@ def test_global_keyframes_match_per_anchor_loop():
             assert kf.tobytes() == loop.tobytes(), (dim, cap)
 
 
+def test_downsampled_keyframes_match_the_jump_loop(monkeypatch):
+    # the downsampled-AR anchors ride the truth's pass as one more row: the
+    # anchors of generate_keyframes and compare_pipelines' trial 0 equal the
+    # frame loop's, bit for bit, over seeded worlds of either dynamics with
+    # controls, noisy rollouts and irregular plans past the step loop's
+    # first block, at step errors from subnormal to 1e200; a world whose
+    # anchors leave the float range is rejected by both
+    anchors = []
+    run = worldsim._AnchoredLayout.run
+
+    def spy(layout, kv, seeds):
+        anchors.append(kv[:, 0].copy())
+        return run(layout, kv, seeds)
+
+    monkeypatch.setattr(worldsim._AnchoredLayout, "run", spy)
+    g = np.random.default_rng(56)
+    equal = rejected = 0
+    for world in range(80):
+        # every tenth world grows its anchors by more than 1e300
+        far = world % 10 == 9
+        d = int(g.integers(1, 8))
+        lipschitz = float(g.uniform(1.4, 1.5) if far else g.uniform(0.5, 1.5))
+        n = int(g.integers(1100 if far else 2, 1500))
+        bias = g.normal(size=d) * g.uniform(0.0, 0.1) if world % 5 else np.zeros(d)
+        control = g.normal(size=d) if world % 2 else g.normal(size=(n - 1, d))
+        x0 = g.uniform(-10.0, 10.0, d)
+        if world % 3 == 0:
+            x0[0] = -0.0  # anchor 0 is the true frame 0, sign of zero included
+        cfg = WorldConfig(dim=d, lipschitz=lipschitz,
+                          dynamics=str(g.choice(["scaled_identity", "rotation"])),
+                          bias=bias, noise_std=float(g.uniform(0.0, 0.1)), x0=x0,
+                          control=control, seed=int(g.integers(2 ** 31)))
+        idx = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n)) // 8).tolist()})
+        plan = _keyframe_plan(idx)
+        step_error = (None if world % 7 == 0
+                      else float(10.0 ** g.uniform(150.0 if far else -323.0, 200.0)))
+        loop = _loop_downsampled_keyframes(cfg, simulate_ground_truth(cfg, n), idx, step_error)
+        calls = [lambda: generate_keyframes(cfg, plan, "downsampled_ar", step_error=step_error),
+                 lambda: compare_pipelines(cfg, plan, "downsampled_ar",
+                                           trials=int(g.integers(1, 4)),
+                                           kf_step_error=step_error)]
+        if not np.isfinite(loop).all():
+            for call in calls:
+                with pytest.raises(InvalidInput, match="keyframe values must be finite"):
+                    call()
+            rejected += 1
+            continue
+        kf = calls[0]()
+        calls[1]()
+        assert kf.tobytes() == loop.tobytes(), world
+        assert anchors.pop().tobytes() == loop.tobytes(), world
+        equal += 1
+    assert equal >= 60 and rejected >= 5, (equal, rejected)
+
+
 @pytest.mark.parametrize("trials", [1, 5, 33])
 def test_global_keyframes_columns_match_one_trial_calls(trials):
     # each column of a trial block's anchors depends on its own generator
@@ -402,11 +481,10 @@ def test_global_keyframes_columns_match_one_trial_calls(trials):
                       control=np.array([0.02, -0.01, 0.03]), seed=53)
     idx = list(range(0, 97, 8))
     world = worldsim._World(cfg, idx[-1] + 1)
-    block = world.keyframes(idx, "global", 0.1, None,
-                            [np.random.default_rng(s) for s in range(trials)])
+    block = world.keyframes(idx, 0.1, [np.random.default_rng(s) for s in range(trials)])
     assert block.shape == (len(idx), trials, 3)
     for b in range(trials):
-        one = world.keyframes(idx, "global", 0.1, None, [np.random.default_rng(b)])
+        one = world.keyframes(idx, 0.1, [np.random.default_rng(b)])
         assert block[:, b].tobytes() == one[:, 0].tobytes(), b
 
 
@@ -416,8 +494,7 @@ def test_global_keyframes_law():
     # errors of its exact value
     d, cap, trials, K = 4, 0.2, 128, 41
     world = worldsim._World(WorldConfig(dim=d), K)
-    kv = world.keyframes(list(range(K)), "global", cap, None,
-                         [derive_rng(54, "law", i) for i in range(trials)])
+    kv = world.keyframes(list(range(K)), cap, [derive_rng(54, "law", i) for i in range(trials)])
     offsets = kv[1:].reshape(-1, d)
     N = len(offsets)
     radii = np.linalg.norm(offsets, axis=1)
@@ -747,10 +824,12 @@ def _bridge_loop_frames(layout, kv, seeds):
 
 
 def test_bridge_matches_frame_loop_bit_for_bit():
-    # each run of equal-length anchor intervals advances at once, one offset
-    # at a time: the frame loop's bits on irregular keyframes, several runs,
-    # a short (or one-frame) last interval, restarts, a one-interval plan,
-    # one- and two-frame plans, and -0.0 anchors under a zero velocity
+    # each run of equal-length anchor intervals, at most FRAME_BLOCK frames
+    # long (or one interval), advances at once, one offset at a time: the
+    # frame loop's bits on irregular keyframes, several runs, runs cut at
+    # FRAME_BLOCK frames or into single intervals, a short (or one-frame)
+    # last interval, restarts, a one-interval plan, one- and two-frame
+    # plans, and -0.0 anchors under a zero velocity
     # error and a subnormal sigma_int, whose kicks round to +-0.0: at
     # offset 1 the loop adds them to a +0.0 product, so a -0.0 kick reads
     # +0.0, and so does a -0.0 field frame plus that kick
@@ -760,7 +839,8 @@ def test_bridge_matches_frame_loop_bit_for_bit():
              RolloutPlan(33, (0, 8, 16, 24, 32), 9, 1),
              RolloutPlan(33, (0, 4, 8, 15, 22, 29, 32), 9, 1),
              RolloutPlan(33, (0, 4, 8, 15, 22, 29, 32), 5, 0),
-             build_plan(30, 8, 9, 1), build_plan(47, 7, 10, 3), build_plan(20, 6, 5, 2)]
+             build_plan(30, 8, 9, 1), build_plan(47, 7, 10, 3), build_plan(20, 6, 5, 2),
+             RolloutPlan(3001, (*range(0, 1500, 3), 1500, 2200, 2900, 3000), 9, 1)]
     for _ in range(120):
         n = int(g.integers(1, 90))
         kf = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n // 3 + 1))).tolist()})
@@ -1109,7 +1189,8 @@ def test_step_loop_memory_does_not_grow_with_its_noise():
 
 def test_anchored_pass_memory_holds_frames_and_bridge_noise():
     # a 32-trial anchored pass at 30,000 frames holds its frames, the bridge
-    # noise in frame order and one block of draws: no copy of either
+    # noise in frame order, one block of draws and one product of at most
+    # FRAME_BLOCK frames: no copy of either, and no buffer as long as a run
     n, trials, d = 30_000, 32, 4
     layout = worldsim._AnchoredLayout(build_plan(n, 8, 9, 1), d, 0.05, 0.1)
     kv = np.zeros((len(layout.plan.keyframes), trials, d))
@@ -1119,7 +1200,7 @@ def test_anchored_pass_memory_holds_frames_and_bridge_noise():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * trials * d * 8, peak / (n * trials * d * 8)
+    assert peak <= 2.15 * n * trials * d * 8, peak / (n * trials * d * 8)
 
 
 # ---------------------------------------------------------------------------
