@@ -160,7 +160,8 @@ def cmd_simulate(args) -> int:
     mean_path = os.path.join(out, "mean_curves.csv")
     dc_mean = report.anchored_mean_error
     ratio = np.full(plan.total_frames, np.inf)
-    with np.errstate(invalid="ignore"):  # both means past the float range read nan
+    # both means past the float range read nan, and a ratio past it inf
+    with np.errstate(over="ignore", invalid="ignore"):
         np.divide(report.ar_mean_error, dc_mean, out=ratio, where=dc_mean > 0)
     # one pass writes the three files, so each distinct column is formatted
     # once: every file's frame column, and with 1 trial the traces' errors

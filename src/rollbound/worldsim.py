@@ -14,7 +14,7 @@ Two generation pipelines run against the same ground truth:
     bridge noise), with overlap substitution between generation windows.
 
 Anchors are a (K, d) array, one row per plan keyframe in plan order. Each
-trial reads its bridge noise from one stream in frame order, a block of
+trial reads its bridge noise from one stream in frame order, a run of
 frames at a time; under substitution the windows change no frame, and
 without it the bridge restarts at each later window's first frame.
 
@@ -22,9 +22,10 @@ Both run on one trial engine that simulates a batch of Monte-Carlo trials as
 one array; a standalone rollout is its one-trial case, and the error of the
 downsampled-AR anchors is one more row of the truth's pass. Its loops keep
 every bit: the step-by-step frames are one terms stack per block of steps,
-reduced frame by frame after one matmul (running sums for the identity),
-and the bridge noise, kept in frame order, advances each run of adjacent
-equal-length anchor intervals at once, one step per offset into them.
+reduced frame by frame after one matmul (running sums, no matmul, for the
+identity), and the anchored frames are made one run of adjacent
+equal-length anchor intervals at a time, whose bridge noise advances its
+intervals at once, one step per offset into them.
 """
 
 from __future__ import annotations
@@ -332,13 +333,13 @@ class _World:
             axis adds the slots one after another, from a -0.0 start that
             adds nothing (numpy's default start, +0.0, would turn a -0.0 sum
             into +0.0);
-          * A = I: the matmul adds 1 * x_i and 0 * x_j terms to a +0.0
-            start, which for finite x is x_i with a -0.0 read as +0.0, and a
-            sum that starts from A x[0] never reads -0.0. So slot 0 holds
-            A x[0], or the carried frame, at a block's first step and -0.0
-            after it, and one strictly sequential np.add.accumulate runs over
-            the flattened block. The carry is no matmul: past the float range
-            the identity's 0 * inf reads nan where the sum keeps inf."""
+          * A = I, no matmul: A x[0] adds 1 * x_i and 0 * x_j terms to a
+            +0.0 start, which for the finite x[0] is x[0] + 0.0, and a sum
+            that starts from it never reads -0.0. So slot 0 holds x[0] + 0.0
+            at the first step, the carried frame plus -0.0 (itself) at a
+            later block's first and -0.0 after it, and one strictly sequential
+            np.add.accumulate runs over the flattened block. Past the float
+            range the carry keeps inf, where a product 0 * inf reads nan."""
         cfg = self.cfg
         n = len(self.u) + 1
         rows, d = 1 + len(rngs) + (jumps is not None), cfg.dim
@@ -368,10 +369,7 @@ class _World:
                     first, last = np.searchsorted(jumps[0], (lo + 1, hi + 1))
                     block[jumps[0][first:last] - (lo + 1), 2, -1] = jumps[1]
                 if identity:
-                    if lo == 0:
-                        np.matmul(self.A, x[0, ..., None], out=block[0, 0, ..., None])
-                    else:
-                        block[0, 0] = x[lo]
+                    block[0, 0] = x[lo] + (0.0 if lo == 0 else -0.0)
                     block[1:, 0] = -0.0
                     sums = block.reshape(-1, rows, d)
                     np.add.accumulate(sums, axis=0, out=sums)
@@ -518,154 +516,133 @@ def _velocity_vector(velocity_error, d: int) -> np.ndarray:
     return dv0
 
 
+def _bridge_noise(w, frac, scale, rngs, eps, prod) -> None:
+    """A run's (c, L, B, d) bridge noise w, +0.0 at its keyframes, from its
+    (c, L) frac and scale: each trial's kicks scale*eps are read from its
+    stream in frame order, at most FRAME_BLOCK rows per draw into eps, then
+    one step per offset tau advances the c intervals at once, w[tau] =
+    frac*w[tau-1] + kick, rounded as a frame loop rounds it (addition
+    commutes bit for bit). A -0.0 kick plus the +0.0 product of tau = 1
+    reads +0.0; a restart frame is a frac-0 frame."""
+    c, L = frac.shape
+    w[:, 0] = 0.0
+    for lo in range(1, L, FRAME_BLOCK):  # one draw, unless the run is one longer interval
+        hi = min(lo + FRAME_BLOCK, L)
+        kicks = _normal_rows(rngs, eps[:, :c * (hi - lo)], scale[:, lo:hi].reshape(-1, 1))
+        w[:, lo:hi] = kicks.reshape(c, hi - lo, *w.shape[2:])
+    for tau in range(1, L):
+        np.multiply(w[:, tau - 1], frac[:, tau, None, None], out=prod[:c])
+        w[:, tau] += prod[:c]
+
+
 class _AnchoredLayout:
     """What every trial of an anchored rollout shares, built once from the
-    plan: each frame's anchor interval, interpolation weight and
-    velocity-leakage offset, the bridge-noise rows in frame order, and the
-    runs of equal-length anchor intervals the bridge advances at once.
-    Only the anchor values and the noise streams differ between trials."""
+    plan: each frame's window (seg_ids), each anchor interval's incoming
+    velocity error (dvs), and the runs of c adjacent anchor intervals of one
+    length L, at most FRAME_BLOCK frames long (or one interval): (the first
+    interval, the (L+1,) rows 1 - tau/L, tau/L and leakage shape, the (c, L)
+    bridge frac and scale), rows made once per L and copied only to restart."""
 
     def __init__(self, plan: RolloutPlan, d: int, sigma_int: float, velocity_error,
                  momentum: bool = True, substitution: bool = True):
         self.plan = plan
         self.sigma_int = _as_rate(sigma_int, "sigma_int")
         self.dv0 = _velocity_vector(velocity_error, d)
-        n = plan.total_frames
         kf = np.array(plan.keyframes)
-        t = np.arange(n)
-        # frame t lies in anchor interval j: kf[j] <= t < kf[j+1]; the final
-        # frame closes the last interval
-        j = np.minimum(np.searchsorted(kf, t, side="right") - 1, max(len(kf) - 2, 0))
-        self.left = j
-        if len(kf) == 1:  # single-frame plan
-            self.weights = None
-            T = tau = np.zeros(n, dtype=int)
-        else:
-            T = kf[j + 1] - kf[j]
-            tau = t - kf[j]
-            lam = tau / T
-            self.weights = ((1.0 - lam)[:, None, None], lam[:, None, None])
-            if momentum:
-                shape = np.empty(n)
-                for length in np.unique(T).tolist():
-                    rows = T == length
-                    shape[rows] = solve_damping_spline(length, 1.0).value(tau[rows])
-            else:
-                # the generator rides the erroneous velocity through the
-                # interval and snaps back at its closing anchor
-                shape = np.where(tau < T, tau, 0).astype(float)
-            # interval i enters with DAMPING_FACTOR times its predecessor's
-            # velocity error, multiplied in interval order (a repeated
-            # product's rounding, subnormals included); the hand-off needs
-            # the spline and the substituted clean boundary, so it dies
-            # without either
-            dvs = np.zeros((len(kf) - 1, d))
-            dvs[0] = self.dv0
-            if momentum and substitution:
-                dvs[1:] = DAMPING_FACTOR
-                np.multiply.accumulate(dvs, out=dvs)
-            # leakage past the float range reads inf, without a warning: the
-            # finite check rejects the run
-            with np.errstate(over="ignore"):
-                self.leak = shape[:, None] * dvs[j]
-
-        # bridge-noise schedule: each trial reads one row of its stream for
-        # each non-keyframe frame, in frame order, and every row continues
-        # the bridge recursion w[t] = frac*w[t-1] + scale*eps. Without
-        # substitution each later window generates its frames on its own:
-        # the bridge restarts at its first frame (frac 0) from the marginal
-        # law, unless that frame is a keyframe
+        lengths = np.diff(kf)
         starts, _ = partition_segments(plan)
         # with substitution a window's overlap frames are its predecessor's;
         # a frame's id is the last window that generates it
         gen_from = starts + (plan.overlap if substitution else 0)
         gen_from[0] = 0
-        self.seg_ids = np.searchsorted(gen_from, t, side="right") - 1
-        self.draw_frames = np.delete(t, kf)
-        remaining = kf[j[self.draw_frames] + 1] - (self.draw_frames - 1)
-        self.draw_frac = (remaining - 1) / remaining
-        self.draw_scale = sigma_int * np.sqrt(self.draw_frac)
-        if not substitution:
-            restart = np.isin(self.draw_frames, starts[1:])
-            f = self.draw_frames[restart]
-            self.draw_frac[restart] = 0.0
-            self.draw_scale[restart] = np.sqrt(bridge_variance(tau[f], T[f], sigma_int))
-        # a run is a stretch of c adjacent anchor intervals of one length
-        # L > 1, at most FRAME_BLOCK frames long (or one interval): (its
-        # first frame, its frames' draw_frac as a (c, L, 1, 1) grid)
-        self.runs = []
-        if sigma_int > 0.0 and len(self.draw_frames):
-            frac = np.zeros(n)
-            frac[self.draw_frames] = self.draw_frac
-            lengths = np.diff(kf)
-            edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
-            for a, b in zip(edges, edges[1:]):
-                if lengths[a] > 1:
-                    c = max(FRAME_BLOCK // lengths[a], 1)
-                    for lo in range(a, b, c):
-                        grid = frac[kf[lo]:kf[min(lo + c, b)]].reshape(-1, lengths[a], 1, 1)
-                        self.runs.append((kf[lo], grid))
-
-    def field(self, kv: np.ndarray) -> np.ndarray:
-        """Deterministic part of each trial from its (K, B, d) anchor values:
-        anchor interpolation plus velocity leakage, as an (n, B, d) batch."""
-        if self.weights is None:
-            return kv.copy()
-        w_left, w_right = self.weights
-        det = kv[self.left]
-        det *= w_left
-        right = kv[self.left + 1]
-        right *= w_right
-        det += right
-        det += self.leak[:, None]
-        return det
+        self.seg_ids = np.searchsorted(gen_from, np.arange(plan.total_frames), side="right") - 1
+        # interval i enters with DAMPING_FACTOR times its predecessor's
+        # velocity error, multiplied in interval order (a repeated product's
+        # rounding, subnormals included); the hand-off needs the spline and
+        # the substituted clean boundary, so it dies without either
+        self.dvs = np.zeros((len(lengths), d))
+        self.dvs[:1] = self.dv0
+        if momentum and substitution:
+            self.dvs[1:] = DAMPING_FACTOR
+            np.multiply.accumulate(self.dvs, out=self.dvs)
+        # a frame's bridge row continues w[t] = frac*w[t-1] + scale*eps, frac
+        # = (r - 1)/r for the r frames from t-1 to the closing anchor. Without
+        # substitution each later window generates its frames on its own: the
+        # bridge restarts at its first frame (frac 0) from the marginal law,
+        # unless that frame is a keyframe
+        restarts = starts[:0] if substitution else np.setdiff1d(starts[1:], kf)
+        at = np.searchsorted(kf, restarts, side="right") - 1
+        offsets = restarts - kf[at]
+        restart_scale = np.sqrt(bridge_variance(offsets, lengths[at], sigma_int))
+        shared, self.runs = {}, []
+        # lengths are >= 1: the edges are 0, each change of length, and the end
+        edges = np.flatnonzero(np.diff(lengths, prepend=0, append=0)).tolist()
+        for a, b in zip(edges, edges[1:]):
+            L = int(lengths[a])
+            if L not in shared:
+                tau = np.arange(L + 1)
+                if momentum:
+                    shape = solve_damping_spline(L, 1.0).value(tau)
+                else:
+                    # the generator rides the erroneous velocity through the
+                    # interval and snaps back at its closing anchor
+                    shape = np.where(tau < L, tau, 0).astype(float)
+                r = L + 1 - tau[:L]
+                frac = (r - 1) / r
+                shared[L] = (1.0 - tau / L, tau / L, shape), frac, sigma_int * np.sqrt(frac)
+            weights, frac, scale = shared[L]
+            step = max(FRAME_BLOCK // L, 1)
+            for lo in range(a, b, step):
+                c = min(step, b - lo)
+                grid = [np.broadcast_to(v, (c, L)) for v in (frac, scale)]
+                p, q = np.searchsorted(at, (lo, lo + c))
+                if q > p:
+                    grid = [v.copy() for v in grid]
+                    grid[0][at[p:q] - lo, offsets[p:q]] = 0.0
+                    grid[1][at[p:q] - lo, offsets[p:q]] = restart_scale[p:q]
+                self.runs.append((lo, weights, *grid))
 
     def run(self, kv: np.ndarray, seeds) -> np.ndarray:
         """Anchored rollouts of a batch from its (K, B, d) anchor values, as
-        (n, B, d) frames. Trial b reads its bridge noise from its one stream
-        derive_rng(seeds[b], "interp-noise") in frame order, FRAME_BLOCK
-        rows at a time; then the bridge recursion advances every anchor
-        interval at once, so the frames depend neither on the block size
-        nor, with substitution, on the windows."""
-        det = self.field(kv)
-        # noise past the float range reads inf or nan, without a warning:
-        # the finite check rejects it
+        (n, B, d) frames: each run's (c, L, B, d) view of them is its anchor
+        interpolation plus velocity leakage plus its bridge noise, read from
+        trial b's stream derive_rng(seeds[b], "interp-noise") in frame order
+        (see _bridge_noise), and the final frame comes last. Besides the
+        frames a pass holds one buffer of a run's frames and one of draws:
+        no whole-horizon array, the finite check's mask included."""
+        kf, n, (B, d) = self.plan.keyframes, self.plan.total_frames, (kv.shape[1], len(self.dv0))
+        x = np.empty((n, B, d))
+        buf = np.empty((max((frac.size for *_, frac, _ in self.runs), default=0), B, d))
+        noise = ([derive_rng(s, "interp-noise") for s in seeds],
+                 np.empty((B, min(len(buf), FRAME_BLOCK), d)),
+                 np.empty((max(len(frac) for *_, frac, _ in self.runs), B, d))
+                 ) if self.sigma_int > 0.0 and n > len(kf) else None
+        # frames past the float range read inf or nan, without a warning:
+        # each run's finite check rejects them
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.runs:
-                det += self._bridge_noise(kv.shape[1], [derive_rng(s, "interp-noise")
-                                                        for s in seeds])
-            else:
-                det += 0.0  # as the noise's +0.0 rows do: a -0.0 frame reads +0.0
-        _require_finite(det)
-        return det
-
-    def _bridge_noise(self, B: int, rngs) -> np.ndarray:
-        """The (n, B, d) bridge noise in frame order, +0.0 at the keyframes.
-
-        Each trial's kicks scale*eps are read from its stream in frame
-        order, FRAME_BLOCK rows at a time, into their frames of w. Then each
-        run of c intervals of length L is a (c, L, B, d) view of w, and one
-        step per offset tau advances its c intervals at once: w[tau] =
-        frac*w[tau-1] + kick, a product and then a sum, rounded as a frame
-        loop rounds them (the product is added to the kick, and addition is
-        commutative bit for bit). At tau = 1 the product is +0.0, so a -0.0
-        kick reads +0.0; a restart frame is a frac-0 frame."""
-        rows, d = len(self.draw_frames), len(self.dv0)
-        w = np.empty((self.plan.total_frames, B, d))
-        w[list(self.plan.keyframes)] = 0.0
-        eps = np.empty((B, min(rows, FRAME_BLOCK), d))
-        for lo in range(0, rows, FRAME_BLOCK):
-            hi = min(lo + FRAME_BLOCK, rows)
-            w[self.draw_frames[lo:hi]] = _normal_rows(rngs, eps[:, :hi - lo],
-                                                      self.draw_scale[lo:hi, None])
-        product = np.empty((max(len(frac) for _, frac in self.runs), B, d))
-        for first, frac in self.runs:
-            c, L = frac.shape[:2]
-            grid, prod = w[first:first + c * L].reshape(c, L, B, d), product[:c]
-            for tau in range(1, L):
-                np.multiply(grid[:, tau - 1], frac[:, tau], out=prod)
-                grid[:, tau] += prod
-        return w
+            for a, (left, right, shape), frac, scale in self.runs:
+                c, L = frac.shape
+                frames, other = (v[:c * L].reshape(c, L, B, d) for v in (x[kf[a]:], buf))
+                np.multiply(kv[a:a + c, None], left[:L, None, None], out=frames)
+                np.multiply(kv[a + 1:a + c + 1, None], right[:L, None, None], out=other)
+                frames += other
+                frames += (shape[:L, None] * self.dvs[a:a + c, None])[:, :, None]
+                if noise and L > 1:
+                    _bridge_noise(other, frac, scale, *noise)
+                    frames += other
+                else:
+                    frames += 0.0  # as the noise's +0.0 rows do: a -0.0 frame reads +0.0
+                _require_finite(frames)
+            if len(kf) == 1:
+                np.add(kv[0], 0.0, out=x[0])
+            else:  # the last interval's offset L
+                left, right, shape = (v[-1] for v in self.runs[-1][1])
+                np.multiply(kv[-2], left, out=x[-1])
+                x[-1] += kv[-1] * right
+                x[-1] += shape * self.dvs[-1]
+                x[-1] += 0.0
+            _require_finite(x[-1])
+        return x
 
     def trace(self, gt: np.ndarray, kv: np.ndarray, x: np.ndarray,
               err: np.ndarray) -> RolloutTrace:

@@ -308,12 +308,15 @@ def test_cmd_leakage_past_the_float_range_reads_inf_without_warning(command, csv
      "simulate", "keyframe values must be finite"),
     (("velocity_error=1e308", "stride=16"), "simulate", "latent frames must be finite"),
     (("velocity_error=1e308",), "ablate --grid 16:16", "latent frames must be finite"),
+    (("seed=5", "total_frames=33", "kf_error_cap=1e308", "velocity_error=1e308"), "simulate",
+     "latent frames must be finite"),
 ], ids=["bridge-noise-simulate", "bridge-noise-ablate", "downsampled-anchors",
-        "leakage-simulate", "leakage-ablate"])
+        "leakage-simulate", "leakage-ablate", "anchors-plus-leakage"])
 def test_cmd_overflow_prints_only_the_error_line(settings, command, message, tmp_path,
                                                  capsys):
-    # bridge noise, leakage or anchors past the float range: the finite check
-    # rejects the run, and numpy's overflow warnings stay inside
+    # bridge noise, leakage or anchors past the float range, or anchors near
+    # it plus leakage: the finite check rejects the run, and numpy's overflow
+    # warnings stay inside
     argv = ["--out", str(tmp_path)]
     for setting in settings:
         argv += ["--set", setting]
@@ -417,6 +420,17 @@ def test_cmd_simulate_ratio_of_two_infinite_means_reads_nan_without_warning(tmp_
     header, rows = _read_rows(tmp_path / "mean_curves.csv")
     ratio = [row[header.index("ratio")] for row in rows]
     assert ratio == ["inf" if t in (0, 8, 16) else "nan" for t in range(17)]
+
+
+def test_cmd_simulate_ratio_past_the_float_range_reads_inf_without_warning(tmp_path, capsys):
+    # a huge step-by-step mean over a subnormal anchored one overflows the
+    # ratio's division: it reads inf on every row, and nothing reaches stderr
+    assert run("--out", str(tmp_path), "--set", "dim=4", "--set", "lipschitz=0",
+               "--set", "bias=1e300", "--set", "sigma_int=5e-324", "--set", "trials=2",
+               "simulate") == 0
+    assert capsys.readouterr().err == ""
+    header, rows = _read_rows(tmp_path / "mean_curves.csv")
+    assert {row[header.index("ratio")] for row in rows} == {"inf"}
 
 
 @pytest.mark.parametrize("scenario", ["global", "downsampled_ar"])

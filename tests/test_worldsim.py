@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -707,18 +708,22 @@ def test_momentum_off_does_not_reduce_boundary_discontinuity():
     assert dd_off.sum() >= dd_on.sum()
 
 
-def _loop_layout(plan, dv0, sigma_int, momentum, substitution):
-    """The anchored layout as one loop over frames: each frame's segment id
-    and leakage, and for each frame that is not a keyframe, in frame order,
-    its bridge row's restart flag, draw_frac and draw_scale; then the
-    velocity hand-off of each anchor interval. _AnchoredLayout must match it
-    bit for bit."""
+def _loop_rollout(plan, kv, seeds, sigma_int, dv0, momentum, substitution):
+    """Anchored frames as one loop over frames, from the plan alone: each
+    frame's segment id; its anchor interpolation plus velocity leakage,
+    each interval's velocity error handed on from its predecessor's; then
+    for each frame that is not a keyframe, in frame order, one bridge row of
+    each trial's stream, w[t] = frac*w[t-1] + scale*eps, the product added to
+    the kick; the frames are the field plus w, whose keyframe rows are +0.0.
+    _AnchoredLayout.run must match it bit for bit. Returns the frames, the
+    segment ids, the (frame, frac) of each bridge row and the hand-offs."""
     n, p, kf = plan.total_frames, plan.overlap, list(plan.keyframes)
     starts = _windows(plan)[0]
+    d = len(dv0)
+    rngs = [derive_rng(s, "interp-noise") for s in seeds]
+    x = np.empty((n, len(seeds), d))
     seg_ids = np.zeros(n, dtype=int)
-    frames, restarts, fracs, scales = [], [], [], []
-    leak = np.zeros((n, len(dv0)))
-    dvs, j = [dv0], 0
+    w, rows, dvs, j = np.zeros(x.shape[1:]), [], [dv0], 0
     for f in range(n):
         # a frame's id is the last window that generates it: with
         # substitution a later window takes its overlap frames from its
@@ -726,113 +731,57 @@ def _loop_layout(plan, dv0, sigma_int, momentum, substitution):
         seg_ids[f] = max(i for i, s in enumerate(starts)
                          if s + (p if i and substitution else 0) <= f)
         if len(kf) == 1:
+            x[f] = kv[0] + 0.0
             continue
         if j + 2 < len(kf) and f >= kf[j + 1]:
             j += 1
             # the hand-off needs the spline and the substituted clean boundary
             dvs.append(DAMPING_FACTOR * dvs[-1] if momentum and substitution
-                       else np.zeros(len(dv0)))
+                       else np.zeros(d))
         T, tau = kf[j + 1] - kf[j], f - kf[j]
-        if momentum:
-            shape = solve_damping_spline(T, 1.0).value(tau)
-        else:
-            shape = float(tau if tau < T else 0)
-        leak[f] = shape * dvs[j]
+        shape = solve_damping_spline(T, 1.0).value(tau) if momentum else float(tau if tau < T
+                                                                               else 0)
+        x[f] = kv[j] * (1.0 - tau / T)
+        x[f] += kv[j + 1] * (tau / T)
+        x[f] += shape * dvs[j]
         if f in kf:
-            continue
-        restart = not substitution and f in starts[1:]
-        frac = 0.0 if restart else (kf[j + 1] - f) / (kf[j + 1] - f + 1)
-        frames.append(f)
-        restarts.append(restart)
-        fracs.append(frac)
-        scales.append(np.sqrt(bridge_variance(tau, T, sigma_int)) if restart
-                      else sigma_int * np.sqrt(frac))
-    return dict(seg_ids=seg_ids, draw_frames=np.array(frames, dtype=int),
-                draw_frac=np.array(fracs, dtype=float),
-                draw_scale=np.array(scales, dtype=float)), leak, restarts, dvs
+            w = np.zeros_like(w)
+        elif sigma_int > 0.0:
+            # without substitution each later window restarts the bridge at
+            # its first frame, from the marginal law
+            restart = not substitution and f in starts[1:]
+            frac = 0.0 if restart else (kf[j + 1] - f) / (kf[j + 1] - f + 1)
+            scale = (np.sqrt(bridge_variance(tau, T, sigma_int)) if restart
+                     else sigma_int * np.sqrt(frac))
+            kick = np.stack([g.standard_normal(d) for g in rngs]) * scale
+            w = kick + w * frac
+            rows.append((f, frac))
+        x[f] += w
+    return x, seg_ids, rows, dvs
 
 
-def test_anchored_layout_matches_loop_reference():
-    g = np.random.default_rng(53)
-    cases = [(RolloutPlan(33, (0, 8, 16, 24, 32), 9, 1), np.array([2.0, -4.0]))]
-    for _ in range(200):
-        n = int(g.integers(1, 120))
-        kf = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n // 2 + 1))).tolist()})
-        seg_len = int(g.integers(1, 15))
-        plan = RolloutPlan(n, tuple(kf), seg_len, int(g.integers(0, seg_len)))
-        # magnitudes from subnormal to large: the hand-off rounds as the loop did
-        dv0 = g.choice([-1.0, 1.0], 3) * np.ldexp(g.uniform(1.0, 2.0, 3),
-                                                   g.integers(-1080, 30, 3))
-        cases.append((plan, dv0))
-    for i, (plan, dv0) in enumerate(cases):
-        for momentum in (True, False):
-            for substitution in (True, False):
-                sigma_int = 0.0 if i % 3 == 0 else 0.3
-                layout = worldsim._AnchoredLayout(plan, len(dv0), sigma_int, dv0,
-                                                  momentum, substitution)
-                expected, leak, restarts, dvs = _loop_layout(plan, dv0, sigma_int, momentum,
-                                                             substitution)
-                case = (plan, momentum, substitution)
-                for name, want in expected.items():
-                    got = getattr(layout, name)
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
-                        (name, case)
-                assert (layout.draw_frac == 0.0).tolist() == restarts, case
-                if len(plan.keyframes) > 1:
-                    assert layout.leak.tobytes() == leak.tobytes(), case
-                if i == 0 and momentum and substitution:
-                    # the hand-off halves the velocity error and flips its sign
-                    assert np.array(dvs[:3]).tolist() == [[2.0, -4.0], [-1.0, 2.0], [0.5, -1.0]]
+def _assert_run_matches_loop(plan, kv, seeds, sigma_int, dv0, momentum, substitution):
+    layout = worldsim._AnchoredLayout(plan, len(dv0), sigma_int, dv0, momentum, substitution)
+    loop = _loop_rollout(plan, kv, seeds, sigma_int, dv0, momentum, substitution)
+    case = (plan, sigma_int, dv0, momentum, substitution)
+    assert layout.run(kv, seeds).tobytes() == loop[0].tobytes(), case
+    assert layout.seg_ids.dtype == loop[1].dtype, case
+    assert layout.seg_ids.tobytes() == loop[1].tobytes(), case
+    return loop
 
 
-@given(st.integers(1, 120), st.booleans(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_bridge_rows_run_in_frame_order_and_restart_at_windows(n, substitution, data):
-    # one bridge row per frame that is not a keyframe, in ascending order.
-    # Without substitution the rows that restart the bridge (draw_frac 0)
-    # are exactly the first frames of the later windows that are not
-    # keyframes; with it no row restarts. A continuing row has r >= 2
-    # frames to its closing anchor, so frac = (r - 1)/r >= 1/2
-    kf = tuple(sorted({0, n - 1, *data.draw(st.lists(st.integers(0, n - 1), max_size=n))}))
-    seg_len = data.draw(st.integers(1, 15))
-    plan = RolloutPlan(n, kf, seg_len, data.draw(st.integers(0, seg_len - 1)))
-    layout = worldsim._AnchoredLayout(plan, 2, 0.3, None, substitution=substitution)
-    assert layout.draw_frames.tolist() == [f for f in range(n) if f not in kf]
-    restart = layout.draw_frac == 0.0
-    later = [s for s in _windows(plan)[0][1:] if s not in kf]
-    assert layout.draw_frames[restart].tolist() == ([] if substitution else later)
-    assert np.all(layout.draw_frac[~restart] >= 0.5)
-
-
-def _bridge_loop_frames(layout, kv, seeds):
-    """Anchored frames with the bridge run one frame at a time: each trial
-    reads one kick scale*eps per bridge row from its stream, in frame
-    order; then w[t] = frac*w[t-1] + kick, product first, row by row; the
-    frames are the field plus w, whose keyframe rows are +0.0."""
-    det = layout.field(kv)
-    w = np.zeros_like(det)
-    if layout.sigma_int > 0.0:
-        rows, d = len(layout.draw_frames), det.shape[2]
-        eps = np.stack([derive_rng(s, "interp-noise").standard_normal((rows, d))
-                        for s in seeds], axis=1)
-        for t, frac, scale, e in zip(layout.draw_frames, layout.draw_frac,
-                                     layout.draw_scale, eps):
-            np.multiply(w[t - 1], frac, out=w[t])
-            w[t] += e * scale
-    det += w
-    return det
-
-
-def test_bridge_matches_frame_loop_bit_for_bit():
+def test_anchored_run_matches_frame_loop_bit_for_bit():
     # each run of equal-length anchor intervals, at most FRAME_BLOCK frames
-    # long (or one interval), advances at once, one offset at a time: the
-    # frame loop's bits on irregular keyframes, several runs, runs cut at
-    # FRAME_BLOCK frames or into single intervals, a short (or one-frame)
-    # last interval, restarts, a one-interval plan, one- and two-frame
-    # plans, and -0.0 anchors under a zero velocity
-    # error and a subnormal sigma_int, whose kicks round to +-0.0: at
-    # offset 1 the loop adds them to a +0.0 product, so a -0.0 kick reads
-    # +0.0, and so does a -0.0 field frame plus that kick
+    # long (or one interval), makes its field and advances its bridge at
+    # once, one offset at a time: the frame loop's bits on irregular
+    # keyframes, several runs, runs cut at FRAME_BLOCK frames or into single
+    # intervals, a short (or one-frame) last interval, restarts, a
+    # one-interval plan, one- and two-frame plans, velocity errors from
+    # subnormal to large (the hand-off rounds as the loop's does), and -0.0
+    # anchors under a zero velocity error and a subnormal sigma_int, whose
+    # kicks round to +-0.0: at offset 1 the loop adds them to a +0.0
+    # product, so a -0.0 kick reads +0.0, and so does a -0.0 field frame
+    # plus that kick
     g = np.random.default_rng(83)
     plans = [RolloutPlan(1, (0,), 1, 0), RolloutPlan(2, (0, 1), 2, 0),
              RolloutPlan(40, (0, 39), 40, 0), RolloutPlan(40, (0, 39), 6, 2),
@@ -841,9 +790,9 @@ def test_bridge_matches_frame_loop_bit_for_bit():
              RolloutPlan(33, (0, 4, 8, 15, 22, 29, 32), 5, 0),
              build_plan(30, 8, 9, 1), build_plan(47, 7, 10, 3), build_plan(20, 6, 5, 2),
              RolloutPlan(3001, (*range(0, 1500, 3), 1500, 2200, 2900, 3000), 9, 1)]
-    for _ in range(120):
-        n = int(g.integers(1, 90))
-        kf = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n // 3 + 1))).tolist()})
+    for _ in range(200):
+        n = int(g.integers(1, 120))
+        kf = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n // 2 + 1))).tolist()})
         seg_len = int(g.integers(1, 15))
         plans.append(RolloutPlan(n, tuple(kf), seg_len, int(g.integers(0, seg_len))))
     for i, plan in enumerate(plans):
@@ -851,16 +800,38 @@ def test_bridge_matches_frame_loop_bit_for_bit():
         kv = g.normal(size=(len(plan.keyframes), trials, d))
         kv[:, 0, :2] = -0.0
         seeds = [int(s) for s in g.integers(0, 2**31, trials)]
-        for substitution in (True, False):
-            for sigma_int in (0.0, 0.3, 5e-324):
-                for dv0 in (g.normal(size=d), np.zeros(d)):
-                    layout = worldsim._AnchoredLayout(plan, d, sigma_int, dv0,
-                                                      momentum=i % 3 > 0,
-                                                      substitution=substitution)
-                    got = layout.run(kv, seeds)
-                    expect = _bridge_loop_frames(layout, kv, seeds)
-                    assert got.tobytes() == expect.tobytes(), \
-                        (plan, substitution, sigma_int, dv0)
+        subnormal_to_large = g.choice([-1.0, 1.0], d) * np.ldexp(g.uniform(1.0, 2.0, d),
+                                                                 g.integers(-1080, 30, d))
+        dv0s = (g.normal(size=d), subnormal_to_large, np.zeros(d))
+        for k, (substitution, sigma_int) in enumerate(itertools.product((True, False),
+                                                                        (0.0, 0.3, 5e-324))):
+            _assert_run_matches_loop(plan, kv, seeds, sigma_int, dv0s[(i + k) % 3],
+                                     (i + k) % 2 == 0, substitution)
+    # the hand-off halves the velocity error and flips its sign
+    dvs = _assert_run_matches_loop(plans[4], np.zeros((5, 1, 2)), [0], 0.0,
+                                   np.array([2.0, -4.0]), True, True)[3]
+    assert np.array(dvs).tolist() == [[2.0, -4.0], [-1.0, 2.0], [0.5, -1.0], [-0.25, 0.5]]
+
+
+@given(st.integers(1, 120), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_bridge_rows_run_in_frame_order_and_restart_at_windows(n, substitution, data):
+    # the frames match the frame loop, which reads one bridge row per frame
+    # that is not a keyframe, in ascending order. Without substitution the
+    # rows that restart the bridge (frac 0) are exactly the first frames of
+    # the later windows that are not keyframes; with it no row restarts. A
+    # continuing row has r >= 2 frames to its closing anchor, so
+    # frac = (r - 1)/r >= 1/2
+    kf = tuple(sorted({0, n - 1, *data.draw(st.lists(st.integers(0, n - 1), max_size=n))}))
+    seg_len = data.draw(st.integers(1, 15))
+    plan = RolloutPlan(n, kf, seg_len, data.draw(st.integers(0, seg_len - 1)))
+    kv = np.random.default_rng(n).normal(size=(len(kf), 2, 2))
+    _, _, rows, _ = _assert_run_matches_loop(plan, kv, [n, n + 1], 0.3, np.zeros(2), True,
+                                             substitution)
+    assert [f for f, _ in rows] == [f for f in range(n) if f not in kf]
+    later = [s for s in _windows(plan)[0][1:] if s not in kf]
+    assert [f for f, frac in rows if frac == 0.0] == ([] if substitution else later)
+    assert all(frac >= 0.5 for _, frac in rows if frac != 0.0)
 
 
 def test_anchored_rejects_missing_anchors():
@@ -1187,12 +1158,13 @@ def test_step_loop_memory_does_not_grow_with_its_noise():
     assert peak <= 1.5 * n * (1 + len(rngs)) * d * 8
 
 
-def test_anchored_pass_memory_holds_frames_and_bridge_noise():
-    # a 32-trial anchored pass at 30,000 frames holds its frames, the bridge
-    # noise in frame order, one block of draws and one product of at most
-    # FRAME_BLOCK frames: no copy of either, and no buffer as long as a run
+@pytest.mark.parametrize("sigma_int", [0.05, 0.0])
+def test_anchored_pass_memory_holds_frames_and_bridge_noise(sigma_int):
+    # a 32-trial anchored pass at 30,000 frames holds its frames, one run's
+    # field product and then its bridge noise, of at most FRAME_BLOCK
+    # frames, and one block of draws: no whole-horizon field, noise or mask
     n, trials, d = 30_000, 32, 4
-    layout = worldsim._AnchoredLayout(build_plan(n, 8, 9, 1), d, 0.05, 0.1)
+    layout = worldsim._AnchoredLayout(build_plan(n, 8, 9, 1), d, sigma_int, 0.1)
     kv = np.zeros((len(layout.plan.keyframes), trials, d))
     tracemalloc.start()
     try:
@@ -1200,7 +1172,7 @@ def test_anchored_pass_memory_holds_frames_and_bridge_noise():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.15 * n * trials * d * 8, peak / (n * trials * d * 8)
+    assert peak <= 1.25 * n * trials * d * 8, peak / (n * trials * d * 8)
 
 
 # ---------------------------------------------------------------------------
