@@ -516,23 +516,25 @@ def _velocity_vector(velocity_error, d: int) -> np.ndarray:
     return dv0
 
 
-def _bridge_noise(w, frac, scale, rngs, eps, prod) -> None:
-    """A run's (c, L, B, d) bridge noise w, +0.0 at its keyframes, from its
-    (c, L) frac and scale: each trial's kicks scale*eps are read from its
-    stream in frame order, at most FRAME_BLOCK rows per draw into eps, then
-    one step per offset tau advances the c intervals at once, w[tau] =
-    frac*w[tau-1] + kick, rounded as a frame loop rounds it (addition
-    commutes bit for bit). A -0.0 kick plus the +0.0 product of tau = 1
-    reads +0.0; a restart frame is a frac-0 frame."""
+def _bridge_noise(w, frac, scale, rngs, eps) -> None:
+    """A run's bridge noise w, offset-major (L, c, B, d) and +0.0 at its
+    keyframes, from its (c, L) frac and scale: each trial's kicks scale*eps
+    are read from its stream in frame order, at most FRAME_BLOCK rows per
+    draw into the flat buffer eps, then one step per offset tau advances the
+    c intervals at once, w[tau] = frac*w[tau-1] + kick, rounded as a frame
+    loop rounds it (addition commutes bit for bit). A -0.0 kick plus the
+    +0.0 product of tau = 1 reads +0.0; a restart frame is a frac-0 frame."""
     c, L = frac.shape
-    w[:, 0] = 0.0
+    w[0] = 0.0
     for lo in range(1, L, FRAME_BLOCK):  # one draw, unless the run is one longer interval
         hi = min(lo + FRAME_BLOCK, L)
-        kicks = _normal_rows(rngs, eps[:, :c * (hi - lo)], scale[:, lo:hi].reshape(-1, 1))
-        w[:, lo:hi] = kicks.reshape(c, hi - lo, *w.shape[2:])
+        kicks = _normal_rows(rngs, eps[:w[lo:hi].size].reshape(len(rngs), -1, w.shape[-1]),
+                             scale[:, lo:hi].reshape(-1, 1))
+        w[lo:hi] = kicks.reshape(c, hi - lo, *w.shape[2:]).transpose(1, 0, 2, 3)
+    prod = eps[:w[0].size].reshape(w.shape[1:])
     for tau in range(1, L):
-        np.multiply(w[:, tau - 1], frac[:, tau, None, None], out=prod[:c])
-        w[:, tau] += prod[:c]
+        np.multiply(w[tau - 1], frac[:, tau, None, None], out=prod)
+        w[tau] += prod
 
 
 class _AnchoredLayout:
@@ -581,14 +583,11 @@ class _AnchoredLayout:
             L = int(lengths[a])
             if L not in shared:
                 tau = np.arange(L + 1)
-                if momentum:
-                    shape = solve_damping_spline(L, 1.0).value(tau)
-                else:
-                    # the generator rides the erroneous velocity through the
-                    # interval and snaps back at its closing anchor
-                    shape = np.where(tau < L, tau, 0).astype(float)
-                r = L + 1 - tau[:L]
-                frac = (r - 1) / r
+                # without momentum the generator rides the erroneous velocity
+                # through the interval and snaps back at its closing anchor
+                shape = (solve_damping_spline(L, 1.0).value(tau) if momentum
+                         else np.where(tau < L, tau, 0).astype(float))
+                frac = (L - tau[:L]) / (L + 1 - tau[:L])
                 shared[L] = (1.0 - tau / L, tau / L, shape), frac, sigma_int * np.sqrt(frac)
             weights, frac, scale = shared[L]
             step = max(FRAME_BLOCK // L, 1)
@@ -604,43 +603,44 @@ class _AnchoredLayout:
 
     def run(self, kv: np.ndarray, seeds) -> np.ndarray:
         """Anchored rollouts of a batch from its (K, B, d) anchor values, as
-        (n, B, d) frames: each run's (c, L, B, d) view of them is its anchor
-        interpolation plus velocity leakage plus its bridge noise, read from
-        trial b's stream derive_rng(seeds[b], "interp-noise") in frame order
-        (see _bridge_noise), and the final frame comes last. Besides the
-        frames a pass holds one buffer of a run's frames and one of draws:
-        no whole-horizon array, the finite check's mask included."""
+        (n, B, d) frames: each run's interpolation plus leakage plus bridge
+        noise (trial b's from derive_rng(seeds[b], "interp-noise"), see
+        _bridge_noise), summed offset-major, (L, c, B, d), in one run-sized
+        buffer while its frames hold its terms, then copied into them; the
+        final frame comes last. Besides the frames a pass holds that buffer
+        and one block of draws: no whole-horizon array, not even a mask."""
         kf, n, (B, d) = self.plan.keyframes, self.plan.total_frames, (kv.shape[1], len(self.dv0))
         x = np.empty((n, B, d))
-        buf = np.empty((max((frac.size for *_, frac, _ in self.runs), default=0), B, d))
+        shapes = [frac.shape for *_, frac, _ in self.runs]
+        buf = np.empty(max((c * L for c, L in shapes), default=0) * B * d)
         noise = ([derive_rng(s, "interp-noise") for s in seeds],
-                 np.empty((B, min(len(buf), FRAME_BLOCK), d)),
-                 np.empty((max(len(frac) for *_, frac, _ in self.runs), B, d))
+                 np.empty(max(c * min(L - 1, FRAME_BLOCK) for c, L in shapes) * B * d)
                  ) if self.sigma_int > 0.0 and n > len(kf) else None
         # frames past the float range read inf or nan, without a warning:
         # each run's finite check rejects them
         with np.errstate(over="ignore", invalid="ignore"):
             for a, (left, right, shape), frac, scale in self.runs:
                 c, L = frac.shape
-                frames, other = (v[:c * L].reshape(c, L, B, d) for v in (x[kf[a]:], buf))
-                np.multiply(kv[a:a + c, None], left[:L, None, None], out=frames)
-                np.multiply(kv[a + 1:a + c + 1, None], right[:L, None, None], out=other)
-                frames += other
-                frames += (shape[:L, None] * self.dvs[a:a + c, None])[:, :, None]
+                frames = x[kf[a]:kf[a] + c * L]
+                total, term = buf[:frames.size].reshape(L, c, B, d), frames.reshape(L, c, B, d)
+                np.multiply.outer(left[:L], kv[a:a + c], out=total)
+                np.multiply.outer(right[:L], kv[a + 1:a + c + 1], out=term)
+                total += term
+                leak = term.reshape(-1)[:L * c * d].reshape(L, c, 1, d)
+                np.multiply.outer(shape[:L], self.dvs[a:a + c], out=leak[:, :, 0])
+                total += leak
                 if noise and L > 1:
-                    _bridge_noise(other, frac, scale, *noise)
-                    frames += other
+                    _bridge_noise(term, frac, scale, *noise)
+                    total += term
                 else:
-                    frames += 0.0  # as the noise's +0.0 rows do: a -0.0 frame reads +0.0
-                _require_finite(frames)
-            if len(kf) == 1:
-                np.add(kv[0], 0.0, out=x[0])
-            else:  # the last interval's offset L
-                left, right, shape = (v[-1] for v in self.runs[-1][1])
-                np.multiply(kv[-2], left, out=x[-1])
-                x[-1] += kv[-1] * right
-                x[-1] += shape * self.dvs[-1]
-                x[-1] += 0.0
+                    total += 0.0  # as the noise's +0.0 rows do: a -0.0 frame reads +0.0
+                _require_finite(total)
+                frames.reshape(c, L, B, d)[...] = total.transpose(1, 0, 2, 3)
+            # the final frame, the last interval's offset L, is its closing
+            # anchor plus leakage: the weights 0 and 1 give the anchor's bits
+            # once the +0.0 is added (the runs reject a non-finite anchor)
+            x[-1] = kv[-1] if len(kf) == 1 else kv[-1] + self.runs[-1][1][2][-1] * self.dvs[-1]
+            x[-1] += 0.0
             _require_finite(x[-1])
         return x
 

@@ -723,13 +723,14 @@ def _loop_rollout(plan, kv, seeds, sigma_int, dv0, momentum, substitution):
     rngs = [derive_rng(s, "interp-noise") for s in seeds]
     x = np.empty((n, len(seeds), d))
     seg_ids = np.zeros(n, dtype=int)
-    w, rows, dvs, j = np.zeros(x.shape[1:]), [], [dv0], 0
+    w, rows, dvs, j, seg = np.zeros(x.shape[1:]), [], [dv0], 0, 0
     for f in range(n):
         # a frame's id is the last window that generates it: with
         # substitution a later window takes its overlap frames from its
         # predecessor
-        seg_ids[f] = max(i for i, s in enumerate(starts)
-                         if s + (p if i and substitution else 0) <= f)
+        while seg + 1 < len(starts) and starts[seg + 1] + (p if substitution else 0) <= f:
+            seg += 1
+        seg_ids[f] = seg
         if len(kf) == 1:
             x[f] = kv[0] + 0.0
             continue
@@ -790,6 +791,7 @@ def test_anchored_run_matches_frame_loop_bit_for_bit():
              RolloutPlan(33, (0, 4, 8, 15, 22, 29, 32), 5, 0),
              build_plan(30, 8, 9, 1), build_plan(47, 7, 10, 3), build_plan(20, 6, 5, 2),
              RolloutPlan(3001, (*range(0, 1500, 3), 1500, 2200, 2900, 3000), 9, 1)]
+    fixed = len(plans)
     for _ in range(200):
         n = int(g.integers(1, 120))
         kf = sorted({0, n - 1, *g.choice(n, int(g.integers(0, n // 2 + 1))).tolist()})
@@ -803,10 +805,14 @@ def test_anchored_run_matches_frame_loop_bit_for_bit():
         subnormal_to_large = g.choice([-1.0, 1.0], d) * np.ldexp(g.uniform(1.0, 2.0, d),
                                                                  g.integers(-1080, 30, d))
         dv0s = (g.normal(size=d), subnormal_to_large, np.zeros(d))
-        for k, (substitution, sigma_int) in enumerate(itertools.product((True, False),
-                                                                        (0.0, 0.3, 5e-324))):
-            _assert_run_matches_loop(plan, kv, seeds, sigma_int, dv0s[(i + k) % 3],
-                                     (i + k) % 2 == 0, substitution)
+        cases = itertools.product((True, False), (0.0, 0.3, 5e-324), range(3), (True, False))
+        for k, (substitution, sigma_int, v, momentum) in enumerate(cases):
+            # each named plan runs every case; a random plan one case of each
+            # (substitution, sigma_int) pair, its velocity error and momentum
+            # rotating with the plan
+            if i < fixed or (v, momentum) == ((i + k // 6) % 3, (i + k // 6) % 2 == 0):
+                _assert_run_matches_loop(plan, kv, seeds, sigma_int, dv0s[v], momentum,
+                                         substitution)
     # the hand-off halves the velocity error and flips its sign
     dvs = _assert_run_matches_loop(plans[4], np.zeros((5, 1, 2)), [0], 0.0,
                                    np.array([2.0, -4.0]), True, True)[3]
