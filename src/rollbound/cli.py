@@ -123,12 +123,13 @@ def cmd_bounds(args) -> int:
     n = cfg.total_frames
     intervals = np.diff(plan.keyframes)
     upper, flags = ar_upper_curve(cfg.lipschitz, cfg.bias, n)
-    with np.errstate(over="ignore"):  # past the float range reads inf, as upper diverges
-        lower = np.arange(n) * cfg.bias
-    try:
-        variance = np.arange(n) * cfg.noise_std ** 2
-    except OverflowError:  # the step variance exceeds the float range
-        variance = np.where(np.arange(n) > 0, np.inf, 0.0)
+    # the mean error's floor is the noiseless error: a scaled identity adds
+    # every bias step along one direction, so that is upper itself; a
+    # rotation turns the drift with the state and has no a-priori floor
+    lower = upper if cfg.dynamics == "scaled_identity" else np.zeros(n)
+    # each component's variance obeys v <- L^2 v + sigma^2 under both
+    # dynamics, since A = L Q
+    variance, _ = ar_upper_curve(cfg.lipschitz * cfg.lipschitz, cfg.noise_std * cfg.noise_std, n)
     if cfg.kf_scenario == "global":
         anchor = cfg.kf_error_cap
     else:  # downsampled_ar: one step error per anchor jump

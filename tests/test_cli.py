@@ -18,6 +18,8 @@ from rollbound.core import Trajectory, rotation_about_z, save_trajectory
 from rollbound.core import quat_to_matrix
 from rollbound.errormodel import cumulative_leakage_bound
 from rollbound.expconfig import ExperimentConfig, load_config, save_config
+from rollbound.schedule import build_plan
+from rollbound.worldsim import WorldConfig, bias_from_norm, compare_pipelines
 
 
 def run(*argv):
@@ -327,9 +329,9 @@ def test_cmd_overflow_prints_only_the_error_line(settings, command, message, tmp
 
 
 def test_cmd_bounds_overflowing_noise_variance(tmp_path, capsys):
-    # a step variance noise_std**2 beyond the float range makes the variance
-    # column inf after frame 0; the run neither crashes nor warns, and no
-    # other column moves
+    # a step variance noise_std**2 beyond the float range saturates the
+    # variance column at 1e300 after frame 0, as ar_upper saturates; the run
+    # neither crashes nor warns, and no other column moves
     columns = {}
     for std in ("1e200", "0.5"):
         out = tmp_path / std
@@ -340,7 +342,7 @@ def test_cmd_bounds_overflowing_noise_variance(tmp_path, capsys):
         header, rows = _read_rows(out / "bounds.csv")
         columns[std] = dict(zip(header, zip(*rows)))
     huge, plain = columns["1e200"], columns["0.5"]
-    assert huge.pop("ar_variance") == ("0.0",) + ("inf",) * 32
+    assert huge.pop("ar_variance") == ("0.0",) + ("1e+300",) * 32
     plain.pop("ar_variance")
     assert huge == plain
 
@@ -474,15 +476,62 @@ def test_cmd_simulate_overflowing_rollout(world, tmp_path, capsys):
 
 
 def test_cmd_bounds_overflowing_lower_curve(tmp_path, capsys):
-    # t * bias passes the float range: the lower curve reads inf, like the
-    # diverged upper curve, without a warning
+    # a bias past the divergence cap: the lower curve is the upper one on a
+    # scaled identity, saturated at 1e300 from frame 1, without a warning
     rc = run("--out", str(tmp_path), "--set", "bias=1e308", "bounds")
     assert rc == 0
     assert capsys.readouterr().err == ""
     header, rows = _read_rows(tmp_path / "bounds.csv")
     lower = [row[header.index("ar_lower")] for row in rows]
-    assert lower[:2] == ["0.0", "1e+308"] and lower[-1] == "inf"
+    assert lower[:2] == ["0.0", "1e+300"] and lower[-1] == "1e+300"
+    assert lower == [row[header.index("ar_upper")] for row in rows]
     assert rows[-1][header.index("diverged")] == "1"
+
+
+@pytest.mark.parametrize("dynamics, lipschitz, bias", [
+    ("scaled_identity", 0.9, 0.01), ("scaled_identity", 1.0, 0.01),
+    ("rotation", 0.95, 0.0), ("rotation", 1.0, 0.0)])
+def test_cmd_bounds_moments_match_the_monte_carlo_mse(tmp_path, dynamics, lipschitz, bias):
+    # E||e_t||^2 = ar_lower^2 + d * ar_variance: the noiseless error's square
+    # plus d components' variance. 2,000 trials hold the Monte-Carlo mean
+    # within about 1.6% a standard error; 8% is about five of them
+    dim, frames, noise = 4, 201, 0.1
+    settings = [f"total_frames={frames}", f"dim={dim}", f"dynamics={dynamics}",
+                f"lipschitz={lipschitz}", f"bias={bias}", f"noise_std={noise}"]
+    argv = ["--out", str(tmp_path)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert run(*argv, "bounds") == 0
+    header, rows = _read_rows(tmp_path / "bounds.csv")
+    columns = dict(zip(header, np.array(rows, dtype=object).T))
+    lower, variance = (columns[name].astype(float) for name in ("ar_lower", "ar_variance"))
+    cfg = ExperimentConfig()
+    world = WorldConfig(dim=dim, lipschitz=lipschitz, dynamics=dynamics,
+                        bias=bias_from_norm(dim, bias), noise_std=noise, seed=cfg.seed)
+    plan = build_plan(frames, cfg.stride, cfg.segment_len, cfg.overlap)
+    mse = compare_pipelines(world, plan, trials=2000, seed=3).ar_mse
+    expected = lower ** 2 + dim * variance
+    assert mse[0] == expected[0] == 0.0
+    assert np.max(np.abs(mse[1:] / expected[1:] - 1.0)) < 0.08
+
+
+@pytest.mark.parametrize("lipschitz", ["1", "0.9", "1.05"])
+def test_cmd_bounds_lower_curve_is_the_noiseless_error(tmp_path, lipschitz):
+    # on a deterministic scaled identity the step-by-step error is the
+    # noiseless error: bounds' ar_lower is simulate's err_norm, byte for
+    # byte. Under rotation the drift turns, and ar_lower reads 0.0
+    def column(dynamics, command, name, column_name):
+        out = tmp_path / dynamics
+        assert run("--out", str(out), "--set", "total_frames=400", "--set", "dim=3",
+                   "--set", f"dynamics={dynamics}", "--set", f"lipschitz={lipschitz}",
+                   "--set", "bias=0.01", command) == 0
+        header, rows = _read_rows(out / name)
+        return [row[header.index(column_name)] for row in rows]
+
+    lower = column("scaled_identity", "bounds", "bounds.csv", "ar_lower")
+    assert lower == column("scaled_identity", "simulate", "ar_trace.csv", "err_norm")
+    assert len(set(lower)) > 1
+    assert column("rotation", "bounds", "bounds.csv", "ar_lower") == ["0.0"] * 400
 
 
 def test_cmd_bounds_divergence_flag(tmp_path):

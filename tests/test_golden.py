@@ -51,11 +51,11 @@ CLI_CASES = {
     "bounds_linear": (
         ["--set", "total_frames=51", "--set", "bias=0.1", "--set", "sigma_int=0.2",
          "--set", "velocity_error=0.3", "bounds"], ("bounds.csv",),
-        "1e86ae4fdb75842f0f0114809956334cab5c049b6a958dbbc47a5662f5d89367"),
+        "ed8e4a7348479b8caa13fc0e9f897bbc71ec010e05b26e6f8c4c2da8dd4bafdb"),
     "bounds_diverging": (
         ["--set", "total_frames=400", "--set", "bias=0.1", "--set", "lipschitz=7",
          "--set", "kf_scenario=downsampled_ar", "bounds"], ("bounds.csv",),
-        "9f15076a3f6ea343cf9af3a2eef9417e5517e837781e291e987406c64555cfe4"),
+        "0751aa787a9ff85fa368dacaf4a3a94ba56c9c5fa9100d8f6e0c29eeeadfda0d"),
     # rotation dynamics at d=4, both noise sources on, 35 trials (not a
     # multiple of the trial block)
     "simulate_rotation_d4": (
@@ -177,7 +177,7 @@ def test_cli_long_horizon_op_digest(tmp_path, capsys):
         assert main(argv) == 0, capsys.readouterr().err
     files = ("bounds.csv",) + SIM_FILES
     digest = _digest((name, (tmp_path / name).read_bytes()) for name in files)
-    assert digest == "0af6e7c9e212cdbbd935a9ecc4c754c991bf4b75916f02452212513ba2debc8b"
+    assert digest == "7f2e0727dc49f990211632986e999ac841971b56332e2642f958e9f1d8f460a8"
 
 
 def _write_pose_pair(directory, n=500, seed=17):
