@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 import warnings
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -407,6 +408,78 @@ def _share_columns(columns) -> list:
     return sources
 
 
+def _block_texts(columns, sources, widths, lo: int, rows: int) -> list[str]:
+    """Each table's text of the rows lo to lo + rows, tables being runs of
+    widths columns; each distinct array column is formatted once, as
+    sources (see _share_columns) says."""
+    cells = []
+    for i, (c, src) in enumerate(zip(columns, sources)):
+        if isinstance(src, str):
+            # bounded, so zip stops when every column is constant
+            cells.append(repeat(src, rows))
+        else:
+            cells.append(list(_format_block(c[lo:lo + rows])) if src == i else cells[src])
+    texts, first = [], 0
+    for width in widths:
+        own, first = cells[first:first + width], first + width
+        texts.append("\n".join(map(", ".join, zip(*own))) + "\n")
+    return texts
+
+
+@contextmanager
+def _block_helper(starts, texts):
+    """A forked process that formats the row blocks at starts by texts and
+    sends each one's texts through a pipe, each as its 8-byte length and its
+    UTF-8 bytes; yields the pipe's read end, for _read_text. The child holds
+    one block at a time, leaves only by os._exit, so it flushes no inherited
+    buffer and runs no exit handler, and is reaped once the read end closes;
+    a nonzero exit code raises."""
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork in a process with threads (numpy's
+            # BLAS pool): the child runs only the block formatter and pipe
+            # writes, which take no lock another thread holds
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for lo in starts:
+                    for text in texts(lo):
+                        data = text.encode()
+                        pipe.write(len(data).to_bytes(8, "little"))
+                        pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            yield pipe
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise RuntimeError(f"the CSV block helper exited with code {code}")
+
+
+def _read_text(pipe) -> str:
+    """One text that _block_helper sent; a short read raises."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise RuntimeError("the CSV block helper stopped before its last block")
+    return data.decode()
+
+
 def write_columns_csv(path, header, columns, *tables) -> None:
     """Write equal-length columns as ", "-separated rows under the header
     names. A float array's values are written with repr (the shortest
@@ -419,9 +492,12 @@ def write_columns_csv(path, header, columns, *tables) -> None:
     by block. Rows are formatted and written CSV_ROW_BLOCK at a time; within
     a block each distinct array column of all the tables is formatted once,
     and a column whose cells all read the same is formatted once per call.
-    Array columns of different lengths, or a header whose names do not match
-    its table's columns one for one, raise ValueError before any file is
-    opened."""
+    Where the process may run on two CPUs and os.fork exists, a call of two
+    blocks or more forks a helper that formats every second block, by the
+    same function, while this process formats the others and writes every
+    block in order: the files hold the same bytes either way. Array columns
+    of different lengths, or a header whose names do not match its table's
+    columns one for one, raise ValueError before any file is opened."""
     tables = ((path, header, columns), *tables)
     for p, h, cols in tables:
         if len(h) != len(cols):
@@ -432,21 +508,21 @@ def write_columns_csv(path, header, columns, *tables) -> None:
         raise ValueError(f"array columns must have one length, got {sorted(lengths)}")
     n = lengths.pop()
     sources = _share_columns(columns)
+    widths = [len(cols) for _, _, cols in tables]
+
+    def texts(lo):
+        return _block_texts(columns, sources, widths, lo, min(CSV_ROW_BLOCK, n - lo))
+
+    starts = range(0, n, CSV_ROW_BLOCK)
+    helped = (len(starts) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+              and len(os.sched_getaffinity(0)) > 1)
     with ExitStack() as stack:
+        # the helper forks first, so it holds none of the files
+        pipe = stack.enter_context(_block_helper(starts[1::2], texts)) if helped else None
         files = [stack.enter_context(open(p, "w", encoding="utf-8")) for p, _, _ in tables]
         for fh, (_, h, _) in zip(files, tables):
             fh.write(", ".join(h) + "\n")
-        for lo in range(0, n, CSV_ROW_BLOCK):
-            rows = min(CSV_ROW_BLOCK, n - lo)
-            cells = []
-            for i, (c, src) in enumerate(zip(columns, sources)):
-                if isinstance(src, str):
-                    # bounded, so zip stops when every column is constant
-                    cells.append(repeat(src, rows))
-                else:
-                    cells.append(list(_format_block(c[lo:lo + rows])) if src == i
-                                 else cells[src])
-            first = 0
-            for fh, (_, _, cols) in zip(files, tables):
-                own, first = cells[first:first + len(cols)], first + len(cols)
-                fh.write("\n".join(map(", ".join, zip(*own))) + "\n")
+        for k, lo in enumerate(starts):
+            block = [_read_text(pipe) for _ in files] if helped and k % 2 else texts(lo)
+            for fh, text in zip(files, block):
+                fh.write(text)

@@ -596,7 +596,9 @@ def test_cmd_simulate_byte_identical_reruns(tmp_path):
 def test_cmd_simulate_formats_each_error_column_once(tmp_path, monkeypatch):
     # with 1 trial the mean errors are the trial's errors: the three CSVs are
     # written in one pass, so each pipeline's error text, and the frame
-    # column, is formatted once a block, not once a file
+    # column, is formatted once a block, not once a file. Counted in this
+    # process: with the helper off, it formats every block
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(core, "CSV_ROW_BLOCK", 16)
     formatted = Counter()
     format_block = core._format_block

@@ -1,3 +1,5 @@
+import contextlib
+import os
 import re
 import warnings
 
@@ -415,7 +417,14 @@ def test_write_columns_csv_rejects_ragged_tables(tmp_path):
     assert not a.exists() and not b.exists()
 
 
+def _cpus(monkeypatch, count):
+    """Make the process's CPU affinity mask read count CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_write_columns_csv_formats_a_shared_column_once_per_block(tmp_path, monkeypatch):
+    # counted in this process: with the helper off, it formats every block
+    _cpus(monkeypatch, 1)
     monkeypatch.setattr(core, "CSV_ROW_BLOCK", 4)
     formatted = []
     format_block = core._format_block
@@ -431,3 +440,153 @@ def test_write_columns_csv_formats_a_shared_column_once_per_block(tmp_path, monk
                       (tmp_path / "b.csv", ("frame", "x", "y"), (np.arange(n), x.copy(), x + 1)))
     # frame, x and y once each in each of the 3 blocks
     assert formatted == [4, 4, 4, 4, 4, 4, 2, 2, 2]
+
+
+#: floats whose text takes every form, subnormals and 1e300 among them
+_CSV_EDGE_FLOATS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300,
+                             -1e300, 0.1, 1.0 / 3.0])
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _random_tables(g, directory):
+    """1 to 3 tables of 1 to 20 rows: float columns of _CSV_EDGE_FLOATS and
+    normal draws, int, bool and str columns, constant columns, scalars, and
+    columns shared across tables."""
+    n = int(g.integers(1, 21))
+    pool = [lambda: g.choice(_CSV_EDGE_FLOATS, n),
+            lambda: g.normal(size=n) * 10.0 ** g.integers(-5, 6),
+            lambda: g.integers(-10 ** 6, 10 ** 6, n),
+            lambda: g.random(n) < 0.5,
+            lambda: np.array([f"s{v}" for v in g.integers(0, 4, n)]),
+            lambda: np.full(n, g.choice(_CSV_EDGE_FLOATS)),
+            lambda: float(g.choice(_CSV_EDGE_FLOATS)),
+            lambda: int(g.integers(-9, 9))]
+    shared = [make() for make in pool[:5]]
+    tables = []
+    for k in range(int(g.integers(1, 4))):
+        columns = [shared[g.integers(5)] if g.random() < 0.3 else pool[g.integers(len(pool))]()
+                   for _ in range(g.integers(1, 6))]
+        if not any(isinstance(c, np.ndarray) for c in columns):
+            columns.append(np.arange(n))
+        tables.append((directory / f"t{k}.csv", [f"c{i}" for i in range(len(columns))], columns))
+    return tables
+
+
+@needs_fork
+def test_write_columns_csv_helper_writes_the_in_process_bytes(tmp_path, monkeypatch):
+    # the forked helper formats every second block: each file holds the
+    # bytes the in-process path writes, over odd and even block counts and a
+    # short last block
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 3)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    g = np.random.default_rng(34)
+    block_counts = []
+    for case in range(60):
+        tables = _random_tables(g, tmp_path)
+        rows = next(len(c) for _, _, cols in tables for c in cols if isinstance(c, np.ndarray))
+        block_counts.append(-(-rows // 3))
+        texts = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            write_columns_csv(*tables[0], *tables[1:])
+            texts.append([path.read_bytes() for path, _, _ in tables])
+        assert texts[0] == texts[1], case
+    # one fork a call of two blocks or more, on the helper's run only
+    assert len(forks) == sum(count > 1 for count in block_counts)
+    assert {1, 2, 3, 4, 7} <= set(block_counts)
+
+
+@needs_fork
+def test_write_columns_csv_helper_failure_raises_and_leaves_no_child(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 3)
+    parent = os.getpid()
+    block_texts = core._block_texts
+
+    def failing_in_the_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("the helper fails")
+        return block_texts(*args)
+
+    monkeypatch.setattr(core, "_block_texts", failing_in_the_child)
+    with pytest.raises(RuntimeError, match="helper stopped before its last block"):
+        write_columns_csv(tmp_path / "a.csv", ("x",), (np.arange(10.0),))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_columns_csv_forks_only_for_two_blocks_on_two_cpus(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 3)
+    path = tmp_path / "a.csv"
+    _cpus(monkeypatch, 2)
+    write_columns_csv(path, ("x",), (np.arange(3.0),))
+    assert path.read_text() == "x\n0.0\n1.0\n2.0\n"
+    _cpus(monkeypatch, 1)
+    write_columns_csv(path, ("x",), (np.arange(4.0),))
+    assert path.read_text() == "x\n0.0\n1.0\n2.0\n3.0\n"
+    _cpus(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="forked"):
+        write_columns_csv(path, ("x",), (np.arange(4.0),))
+
+
+def _open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@needs_fork
+def test_write_columns_csv_helper_holds_no_output_file(tmp_path, monkeypatch):
+    # the files are opened after the fork: the helper holds none of them
+    if not _open_fds():
+        pytest.skip("no /proc/self/fd")
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 3)
+    parent, path = os.getpid(), os.path.realpath(tmp_path / "a.csv")
+    block_texts = core._block_texts
+
+    def checking(*args):
+        if os.getpid() != parent:
+            for fd in _open_fds():
+                with contextlib.suppress(OSError):
+                    if os.readlink(f"/proc/self/fd/{fd}") == path:
+                        raise ValueError("the helper holds an output file")
+        return block_texts(*args)
+
+    monkeypatch.setattr(core, "_block_texts", checking)
+    write_columns_csv(path, ("x",), (np.arange(10.0),))
+    assert len(open(path).readlines()) == 11
+
+
+@needs_fork
+def test_write_columns_csv_silences_only_the_fork_with_threads_warning(tmp_path, monkeypatch):
+    # Python 3.12+ warns at a fork in a process with threads: the one
+    # os.fork call ignores exactly that warning, and a refused fork leaves
+    # no pipe open
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(core, "CSV_ROW_BLOCK", 3)
+    fork = os.fork
+
+    def warning_fork(message):
+        def warned():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return fork()
+        return warned
+
+    path, fds = tmp_path / "a.csv", _open_fds()
+    monkeypatch.setattr(os, "fork", warning_fork(
+        f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+        f"deadlocks in the child."))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        write_columns_csv(path, ("x",), (np.arange(10.0),))
+        assert len(open(path).readlines()) == 11
+        monkeypatch.setattr(os, "fork", warning_fork("another deprecation"))
+        with pytest.raises(DeprecationWarning, match="another deprecation"):
+            write_columns_csv(path, ("x",), (np.arange(10.0),))
+    assert _open_fds() == fds
