@@ -492,10 +492,11 @@ def write_columns_csv(path, header, columns, *tables) -> None:
     by block. Rows are formatted and written CSV_ROW_BLOCK at a time; within
     a block each distinct array column of all the tables is formatted once,
     and a column whose cells all read the same is formatted once per call.
-    Where the process may run on two CPUs and os.fork exists, a call of two
-    blocks or more forks a helper that formats every second block, by the
-    same function, while this process formats the others and writes every
-    block in order: the files hold the same bytes either way. Array columns
+    Where os.fork exists and the CPU affinity mask (os.sched_getaffinity)
+    holds two CPUs or more, a call of two blocks or more forks a helper that
+    formats every second block, by the same function, while this process
+    formats the others and writes every block in order: the files hold the
+    same bytes either way. Array columns
     of different lengths, or a header whose names do not match its table's
     columns one for one, raise ValueError before any file is opened."""
     tables = ((path, header, columns), *tables)

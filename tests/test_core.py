@@ -1,6 +1,8 @@
 import contextlib
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -535,6 +537,22 @@ def test_write_columns_csv_forks_only_for_two_blocks_on_two_cpus(tmp_path, monke
     with pytest.raises(AssertionError, match="forked"):
         write_columns_csv(path, ("x",), (np.arange(4.0),))
 
+
+@needs_fork
+def test_write_columns_csv_helper_flushes_no_inherited_buffer(tmp_path):
+    # the helper leaves by os._exit: text buffered before the fork reaches
+    # stdout once, and an exit handler runs once
+    code = ("import atexit, os, sys, numpy as np\n"
+            "from rollbound.core import write_columns_csv\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "atexit.register(print, 'exit')\n"
+            "print('buffered', end='')\n"
+            "write_columns_csv(sys.argv[1], ('x',), (np.arange(3000.0),))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "a.csv")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "bufferedexit\n"
+    assert len((tmp_path / "a.csv").read_text().splitlines()) == 3001
 
 def _open_fds() -> list:
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
